@@ -15,7 +15,7 @@ from .lattice import (INITIAL_STATE_KINDS, LadderParams, build_hamiltonian,
                       build_initial_state, dressed_gap, leg_bonds,
                       mediating_mask, pauli_string, uniform_mask)
 from .evolution import (SpectralDecomposition, TimeGrid, diagonalize,
-                        evolve_series, evolve_state, iter_evolved)
+                        evolve_state, iter_evolved)
 from .metrics import (bell_fidelity, concurrence, mutual_information,
                       partial_trace, von_neumann_entropy)
 from .signals import (FitResult, TimeSeries, dominant_frequency,
@@ -25,7 +25,7 @@ from .experiments import (DisorderRealization, EnsembleStats, HeatmapGrid,
                           SweepResult, SweepRow, Trajectory,
                           anisotropy_heatmap, build_effective_hamiltonian,
                           disorder_ensemble, disorder_realization,
-                          effective_model_check, frequency_table,
+                          effective_model_check, evolve_and_measure, frequency_table,
                           run_reference, scaling_run, sweep_field)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -11,8 +11,9 @@ during diagonalization or analysis, 4 output could not be written.
 """
 
 import argparse
+import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, astuple, fields
 
 import numpy as np
 
@@ -20,7 +21,6 @@ from . import __version__
 from .errors import (ConfigurationError, InsufficientDataError,
                      InvalidArgumentError, NumericFailureError, OutputError)
 from .lattice import dressed_gap
-from .evolution import TimeGrid
 from . import experiments, io, signals
 
 
@@ -69,13 +69,11 @@ def _common_extras(config):
         "config": io.config_echo(config),
         "seed": config.seed,
         "version": __version__,
-        "thresholds": {"mediating_cutoff": config.mediating_cutoff,
-                       "prominence": config.prominence},
+        "thresholds": {"prominence": config.prominence},
     }
 
 
 def _out(args, name):
-    import os
     return os.path.join(args.out, name)
 
 
@@ -153,11 +151,10 @@ def cmd_freq_table(args, config):
     params = io.config_params(config)
     rows = experiments.frequency_table(io.config_floats(config, "d_values"), params,
                                        t_end=config.t_end, n_points=config.n_points)
-    io.write_table([(r.d, r.predicted, r.measured, r.ratio) for r in rows],
+    io.write_table([astuple(r) for r in rows],
                    _out(args, "freq_table.csv"), ["d", "predicted", "measured", "ratio"])
     extras = _common_extras(config)
-    extras["rows"] = [{"d": r.d, "predicted": r.predicted, "measured": r.measured,
-                       "ratio": r.ratio} for r in rows]
+    extras["rows"] = [asdict(r) for r in rows]
     io.write_sidecar(_out(args, "freq_table.json"), extras)
     return 0
 
@@ -168,14 +165,11 @@ def cmd_effective_check(args, config):
         params, h_values=io.config_floats(config, "eff_h_values"),
         window_factor=config.window_factor, min_prominence=config.prominence)
     io.write_table(
-        [(r.h, r.t_slow_full, r.j_eff, r.alpha, r.t_slow_effective, r.relative_error)
-         for r in rows],
+        [astuple(r) for r in rows],
         _out(args, "effective_check.csv"),
         ["h", "T_slow_full", "J_eff", "alpha", "T_slow_effective", "rel_error"])
     extras = _common_extras(config)
-    extras["rows"] = [{"h": r.h, "t_slow_full": r.t_slow_full, "j_eff": r.j_eff,
-                       "alpha": r.alpha, "t_slow_effective": r.t_slow_effective,
-                       "relative_error": r.relative_error} for r in rows]
+    extras["rows"] = [asdict(r) for r in rows]
     io.write_sidecar(_out(args, "effective_check.json"), extras)
     return 0
 

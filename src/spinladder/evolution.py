@@ -84,8 +84,8 @@ def evolve_state(decomp, psi0, t):
 def iter_evolved(decomp, psi0, times, chunk=2048):
     """Yield (time_block, state_block) pairs, states as columns.
 
-    This is the streaming workhorse behind evolve_series and the experiment
-    drivers; long sweeps never materialize the full state history.
+    This is the streaming workhorse behind experiments.evolve_and_measure;
+    long sweeps never materialize the full state history.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (decomp.dim,):
@@ -96,13 +96,3 @@ def iter_evolved(decomp, psi0, times, chunk=2048):
         block = times[start:start + chunk]
         phases = np.exp(-1j * np.outer(decomp.eigenvalues, block))
         yield block, decomp.eigenvectors @ (coeffs[:, None] * phases)
-
-
-def evolve_series(decomp, psi0, grid, chunk=2048):
-    """States at every grid point, stacked as rows of shape (n_points, dim)."""
-    out = np.empty((grid.n_points, decomp.dim), dtype=complex)
-    pos = 0
-    for _, states in iter_evolved(decomp, psi0, grid.times, chunk=chunk):
-        out[pos:pos + states.shape[1]] = states.T
-        pos += states.shape[1]
-    return out

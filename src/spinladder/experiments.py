@@ -3,8 +3,9 @@
 Every study is a plain function from parameters to tabular results:
 reference trajectory, field sweep, anisotropy heatmap, disorder ensemble,
 size scaling, effective-model comparison, and the carrier-frequency table.
-All drivers stream the evolved states in chunks, so long windows at large
-field never hold the full state history in memory.
+All of them run through evolve_and_measure, which streams the evolved states
+in chunks, so long windows at large field never hold the full state history
+in memory, and which computes only the channels its caller asks for.
 """
 
 import math
@@ -15,14 +16,14 @@ import numpy as np
 from .errors import InsufficientDataError, InvalidArgumentError, UnsupportedSizeError
 from .evolution import TimeGrid, diagonalize, iter_evolved
 from .lattice import (
+    MAX_DENSE_RUNGS,
     LadderParams,
     build_hamiltonian,
     build_initial_state,
     dressed_gap,
-    leg_bonds,
     pauli_string,
 )
-from .metrics import BELL_STATES, _concurrence_many, _entropy_many, _fidelity_many
+from .metrics import BELL_STATES, _concurrence_many, _entropy_many, _fidelity_many, _reduced_many
 from .signals import FitResult, TimeSeries, envelope_period, dominant_frequency, extract_alpha, \
     effective_coupling_from_period, loglog_fit
 
@@ -51,20 +52,24 @@ def rung_pairs(n_rungs):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Per-pair concurrence, terminal fidelity, optional mutual information."""
+    """Per-pair concurrence, terminal fidelity, optional mutual information.
+
+    A run that did not ask for fidelity carries None in its place.
+    """
 
     grid: TimeGrid
     pair_concurrence: dict
-    fidelity_terminal: TimeSeries
+    fidelity_terminal: TimeSeries = None
     mutual_info: dict = None
 
     def __post_init__(self):
         for label, series in self.pair_concurrence.items():
             if series.values.min() < -1e-9 or series.values.max() > 1.0 + 1e-9:
                 raise InvalidArgumentError(f"concurrence series {label} leaves [0, 1]")
-        fid = self.fidelity_terminal.values
-        if fid.min() < -1e-9 or fid.max() > 1.0 + 1e-9:
-            raise InvalidArgumentError("fidelity series leaves [0, 1]")
+        if self.fidelity_terminal is not None:
+            fid = self.fidelity_terminal.values
+            if fid.min() < -1e-9 or fid.max() > 1.0 + 1e-9:
+                raise InvalidArgumentError("fidelity series leaves [0, 1]")
 
     @property
     def terminal_label(self):
@@ -130,54 +135,50 @@ class FrequencyRow:
     ratio: float
 
 
-def _reduced_many(states, keep, n_sites):
-    """Reduced density matrices for a block of states (columns), one per time."""
-    nt = states.shape[1]
-    psi = states.T.reshape([nt] + [2] * n_sites)
-    rest = [k for k in range(1, n_sites + 1) if k not in keep]
-    block = psi.transpose([0] + list(keep) + rest).reshape(nt, 2 ** len(keep), -1)
-    return np.einsum("tim,tjm->tij", block, block.conj())
+def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False,
+                       decomp=None, psi0=None):
+    """Evolve one ladder over the grid once and compute only the requested channels.
 
-
-def _trajectory_from_decomp(decomp, psi0, grid, n_sites, pairs, want_mi=False, chunk=2048):
-    times = grid.times
-    n_points = grid.n_points
+    pairs lists the rung pairs whose concurrence is recorded; fidelity adds
+    the terminal pair's phi_plus fidelity; mutual_info adds I(first),
+    I(terminal) and the joint first-terminal channel. Every pair is reduced
+    once per chunk, however many channels read it. decomp defaults to the
+    spectrum of params' Hamiltonian and psi0 to the phi_plus input. C and F
+    are clipped into [0, 1]; mutual information is not. Channels not asked
+    for come back empty (concurrence) or None.
+    """
+    decomp = diagonalize(build_hamiltonian(params)) if decomp is None else decomp
+    psi0 = build_initial_state("phi_plus", params) if psi0 is None else psi0
+    n_sites, n_points, times = params.n_sites, grid.n_points, grid.times
+    ladder = rung_pairs(params.n_rungs)
+    first, terminal = ladder[0], ladder[-1]
+    reduced = dict.fromkeys(list(pairs) + [terminal] * fidelity + [first, terminal] * mutual_info)
     conc = {pair: np.empty(n_points) for pair in pairs}
-    fid = np.empty(n_points)
-    terminal = pairs[-1]
-    first = pairs[0]
-    phi = BELL_STATES["phi_plus"]
-    if want_mi:
-        mi = {name: np.empty(n_points) for name in ("first", "terminal", "joint")}
+    fid = np.empty(n_points) if fidelity else None
+    mi = {name: np.empty(n_points) for name in ("first", "terminal", "joint") if mutual_info}
     pos = 0
-    for _, states in iter_evolved(decomp, psi0, times, chunk=chunk):
-        nt = states.shape[1]
-        sl = slice(pos, pos + nt)
-        rho_cache = {}
+    for _, states in iter_evolved(decomp, psi0, times):
+        sl = slice(pos, pos + states.shape[1])
+        rhos = {pair: _reduced_many(states, list(pair), n_sites) for pair in reduced}
         for pair in pairs:
-            rhos = _reduced_many(states, list(pair), n_sites)
-            rho_cache[pair] = rhos
-            conc[pair][sl] = _concurrence_many(rhos)
-        fid[sl] = _fidelity_many(rho_cache[terminal], phi)
-        if want_mi:
+            conc[pair][sl] = _concurrence_many(rhos[pair])
+        if fidelity:
+            fid[sl] = _fidelity_many(rhos[terminal], BELL_STATES["phi_plus"])
+        if mutual_info:
             singles = {
                 site: _entropy_many(_reduced_many(states, [site], n_sites))
                 for site in (*first, *terminal)
             }
-            s_first = _entropy_many(rho_cache[first])
-            s_term = _entropy_many(rho_cache[terminal])
+            s_first = _entropy_many(rhos[first])
+            s_term = _entropy_many(rhos[terminal])
             s_joint = _entropy_many(_reduced_many(states, [*first, *terminal], n_sites))
             mi["first"][sl] = singles[first[0]] + singles[first[1]] - s_first
             mi["terminal"][sl] = singles[terminal[0]] + singles[terminal[1]] - s_term
             mi["joint"][sl] = s_first + s_term - s_joint
-        pos += nt
+        pos = sl.stop
 
-    pair_series = {
-        pair_label(*pair): TimeSeries(times, np.clip(conc[pair], 0.0, 1.0))
-        for pair in pairs
-    }
     mi_series = None
-    if want_mi:
+    if mutual_info:
         lf, lt = pair_label(*first), pair_label(*terminal)
         mi_series = {
             f"I{lf}": TimeSeries(times, mi["first"]),
@@ -186,14 +187,15 @@ def _trajectory_from_decomp(decomp, psi0, grid, n_sites, pairs, want_mi=False, c
         }
     return Trajectory(
         grid=grid,
-        pair_concurrence=pair_series,
-        fidelity_terminal=TimeSeries(times, np.clip(fid, 0.0, 1.0)),
+        pair_concurrence={pair_label(*pair): TimeSeries(times, np.clip(values, 0.0, 1.0))
+                          for pair, values in conc.items()},
+        fidelity_terminal=None if fid is None else TimeSeries(times, np.clip(fid, 0.0, 1.0)),
         mutual_info=mi_series,
     )
 
 
 def run_reference(params=None, state_kind="phi_plus", grid=None, include_mutual_info=True,
-                  rung_factors=None, leg_factors=None, include_odd_leg=True):
+                  include_odd_leg=True):
     """Evolve one ladder and record every rung pair's concurrence plus terminal fidelity.
 
     Mutual-information channels (first rung, terminal rung, and the joint
@@ -202,22 +204,21 @@ def run_reference(params=None, state_kind="phi_plus", grid=None, include_mutual_
     """
     params = LadderParams() if params is None else params
     grid = DEFAULT_GRID if grid is None else grid
-    ham = build_hamiltonian(params, rung_factors=rung_factors, leg_factors=leg_factors,
-                            include_odd_leg=include_odd_leg)
-    decomp = diagonalize(ham)
-    psi0 = build_initial_state(state_kind, params)
-    return _trajectory_from_decomp(decomp, psi0, grid, params.n_sites,
-                                   rung_pairs(params.n_rungs), want_mi=include_mutual_info)
+    return evolve_and_measure(
+        params, grid, rung_pairs(params.n_rungs), fidelity=True, mutual_info=include_mutual_info,
+        decomp=diagonalize(build_hamiltonian(params, include_odd_leg=include_odd_leg)),
+        psi0=build_initial_state(state_kind, params))
 
 
 def scaling_run(n_rungs, base=None, grid=None):
     """Reference-style run at a different ladder length, all pair channels, no MI.
 
-    Dense diagonalization bounds the size: n_rungs above 5 (dimension 1024)
-    is refused rather than silently slow.
+    Dense diagonalization bounds the size: n_rungs above MAX_DENSE_RUNGS
+    (dimension 1024) is refused rather than silently slow.
     """
-    if n_rungs > 5:
-        raise UnsupportedSizeError(f"n_rungs = {n_rungs} exceeds the dense-diagonalization bound of 5")
+    if n_rungs > MAX_DENSE_RUNGS:
+        raise UnsupportedSizeError(
+            f"n_rungs = {n_rungs} exceeds the dense-diagonalization bound of {MAX_DENSE_RUNGS}")
     if n_rungs < 3:
         raise InvalidArgumentError(f"a scaling run needs at least one mediating rung, got n_rungs = {n_rungs}")
     base = LadderParams() if base is None else base
@@ -254,7 +255,7 @@ def sweep_field(h_values, base=None, window_factor=1.2, points_per_carrier=POINT
     for h in h_values:
         params = base.replace(h=float(h))
         grid = _envelope_grid(params, _slow_window(params, window_factor), points_per_carrier)
-        traj = _terminal_only(params, grid)
+        traj = evolve_and_measure(params, grid, rung_pairs(params.n_rungs)[-1:], fidelity=True)
         c_term = traj.pair_concurrence[traj.terminal_label]
         f_max = float(traj.fidelity_terminal.values.max())
         try:
@@ -272,13 +273,6 @@ def sweep_field(h_values, base=None, window_factor=1.2, points_per_carrier=POINT
     return SweepResult(rows=rows, fit=fit)
 
 
-def _terminal_only(params, grid):
-    decomp = diagonalize(build_hamiltonian(params))
-    psi0 = build_initial_state("phi_plus", params)
-    terminal = rung_pairs(params.n_rungs)[-1]
-    return _trajectory_from_decomp(decomp, psi0, grid, params.n_sites, [terminal])
-
-
 def anisotropy_heatmap(g_values, d_values, base=None, grid=None):
     """Peak terminal fidelity over a (g, d) grid; cells are independent runs."""
     base = LadderParams() if base is None else base
@@ -288,7 +282,7 @@ def anisotropy_heatmap(g_values, d_values, base=None, grid=None):
     f_max = np.empty((len(g_values), len(d_values)))
     for i, g in enumerate(g_values):
         for j, d in enumerate(d_values):
-            traj = _terminal_only(base.replace(g=float(g), d=float(d)), grid)
+            traj = evolve_and_measure(base.replace(g=float(g), d=float(d)), grid, fidelity=True)
             f_max[i, j] = traj.fidelity_terminal.values.max()
     return HeatmapGrid(g_values=g_values, d_values=d_values, f_max=f_max)
 
@@ -324,10 +318,6 @@ def disorder_ensemble(delta, n_samples, base_seed, base=None, grid=None):
         raise InvalidArgumentError(f"n_samples must be >= 1, got {n_samples}")
     base = LadderParams() if base is None else base
     grid = DEFAULT_GRID if grid is None else grid
-    times = grid.times
-    psi0 = build_initial_state("phi_plus", base)
-    terminal = rung_pairs(base.n_rungs)[-1]
-    phi = BELL_STATES["phi_plus"]
 
     # Welford accumulation: the naive sum-of-squares variance loses ~8 digits
     # near F = 1 and would report nonzero spread for a delta = 0 ensemble.
@@ -338,13 +328,8 @@ def disorder_ensemble(delta, n_samples, base_seed, base=None, grid=None):
         real = disorder_realization(delta, base_seed, k, base.n_rungs)
         ham = build_hamiltonian(base, rung_factors=1.0 + real.rung_deltas,
                                 leg_factors=1.0 + real.leg_deltas)
-        decomp = diagonalize(ham)
-        fid = np.empty(grid.n_points)
-        pos = 0
-        for _, states in iter_evolved(decomp, psi0, times):
-            rhos = _reduced_many(states, list(terminal), base.n_sites)
-            fid[pos:pos + states.shape[1]] = _fidelity_many(rhos, phi)
-            pos += states.shape[1]
+        traj = evolve_and_measure(base, grid, fidelity=True, decomp=diagonalize(ham))
+        fid = traj.fidelity_terminal.values
         shift = fid - mean
         mean += shift / (k + 1)
         m2 += shift * (fid - mean)
@@ -354,8 +339,8 @@ def disorder_ensemble(delta, n_samples, base_seed, base=None, grid=None):
     return EnsembleStats(
         delta=float(delta),
         n_samples=int(n_samples),
-        mean_fidelity=TimeSeries(times, mean),
-        std_fidelity=TimeSeries(times, np.sqrt(var)),
+        mean_fidelity=TimeSeries(grid.times, mean),
+        std_fidelity=TimeSeries(grid.times, np.sqrt(var)),
         peak_fidelities=peaks,
         mean_peak_fidelity=float(peaks.mean()),
         std_peak_fidelity=float(peaks.std()),
@@ -406,14 +391,13 @@ def effective_model_check(base=None, h_values=(100.0, 200.0, 400.0), window_fact
     for h in h_values:
         params = base.replace(h=float(h))
         grid = _envelope_grid(params, _slow_window(params, window_factor), points_per_carrier)
-        full = _terminal_only(params, grid)
+        full = evolve_and_measure(params, grid, rung_pairs(params.n_rungs)[-1:])
         t_full = envelope_period(full.pair_concurrence[full.terminal_label], min_prominence)
         j_eff = effective_coupling_from_period(t_full, params)
         alpha = extract_alpha(t_full, params)
 
-        decomp = diagonalize(build_effective_hamiltonian(j_eff, params))
-        psi0 = build_initial_state("phi_plus", eff_proto)
-        eff = _trajectory_from_decomp(decomp, psi0, grid, 4, [(3, 4)])
+        eff = evolve_and_measure(eff_proto, grid, [(3, 4)],
+                                 decomp=diagonalize(build_effective_hamiltonian(j_eff, params)))
         t_eff = envelope_period(eff.pair_concurrence["34"], min_prominence)
         rows.append(EffectiveCheckRow(
             h=float(h), t_slow_full=t_full, j_eff=j_eff, alpha=alpha,
@@ -429,7 +413,8 @@ def frequency_table(d_values, base=None, t_end=40.0, n_points=8001):
     rows = []
     for d in d_values:
         params = base.replace(d=float(d))
-        traj = _terminal_only(params, TimeGrid(0.0, t_end, n_points))
+        traj = evolve_and_measure(params, TimeGrid(0.0, t_end, n_points),
+                                  rung_pairs(params.n_rungs)[-1:])
         measured = dominant_frequency(traj.pair_concurrence[traj.terminal_label])
         predicted = dressed_gap(params)
         rows.append(FrequencyRow(d=float(d), predicted=predicted, measured=measured,

@@ -8,12 +8,13 @@ own sidecar. Floats are serialized with repr, which round-trips exactly.
 
 import json
 import os
-from dataclasses import dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
 from .errors import ConfigurationError, OutputError
-from .lattice import LadderParams, INITIAL_STATE_KINDS, mediating_mask, uniform_mask
+from .lattice import (MAX_DENSE_RUNGS, INITIAL_STATE_KINDS, LadderParams, mediating_mask,
+                      uniform_mask)
 from .evolution import TimeGrid
 
 EXPERIMENTS = ("reference", "field-sweep", "heatmap", "disorder", "scaling",
@@ -40,7 +41,6 @@ class ExperimentConfig:
     t_end: float = 10.0
     n_points: int = 4001
     seed: int = 42
-    mediating_cutoff: float = 0.1
     prominence: float = 0.05
     # field-sweep / effective-check
     h_values: str = "50,100,200,400"
@@ -124,10 +124,10 @@ def parse_config(text=None, overrides=None):
 
 
 def _validate(config):
-    if not 2 <= config.n_rungs <= 5:
+    if not 2 <= config.n_rungs <= MAX_DENSE_RUNGS:
         raise ConfigurationError(
-            f"n_rungs must be between 2 and 5 for dense diagonalization, got {config.n_rungs}",
-            key="n_rungs")
+            f"n_rungs must be between 2 and {MAX_DENSE_RUNGS} for dense diagonalization, "
+            f"got {config.n_rungs}", key="n_rungs")
     if config.state not in INITIAL_STATE_KINDS:
         raise ConfigurationError(f"state must be one of {INITIAL_STATE_KINDS}", key="state")
     if config.n_points < 2:
@@ -145,7 +145,7 @@ def _validate(config):
             raise ConfigurationError(f"field_mask rungs outside 1..{config.n_rungs}", key="field_mask")
     for key in ("h_values", "eff_h_values", "deltas", "d_values"):
         try:
-            [float(tok) for tok in getattr(config, key).split(",") if tok.strip()]
+            config_floats(config, key)
         except ValueError:
             raise ConfigurationError("expected comma-separated numbers", key=key) from None
     try:
@@ -153,8 +153,9 @@ def _validate(config):
     except ValueError:
         raise ConfigurationError("expected comma-separated integers", key="n_values") from None
     for n in n_values:
-        if n > 5:
-            raise ConfigurationError(f"n_values entry {n} exceeds the dense bound of 5", key="n_values")
+        if n > MAX_DENSE_RUNGS:
+            raise ConfigurationError(
+                f"n_values entry {n} exceeds the dense bound of {MAX_DENSE_RUNGS}", key="n_values")
     for key in ("n_g", "n_d"):
         if getattr(config, key) < 1:
             raise ConfigurationError("grid size must be >= 1", key=key)
@@ -272,8 +273,7 @@ def write_table(rows, csv_path, header):
 
 
 def write_sweep(result, csv_path, sidecar_path=None, extras=None):
-    rows = [(r.h, r.t_slow, r.f_max, r.flag or "") for r in result.rows]
-    write_table(rows, csv_path, ["h", "T_slow", "F_max", "flag"])
+    write_table([astuple(r) for r in result.rows], csv_path, ["h", "T_slow", "F_max", "flag"])
     if sidecar_path is not None:
         summary = dict(extras or {})
         if result.fit is not None:
@@ -284,8 +284,7 @@ def write_sweep(result, csv_path, sidecar_path=None, extras=None):
                 "alpha": result.fit.alpha,
             }
         summary["rows"] = [
-            {"h": r.h, "t_slow": r.t_slow, "f_max": r.f_max, "flag": r.flag,
-             "prefactor": None if r.t_slow is None or r.h <= 0 else r.t_slow / r.h}
+            {**asdict(r), "prefactor": None if r.t_slow is None or r.h <= 0 else r.t_slow / r.h}
             for r in result.rows
         ]
         write_sidecar(sidecar_path, summary)

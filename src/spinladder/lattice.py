@@ -44,6 +44,9 @@ INITIAL_STATE_KINDS = (
     "separable_zero_zero",
 )
 
+#: Largest ladder the dense builder and eigensolver take (2^10 = 1024 states).
+MAX_DENSE_RUNGS = 5
+
 
 def mediating_mask(n_rungs):
     """Rungs 2 .. N-1, the default recipients of the selective field."""

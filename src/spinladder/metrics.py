@@ -72,10 +72,19 @@ def partial_trace(psi, keep, n_sites=None):
     """Reduced density matrix of the kept sites (1-based), in keep order."""
     psi, n_sites = _as_state(psi, n_sites)
     keep = _check_keep(keep, n_sites)
+    return _reduced_many(psi[:, None], keep, n_sites)[0]
+
+
+def _reduced_many(states, keep, n_sites):
+    """Reduced density matrices of the kept sites, one per state column, no validation.
+
+    Used by the experiment drivers on every chunk of evolved states.
+    """
+    nt = states.shape[1]
+    psi = states.T.reshape([nt] + [2] * n_sites)
     rest = [k for k in range(1, n_sites + 1) if k not in keep]
-    perm = [k - 1 for k in keep + rest]
-    block = psi.reshape([2] * n_sites).transpose(perm).reshape(2 ** len(keep), -1)
-    return block @ block.conj().T
+    block = psi.transpose([0] + list(keep) + rest).reshape(nt, 2 ** len(keep), -1)
+    return np.einsum("tim,tjm->tij", block, block.conj())
 
 
 def _check_density_matrix(rho, dim=None):
@@ -129,8 +138,7 @@ def bell_fidelity(rho, bell="phi_plus"):
     rho = _check_density_matrix(rho, dim=4)
     if bell not in BELL_STATES:
         raise InvalidArgumentError(f"unknown Bell state {bell!r}; expected one of {sorted(BELL_STATES)}")
-    vec = BELL_STATES[bell]
-    return float(np.real(vec.conj() @ rho @ vec))
+    return float(_fidelity_many(rho[None], BELL_STATES[bell])[0])
 
 
 def _fidelity_many(rhos, vec):

@@ -120,12 +120,12 @@ def test_reference_run(tmp_path):
     assert side["config"]["h"] == 100.0
     assert side["seed"] == 42
     assert side["version"] == __version__
-    assert side["thresholds"] == {"mediating_cutoff": 0.1, "prominence": 0.05}
+    assert side["thresholds"] == {"prominence": 0.05}
     assert side["omega_fast"] == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-12)
     # ten time units cannot hold the slow envelope, so no period is claimed
     assert "t_slow" not in side
     assert side["f_max"] > 0.99
-    assert side["max_concurrence"]["34"] <= side["config"]["mediating_cutoff"]
+    assert side["max_concurrence"]["34"] <= 0.1
 
 
 def test_two_point_trajectory_is_three_lines(tmp_path):

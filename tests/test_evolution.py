@@ -8,7 +8,6 @@ from spinladder.errors import InvalidArgumentError
 from spinladder.evolution import (
     TimeGrid,
     diagonalize,
-    evolve_series,
     evolve_state,
     iter_evolved,
 )
@@ -106,7 +105,8 @@ def test_series_matches_pointwise(rng):
     decomp = diagonalize(build_hamiltonian(LadderParams(n_rungs=2)))
     psi = haar_state(rng, 16)
     grid = TimeGrid(0.0, 5.0, 23)
-    states = evolve_series(decomp, psi, grid)
+    [(_, block)] = iter_evolved(decomp, psi, grid.times)
+    states = block.T
     assert states.shape == (23, 16)
     for k, t in enumerate(grid.times):
         assert np.abs(states[k] - evolve_state(decomp, psi, t)).max() < 1e-12
@@ -118,11 +118,11 @@ def test_iter_evolved_chunking_invariance(rng):
     decomp = diagonalize(build_hamiltonian(LadderParams(n_rungs=2)))
     psi = haar_state(rng, 16)
     grid = TimeGrid(0.0, 5.0, 23)
-    whole = evolve_series(decomp, psi, grid)
+    [(_, whole)] = iter_evolved(decomp, psi, grid.times)
     blocks = list(iter_evolved(decomp, psi, grid.times, chunk=7))
     assert [states.shape[1] for _, states in blocks] == [7, 7, 7, 2]
     assert np.concatenate([t for t, _ in blocks]).shape == (23,)
-    stitched = np.concatenate([states.T for _, states in blocks], axis=0)
+    stitched = np.concatenate([states for _, states in blocks], axis=1)
     assert np.abs(stitched - whole).max() < 1e-13
 
 
@@ -132,7 +132,8 @@ def test_energy_conserved_on_reference_run():
     decomp = diagonalize(ham)
     psi0 = build_initial_state("phi_plus", p)
     e0 = np.real(psi0.conj() @ ham @ psi0)
-    states = evolve_series(decomp, psi0, TimeGrid(0.0, 10.0, 101))
+    [(_, block)] = iter_evolved(decomp, psi0, TimeGrid(0.0, 10.0, 101).times)
+    states = block.T
     energies = np.real(np.einsum("ki,ij,kj->k", states.conj(), ham, states))
     assert np.abs(energies - e0).max() < 1e-9 * max(abs(e0), 1.0)
 

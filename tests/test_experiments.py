@@ -34,7 +34,7 @@ from spinladder.experiments import (
     sweep_field,
     _envelope_grid,
     _slow_window,
-    _trajectory_from_decomp,
+    evolve_and_measure,
 )
 from spinladder.lattice import LadderParams, build_initial_state, uniform_mask
 from spinladder.signals import TimeSeries, envelope_period, find_peaks
@@ -239,6 +239,18 @@ def test_ensemble_stats_fields():
     assert (stats.std_fidelity.values >= 0.0).all()
 
 
+def test_fidelity_only_drivers_skip_concurrence(monkeypatch):
+    """The heatmap and the disorder ensemble read fidelity alone, so no concurrence is computed."""
+    def refuse(rhos):
+        raise AssertionError("a fidelity-only driver evaluated concurrence")
+    monkeypatch.setattr("spinladder.experiments._concurrence_many", refuse)
+    grid = TimeGrid(0.0, 2.0, 81)
+    hm = anisotropy_heatmap([1.0], [0.5], grid=grid)
+    assert 0.0 <= hm.f_max[0, 0] <= 1.0
+    stats = disorder_ensemble(0.05, 2, base_seed=3, grid=grid)
+    assert stats.peak_fidelities.shape == (2,)
+
+
 # ------------------------------------------------------------- effective model
 
 def test_effective_hamiltonian_is_hermitian():
@@ -283,7 +295,7 @@ def test_effective_model_signal_round_trip():
     psi0 = build_initial_state("phi_plus", proto)
     t_plant = math.pi / j_eff
     grid = _envelope_grid(params, 1.2 * t_plant)
-    traj = _trajectory_from_decomp(decomp, psi0, grid, 4, [(3, 4)])
+    traj = evolve_and_measure(proto, grid, [(3, 4)], decomp=decomp, psi0=psi0)
     t_meas = envelope_period(traj.pair_concurrence["34"])
     assert t_meas == pytest.approx(t_plant, rel=0.01)
 
@@ -307,7 +319,7 @@ def test_effective_model_period_agrees_across_eigensolvers():
     periods = []
     for eigenvalues, eigenvectors in spectra:
         decomp = SpectralDecomposition(eigenvalues, eigenvectors.astype(complex))
-        traj = _trajectory_from_decomp(decomp, psi0, grid, 4, [(3, 4)])
+        traj = evolve_and_measure(proto, grid, [(3, 4)], decomp=decomp, psi0=psi0)
         periods.append(envelope_period(traj.pair_concurrence["34"], 0.05))
     assert np.allclose(periods, periods[0], rtol=1e-9, atol=0.0), periods
 
