@@ -2,8 +2,9 @@
 
 Simulates a Bell pair injected on the first rung and carried to the last
 rung by leg couplings, with a strong transverse-axis field on the rungs in
-between freezing the mediators. Exact dense diagonalization, so system
-sizes are desk-scale (up to five rungs).
+between freezing the mediators. Real parity-sector exact diagonalization:
+the real Hamiltonian is built and diagonalized only on the initial state's
+spin-flip parity sector, so system sizes are desk-scale (up to five rungs).
 """
 
 __version__ = "0.1.0"
@@ -11,9 +12,10 @@ __version__ = "0.1.0"
 from .errors import (ConfigurationError, InsufficientDataError,
                      InvalidArgumentError, NumericFailureError, OutputError,
                      UnsupportedSizeError)
-from .lattice import (INITIAL_STATE_KINDS, LadderParams, build_hamiltonian,
-                      build_initial_state, dressed_gap, leg_bonds,
-                      mediating_mask, pauli_string, uniform_mask)
+from .lattice import (INITIAL_STATE_KINDS, LadderParams, bond_hamiltonian,
+                      build_hamiltonian, build_initial_state, dressed_gap,
+                      leg_bonds, mediating_mask, parity_sector, pauli_string,
+                      uniform_mask)
 from .evolution import (SpectralDecomposition, TimeGrid, diagonalize,
                         evolve_state, iter_evolved)
 from .metrics import (bell_fidelity, concurrence, mutual_information,

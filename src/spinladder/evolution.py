@@ -1,9 +1,12 @@
-"""Spectral decomposition and exact unitary time evolution.
+"""Real parity-sector spectral decomposition and exact unitary time evolution.
 
 The Hamiltonian is diagonalized once; evolution at any time is then a phase
-rotation in the eigenbasis, exact to machine precision. Dimensions stay at
-or below 4^5 = 1024, so the one-time O(dim^3) cost is negligible compared
-with the thousands of grid points it serves.
+rotation in the eigenbasis, exact to machine precision. The ladder
+Hamiltonian is real and conserves spin-flip parity, so the drivers
+diagonalize only the real block on the initial state's parity sector (512
+of the 4^5 = 1024 states at five rungs) with a real-symmetric eigensolver.
+The decomposition records that sector's basis; evolution takes and returns
+full-space states, so everything downstream of it is unchanged.
 """
 
 from dataclasses import dataclass
@@ -14,12 +17,22 @@ import scipy.linalg
 from .errors import InvalidArgumentError, NumericFailureError
 
 
+#: Largest norm of a state's part outside a decomposition's basis that
+#: evolution treats as round-off; a larger one is refused, never dropped.
+SECTOR_LEAK_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigen-factorization H = V diag(w) V^dagger with w ascending."""
+    """Eigen-factorization H = V diag(w) V^dagger with w ascending.
+
+    basis lists the full-space basis states that H's rows and columns stand
+    for, ascending; None means H acts on the whole space.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    basis: np.ndarray = None
 
     @property
     def dim(self):
@@ -62,37 +75,67 @@ def _check_hermitian(matrix):
     return matrix
 
 
-def diagonalize(ham):
-    """Full eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
+def diagonalize(ham, basis=None):
+    """Full eigendecomposition of a Hermitian matrix, eigenvalues ascending.
+
+    A real matrix takes the real-symmetric solver and yields real
+    eigenvectors. basis, if given, lists the full-space basis states that
+    ham's rows stand for (see lattice.parity_sector) and is recorded in the
+    result.
+    """
     ham = _check_hermitian(ham)
+    if basis is not None:
+        basis = np.asarray(basis, dtype=np.int64)
+        if basis.shape != (ham.shape[0],):
+            raise InvalidArgumentError(f"basis of {basis.shape} states for a matrix of dim {ham.shape[0]}")
     try:
         eigenvalues, eigenvectors = scipy.linalg.eigh(ham)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh on dim<=1024 converges
         raise NumericFailureError(f"eigensolver failed: {exc}") from exc
-    return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+    return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors, basis=basis)
+
+
+def _sector_amplitudes(decomp, psi0):
+    """psi0's amplitudes on decomp's basis; weight outside it is refused."""
+    if decomp.basis is None:
+        if psi0.shape != (decomp.dim,):
+            raise InvalidArgumentError(f"state dim {psi0.shape} does not match operator dim {decomp.dim}")
+        return psi0
+    if psi0.ndim != 1 or len(psi0) <= decomp.basis[-1]:
+        raise InvalidArgumentError(f"state of shape {psi0.shape} does not hold the basis up to {decomp.basis[-1]}")
+    leak = np.linalg.norm(np.delete(psi0, decomp.basis))
+    if leak > SECTOR_LEAK_TOL:
+        raise InvalidArgumentError(f"state has weight {leak:.3e} outside the decomposition's basis")
+    return psi0[decomp.basis]
 
 
 def evolve_state(decomp, psi0, t):
-    """psi(t) = V exp(-i w t) V^dagger psi0."""
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (decomp.dim,):
-        raise InvalidArgumentError(f"state dim {psi0.shape} does not match operator dim {decomp.dim}")
-    coeffs = decomp.eigenvectors.conj().T @ psi0
-    return decomp.eigenvectors @ (np.exp(-1j * decomp.eigenvalues * t) * coeffs)
+    """psi(t) = V exp(-i w t) V^dagger psi0, as a full-space state."""
+    [(_, states)] = iter_evolved(decomp, psi0, [t])
+    return states[:, 0]
 
 
 def iter_evolved(decomp, psi0, times, chunk=2048):
-    """Yield (time_block, state_block) pairs, states as columns.
+    """Yield (time_block, state_block) pairs, full-space states as columns.
 
     This is the streaming workhorse behind experiments.evolve_and_measure;
-    long sweeps never materialize the full state history.
+    long sweeps never materialize the full state history. The rotation runs
+    in decomp's basis, with a real matrix product when V is real, and the
+    states are scattered back into the full space of psi0.
     """
     psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (decomp.dim,):
-        raise InvalidArgumentError(f"state dim {psi0.shape} does not match operator dim {decomp.dim}")
+    sector = _sector_amplitudes(decomp, psi0)
+    vectors = decomp.eigenvectors
     times = np.asarray(times, dtype=float)
-    coeffs = decomp.eigenvectors.conj().T @ psi0
+    coeffs = vectors.conj().T @ sector
     for start in range(0, len(times), chunk):
         block = times[start:start + chunk]
-        phases = np.exp(-1j * np.outer(decomp.eigenvalues, block))
-        yield block, decomp.eigenvectors @ (coeffs[:, None] * phases)
+        rotated = coeffs[:, None] * np.exp(-1j * np.outer(decomp.eigenvalues, block))
+        if np.isrealobj(vectors):
+            states = (vectors @ rotated.view(float)).view(complex)
+        else:
+            states = vectors @ rotated
+        if decomp.basis is not None:
+            sector_states, states = states, np.zeros((len(psi0), len(block)), dtype=complex)
+            states[decomp.basis] = sector_states
+        yield block, states

@@ -18,10 +18,11 @@ from .evolution import TimeGrid, diagonalize, iter_evolved
 from .lattice import (
     MAX_DENSE_RUNGS,
     LadderParams,
+    bond_hamiltonian,
     build_hamiltonian,
     build_initial_state,
     dressed_gap,
-    pauli_string,
+    parity_sector,
 )
 from .metrics import BELL_STATES, _concurrence_many, _entropy_many, _fidelity_many, _reduced_many
 from .signals import FitResult, TimeSeries, envelope_period, dominant_frequency, extract_alpha, \
@@ -64,16 +65,21 @@ class Trajectory:
 
     def __post_init__(self):
         for label, series in self.pair_concurrence.items():
-            if series.values.min() < -1e-9 or series.values.max() > 1.0 + 1e-9:
-                raise InvalidArgumentError(f"concurrence series {label} leaves [0, 1]")
+            _check_unit_interval(series.values, f"concurrence series {label}")
         if self.fidelity_terminal is not None:
-            fid = self.fidelity_terminal.values
-            if fid.min() < -1e-9 or fid.max() > 1.0 + 1e-9:
-                raise InvalidArgumentError("fidelity series leaves [0, 1]")
+            _check_unit_interval(self.fidelity_terminal.values, "fidelity series")
 
     @property
     def terminal_label(self):
         return list(self.pair_concurrence)[-1]
+
+
+def _check_unit_interval(values, name):
+    # NaN fails every comparison, so finiteness is checked on its own.
+    if not np.isfinite(values).all():
+        raise InvalidArgumentError(f"{name} has non-finite values")
+    if values.min() < -1e-9 or values.max() > 1.0 + 1e-9:
+        raise InvalidArgumentError(f"{name} leaves [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -142,13 +148,14 @@ def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False
     pairs lists the rung pairs whose concurrence is recorded; fidelity adds
     the terminal pair's phi_plus fidelity; mutual_info adds I(first),
     I(terminal) and the joint first-terminal channel. Every pair is reduced
-    once per chunk, however many channels read it. decomp defaults to the
-    spectrum of params' Hamiltonian and psi0 to the phi_plus input. C and F
-    are clipped into [0, 1]; mutual information is not. Channels not asked
-    for come back empty (concurrence) or None.
+    once per chunk, however many channels read it. psi0 defaults to the
+    phi_plus input and decomp to the spectrum of params' Hamiltonian on
+    psi0's parity sector. C and F are clipped into [0, 1]; mutual
+    information is not. Channels not asked for come back empty (concurrence)
+    or None.
     """
-    decomp = diagonalize(build_hamiltonian(params)) if decomp is None else decomp
     psi0 = build_initial_state("phi_plus", params) if psi0 is None else psi0
+    decomp = _sector_spectrum(params, psi0) if decomp is None else decomp
     n_sites, n_points, times = params.n_sites, grid.n_points, grid.times
     ladder = rung_pairs(params.n_rungs)
     first, terminal = ladder[0], ladder[-1]
@@ -194,6 +201,16 @@ def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False
     )
 
 
+def _sector_spectrum(params, psi0, **build):
+    """Spectrum of params' Hamiltonian on psi0's parity sector.
+
+    build passes bond factors or include_odd_leg on to build_hamiltonian.
+    A psi0 that mixes parities gets the full space.
+    """
+    basis = parity_sector(psi0)
+    return diagonalize(build_hamiltonian(params, basis=basis, **build), basis)
+
+
 def run_reference(params=None, state_kind="phi_plus", grid=None, include_mutual_info=True,
                   include_odd_leg=True):
     """Evolve one ladder and record every rung pair's concurrence plus terminal fidelity.
@@ -204,10 +221,10 @@ def run_reference(params=None, state_kind="phi_plus", grid=None, include_mutual_
     """
     params = LadderParams() if params is None else params
     grid = DEFAULT_GRID if grid is None else grid
+    psi0 = build_initial_state(state_kind, params)
     return evolve_and_measure(
         params, grid, rung_pairs(params.n_rungs), fidelity=True, mutual_info=include_mutual_info,
-        decomp=diagonalize(build_hamiltonian(params, include_odd_leg=include_odd_leg)),
-        psi0=build_initial_state(state_kind, params))
+        decomp=_sector_spectrum(params, psi0, include_odd_leg=include_odd_leg), psi0=psi0)
 
 
 def scaling_run(n_rungs, base=None, grid=None):
@@ -319,35 +336,41 @@ def disorder_ensemble(delta, n_samples, base_seed, base=None, grid=None):
     base = LadderParams() if base is None else base
     grid = DEFAULT_GRID if grid is None else grid
 
-    # Welford accumulation: the naive sum-of-squares variance loses ~8 digits
-    # near F = 1 and would report nonzero spread for a delta = 0 ensemble.
-    mean = np.zeros(grid.n_points)
-    m2 = np.zeros(grid.n_points)
+    # Welford accumulation, for the curves and the peaks alike: the naive
+    # sum-of-squares variance loses ~8 digits near F = 1, and a plain mean of
+    # equal samples can differ from them in the last bit, so either would
+    # report nonzero spread for a delta = 0 ensemble.
+    def welford(mean, m2, sample, k):
+        shift = sample - mean
+        mean = mean + shift / (k + 1)
+        return mean, m2 + shift * (sample - mean)
+
+    mean, m2 = np.zeros(grid.n_points), np.zeros(grid.n_points)
+    peak_mean, peak_m2 = 0.0, 0.0
     peaks = np.empty(n_samples)
+    psi0 = build_initial_state("phi_plus", base)
     for k in range(n_samples):
         real = disorder_realization(delta, base_seed, k, base.n_rungs)
-        ham = build_hamiltonian(base, rung_factors=1.0 + real.rung_deltas,
-                                leg_factors=1.0 + real.leg_deltas)
-        traj = evolve_and_measure(base, grid, fidelity=True, decomp=diagonalize(ham))
+        decomp = _sector_spectrum(base, psi0, rung_factors=1.0 + real.rung_deltas,
+                                  leg_factors=1.0 + real.leg_deltas)
+        traj = evolve_and_measure(base, grid, fidelity=True, decomp=decomp, psi0=psi0)
         fid = traj.fidelity_terminal.values
-        shift = fid - mean
-        mean += shift / (k + 1)
-        m2 += shift * (fid - mean)
         peaks[k] = fid.max()
+        mean, m2 = welford(mean, m2, fid, k)
+        peak_mean, peak_m2 = welford(peak_mean, peak_m2, peaks[k], k)
 
-    var = m2 / n_samples
     return EnsembleStats(
         delta=float(delta),
         n_samples=int(n_samples),
         mean_fidelity=TimeSeries(grid.times, mean),
-        std_fidelity=TimeSeries(grid.times, np.sqrt(var)),
+        std_fidelity=TimeSeries(grid.times, np.sqrt(m2 / n_samples)),
         peak_fidelities=peaks,
-        mean_peak_fidelity=float(peaks.mean()),
-        std_peak_fidelity=float(peaks.std()),
+        mean_peak_fidelity=float(peak_mean),
+        std_peak_fidelity=float(np.sqrt(peak_m2 / n_samples)),
     )
 
 
-def build_effective_hamiltonian(j_eff, params):
+def build_effective_hamiltonian(j_eff, params, basis=None):
     """Four-spin terminal-pair model: two dressed rungs joined by a weak rail exchange.
 
     Sites (1, 2) are the first rung and (3, 4) the terminal rung. Each keeps
@@ -357,20 +380,13 @@ def build_effective_hamiltonian(j_eff, params):
     one frozen mediating neighbour with <sz> = -1), and the second-order
     virtual exchange becomes the rail coupling -j_eff (sx1 sx3 + sx2 sx4).
     Without the sz dressing the model misses the carrier gap and detunes
-    the transfer entirely, so it is not optional.
+    the transfer entirely, so it is not optional. basis restricts it like
+    build_hamiltonian's (None: all 16 states).
     """
-    n = 4
-    ham = np.zeros((16, 16), dtype=complex)
-    for (i, j) in ((1, 2), (3, 4)):
-        ham += params.j_perp * (
-            0.5 * (1.0 + params.g) * pauli_string("xx", [i, j], n)
-            + 0.5 * (1.0 - params.g) * pauli_string("yy", [i, j], n)
-            + params.d * pauli_string("zz", [i, j], n)
-        )
-    ham -= j_eff * (pauli_string("xx", [1, 3], n) + pauli_string("xx", [2, 4], n))
-    for site in range(1, 5):
-        ham -= params.d * params.j_parallel * pauli_string("z", [site], n)
-    return ham
+    rungs = [(i, j, params.j_perp, params.g, params.d) for i, j in ((1, 2), (3, 4))]
+    rails = [(i, j, -j_eff, 1.0, 0.0) for i, j in ((1, 3), (2, 4))]
+    fields = dict.fromkeys(range(1, 5), -params.d * params.j_parallel)
+    return bond_hamiltonian(4, rungs + rails, fields, basis)
 
 
 def effective_model_check(base=None, h_values=(100.0, 200.0, 400.0), window_factor=1.2,
@@ -388,6 +404,8 @@ def effective_model_check(base=None, h_values=(100.0, 200.0, 400.0), window_fact
     rows = []
     eff_proto = LadderParams(n_rungs=2, j_perp=base.j_perp, j_parallel=base.j_parallel,
                              g=base.g, d=base.d, h=0.0, field_mask=frozenset())
+    eff_psi0 = build_initial_state("phi_plus", eff_proto)
+    eff_basis = parity_sector(eff_psi0)
     for h in h_values:
         params = base.replace(h=float(h))
         grid = _envelope_grid(params, _slow_window(params, window_factor), points_per_carrier)
@@ -396,8 +414,9 @@ def effective_model_check(base=None, h_values=(100.0, 200.0, 400.0), window_fact
         j_eff = effective_coupling_from_period(t_full, params)
         alpha = extract_alpha(t_full, params)
 
-        eff = evolve_and_measure(eff_proto, grid, [(3, 4)],
-                                 decomp=diagonalize(build_effective_hamiltonian(j_eff, params)))
+        eff_ham = build_effective_hamiltonian(j_eff, params, eff_basis)
+        eff = evolve_and_measure(eff_proto, grid, [(3, 4)], decomp=diagonalize(eff_ham, eff_basis),
+                                 psi0=eff_psi0)
         t_eff = envelope_period(eff.pair_concurrence["34"], min_prominence)
         rows.append(EffectiveCheckRow(
             h=float(h), t_slow_full=t_full, j_eff=j_eff, alpha=alpha,

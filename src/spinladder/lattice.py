@@ -16,6 +16,14 @@ Each ladder bond (i, j) carries
 
 with J = j_perp on rungs and J = j_parallel on both legs. The selective
 field adds h * sz on every site of every rung in the field mask.
+
+That Hamiltonian is real, and it conserves the parity of the number of up
+spins: the sx sx and sy sy terms flip spins in pairs and the rest is
+diagonal. build_hamiltonian therefore assembles a real matrix directly from
+bit operations on basis indices, and usually only on the parity sector of
+the initial state (parity_sector). pauli_string builds the same operators
+as dense Kronecker products; it is kept as a public helper and as the
+independent oracle the tests compare the builder against.
 """
 
 from dataclasses import dataclass, field
@@ -44,7 +52,8 @@ INITIAL_STATE_KINDS = (
     "separable_zero_zero",
 )
 
-#: Largest ladder the dense builder and eigensolver take (2^10 = 1024 states).
+#: Largest ladder the dense builder and eigensolver take (2^10 = 1024 states,
+#: of which one parity sector, 512, is diagonalized).
 MAX_DENSE_RUNGS = 5
 
 
@@ -141,14 +150,6 @@ def pauli_string(axes, sites, n_sites):
     return reduce(np.kron, factors)
 
 
-def _bond(i, j, coupling, g, d, n_sites):
-    return coupling * (
-        0.5 * (1.0 + g) * pauli_string("xx", [i, j], n_sites)
-        + 0.5 * (1.0 - g) * pauli_string("yy", [i, j], n_sites)
-        + d * pauli_string("zz", [i, j], n_sites)
-    )
-
-
 def leg_bonds(n_rungs):
     """Leg bond list, top bonds first: (1,3), (3,5), ... then (2,4), (4,6), ...
 
@@ -160,8 +161,58 @@ def leg_bonds(n_rungs):
     return top + bottom
 
 
-def build_hamiltonian(params, rung_factors=None, leg_factors=None, include_odd_leg=True):
-    """Dense Hamiltonian for the ladder described by params.
+def parity_sector(psi):
+    """Basis indices of the spin-flip parity sector that holds psi, ascending.
+
+    Every ladder bond flips spins in pairs and the field is diagonal, so the
+    parity of the number of up spins is conserved. Returns None, meaning all
+    2^n states, when psi has support in both parities.
+    """
+    psi = np.asarray(psi)
+    parity = np.array([bin(k).count("1") % 2 for k in range(len(psi))])
+    held = np.unique(parity[psi != 0])
+    if held.size == 0:
+        raise InvalidArgumentError("state has no support")
+    return None if held.size == 2 else np.flatnonzero(parity == held[0])
+
+
+def bond_hamiltonian(n_sites, bonds, site_fields, basis=None):
+    """Real Hamiltonian of XYZ bonds plus sz fields, restricted to a basis.
+
+    bonds holds (i, j, coupling, g, d) tuples, each adding
+    coupling * [(1+g)/2 sx_i sx_j + (1-g)/2 sy_i sy_j + d sz_i sz_j];
+    site_fields maps a site to the coefficient of its sz. Built with bit
+    operations on the basis indices: a bond adds coupling * d * s_i * s_j on
+    the diagonal and, after flipping both bits, coupling * g where the two
+    bits were equal and coupling where they differed. basis lists the
+    computational basis states kept, ascending (None: all 2^n_sites); it must
+    be closed under pair flips, as a parity sector is.
+    """
+    states = np.arange(2 ** n_sites) if basis is None else np.asarray(basis, dtype=np.int64)
+    dim = len(states)
+    columns = np.arange(dim)
+    lookup = np.full(2 ** n_sites, -1)
+    lookup[states] = columns
+    # spins[:, k - 1] is the sz eigenvalue of site k: -1 for |0>, +1 for |1>.
+    spins = 2 * ((states[:, None] >> (n_sites - 1 - np.arange(n_sites))) & 1) - 1
+    diagonal = np.zeros(dim)
+    for site, coefficient in site_fields.items():
+        diagonal += coefficient * spins[:, site - 1]
+    ham = np.zeros((dim, dim))
+    for i, j, coupling, g, d in bonds:
+        aligned = spins[:, i - 1] * spins[:, j - 1]
+        diagonal += coupling * d * aligned
+        rows = lookup[states ^ ((1 << (n_sites - i)) | (1 << (n_sites - j)))]
+        if (rows < 0).any():
+            raise InvalidArgumentError(f"basis is not closed under the pair flip of bond ({i}, {j})")
+        ham[rows, columns] += coupling * np.where(aligned > 0, g, 1.0)
+    ham[columns, columns] += diagonal
+    return ham
+
+
+def build_hamiltonian(params, rung_factors=None, leg_factors=None, include_odd_leg=True,
+                      basis=None):
+    """Real Hamiltonian for the ladder described by params, on basis (None: all states).
 
     Both legs carry the same coupling j_parallel; the top-leg bonds can be
     dropped with include_odd_leg=False, a control variant kept only to
@@ -170,10 +221,9 @@ def build_hamiltonian(params, rung_factors=None, leg_factors=None, include_odd_l
 
     rung_factors / leg_factors optionally scale each bond coupling, in the
     order of rungs 1..N and of leg_bonds(N); the disorder ensemble passes
-    (1 + delta_k) here. The field term is never scaled.
+    (1 + delta_k) here. The field term is never scaled. basis is usually
+    parity_sector(psi0), the only block psi0 ever reaches.
     """
-    n = params.n_sites
-    dim = 2 ** n
     rung_factors = np.ones(params.n_rungs) if rung_factors is None else np.asarray(rung_factors, dtype=float)
     n_leg = 2 * (params.n_rungs - 1)
     leg_factors = np.ones(n_leg) if leg_factors is None else np.asarray(leg_factors, dtype=float)
@@ -182,19 +232,14 @@ def build_hamiltonian(params, rung_factors=None, leg_factors=None, include_odd_l
     if leg_factors.shape != (n_leg,):
         raise InvalidArgumentError(f"need {n_leg} leg factors, got {leg_factors.shape}")
 
-    ham = np.zeros((dim, dim), dtype=complex)
-    for rung in range(1, params.n_rungs + 1):
-        coupling = params.j_perp * rung_factors[rung - 1]
-        ham += _bond(2 * rung - 1, 2 * rung, coupling, params.g, params.d, n)
-    for k, (i, j) in enumerate(leg_bonds(params.n_rungs)):
-        if not include_odd_leg and i % 2 == 1:
-            continue
-        coupling = params.j_parallel * leg_factors[k]
-        ham += _bond(i, j, coupling, params.g, params.d, n)
-    for rung in sorted(params.field_mask):
-        ham += params.h * pauli_string("z", [2 * rung - 1], n)
-        ham += params.h * pauli_string("z", [2 * rung], n)
-    return ham
+    g, d = params.g, params.d
+    bonds = [(2 * rung - 1, 2 * rung, params.j_perp * rung_factors[rung - 1], g, d)
+             for rung in range(1, params.n_rungs + 1)]
+    bonds += [(i, j, params.j_parallel * leg_factors[k], g, d)
+              for k, (i, j) in enumerate(leg_bonds(params.n_rungs))
+              if include_odd_leg or i % 2 == 0]
+    fields = {site: params.h for rung in params.field_mask for site in (2 * rung - 1, 2 * rung)}
+    return bond_hamiltonian(params.n_sites, bonds, fields, basis)
 
 
 def build_initial_state(kind, params):

@@ -9,8 +9,9 @@ For those the Yu-Eberly closed form is exact,
     C = 2 max(0, |rho14| - sqrt(rho22 rho33), |rho23| - sqrt(rho11 rho44))
 
 (Quantum Inf. Comput. 7, 459, 2007). It is used whenever every off-X
-element has magnitude at most X_STATE_TOL, which is far above the ~1e-13
-leak that round-off in the eigenvectors leaves there. Any other rho, such as
+element has magnitude at most X_STATE_TOL. States evolved in one parity
+sector leave exactly 0 there; a full-space evolution leaves a ~1e-13
+round-off leak, far below the threshold. Any other rho, such as
 the pair states of the mixed-parity superposition input, goes through the
 Wootters spin-flip construction C = max(0, sqrt(l1) - sqrt(l2) - sqrt(l3) -
 sqrt(l4)) with l_i the descending eigenvalues of R = rho (sy x sy) rho*

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from spinladder.lattice import leg_bonds, pauli_string
+
 settings.register_profile("suite", deadline=None, max_examples=30)
 settings.load_profile("suite")
 
@@ -34,3 +36,28 @@ def random_density(rng, dim, rank=None):
         psi = haar_state(rng, dim)
         rho += np.outer(psi, psi.conj())
     return rho / rank
+
+
+def pauli_hamiltonian(params, rung_factors=None, leg_factors=None, include_odd_leg=True):
+    """Full-space ladder Hamiltonian summed from dense pauli_string products.
+
+    The oracle for lattice.build_hamiltonian, which works from bit operations
+    instead: every bond is J [(1+g)/2 xx + (1-g)/2 yy + d zz], every masked
+    rung adds h z on both of its sites.
+    """
+    n = params.n_sites
+    rung_factors = np.ones(params.n_rungs) if rung_factors is None else rung_factors
+    leg_factors = np.ones(2 * (params.n_rungs - 1)) if leg_factors is None else leg_factors
+    bonds = [(2 * r - 1, 2 * r, params.j_perp * rung_factors[r - 1])
+             for r in range(1, params.n_rungs + 1)]
+    bonds += [(i, j, params.j_parallel * leg_factors[k])
+              for k, (i, j) in enumerate(leg_bonds(params.n_rungs))
+              if include_odd_leg or i % 2 == 0]
+    ham = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for i, j, coupling in bonds:
+        ham += coupling * (0.5 * (1 + params.g) * pauli_string("xx", [i, j], n)
+                           + 0.5 * (1 - params.g) * pauli_string("yy", [i, j], n)
+                           + params.d * pauli_string("zz", [i, j], n))
+    for rung in params.field_mask:
+        ham += params.h * (pauli_string("z", [2 * rung - 1], n) + pauli_string("z", [2 * rung], n))
+    return ham

@@ -16,7 +16,7 @@ from spinladder.errors import (
     InvalidArgumentError,
     UnsupportedSizeError,
 )
-from spinladder.evolution import SpectralDecomposition, TimeGrid, diagonalize
+from spinladder.evolution import SpectralDecomposition, TimeGrid, diagonalize, iter_evolved
 from spinladder.experiments import (
     DEFAULT_GRID,
     EnsembleStats,
@@ -36,8 +36,11 @@ from spinladder.experiments import (
     _slow_window,
     evolve_and_measure,
 )
-from spinladder.lattice import LadderParams, build_initial_state, uniform_mask
+from spinladder.lattice import LadderParams, build_initial_state, parity_sector, uniform_mask
+from spinladder.metrics import BELL_STATES, _concurrence_many, _fidelity_many, _reduced_many
 from spinladder.signals import TimeSeries, envelope_period, find_peaks
+
+from conftest import pauli_hamiltonian
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +71,16 @@ def test_trajectory_validates_ranges():
         Trajectory(grid=grid, pair_concurrence={"12": bad}, fidelity_terminal=good)
     with pytest.raises(InvalidArgumentError):
         Trajectory(grid=grid, pair_concurrence={"12": good}, fidelity_terminal=bad)
+
+
+def test_trajectory_rejects_nan():
+    grid = TimeGrid(0.0, 1.0, 3)
+    good = TimeSeries(grid.times, [0.0, 0.5, 1.0])
+    nan = TimeSeries(grid.times, np.full(3, np.nan))
+    with pytest.raises(InvalidArgumentError, match="non-finite"):
+        Trajectory(grid=grid, pair_concurrence={"12": nan}, fidelity_terminal=good)
+    with pytest.raises(InvalidArgumentError, match="non-finite"):
+        Trajectory(grid=grid, pair_concurrence={"12": good}, fidelity_terminal=nan)
 
 
 def test_reference_channels(ref):
@@ -116,6 +129,27 @@ def test_reference_mutual_info_tracks_concurrence_at_peak(ref):
 def test_other_bell_inputs_keep_mediator_dark(kind):
     traj = run_reference(state_kind=kind, include_mutual_info=False)
     assert traj.pair_concurrence["34"].values.max() <= 0.1
+
+
+def test_mixed_parity_run_matches_full_space_oracle():
+    """The mixed-parity input runs in the full space and matches the pauli_string evolution.
+
+    Its pair states are not X states, so concurrence takes the Wootters
+    route, whose vanishing eigenvalues cost up to a few 1e-8 in C.
+    """
+    params = LadderParams()
+    kind = "psi_minus_plus_phi_plus"
+    psi0 = build_initial_state(kind, params)
+    assert parity_sector(psi0) is None
+    grid = TimeGrid(0.0, 10.0, 401)
+    traj = run_reference(params, state_kind=kind, grid=grid, include_mutual_info=False)
+    [(_, states)] = iter_evolved(diagonalize(pauli_hamiltonian(params)), psi0, grid.times)
+    for pair in rung_pairs(3):
+        rho = _reduced_many(states, list(pair), 6)
+        expected = np.clip(_concurrence_many(rho), 0.0, 1.0)
+        assert np.abs(traj.pair_concurrence[pair_label(*pair)].values - expected).max() <= 1e-7
+    fid = np.clip(_fidelity_many(rho, BELL_STATES["phi_plus"]), 0.0, 1.0)
+    assert np.abs(traj.fidelity_terminal.values - fid).max() <= 1e-12
 
 
 def test_zero_field_mirror_symmetry():

@@ -9,19 +9,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from spinladder.errors import InvalidArgumentError
 from spinladder.lattice import (
     INITIAL_STATE_KINDS,
     LadderParams,
+    bond_hamiltonian,
     build_hamiltonian,
     build_initial_state,
     dressed_gap,
     leg_bonds,
     mediating_mask,
+    parity_sector,
     pauli_string,
     uniform_mask,
 )
+
+from conftest import pauli_hamiltonian
 
 
 # ---------------------------------------------------------------- pauli_string
@@ -211,11 +216,71 @@ def test_drop_odd_leg():
     partial = build_hamiltonian(p, include_odd_leg=False)
     expected = build_hamiltonian(LadderParams(n_rungs=3, h=0.0, field_mask=frozenset()))
     for (i, j) in [(1, 3), (3, 5)]:
-        expected -= p.j_parallel * (
+        expected = expected - p.j_parallel * (
             0.5 * (1 + p.g) * pauli_string("xx", [i, j], 6)
             + 0.5 * (1 - p.g) * pauli_string("yy", [i, j], 6)
             + p.d * pauli_string("zz", [i, j], 6))
     assert np.allclose(partial, expected, atol=1e-12)
+
+
+_coupling = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
+
+
+@st.composite
+def ladders(draw):
+    """A ladder with N = 1..4, any anisotropy, field, mask and bond factors."""
+    n_rungs = draw(st.integers(min_value=1, max_value=4))
+    params = LadderParams(
+        n_rungs=n_rungs, j_perp=draw(_coupling), j_parallel=draw(_coupling),
+        g=draw(_coupling), d=draw(_coupling),
+        h=draw(st.floats(min_value=-200.0, max_value=200.0, allow_nan=False)),
+        field_mask=draw(st.frozensets(st.integers(min_value=1, max_value=n_rungs))))
+    factors = st.floats(min_value=0.0, max_value=2.0, allow_nan=False)
+    rung_factors = draw(st.lists(factors, min_size=n_rungs, max_size=n_rungs))
+    leg_factors = draw(st.lists(factors, min_size=2 * n_rungs - 2, max_size=2 * n_rungs - 2))
+    return params, rung_factors, leg_factors, draw(st.booleans())
+
+
+def _parity(index):
+    return bin(index).count("1") % 2
+
+
+@given(ladders())
+def test_builder_matches_pauli_oracle(ladder):
+    """The bit-operation builder is the pauli_string sum: real, symmetric, parity-blocked."""
+    params, rung_factors, leg_factors, include_odd_leg = ladder
+    ham = build_hamiltonian(params, rung_factors, leg_factors, include_odd_leg)
+    oracle = pauli_hamiltonian(params, rung_factors, leg_factors, include_odd_leg)
+    assert ham.dtype == np.float64
+    assert np.abs(ham - oracle).max() <= 1e-12 * max(1.0, np.abs(oracle).max())
+    assert np.array_equal(ham, ham.T)
+    parity = np.array([_parity(k) for k in range(params.dim)])
+    assert not ham[np.ix_(parity == 0, parity == 1)].any()
+    for sector in (0, 1):
+        basis = np.flatnonzero(parity == sector)
+        block = build_hamiltonian(params, rung_factors, leg_factors, include_odd_leg, basis=basis)
+        assert np.array_equal(block, ham[np.ix_(basis, basis)])
+
+
+@pytest.mark.parametrize("kind,parity", [("phi_plus", 0), ("psi_plus", 1),
+                                         ("separable_zero_zero", 0)])
+def test_parity_sector_of_definite_inputs(kind, parity):
+    params = LadderParams()
+    basis = parity_sector(build_initial_state(kind, params))
+    assert len(basis) == params.dim // 2
+    assert np.all(np.diff(basis) > 0)
+    assert {_parity(int(k)) for k in basis} == {parity}
+
+
+def test_parity_sector_of_mixed_input_is_full_space():
+    assert parity_sector(build_initial_state("psi_minus_plus_phi_plus", LadderParams())) is None
+    with pytest.raises(InvalidArgumentError):
+        parity_sector(np.zeros(16))
+
+
+def test_builder_rejects_basis_not_closed_under_flips():
+    with pytest.raises(InvalidArgumentError):
+        bond_hamiltonian(2, [(1, 2, 1.0, 1.0, 0.5)], {}, basis=[0, 1])
 
 
 # ------------------------------------------------------------ initial states
