@@ -5,8 +5,10 @@ rotation in the eigenbasis, exact to machine precision. The ladder
 Hamiltonian is real and conserves spin-flip parity, so the drivers
 diagonalize only the real block on the initial state's parity sector (512
 of the 4^5 = 1024 states at five rungs) with a real-symmetric eigensolver.
-The decomposition records that sector's basis; evolution takes and returns
-full-space states, so everything downstream of it is unchanged.
+The decomposition records that sector's basis. Evolution takes a full-space
+initial state; the streamed states stay in the sector's coordinates, which
+metrics._reduced_many reads directly. Only evolve_state scatters a state
+back into the full space.
 """
 
 from dataclasses import dataclass
@@ -112,16 +114,22 @@ def _sector_amplitudes(decomp, psi0):
 def evolve_state(decomp, psi0, t):
     """psi(t) = V exp(-i w t) V^dagger psi0, as a full-space state."""
     [(_, states)] = iter_evolved(decomp, psi0, [t])
-    return states[:, 0]
+    if decomp.basis is None:
+        return states[:, 0]
+    psi = np.zeros(len(psi0), dtype=complex)
+    psi[decomp.basis] = states[:, 0]
+    return psi
 
 
 def iter_evolved(decomp, psi0, times, chunk=2048):
-    """Yield (time_block, state_block) pairs, full-space states as columns.
+    """Yield (time_block, state_block) pairs, states as columns in decomp's basis.
 
     This is the streaming workhorse behind experiments.evolve_and_measure;
-    long sweeps never materialize the full state history. The rotation runs
-    in decomp's basis, with a real matrix product when V is real, and the
-    states are scattered back into the full space of psi0.
+    long sweeps never materialize the full state history. psi0 is a
+    full-space state. The rotation runs in decomp's basis, with a real matrix
+    product when V is real, and each state block has shape (decomp.dim,
+    len(time_block)): row r is the amplitude of basis state decomp.basis[r],
+    or of state r when the basis is the full space.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     sector = _sector_amplitudes(decomp, psi0)
@@ -132,10 +140,6 @@ def iter_evolved(decomp, psi0, times, chunk=2048):
         block = times[start:start + chunk]
         rotated = coeffs[:, None] * np.exp(-1j * np.outer(decomp.eigenvalues, block))
         if np.isrealobj(vectors):
-            states = (vectors @ rotated.view(float)).view(complex)
+            yield block, (vectors @ rotated.view(float)).view(complex)
         else:
-            states = vectors @ rotated
-        if decomp.basis is not None:
-            sector_states, states = states, np.zeros((len(psi0), len(block)), dtype=complex)
-            states[decomp.basis] = sector_states
-        yield block, states
+            yield block, vectors @ rotated

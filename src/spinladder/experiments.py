@@ -24,7 +24,8 @@ from .lattice import (
     dressed_gap,
     parity_sector,
 )
-from .metrics import BELL_STATES, _concurrence_many, _entropy_many, _fidelity_many, _reduced_many
+from .metrics import BELL_STATES, _concurrence_many, _entropy_many, _fidelity_many, _reduced_many, \
+    _site_marginals
 from .signals import FitResult, TimeSeries, envelope_period, dominant_frequency, extract_alpha, \
     effective_coupling_from_period, loglog_fit
 
@@ -148,11 +149,12 @@ def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False
     pairs lists the rung pairs whose concurrence is recorded; fidelity adds
     the terminal pair's phi_plus fidelity; mutual_info adds I(first),
     I(terminal) and the joint first-terminal channel. Every pair is reduced
-    once per chunk, however many channels read it. psi0 defaults to the
-    phi_plus input and decomp to the spectrum of params' Hamiltonian on
-    psi0's parity sector. C and F are clipped into [0, 1]; mutual
-    information is not. Channels not asked for come back empty (concurrence)
-    or None.
+    once per chunk, in decomp's basis, however many channels read it; the
+    single sites that mutual information needs are traced from their pair.
+    psi0 defaults to the phi_plus input and decomp to the spectrum of
+    params' Hamiltonian on psi0's parity sector. C and F are clipped into
+    [0, 1]; mutual information is not. Channels not asked for come back
+    empty (concurrence) or None.
     """
     psi0 = build_initial_state("phi_plus", params) if psi0 is None else psi0
     decomp = _sector_spectrum(params, psi0) if decomp is None else decomp
@@ -166,21 +168,17 @@ def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False
     pos = 0
     for _, states in iter_evolved(decomp, psi0, times):
         sl = slice(pos, pos + states.shape[1])
-        rhos = {pair: _reduced_many(states, list(pair), n_sites) for pair in reduced}
+        rhos = {pair: _reduced_many(states, list(pair), n_sites, decomp.basis) for pair in reduced}
         for pair in pairs:
             conc[pair][sl] = _concurrence_many(rhos[pair])
         if fidelity:
             fid[sl] = _fidelity_many(rhos[terminal], BELL_STATES["phi_plus"])
         if mutual_info:
-            singles = {
-                site: _entropy_many(_reduced_many(states, [site], n_sites))
-                for site in (*first, *terminal)
-            }
             s_first = _entropy_many(rhos[first])
             s_term = _entropy_many(rhos[terminal])
-            s_joint = _entropy_many(_reduced_many(states, [*first, *terminal], n_sites))
-            mi["first"][sl] = singles[first[0]] + singles[first[1]] - s_first
-            mi["terminal"][sl] = singles[terminal[0]] + singles[terminal[1]] - s_term
+            s_joint = _entropy_many(_reduced_many(states, [*first, *terminal], n_sites, decomp.basis))
+            mi["first"][sl] = sum(map(_entropy_many, _site_marginals(rhos[first]))) - s_first
+            mi["terminal"][sl] = sum(map(_entropy_many, _site_marginals(rhos[terminal]))) - s_term
             mi["joint"][sl] = s_first + s_term - s_joint
         pos = sl.stop
 

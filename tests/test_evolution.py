@@ -171,15 +171,34 @@ def test_sector_evolution_matches_full_space_oracle():
     oracle = diagonalize(pauli_hamiltonian(p))
     assert oracle.basis is None and not np.isrealobj(oracle.eigenvectors)
     times = TimeGrid(0.0, 10.0, 401).times
-    [(_, states)] = iter_evolved(decomp, psi0, times)
+    [(_, sector_states)] = iter_evolved(decomp, psi0, times)
     [(_, expected)] = iter_evolved(oracle, psi0, times)
+    assert sector_states.shape == (32, 401)
+    states = np.zeros((64, 401), dtype=complex)
+    states[decomp.basis] = sector_states
     assert states.shape == (64, 401)
     early = times <= 5.0
     assert np.abs(states[:, early] - expected[:, early]).max() <= 1e-12
     for keep in ([1, 2], [3, 4], [5, 6], [1, 2, 5, 6]):
-        rho = _reduced_many(states, keep, 6)
+        rho = _reduced_many(sector_states, keep, 6, decomp.basis)
         assert np.abs(rho - _reduced_many(expected, keep, 6)).max() <= 1e-12
     assert np.abs(evolve_state(decomp, psi0, 3.7) - evolve_state(oracle, psi0, 3.7)).max() <= 1e-12
+
+
+def test_sector_states_stream_in_sector_coordinates():
+    """iter_evolved yields (len(basis), nt) blocks; evolve_state scatters them back."""
+    p = LadderParams(n_rungs=2)
+    psi0 = build_initial_state("phi_plus", p)
+    decomp = _sector_decomp(p, psi0)
+    times = TimeGrid(0.0, 5.0, 23).times
+    blocks = list(iter_evolved(decomp, psi0, times, chunk=7))
+    assert [states.shape for _, states in blocks] == [(8, 7), (8, 7), (8, 7), (8, 2)]
+    stitched = np.concatenate([states for _, states in blocks], axis=1)
+    for k, t in enumerate(times):
+        psi = evolve_state(decomp, psi0, t)
+        assert psi.shape == (16,)
+        assert np.abs(psi[decomp.basis] - stitched[:, k]).max() < 1e-13
+        assert not np.delete(psi, decomp.basis).any()
 
 
 def test_sector_evolution_refuses_weight_outside_basis():

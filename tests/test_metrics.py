@@ -7,12 +7,15 @@ two-qubit states, which exercises the general (non-X) concurrence route.
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spinladder.errors import InvalidArgumentError
+from spinladder.lattice import parity_sector
 from spinladder.metrics import (
     BELL_STATES,
     _concurrence_many,
+    _reduced_many,
+    _site_marginals,
     bell_fidelity,
     concurrence,
     mutual_information,
@@ -80,6 +83,53 @@ def test_partial_trace_random_pure_marginals_agree(rng):
     assert np.allclose(ev_a, ev_b, atol=1e-10)
 
 
+def _dense_reduction(states, keep, n_sites):
+    """Oracle: move the kept sites of the full-space tensor to the front, contract the rest."""
+    psi = states.T.reshape([-1] + [2] * n_sites)
+    rest = [k for k in range(1, n_sites + 1) if k not in keep]
+    block = psi.transpose([0, *keep, *rest]).reshape(len(psi), 2 ** len(keep), -1)
+    return block @ block.conj().transpose(0, 2, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_rungs=st.integers(min_value=1, max_value=5), order=st.permutations(range(1, 11)),
+       size=st.integers(min_value=1, max_value=4), sector=st.sampled_from([0, 1, None]),
+       seed=st.integers(min_value=0, max_value=2 ** 31))
+@example(n_rungs=5, order=[9, 10, 1, 2, 3, 4, 5, 6, 7, 8], size=4, sector=0, seed=0)
+@example(n_rungs=5, order=[9, 10, 1, 2, 3, 4, 5, 6, 7, 8], size=4, sector=1, seed=0)
+@example(n_rungs=5, order=[9, 10, 1, 2, 3, 4, 5, 6, 7, 8], size=4, sector=None, seed=0)
+def test_sector_reduction_matches_full_space(n_rungs, order, size, sector, seed):
+    """Reducing states in a parity sector's coordinates equals reducing them scattered.
+
+    sector 0 is the even parity sector, 1 the odd one, None the full space.
+    """
+    n_sites = 2 * n_rungs
+    keep = [site for site in order if site <= n_sites][:size]
+    marker = np.zeros(2 ** n_sites)
+    marker[sector or 0] = 1.0
+    basis = None if sector is None else parity_sector(marker)
+    rows = np.arange(2 ** n_sites) if basis is None else basis
+    rng = np.random.default_rng(seed)
+    states = rng.normal(size=(len(rows), 3)) + 1j * rng.normal(size=(len(rows), 3))
+    states /= np.linalg.norm(states, axis=0)
+    full = np.zeros((2 ** n_sites, 3), dtype=complex)
+    full[rows] = states
+    rho = _reduced_many(states, keep, n_sites, basis)
+    assert rho.shape == (3, 2 ** len(keep), 2 ** len(keep))
+    assert np.abs(rho - _reduced_many(full, keep, n_sites)).max() <= 1e-13
+    assert np.abs(rho - _dense_reduction(full, keep, n_sites)).max() <= 1e-13
+    if len(keep) == 2:
+        for site, marginal in zip(keep, _site_marginals(rho)):
+            assert np.abs(marginal - _dense_reduction(full, [site], n_sites)).max() <= 1e-13
+
+
+def test_reduction_refuses_basis_mixing_blocks():
+    # rows |00>, |01>, |10>: site 1 in |0> sees site 2 in {0, 1}, site 1 in |1> only 0,
+    # so the supports of the two configurations of site 1 overlap without being equal
+    with pytest.raises(InvalidArgumentError):
+        _reduced_many(np.ones((3, 1), dtype=complex), [1], 2, np.array([0, 1, 2]))
+
+
 # ----------------------------------------------------------------- concurrence
 
 def test_concurrence_bell_and_product():
@@ -104,6 +154,16 @@ def test_concurrence_pure_x_state(theta, phi):
     psi = np.array([np.cos(theta), 0.0, 0.0, np.exp(1j * phi) * np.sin(theta)])
     rho = np.outer(psi, psi.conj())
     assert concurrence(rho) == pytest.approx(abs(np.sin(2.0 * theta)), abs=1e-14)
+
+
+def test_concurrence_general_pure_states():
+    # a|00> + b|01> + c|10> + d|11> has C = 2|ad - bc|; Haar-random states are
+    # not X states, so this pins the Wootters route
+    rng = np.random.default_rng(2245)
+    psis = np.stack([haar_state(rng, 4) for _ in range(2000)])
+    rhos = np.einsum("ti,tj->tij", psis, psis.conj())
+    expected = 2.0 * np.abs(psis[:, 0] * psis[:, 3] - psis[:, 1] * psis[:, 2])
+    assert np.abs(_concurrence_many(rhos) - expected).max() <= 1e-12
 
 
 @given(seed=st.integers(min_value=0, max_value=2 ** 31))
