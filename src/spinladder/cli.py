@@ -77,6 +77,14 @@ def _out(args, name):
     return os.path.join(args.out, name)
 
 
+def _write_rows(args, config, name, rows, header):
+    """name.csv with one line per row dataclass, and name.json echoing the rows."""
+    io.write_table([astuple(r) for r in rows], _out(args, f"{name}.csv"), header)
+    extras = _common_extras(config)
+    extras["rows"] = [asdict(r) for r in rows]
+    io.write_sidecar(_out(args, f"{name}.json"), extras)
+
+
 def cmd_reference(args, config):
     params = io.config_params(config)
     traj = experiments.run_reference(params, state_kind=config.state,
@@ -151,11 +159,7 @@ def cmd_freq_table(args, config):
     params = io.config_params(config)
     rows = experiments.frequency_table(io.config_floats(config, "d_values"), params,
                                        t_end=config.t_end, n_points=config.n_points)
-    io.write_table([astuple(r) for r in rows],
-                   _out(args, "freq_table.csv"), ["d", "predicted", "measured", "ratio"])
-    extras = _common_extras(config)
-    extras["rows"] = [asdict(r) for r in rows]
-    io.write_sidecar(_out(args, "freq_table.json"), extras)
+    _write_rows(args, config, "freq_table", rows, ["d", "predicted", "measured", "ratio"])
     return 0
 
 
@@ -164,13 +168,8 @@ def cmd_effective_check(args, config):
     rows = experiments.effective_model_check(
         params, h_values=io.config_floats(config, "eff_h_values"),
         window_factor=config.window_factor, min_prominence=config.prominence)
-    io.write_table(
-        [astuple(r) for r in rows],
-        _out(args, "effective_check.csv"),
-        ["h", "T_slow_full", "J_eff", "alpha", "T_slow_effective", "rel_error"])
-    extras = _common_extras(config)
-    extras["rows"] = [asdict(r) for r in rows]
-    io.write_sidecar(_out(args, "effective_check.json"), extras)
+    _write_rows(args, config, "effective_check", rows,
+                ["h", "T_slow_full", "J_eff", "alpha", "T_slow_effective", "rel_error"])
     return 0
 
 

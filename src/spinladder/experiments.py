@@ -202,30 +202,27 @@ def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False
 def _sector_spectrum(params, psi0, **build):
     """Spectrum of params' Hamiltonian on psi0's parity sector.
 
-    build passes bond factors or include_odd_leg on to build_hamiltonian.
-    A psi0 that mixes parities gets the full space.
+    build passes bond factors on to build_hamiltonian. A psi0 that mixes
+    parities gets the full space.
     """
     basis = parity_sector(psi0)
     return diagonalize(build_hamiltonian(params, basis=basis, **build), basis)
 
 
-def run_reference(params=None, state_kind="phi_plus", grid=None, include_mutual_info=True,
-                  include_odd_leg=True):
+def run_reference(params=LadderParams(), state_kind="phi_plus", grid=DEFAULT_GRID,
+                  include_mutual_info=True):
     """Evolve one ladder and record every rung pair's concurrence plus terminal fidelity.
 
     Mutual-information channels (first rung, terminal rung, and the joint
     first-terminal correlation) are included by default; they roughly double
     the per-point cost.
     """
-    params = LadderParams() if params is None else params
-    grid = DEFAULT_GRID if grid is None else grid
     psi0 = build_initial_state(state_kind, params)
-    return evolve_and_measure(
-        params, grid, rung_pairs(params.n_rungs), fidelity=True, mutual_info=include_mutual_info,
-        decomp=_sector_spectrum(params, psi0, include_odd_leg=include_odd_leg), psi0=psi0)
+    return evolve_and_measure(params, grid, rung_pairs(params.n_rungs), fidelity=True,
+                              mutual_info=include_mutual_info, psi0=psi0)
 
 
-def scaling_run(n_rungs, base=None, grid=None):
+def scaling_run(n_rungs, base=LadderParams(), grid=DEFAULT_GRID):
     """Reference-style run at a different ladder length, all pair channels, no MI.
 
     Dense diagonalization bounds the size: n_rungs above MAX_DENSE_RUNGS
@@ -236,14 +233,12 @@ def scaling_run(n_rungs, base=None, grid=None):
             f"n_rungs = {n_rungs} exceeds the dense-diagonalization bound of {MAX_DENSE_RUNGS}")
     if n_rungs < 3:
         raise InvalidArgumentError(f"a scaling run needs at least one mediating rung, got n_rungs = {n_rungs}")
-    base = LadderParams() if base is None else base
     params = base.replace(n_rungs=int(n_rungs))
-    return run_reference(params, grid=DEFAULT_GRID if grid is None else grid,
-                         include_mutual_info=False)
+    return run_reference(params, grid=grid, include_mutual_info=False)
 
 
-def _envelope_grid(params, t_end, points_per_carrier=POINTS_PER_CARRIER):
-    dt = 2.0 * math.pi / dressed_gap(params) / points_per_carrier
+def _envelope_grid(params, t_end):
+    dt = 2.0 * math.pi / dressed_gap(params) / POINTS_PER_CARRIER
     return TimeGrid(0.0, t_end, int(round(t_end / dt)) + 1)
 
 
@@ -254,8 +249,7 @@ def _slow_window(params, window_factor):
     return 10.0
 
 
-def sweep_field(h_values, base=None, window_factor=1.2, points_per_carrier=POINTS_PER_CARRIER,
-                min_prominence=0.05):
+def sweep_field(h_values, base=LadderParams(), window_factor=1.2, min_prominence=0.05):
     """Slow period and peak fidelity per field value, plus the log-log fit.
 
     Each field value gets its own carrier-resolving grid spanning at least
@@ -265,11 +259,10 @@ def sweep_field(h_values, base=None, window_factor=1.2, points_per_carrier=POINT
     prefactor extracted from the largest such field, where the strong-field
     expansion is cleanest.
     """
-    base = LadderParams() if base is None else base
     rows = []
     for h in h_values:
         params = base.replace(h=float(h))
-        grid = _envelope_grid(params, _slow_window(params, window_factor), points_per_carrier)
+        grid = _envelope_grid(params, _slow_window(params, window_factor))
         traj = evolve_and_measure(params, grid, rung_pairs(params.n_rungs)[-1:], fidelity=True)
         c_term = traj.pair_concurrence[traj.terminal_label]
         f_max = float(traj.fidelity_terminal.values.max())
@@ -288,10 +281,8 @@ def sweep_field(h_values, base=None, window_factor=1.2, points_per_carrier=POINT
     return SweepResult(rows=rows, fit=fit)
 
 
-def anisotropy_heatmap(g_values, d_values, base=None, grid=None):
+def anisotropy_heatmap(g_values, d_values, base=LadderParams(), grid=DEFAULT_GRID):
     """Peak terminal fidelity over a (g, d) grid; cells are independent runs."""
-    base = LadderParams() if base is None else base
-    grid = DEFAULT_GRID if grid is None else grid
     g_values = np.asarray(g_values, dtype=float)
     d_values = np.asarray(d_values, dtype=float)
     f_max = np.empty((len(g_values), len(d_values)))
@@ -320,7 +311,7 @@ def disorder_realization(delta, base_seed, k, n_rungs):
     )
 
 
-def disorder_ensemble(delta, n_samples, base_seed, base=None, grid=None):
+def disorder_ensemble(delta, n_samples, base_seed, base=LadderParams(), grid=DEFAULT_GRID):
     """Terminal-fidelity statistics over independent coupling-disorder realizations.
 
     Every rung and leg bond is scaled by (1 + delta_k) independently; the
@@ -331,8 +322,6 @@ def disorder_ensemble(delta, n_samples, base_seed, base=None, grid=None):
         raise InvalidArgumentError(f"delta must be >= 0, got {delta}")
     if n_samples < 1:
         raise InvalidArgumentError(f"n_samples must be >= 1, got {n_samples}")
-    base = LadderParams() if base is None else base
-    grid = DEFAULT_GRID if grid is None else grid
 
     # Welford accumulation, for the curves and the peaks alike: the naive
     # sum-of-squares variance loses ~8 digits near F = 1, and a plain mean of
@@ -387,8 +376,8 @@ def build_effective_hamiltonian(j_eff, params, basis=None):
     return bond_hamiltonian(4, rungs + rails, fields, basis)
 
 
-def effective_model_check(base=None, h_values=(100.0, 200.0, 400.0), window_factor=1.2,
-                          points_per_carrier=POINTS_PER_CARRIER, min_prominence=0.05):
+def effective_model_check(base=LadderParams(), h_values=(100.0, 200.0, 400.0), window_factor=1.2,
+                          min_prominence=0.05):
     """Envelope period of the full ladder vs the four-spin effective model.
 
     For each field value the full simulation fixes the measured slow period;
@@ -398,7 +387,6 @@ def effective_model_check(base=None, h_values=(100.0, 200.0, 400.0), window_fact
     consistently the envelope extractor reads both signals, not a physics
     gap between the models.
     """
-    base = LadderParams() if base is None else base
     rows = []
     eff_proto = LadderParams(n_rungs=2, j_perp=base.j_perp, j_parallel=base.j_parallel,
                              g=base.g, d=base.d, h=0.0, field_mask=frozenset())
@@ -406,7 +394,7 @@ def effective_model_check(base=None, h_values=(100.0, 200.0, 400.0), window_fact
     eff_basis = parity_sector(eff_psi0)
     for h in h_values:
         params = base.replace(h=float(h))
-        grid = _envelope_grid(params, _slow_window(params, window_factor), points_per_carrier)
+        grid = _envelope_grid(params, _slow_window(params, window_factor))
         full = evolve_and_measure(params, grid, rung_pairs(params.n_rungs)[-1:])
         t_full = envelope_period(full.pair_concurrence[full.terminal_label], min_prominence)
         j_eff = effective_coupling_from_period(t_full, params)
@@ -424,9 +412,8 @@ def effective_model_check(base=None, h_values=(100.0, 200.0, 400.0), window_fact
     return rows
 
 
-def frequency_table(d_values, base=None, t_end=40.0, n_points=8001):
+def frequency_table(d_values, base=LadderParams(), t_end=40.0, n_points=8001):
     """Measured carrier frequency of the terminal concurrence vs the dressed-gap prediction."""
-    base = LadderParams() if base is None else base
     rows = []
     for d in d_values:
         params = base.replace(d=float(d))

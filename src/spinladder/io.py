@@ -64,18 +64,27 @@ class ExperimentConfig:
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
+#: Keys holding comma-separated lists, with the type of their entries. They
+#: stay strings in the config, so the sidecar echo keeps the text as given.
+_LIST_KEYS = {"h_values": float, "eff_h_values": float, "deltas": float, "d_values": float,
+              "n_values": int}
+
+
+def _split(text, kind):
+    return [kind(tok) for tok in text.split(",") if tok.strip()]
+
 
 def _convert(key, raw, line=None):
     kind = _FIELD_TYPES[key]
     raw = raw.strip()
     try:
-        if kind is int or kind == "int":
-            return int(raw)
-        if kind is float or kind == "float":
-            return float(raw)
-        return raw
+        if key in _LIST_KEYS:
+            _split(raw, _LIST_KEYS[key])
+            return raw
+        return kind(raw) if kind in (int, float) else raw
     except ValueError:
-        raise ConfigurationError(f"cannot parse {raw!r} as {kind}", key=key, line=line) from None
+        what = f"comma-separated {_LIST_KEYS[key].__name__} values" if key in _LIST_KEYS else kind
+        raise ConfigurationError(f"cannot parse {raw!r} as {what}", key=key, line=line) from None
 
 
 def parse_config_text(text):
@@ -136,23 +145,14 @@ def _validate(config):
         raise ConfigurationError("t_end must be positive", key="t_end")
     if config.field_mask not in ("mediating", "uniform"):
         try:
-            rungs = [int(tok) for tok in config.field_mask.split(",") if tok.strip()]
+            rungs = _split(config.field_mask, int)
         except ValueError:
             raise ConfigurationError(
                 "field_mask must be 'mediating', 'uniform', or comma-separated rung indices",
                 key="field_mask") from None
         if not all(1 <= r <= config.n_rungs for r in rungs):
             raise ConfigurationError(f"field_mask rungs outside 1..{config.n_rungs}", key="field_mask")
-    for key in ("h_values", "eff_h_values", "deltas", "d_values"):
-        try:
-            config_floats(config, key)
-        except ValueError:
-            raise ConfigurationError("expected comma-separated numbers", key=key) from None
-    try:
-        n_values = [int(tok) for tok in config.n_values.split(",") if tok.strip()]
-    except ValueError:
-        raise ConfigurationError("expected comma-separated integers", key="n_values") from None
-    for n in n_values:
+    for n in _split(config.n_values, int):
         if n > MAX_DENSE_RUNGS:
             raise ConfigurationError(
                 f"n_values entry {n} exceeds the dense bound of {MAX_DENSE_RUNGS}", key="n_values")
@@ -170,7 +170,7 @@ def config_params(config):
     elif config.field_mask == "uniform":
         mask = uniform_mask(config.n_rungs)
     else:
-        mask = frozenset(int(tok) for tok in config.field_mask.split(",") if tok.strip())
+        mask = frozenset(_split(config.field_mask, int))
     return LadderParams(n_rungs=config.n_rungs, j_perp=config.j_perp,
                         j_parallel=config.j_parallel, g=config.g, d=config.d,
                         h=config.h, field_mask=mask)
@@ -181,7 +181,7 @@ def config_grid(config):
 
 
 def config_floats(config, key):
-    return [float(tok) for tok in getattr(config, key).split(",") if tok.strip()]
+    return _split(getattr(config, key), float)
 
 
 def config_echo(config):
@@ -196,36 +196,22 @@ def _fmt(value):
     return repr(float(value))
 
 
-def _write_lines(path, lines):
+def _write_text(path, text):
     try:
         os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
         with open(path, "w") as handle:
-            handle.write("\n".join(lines) + "\n")
+            handle.write(text)
     except OSError as exc:
         raise OutputError(f"could not write {exc.strerror or exc}", path=path) from exc
 
 
 def write_sidecar(path, summary):
-    """JSON summary next to a CSV; floats keep full precision through repr."""
-    def clean(obj):
-        if isinstance(obj, dict):
-            return {k: clean(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [clean(v) for v in obj]
-        if isinstance(obj, np.ndarray):
-            return [clean(v) for v in obj.tolist()]
-        if isinstance(obj, (np.floating,)):
-            return float(obj)
-        if isinstance(obj, (np.integer,)):
-            return int(obj)
-        return obj
-    try:
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        with open(path, "w") as handle:
-            json.dump(clean(summary), handle, indent=2)
-            handle.write("\n")
-    except OSError as exc:
-        raise OutputError(f"could not write {exc.strerror or exc}", path=path) from exc
+    """JSON summary next to a CSV; floats keep full precision through repr.
+
+    np.float64 is a float subclass and is written as one; other NumPy
+    scalars and arrays are written through tolist().
+    """
+    _write_text(path, json.dumps(summary, indent=2, default=lambda obj: obj.tolist()) + "\n")
 
 
 def trajectory_summary(traj):
@@ -254,10 +240,7 @@ def write_trajectory(traj, csv_path, sidecar_path=None, extras=None):
     if traj.mutual_info:
         header += list(traj.mutual_info)
         columns += [series.values for series in traj.mutual_info.values()]
-    lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(_fmt(v) for v in row))
-    _write_lines(csv_path, lines)
+    write_table(zip(*columns), csv_path, header)
     if sidecar_path is not None:
         summary = dict(extras or {})
         summary.update(trajectory_summary(traj))
@@ -265,64 +248,59 @@ def write_trajectory(traj, csv_path, sidecar_path=None, extras=None):
 
 
 def write_table(rows, csv_path, header):
-    """Generic CSV writer for a list of per-row value tuples."""
+    """CSV writer: the header line, then one line per row of values."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    _write_lines(csv_path, lines)
+    _write_text(csv_path, "\n".join(lines) + "\n")
 
 
-def write_sweep(result, csv_path, sidecar_path=None, extras=None):
+def write_sweep(result, csv_path, sidecar_path, extras):
     write_table([astuple(r) for r in result.rows], csv_path, ["h", "T_slow", "F_max", "flag"])
-    if sidecar_path is not None:
-        summary = dict(extras or {})
-        if result.fit is not None:
-            summary["fit"] = {
-                "slope": result.fit.slope,
-                "intercept": result.fit.intercept,
-                "r_squared": result.fit.r_squared,
-                "alpha": result.fit.alpha,
-            }
-        summary["rows"] = [
-            {**asdict(r), "prefactor": None if r.t_slow is None or r.h <= 0 else r.t_slow / r.h}
-            for r in result.rows
-        ]
-        write_sidecar(sidecar_path, summary)
+    summary = dict(extras)
+    if result.fit is not None:
+        summary["fit"] = {
+            "slope": result.fit.slope,
+            "intercept": result.fit.intercept,
+            "r_squared": result.fit.r_squared,
+            "alpha": result.fit.alpha,
+        }
+    summary["rows"] = [
+        {**asdict(r), "prefactor": None if r.t_slow is None or r.h <= 0 else r.t_slow / r.h}
+        for r in result.rows
+    ]
+    write_sidecar(sidecar_path, summary)
 
 
-def write_heatmap(heatmap, csv_path, sidecar_path=None, extras=None):
+def write_heatmap(heatmap, csv_path, sidecar_path, extras):
     """Matrix CSV: first row lists d values, first column lists g values."""
-    lines = [",".join(["g\\d"] + [_fmt(d) for d in heatmap.d_values])]
-    for i, g in enumerate(heatmap.g_values):
-        lines.append(",".join([_fmt(g)] + [_fmt(v) for v in heatmap.f_max[i]]))
-    _write_lines(csv_path, lines)
-    if sidecar_path is not None:
-        best = np.unravel_index(int(np.argmax(heatmap.f_max)), heatmap.f_max.shape)
-        summary = dict(extras or {})
-        summary.update({
-            "f_max_overall": float(heatmap.f_max.max()),
-            "f_max_cell": {"g": float(heatmap.g_values[best[0]]),
-                           "d": float(heatmap.d_values[best[1]])},
-            "f_min_overall": float(heatmap.f_max.min()),
-        })
-        write_sidecar(sidecar_path, summary)
+    write_table([(g, *row) for g, row in zip(heatmap.g_values, heatmap.f_max)], csv_path,
+                ["g\\d"] + [_fmt(d) for d in heatmap.d_values])
+    best = np.unravel_index(int(np.argmax(heatmap.f_max)), heatmap.f_max.shape)
+    summary = dict(extras)
+    summary.update({
+        "f_max_overall": float(heatmap.f_max.max()),
+        "f_max_cell": {"g": float(heatmap.g_values[best[0]]),
+                       "d": float(heatmap.d_values[best[1]])},
+        "f_min_overall": float(heatmap.f_max.min()),
+    })
+    write_sidecar(sidecar_path, summary)
 
 
-def write_ensemble(stats, curves_csv_path, peaks_csv_path, sidecar_path=None, extras=None):
+def write_ensemble(stats, curves_csv_path, peaks_csv_path, sidecar_path, extras):
     """Mean/std fidelity curves and per-realization peak fidelities."""
     curves = zip(stats.mean_fidelity.times, stats.mean_fidelity.values, stats.std_fidelity.values)
     write_table(curves, curves_csv_path, ["t", "mean_F", "std_F"])
     peaks = [(k, v) for k, v in enumerate(stats.peak_fidelities)]
     write_table(peaks, peaks_csv_path, ["realization", "F_max"])
-    if sidecar_path is not None:
-        summary = dict(extras or {})
-        summary.update({
-            "delta": stats.delta,
-            "n_samples": stats.n_samples,
-            "mean_peak_fidelity": stats.mean_peak_fidelity,
-            "std_peak_fidelity": stats.std_peak_fidelity,
-        })
-        write_sidecar(sidecar_path, summary)
+    summary = dict(extras)
+    summary.update({
+        "delta": stats.delta,
+        "n_samples": stats.n_samples,
+        "mean_peak_fidelity": stats.mean_peak_fidelity,
+        "std_peak_fidelity": stats.std_peak_fidelity,
+    })
+    write_sidecar(sidecar_path, summary)
 
 
 def read_csv(path):

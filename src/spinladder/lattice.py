@@ -26,7 +26,7 @@ as dense Kronecker products; it is kept as a public helper and as the
 independent oracle the tests compare the builder against.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 import math
 
@@ -117,17 +117,7 @@ class LadderParams:
         """
         if "n_rungs" in changes and "field_mask" not in changes:
             changes["field_mask"] = None
-        fields = {
-            "n_rungs": self.n_rungs,
-            "j_perp": self.j_perp,
-            "j_parallel": self.j_parallel,
-            "g": self.g,
-            "d": self.d,
-            "h": self.h,
-            "field_mask": self.field_mask,
-        }
-        fields.update(changes)
-        return LadderParams(**fields)
+        return replace(self, **changes)
 
 
 def pauli_string(axes, sites, n_sites):
@@ -210,19 +200,14 @@ def bond_hamiltonian(n_sites, bonds, site_fields, basis=None):
     return ham
 
 
-def build_hamiltonian(params, rung_factors=None, leg_factors=None, include_odd_leg=True,
-                      basis=None):
+def build_hamiltonian(params, rung_factors=None, leg_factors=None, basis=None):
     """Real Hamiltonian for the ladder described by params, on basis (None: all states).
 
-    Both legs carry the same coupling j_parallel; the top-leg bonds can be
-    dropped with include_odd_leg=False, a control variant kept only to
-    demonstrate that the single-leg ladder does not reproduce the measured
-    carrier frequency (see the acceptance suite).
-
-    rung_factors / leg_factors optionally scale each bond coupling, in the
-    order of rungs 1..N and of leg_bonds(N); the disorder ensemble passes
-    (1 + delta_k) here. The field term is never scaled. basis is usually
-    parity_sector(psi0), the only block psi0 ever reaches.
+    Both legs carry the same coupling j_parallel. rung_factors / leg_factors
+    optionally scale each bond coupling, in the order of rungs 1..N and of
+    leg_bonds(N); the disorder ensemble passes (1 + delta_k) here, and a
+    factor of 0 drops a bond. The field term is never scaled. basis is
+    usually parity_sector(psi0), the only block psi0 ever reaches.
     """
     rung_factors = np.ones(params.n_rungs) if rung_factors is None else np.asarray(rung_factors, dtype=float)
     n_leg = 2 * (params.n_rungs - 1)
@@ -236,8 +221,7 @@ def build_hamiltonian(params, rung_factors=None, leg_factors=None, include_odd_l
     bonds = [(2 * rung - 1, 2 * rung, params.j_perp * rung_factors[rung - 1], g, d)
              for rung in range(1, params.n_rungs + 1)]
     bonds += [(i, j, params.j_parallel * leg_factors[k], g, d)
-              for k, (i, j) in enumerate(leg_bonds(params.n_rungs))
-              if include_odd_leg or i % 2 == 0]
+              for k, (i, j) in enumerate(leg_bonds(params.n_rungs))]
     fields = {site: params.h for rung in params.field_mask for site in (2 * rung - 1, 2 * rung)}
     return bond_hamiltonian(params.n_sites, bonds, fields, basis)
 

@@ -38,7 +38,7 @@ def random_density(rng, dim, rank=None):
     return rho / rank
 
 
-def pauli_hamiltonian(params, rung_factors=None, leg_factors=None, include_odd_leg=True):
+def pauli_hamiltonian(params, rung_factors=None, leg_factors=None):
     """Full-space ladder Hamiltonian summed from dense pauli_string products.
 
     The oracle for lattice.build_hamiltonian, which works from bit operations
@@ -51,8 +51,7 @@ def pauli_hamiltonian(params, rung_factors=None, leg_factors=None, include_odd_l
     bonds = [(2 * r - 1, 2 * r, params.j_perp * rung_factors[r - 1])
              for r in range(1, params.n_rungs + 1)]
     bonds += [(i, j, params.j_parallel * leg_factors[k])
-              for k, (i, j) in enumerate(leg_bonds(params.n_rungs))
-              if include_odd_leg or i % 2 == 0]
+              for k, (i, j) in enumerate(leg_bonds(params.n_rungs))]
     ham = np.zeros((2 ** n, 2 ** n), dtype=complex)
     for i, j, coupling in bonds:
         ham += coupling * (0.5 * (1 + params.g) * pauli_string("xx", [i, j], n)

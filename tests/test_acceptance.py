@@ -21,14 +21,16 @@ from spinladder.experiments import (
     anisotropy_heatmap,
     disorder_ensemble,
     effective_model_check,
+    evolve_and_measure,
     frequency_table,
     run_reference,
     scaling_run,
     sweep_field,
     _envelope_grid,
+    _sector_spectrum,
     _slow_window,
 )
-from spinladder.lattice import LadderParams, build_hamiltonian, build_initial_state
+from spinladder.lattice import LadderParams, build_hamiltonian, build_initial_state, leg_bonds
 from spinladder.metrics import concurrence, partial_trace, von_neumann_entropy
 from spinladder.signals import dominant_frequency, find_peaks
 
@@ -134,8 +136,9 @@ def test_a1_even_legs_only_control(freq_rows):
     carrier frequency of the single-leg variant misses the dressed-gap
     prediction by over 20%.
     """
-    traj = run_reference(BASE, grid=TimeGrid(0.0, 40.0, 8001),
-                         include_mutual_info=False, include_odd_leg=False)
+    even_legs = [0.0 if i % 2 else 1.0 for i, _ in leg_bonds(BASE.n_rungs)]
+    decomp = _sector_spectrum(BASE, build_initial_state("phi_plus", BASE), leg_factors=even_legs)
+    traj = evolve_and_measure(BASE, TimeGrid(0.0, 40.0, 8001), [(5, 6)], decomp=decomp)
     measured = dominant_frequency(traj.pair_concurrence["56"])
     ratio = measured / freq_rows[2].predicted
     print(f"A1 control (even legs only): ratio {ratio:.4f}")

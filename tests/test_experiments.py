@@ -135,7 +135,8 @@ def test_mixed_parity_run_matches_full_space_oracle():
     """The mixed-parity input runs in the full space and matches the pauli_string evolution.
 
     Its pair states are not X states, so concurrence takes the Wootters
-    route, whose vanishing eigenvalues cost up to a few 1e-8 in C.
+    route. The two evolutions differ by round-off growing as eps*|H|*t, which
+    reaches C at 2.5e-12; the bound leaves a 40x margin.
     """
     params = LadderParams()
     kind = "psi_minus_plus_phi_plus"
@@ -147,7 +148,7 @@ def test_mixed_parity_run_matches_full_space_oracle():
     for pair in rung_pairs(3):
         rho = _reduced_many(states, list(pair), 6)
         expected = np.clip(_concurrence_many(rho), 0.0, 1.0)
-        assert np.abs(traj.pair_concurrence[pair_label(*pair)].values - expected).max() <= 1e-7
+        assert np.abs(traj.pair_concurrence[pair_label(*pair)].values - expected).max() <= 1e-10
     fid = np.clip(_fidelity_many(rho, BELL_STATES["phi_plus"]), 0.0, 1.0)
     assert np.abs(traj.fidelity_terminal.values - fid).max() <= 1e-12
 

@@ -105,6 +105,20 @@ def test_build_config_merge_order():
     assert config.h == 50.0
 
 
+# The file line each input's error names. Inputs that parse and then fail
+# validation (range, choice) name none.
+_ERROR_LINES = {
+    "h_values = 50,xyz\n": 1,
+    "n_values = a\n": 1,
+    "h = 10\nh_values = 50,xyz\n": 2,
+    "h = 10\neff_h_values = 100;200\n": 2,
+    "h = 10\n\ndeltas = 0.1 0.2\n": 3,
+    "h = 10\nd_values = 0,x\n": 2,
+    "h = 10\nn_values = 4.5\n": 2,
+    "h = 10\nn_points = many\n": 2,
+}
+
+
 @pytest.mark.parametrize("text,key", [
     ("field_mask = abc\n", "field_mask"),
     ("field_mask = 2,9\n", "field_mask"),
@@ -116,11 +130,18 @@ def test_build_config_merge_order():
     ("n_g = 0\n", "n_g"),
     ("n_samples = 0\n", "n_samples"),
     ("state = bell\n", "state"),
+    ("h = 10\nh_values = 50,xyz\n", "h_values"),
+    ("h = 10\neff_h_values = 100;200\n", "eff_h_values"),
+    ("h = 10\n\ndeltas = 0.1 0.2\n", "deltas"),
+    ("h = 10\nd_values = 0,x\n", "d_values"),
+    ("h = 10\nn_values = 4.5\n", "n_values"),
+    ("h = 10\nn_points = many\n", "n_points"),
 ])
 def test_validation_names_offending_key(text, key):
     with pytest.raises(ConfigurationError) as err:
         parse_config(text)
     assert err.value.key == key
+    assert err.value.line == _ERROR_LINES.get(text)
 
 
 def test_config_params_reference():
@@ -222,7 +243,7 @@ def test_sweep_round_trip_with_flagged_row(tmp_path):
     result = SweepResult(rows=rows, fit=fit)
     csv_path = tmp_path / "sweep.csv"
     side_path = tmp_path / "sweep.json"
-    write_sweep(result, str(csv_path), str(side_path))
+    write_sweep(result, str(csv_path), str(side_path), {})
 
     header, columns = read_csv(str(csv_path))
     assert header == ["h", "T_slow", "F_max", "flag"]
@@ -246,7 +267,7 @@ def test_heatmap_single_cell(tmp_path):
                      f_max=np.array([[0.934]]))
     csv_path = tmp_path / "heatmap.csv"
     side_path = tmp_path / "heatmap.json"
-    write_heatmap(hm, str(csv_path), str(side_path))
+    write_heatmap(hm, str(csv_path), str(side_path), {})
 
     lines = csv_path.read_text().splitlines()
     assert len(lines) == 2
@@ -273,7 +294,7 @@ def test_ensemble_outputs(tmp_path):
     curves = tmp_path / "curves.csv"
     peaks = tmp_path / "peaks.csv"
     side = tmp_path / "d.json"
-    write_ensemble(stats, str(curves), str(peaks), str(side))
+    write_ensemble(stats, str(curves), str(peaks), str(side), {})
 
     header, columns = read_csv(str(curves))
     assert header == ["t", "mean_F", "std_F"]

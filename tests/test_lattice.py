@@ -213,7 +213,7 @@ def test_factor_shape_validation():
 
 def test_drop_odd_leg():
     p = LadderParams(h=0.0, field_mask=frozenset())
-    partial = build_hamiltonian(p, include_odd_leg=False)
+    partial = build_hamiltonian(p, leg_factors=[0.0 if i % 2 else 1.0 for i, _ in leg_bonds(3)])
     expected = build_hamiltonian(LadderParams(n_rungs=3, h=0.0, field_mask=frozenset()))
     for (i, j) in [(1, 3), (3, 5)]:
         expected = expected - p.j_parallel * (
@@ -238,7 +238,9 @@ def ladders(draw):
     factors = st.floats(min_value=0.0, max_value=2.0, allow_nan=False)
     rung_factors = draw(st.lists(factors, min_size=n_rungs, max_size=n_rungs))
     leg_factors = draw(st.lists(factors, min_size=2 * n_rungs - 2, max_size=2 * n_rungs - 2))
-    return params, rung_factors, leg_factors, draw(st.booleans())
+    if draw(st.booleans()):  # drop the top leg, whose bonds lead leg_bonds()
+        leg_factors[:n_rungs - 1] = [0.0] * (n_rungs - 1)
+    return params, rung_factors, leg_factors
 
 
 def _parity(index):
@@ -248,9 +250,9 @@ def _parity(index):
 @given(ladders())
 def test_builder_matches_pauli_oracle(ladder):
     """The bit-operation builder is the pauli_string sum: real, symmetric, parity-blocked."""
-    params, rung_factors, leg_factors, include_odd_leg = ladder
-    ham = build_hamiltonian(params, rung_factors, leg_factors, include_odd_leg)
-    oracle = pauli_hamiltonian(params, rung_factors, leg_factors, include_odd_leg)
+    params, rung_factors, leg_factors = ladder
+    ham = build_hamiltonian(params, rung_factors, leg_factors)
+    oracle = pauli_hamiltonian(params, rung_factors, leg_factors)
     assert ham.dtype == np.float64
     assert np.abs(ham - oracle).max() <= 1e-12 * max(1.0, np.abs(oracle).max())
     assert np.array_equal(ham, ham.T)
@@ -258,7 +260,7 @@ def test_builder_matches_pauli_oracle(ladder):
     assert not ham[np.ix_(parity == 0, parity == 1)].any()
     for sector in (0, 1):
         basis = np.flatnonzero(parity == sector)
-        block = build_hamiltonian(params, rung_factors, leg_factors, include_odd_leg, basis=basis)
+        block = build_hamiltonian(params, rung_factors, leg_factors, basis=basis)
         assert np.array_equal(block, ham[np.ix_(basis, basis)])
 
 

@@ -168,12 +168,13 @@ def test_concurrence_general_pure_states():
 
 @given(seed=st.integers(min_value=0, max_value=2 ** 31))
 def test_concurrence_local_unitary_invariant(seed):
-    # tolerance reflects eigvals() accuracy on the non-normal product matrix
+    # the singular-value route deviates by at most 6.3e-14 over 40 000 seeds;
+    # the bound leaves a 16x margin
     rng = np.random.default_rng(seed)
     rho = random_density(rng, 4, rank=2)
     u = kron(random_unitary(rng, 2), random_unitary(rng, 2))
     rotated = u @ rho @ u.conj().T
-    assert concurrence(rotated) == pytest.approx(concurrence(rho), abs=1e-7)
+    assert concurrence(rotated) == pytest.approx(concurrence(rho), abs=1e-12)
 
 
 def test_concurrence_batch_matches_scalar(rng):
