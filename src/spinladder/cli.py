@@ -20,15 +20,14 @@ import numpy as np
 from . import __version__
 from .errors import (ConfigurationError, InsufficientDataError,
                      InvalidArgumentError, NumericFailureError, OutputError)
+from .experiments import FREQ_GRID
 from .lattice import dressed_gap
 from . import experiments, io, signals
 
 
 # Subcommands whose measurement needs more than the reference window get
 # their own grid defaults; an explicit t_end or n_points still wins.
-_COMMAND_DEFAULTS = {
-    "freq-table": {"t_end": 40.0, "n_points": 8001},
-}
+_COMMAND_DEFAULTS = {"freq-table": {"t_end": FREQ_GRID.t_end, "n_points": FREQ_GRID.n_points}}
 
 
 def _build_parser():
@@ -158,7 +157,7 @@ def cmd_scaling(args, config):
 def cmd_freq_table(args, config):
     params = io.config_params(config)
     rows = experiments.frequency_table(io.config_floats(config, "d_values"), params,
-                                       t_end=config.t_end, n_points=config.n_points)
+                                       grid=io.config_grid(config))
     _write_rows(args, config, "freq_table", rows, ["d", "predicted", "measured", "ratio"])
     return 0
 

@@ -23,18 +23,21 @@ from .errors import InvalidArgumentError, NumericFailureError
 #: evolution treats as round-off; a larger one is refused, never dropped.
 SECTOR_LEAK_TOL = 1e-12
 
+#: Time points per state block of iter_evolved, which bounds the memory held.
+CHUNK = 2048
+
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigen-factorization H = V diag(w) V^dagger with w ascending.
 
     basis lists the full-space basis states that H's rows and columns stand
-    for, ascending; None means H acts on the whole space.
+    for, ascending.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    basis: np.ndarray = None
+    basis: np.ndarray
 
     @property
     def dim(self):
@@ -81,15 +84,14 @@ def diagonalize(ham, basis=None):
     """Full eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
     A real matrix takes the real-symmetric solver and yields real
-    eigenvectors. basis, if given, lists the full-space basis states that
-    ham's rows stand for (see lattice.parity_sector) and is recorded in the
-    result.
+    eigenvectors. basis lists the full-space basis states that ham's rows
+    stand for (see lattice.parity_sector; None: all of them) and is recorded
+    in the result.
     """
     ham = _check_hermitian(ham)
-    if basis is not None:
-        basis = np.asarray(basis, dtype=np.int64)
-        if basis.shape != (ham.shape[0],):
-            raise InvalidArgumentError(f"basis of {basis.shape} states for a matrix of dim {ham.shape[0]}")
+    basis = np.asarray(np.arange(len(ham)) if basis is None else basis, dtype=np.int64)
+    if basis.shape != (ham.shape[0],):
+        raise InvalidArgumentError(f"basis of {basis.shape} states for a matrix of dim {ham.shape[0]}")
     try:
         eigenvalues, eigenvectors = scipy.linalg.eigh(ham)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh on dim<=1024 converges
@@ -99,10 +101,6 @@ def diagonalize(ham, basis=None):
 
 def _sector_amplitudes(decomp, psi0):
     """psi0's amplitudes on decomp's basis; weight outside it is refused."""
-    if decomp.basis is None:
-        if psi0.shape != (decomp.dim,):
-            raise InvalidArgumentError(f"state dim {psi0.shape} does not match operator dim {decomp.dim}")
-        return psi0
     if psi0.ndim != 1 or len(psi0) <= decomp.basis[-1]:
         raise InvalidArgumentError(f"state of shape {psi0.shape} does not hold the basis up to {decomp.basis[-1]}")
     leak = np.linalg.norm(np.delete(psi0, decomp.basis))
@@ -114,30 +112,27 @@ def _sector_amplitudes(decomp, psi0):
 def evolve_state(decomp, psi0, t):
     """psi(t) = V exp(-i w t) V^dagger psi0, as a full-space state."""
     [(_, states)] = iter_evolved(decomp, psi0, [t])
-    if decomp.basis is None:
-        return states[:, 0]
     psi = np.zeros(len(psi0), dtype=complex)
     psi[decomp.basis] = states[:, 0]
     return psi
 
 
-def iter_evolved(decomp, psi0, times, chunk=2048):
+def iter_evolved(decomp, psi0, times):
     """Yield (time_block, state_block) pairs, states as columns in decomp's basis.
 
     This is the streaming workhorse behind experiments.evolve_and_measure;
     long sweeps never materialize the full state history. psi0 is a
     full-space state. The rotation runs in decomp's basis, with a real matrix
     product when V is real, and each state block has shape (decomp.dim,
-    len(time_block)): row r is the amplitude of basis state decomp.basis[r],
-    or of state r when the basis is the full space.
+    len(time_block)): row r is the amplitude of basis state decomp.basis[r].
     """
     psi0 = np.asarray(psi0, dtype=complex)
     sector = _sector_amplitudes(decomp, psi0)
     vectors = decomp.eigenvectors
     times = np.asarray(times, dtype=float)
     coeffs = vectors.conj().T @ sector
-    for start in range(0, len(times), chunk):
-        block = times[start:start + chunk]
+    for start in range(0, len(times), CHUNK):
+        block = times[start:start + CHUNK]
         rotated = coeffs[:, None] * np.exp(-1j * np.outer(decomp.eigenvalues, block))
         if np.isrealobj(vectors):
             yield block, (vectors @ rotated.view(float)).view(complex)

@@ -26,18 +26,22 @@ from .lattice import (
 )
 from .metrics import BELL_STATES, _concurrence_many, _entropy_many, _fidelity_many, _reduced_many, \
     _site_marginals
-from .signals import FitResult, TimeSeries, envelope_period, dominant_frequency, extract_alpha, \
-    effective_coupling_from_period, loglog_fit
+from .signals import ENVELOPE_PROMINENCE, FitResult, TimeSeries, envelope_period, dominant_frequency, \
+    extract_alpha, effective_coupling_from_period, loglog_fit
 
 #: Reference sampling of t in [0, 10].
 DEFAULT_GRID = TimeGrid(0.0, 10.0, 4001)
 
-#: A-priori prefactor used only to size simulation windows for slow-envelope
-#: studies (window = window_factor * NOMINAL_SLOW_PREFACTOR * h / J^2). The
-#: measured prefactor at the reference anisotropies comes out larger (close
-#: to pi), and the first envelope maximum sits near pi*h/2, so the default
-#: 1.2 safety factor still covers it comfortably.
+#: Sampling of t in [0, 40], long enough for the carrier-frequency table's FFT.
+FREQ_GRID = TimeGrid(0.0, 40.0, 8001)
+
+#: A-priori prefactor and default safety factor, used only to size simulation
+#: windows for slow-envelope studies (window = window_factor *
+#: NOMINAL_SLOW_PREFACTOR * h / J^2). The measured prefactor at the reference
+#: anisotropies comes out larger (close to pi), and the first envelope maximum
+#: sits near pi*h/2, so the default WINDOW_FACTOR still covers it comfortably.
 NOMINAL_SLOW_PREFACTOR = 2.37
+WINDOW_FACTOR = 1.2
 
 #: Carrier sampling density for envelope studies: grid steps per fast period.
 POINTS_PER_CARRIER = 200
@@ -87,7 +91,6 @@ def _check_unit_interval(values, name):
 class DisorderRealization:
     """Per-bond coupling deltas for one ensemble member."""
 
-    seed: int
     rung_deltas: np.ndarray
     leg_deltas: np.ndarray
 
@@ -249,13 +252,14 @@ def _slow_window(params, window_factor):
     return 10.0
 
 
-def sweep_field(h_values, base=LadderParams(), window_factor=1.2, min_prominence=0.05):
+def sweep_field(h_values, base=LadderParams(), window_factor=WINDOW_FACTOR,
+                min_prominence=ENVELOPE_PROMINENCE):
     """Slow period and peak fidelity per field value, plus the log-log fit.
 
-    Each field value gets its own carrier-resolving grid spanning at least
-    1.2 nominal slow periods. Rows whose envelope extraction fails are kept
-    and flagged rather than dropped. The fit runs over the unflagged rows
-    with h > 0 when at least three remain; its alpha field carries the
+    Each field value gets its own carrier-resolving grid spanning
+    window_factor nominal slow periods. Rows whose envelope extraction fails
+    are kept and flagged rather than dropped. The fit runs over the unflagged
+    rows with h > 0 when at least three remain; its alpha field carries the
     prefactor extracted from the largest such field, where the strong-field
     expansion is cleanest.
     """
@@ -301,14 +305,9 @@ def disorder_realization(delta, base_seed, k, n_rungs):
     rung bonds 1..N first, then leg bonds in leg_bonds() order (top leg,
     then bottom), one uniform draw from [-delta, +delta] each.
     """
-    seq = np.random.SeedSequence((int(base_seed), int(k)))
-    rng = np.random.default_rng(seq)
+    rng = np.random.default_rng(np.random.SeedSequence((int(base_seed), int(k))))
     deltas = rng.uniform(-delta, delta, size=n_rungs + 2 * (n_rungs - 1))
-    return DisorderRealization(
-        seed=int(seq.generate_state(1)[0]),
-        rung_deltas=deltas[:n_rungs],
-        leg_deltas=deltas[n_rungs:],
-    )
+    return DisorderRealization(rung_deltas=deltas[:n_rungs], leg_deltas=deltas[n_rungs:])
 
 
 def disorder_ensemble(delta, n_samples, base_seed, base=LadderParams(), grid=DEFAULT_GRID):
@@ -376,8 +375,8 @@ def build_effective_hamiltonian(j_eff, params, basis=None):
     return bond_hamiltonian(4, rungs + rails, fields, basis)
 
 
-def effective_model_check(base=LadderParams(), h_values=(100.0, 200.0, 400.0), window_factor=1.2,
-                          min_prominence=0.05):
+def effective_model_check(base=LadderParams(), h_values=(100.0, 200.0, 400.0),
+                          window_factor=WINDOW_FACTOR, min_prominence=ENVELOPE_PROMINENCE):
     """Envelope period of the full ladder vs the four-spin effective model.
 
     For each field value the full simulation fixes the measured slow period;
@@ -412,13 +411,12 @@ def effective_model_check(base=LadderParams(), h_values=(100.0, 200.0, 400.0), w
     return rows
 
 
-def frequency_table(d_values, base=LadderParams(), t_end=40.0, n_points=8001):
+def frequency_table(d_values, base=LadderParams(), grid=FREQ_GRID):
     """Measured carrier frequency of the terminal concurrence vs the dressed-gap prediction."""
     rows = []
     for d in d_values:
         params = base.replace(d=float(d))
-        traj = evolve_and_measure(params, TimeGrid(0.0, t_end, n_points),
-                                  rung_pairs(params.n_rungs)[-1:])
+        traj = evolve_and_measure(params, grid, rung_pairs(params.n_rungs)[-1:])
         measured = dominant_frequency(traj.pair_concurrence[traj.terminal_label])
         predicted = dressed_gap(params)
         rows.append(FrequencyRow(d=float(d), predicted=predicted, measured=measured,

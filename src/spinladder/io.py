@@ -16,6 +16,8 @@ from .errors import ConfigurationError, OutputError
 from .lattice import (MAX_DENSE_RUNGS, INITIAL_STATE_KINDS, LadderParams, mediating_mask,
                       uniform_mask)
 from .evolution import TimeGrid
+from .experiments import WINDOW_FACTOR
+from .signals import ENVELOPE_PROMINENCE
 
 EXPERIMENTS = ("reference", "field-sweep", "heatmap", "disorder", "scaling",
                "freq-table", "effective-check")
@@ -41,10 +43,10 @@ class ExperimentConfig:
     t_end: float = 10.0
     n_points: int = 4001
     seed: int = 42
-    prominence: float = 0.05
+    prominence: float = ENVELOPE_PROMINENCE
     # field-sweep / effective-check
     h_values: str = "50,100,200,400"
-    window_factor: float = 1.2
+    window_factor: float = WINDOW_FACTOR
     eff_h_values: str = "100,200,400"
     # heatmap
     g_min: float = 0.0
@@ -80,11 +82,40 @@ def _convert(key, raw, line=None):
     try:
         if key in _LIST_KEYS:
             _split(raw, _LIST_KEYS[key])
-            return raw
-        return kind(raw) if kind in (int, float) else raw
+        value = kind(raw) if kind in (int, float) else raw
     except ValueError:
         what = f"comma-separated {_LIST_KEYS[key].__name__} values" if key in _LIST_KEYS else kind
         raise ConfigurationError(f"cannot parse {raw!r} as {what}", key=key, line=line) from None
+    problem = _refusal(key, value)
+    if problem is not None:
+        raise ConfigurationError(problem, key=key, line=line)
+    return value
+
+
+def _refusal(key, value):
+    """Why a value is refused whatever the other keys hold, or None."""
+    if key == "n_rungs" and not 2 <= value <= MAX_DENSE_RUNGS:
+        return f"n_rungs must be between 2 and {MAX_DENSE_RUNGS} for dense diagonalization, got {value}"
+    if key == "state" and value not in INITIAL_STATE_KINDS:
+        return f"state must be one of {INITIAL_STATE_KINDS}"
+    if key == "n_points" and value < 2:
+        return "n_points must be >= 2"
+    if key == "t_end" and value <= 0:
+        return "t_end must be positive"
+    if key == "field_mask" and value not in ("mediating", "uniform"):
+        try:
+            _split(value, int)
+        except ValueError:
+            return "field_mask must be 'mediating', 'uniform', or comma-separated rung indices"
+    if key == "n_values":
+        for n in _split(value, int):
+            if n > MAX_DENSE_RUNGS:
+                return f"n_values entry {n} exceeds the dense bound of {MAX_DENSE_RUNGS}"
+    if key in ("n_g", "n_d") and value < 1:
+        return "grid size must be >= 1"
+    if key == "n_samples" and value < 1:
+        return "n_samples must be >= 1"
+    return None
 
 
 def parse_config_text(text):
@@ -133,34 +164,10 @@ def parse_config(text=None, overrides=None):
 
 
 def _validate(config):
-    if not 2 <= config.n_rungs <= MAX_DENSE_RUNGS:
-        raise ConfigurationError(
-            f"n_rungs must be between 2 and {MAX_DENSE_RUNGS} for dense diagonalization, "
-            f"got {config.n_rungs}", key="n_rungs")
-    if config.state not in INITIAL_STATE_KINDS:
-        raise ConfigurationError(f"state must be one of {INITIAL_STATE_KINDS}", key="state")
-    if config.n_points < 2:
-        raise ConfigurationError("n_points must be >= 2", key="n_points")
-    if config.t_end <= 0:
-        raise ConfigurationError("t_end must be positive", key="t_end")
+    """The check that needs two keys: field_mask rungs within 1..n_rungs."""
     if config.field_mask not in ("mediating", "uniform"):
-        try:
-            rungs = _split(config.field_mask, int)
-        except ValueError:
-            raise ConfigurationError(
-                "field_mask must be 'mediating', 'uniform', or comma-separated rung indices",
-                key="field_mask") from None
-        if not all(1 <= r <= config.n_rungs for r in rungs):
+        if not all(1 <= r <= config.n_rungs for r in _split(config.field_mask, int)):
             raise ConfigurationError(f"field_mask rungs outside 1..{config.n_rungs}", key="field_mask")
-    for n in _split(config.n_values, int):
-        if n > MAX_DENSE_RUNGS:
-            raise ConfigurationError(
-                f"n_values entry {n} exceeds the dense bound of {MAX_DENSE_RUNGS}", key="n_values")
-    for key in ("n_g", "n_d"):
-        if getattr(config, key) < 1:
-            raise ConfigurationError("grid size must be >= 1", key=key)
-    if config.n_samples < 1:
-        raise ConfigurationError("n_samples must be >= 1", key="n_samples")
 
 
 def config_params(config):

@@ -155,15 +155,15 @@ def parity_sector(psi):
     """Basis indices of the spin-flip parity sector that holds psi, ascending.
 
     Every ladder bond flips spins in pairs and the field is diagonal, so the
-    parity of the number of up spins is conserved. Returns None, meaning all
-    2^n states, when psi has support in both parities.
+    parity of the number of up spins is conserved. A psi with support in
+    both parities gets all 2^n states.
     """
     psi = np.asarray(psi)
     parity = np.array([bin(k).count("1") % 2 for k in range(len(psi))])
     held = np.unique(parity[psi != 0])
     if held.size == 0:
         raise InvalidArgumentError("state has no support")
-    return None if held.size == 2 else np.flatnonzero(parity == held[0])
+    return np.flatnonzero(np.isin(parity, held))
 
 
 def bond_hamiltonian(n_sites, bonds, site_fields, basis=None):

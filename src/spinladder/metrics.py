@@ -81,25 +81,24 @@ def partial_trace(psi, keep, n_sites=None):
     """Reduced density matrix of the kept sites (1-based), in keep order."""
     psi, n_sites = _as_state(psi, n_sites)
     keep = _check_keep(keep, n_sites)
-    return _reduced_many(psi[:, None], keep, n_sites)[0]
+    return _reduced_many(psi[:, None], keep, n_sites, np.arange(len(psi)))[0]
 
 
-def _reduced_many(states, keep, n_sites, basis=None):
+def _reduced_many(states, keep, n_sites, basis):
     """Reduced density matrices of the kept sites, one per state column, no validation.
 
     Used by the experiment drivers on every chunk of evolved states. Row r of
     states stands for the full-space basis state basis[r]; basis is ascending,
-    as on an evolution.SpectralDecomposition, and None means all 2^n_sites
-    states. Each row splits into the kept sites' configuration a, in keep
-    order, and the configuration m of the other sites. Configurations a with
+    as on an evolution.SpectralDecomposition. Each row splits into the kept
+    sites' configuration a, in keep order, and the configuration m of the
+    other sites. Configurations a with
     the same support in m form one block of rho: their rows are gathered into
     a (|block|, |m|, nt) array G, and the block is G G^dagger contracted over
     m. Elements between blocks are exactly 0. A parity sector gives two
     blocks (even and odd a), the full space one.
     """
-    rows = np.arange(2 ** n_sites) if basis is None else np.asarray(basis)
     rest = [k for k in range(1, n_sites + 1) if k not in keep]
-    a, m = _site_code(rows, keep, n_sites), _site_code(rows, rest, n_sites)
+    a, m = _site_code(basis, keep, n_sites), _site_code(basis, rest, n_sites)
     blocks = {}  # support in m -> (configurations a, their rows in m order)
     for config in range(2 ** len(keep)):
         members = np.flatnonzero(a == config)

@@ -7,6 +7,7 @@ is asserted separately by the repeated-run test.
 """
 
 import importlib
+import inspect
 import math
 import os
 import pathlib
@@ -17,9 +18,10 @@ import numpy as np
 import pytest
 
 import spinladder
-from spinladder import __version__
-from spinladder.cli import main
-from spinladder.io import read_csv, read_sidecar
+from spinladder import __version__, experiments
+from spinladder.cli import _build_parser, _resolve_config, main
+from spinladder.io import config_floats, config_grid, parse_config, read_csv, read_sidecar
+from spinladder.signals import envelope_period
 
 GOLDEN_ROOT = pathlib.Path(__file__).resolve().parent.parent / "goldens"
 
@@ -216,6 +218,28 @@ def test_freq_table_window_default(tmp_path):
     assert side["config"]["n_points"] == 8001
     row = side["rows"][0]
     assert abs(row["ratio"] - 1.0) <= 0.005
+
+
+def _default(func, name):
+    return inspect.signature(func).parameters[name].default
+
+
+def test_driver_defaults_match_resolved_config():
+    """A driver called without a keyword runs the setting the CLI resolves by default."""
+    config = parse_config()
+    for driver in (experiments.sweep_field, experiments.effective_model_check):
+        assert _default(driver, "window_factor") == config.window_factor
+        assert _default(driver, "min_prominence") == config.prominence
+    assert _default(envelope_period, "min_prominence") == config.prominence
+    assert list(_default(experiments.effective_model_check, "h_values")) == \
+        config_floats(config, "eff_h_values")
+    assert config_grid(config) == experiments.DEFAULT_GRID
+    for driver in (experiments.run_reference, experiments.scaling_run,
+                   experiments.anisotropy_heatmap, experiments.disorder_ensemble):
+        assert _default(driver, "grid") == experiments.DEFAULT_GRID
+    args = _build_parser().parse_args(["freq-table", "--out", "unused"])
+    assert config_grid(_resolve_config(args, "freq-table")) == \
+        _default(experiments.frequency_table, "grid")
 
 
 # --------------------------------------------------------------------- goldens

@@ -115,12 +115,13 @@ def test_series_matches_pointwise(rng):
     assert np.abs(norms - 1.0).max() < 1e-12
 
 
-def test_iter_evolved_chunking_invariance(rng):
+def test_iter_evolved_chunking_invariance(rng, monkeypatch):
     decomp = diagonalize(build_hamiltonian(LadderParams(n_rungs=2)))
     psi = haar_state(rng, 16)
     grid = TimeGrid(0.0, 5.0, 23)
     [(_, whole)] = iter_evolved(decomp, psi, grid.times)
-    blocks = list(iter_evolved(decomp, psi, grid.times, chunk=7))
+    monkeypatch.setattr("spinladder.evolution.CHUNK", 7)
+    blocks = list(iter_evolved(decomp, psi, grid.times))
     assert [states.shape[1] for _, states in blocks] == [7, 7, 7, 2]
     assert np.concatenate([t for t, _ in blocks]).shape == (23,)
     stitched = np.concatenate([states for _, states in blocks], axis=1)
@@ -169,7 +170,7 @@ def test_sector_evolution_matches_full_space_oracle():
     decomp = _sector_decomp(p, psi0)
     assert decomp.dim == 32 and np.isrealobj(decomp.eigenvectors)
     oracle = diagonalize(pauli_hamiltonian(p))
-    assert oracle.basis is None and not np.isrealobj(oracle.eigenvectors)
+    assert np.array_equal(oracle.basis, np.arange(64)) and not np.isrealobj(oracle.eigenvectors)
     times = TimeGrid(0.0, 10.0, 401).times
     [(_, sector_states)] = iter_evolved(decomp, psi0, times)
     [(_, expected)] = iter_evolved(oracle, psi0, times)
@@ -181,17 +182,18 @@ def test_sector_evolution_matches_full_space_oracle():
     assert np.abs(states[:, early] - expected[:, early]).max() <= 1e-12
     for keep in ([1, 2], [3, 4], [5, 6], [1, 2, 5, 6]):
         rho = _reduced_many(sector_states, keep, 6, decomp.basis)
-        assert np.abs(rho - _reduced_many(expected, keep, 6)).max() <= 1e-12
+        assert np.abs(rho - _reduced_many(expected, keep, 6, np.arange(64))).max() <= 1e-12
     assert np.abs(evolve_state(decomp, psi0, 3.7) - evolve_state(oracle, psi0, 3.7)).max() <= 1e-12
 
 
-def test_sector_states_stream_in_sector_coordinates():
+def test_sector_states_stream_in_sector_coordinates(monkeypatch):
     """iter_evolved yields (len(basis), nt) blocks; evolve_state scatters them back."""
     p = LadderParams(n_rungs=2)
     psi0 = build_initial_state("phi_plus", p)
     decomp = _sector_decomp(p, psi0)
     times = TimeGrid(0.0, 5.0, 23).times
-    blocks = list(iter_evolved(decomp, psi0, times, chunk=7))
+    monkeypatch.setattr("spinladder.evolution.CHUNK", 7)
+    blocks = list(iter_evolved(decomp, psi0, times))
     assert [states.shape for _, states in blocks] == [(8, 7), (8, 7), (8, 7), (8, 2)]
     stitched = np.concatenate([states for _, states in blocks], axis=1)
     for k, t in enumerate(times):

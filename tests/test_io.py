@@ -105,9 +105,18 @@ def test_build_config_merge_order():
     assert config.h == 50.0
 
 
-# The file line each input's error names. Inputs that parse and then fail
-# validation (range, choice) name none.
+# The file line each input's error names. Only the check that needs two keys
+# (field_mask rungs against n_rungs) names none.
 _ERROR_LINES = {
+    "field_mask = abc\n": 1,
+    "n_values = 4,6\n": 1,
+    "n_points = 1\n": 1,
+    "t_end = 0\n": 1,
+    "n_g = 0\n": 1,
+    "n_samples = 0\n": 1,
+    "state = bell\n": 1,
+    "h = 10\nfield_mask = abc\n": 2,
+    "h = 10\nn_points = 1\n": 2,
     "h_values = 50,xyz\n": 1,
     "n_values = a\n": 1,
     "h = 10\nh_values = 50,xyz\n": 2,
@@ -136,12 +145,22 @@ _ERROR_LINES = {
     ("h = 10\nd_values = 0,x\n", "d_values"),
     ("h = 10\nn_values = 4.5\n", "n_values"),
     ("h = 10\nn_points = many\n", "n_points"),
+    ("h = 10\nfield_mask = abc\n", "field_mask"),
+    ("h = 10\nn_points = 1\n", "n_points"),
 ])
 def test_validation_names_offending_key(text, key):
     with pytest.raises(ConfigurationError) as err:
         parse_config(text)
     assert err.value.key == key
     assert err.value.line == _ERROR_LINES.get(text)
+
+
+def test_flag_errors_name_no_line():
+    for overrides in ({"n_points": "1"}, {"field_mask": "abc"}, {"n_points": "many"}):
+        with pytest.raises(ConfigurationError) as err:
+            parse_config(overrides=overrides)
+        assert err.value.key == next(iter(overrides))
+        assert err.value.line is None
 
 
 def test_config_params_reference():

@@ -275,7 +275,8 @@ def test_parity_sector_of_definite_inputs(kind, parity):
 
 
 def test_parity_sector_of_mixed_input_is_full_space():
-    assert parity_sector(build_initial_state("psi_minus_plus_phi_plus", LadderParams())) is None
+    assert np.array_equal(parity_sector(build_initial_state("psi_minus_plus_phi_plus", LadderParams())),
+                          np.arange(64))
     with pytest.raises(InvalidArgumentError):
         parity_sector(np.zeros(16))
 
