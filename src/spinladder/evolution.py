@@ -4,7 +4,8 @@ The Hamiltonian is diagonalized once; evolution at any time is then a phase
 rotation in the eigenbasis, exact to machine precision. The ladder
 Hamiltonian is real and conserves spin-flip parity, so the drivers
 diagonalize only the real block on the initial state's parity sector (512
-of the 4^5 = 1024 states at five rungs) with a real-symmetric eigensolver.
+of the 4^5 = 1024 states at five rungs) with NumPy's real-symmetric
+eigensolver (LAPACK syevd).
 The decomposition records that sector's basis. Evolution takes a full-space
 initial state; the streamed states stay in the sector's coordinates, which
 metrics._reduced_many reads directly. Only evolve_state scatters a state
@@ -14,7 +15,6 @@ back into the full space.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidArgumentError, NumericFailureError
 
@@ -93,7 +93,7 @@ def diagonalize(ham, basis=None):
     if basis.shape != (ham.shape[0],):
         raise InvalidArgumentError(f"basis of {basis.shape} states for a matrix of dim {ham.shape[0]}")
     try:
-        eigenvalues, eigenvectors = scipy.linalg.eigh(ham)
+        eigenvalues, eigenvectors = np.linalg.eigh(ham)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh on dim<=1024 converges
         raise NumericFailureError(f"eigensolver failed: {exc}") from exc
     return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors, basis=basis)

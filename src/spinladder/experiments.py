@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng  # loaded here: np.random would load it mid-run
 
 from .errors import InsufficientDataError, InvalidArgumentError, UnsupportedSizeError
 from .evolution import TimeGrid, diagonalize, iter_evolved
@@ -305,7 +306,7 @@ def disorder_realization(delta, base_seed, k, n_rungs):
     rung bonds 1..N first, then leg bonds in leg_bonds() order (top leg,
     then bottom), one uniform draw from [-delta, +delta] each.
     """
-    rng = np.random.default_rng(np.random.SeedSequence((int(base_seed), int(k))))
+    rng = default_rng(SeedSequence((int(base_seed), int(k))))
     deltas = rng.uniform(-delta, delta, size=n_rungs + 2 * (n_rungs - 1))
     return DisorderRealization(rung_deltas=deltas[:n_rungs], leg_deltas=deltas[n_rungs:])
 

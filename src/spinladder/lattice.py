@@ -160,10 +160,10 @@ def parity_sector(psi):
     """
     psi = np.asarray(psi)
     parity = np.array([bin(k).count("1") % 2 for k in range(len(psi))])
-    held = np.unique(parity[psi != 0])
-    if held.size == 0:
+    held = np.bincount(parity[psi != 0], minlength=2) > 0
+    if not held.any():
         raise InvalidArgumentError("state has no support")
-    return np.flatnonzero(np.isin(parity, held))
+    return np.flatnonzero(held[parity])
 
 
 def bond_hamiltonian(n_sites, bonds, site_fields, basis=None):

@@ -106,7 +106,7 @@ def _reduced_many(states, keep, n_sites, basis):
             configs, gather = blocks.setdefault(m[members].tobytes(), ([], []))
             configs.append(config)
             gather.append(members)
-    if sum(len(gather[0]) for _, gather in blocks.values()) != np.unique(m).size:
+    if sum(len(gather[0]) for _, gather in blocks.values()) != np.count_nonzero(np.bincount(m)):
         raise InvalidArgumentError(f"basis gives the configurations of sites {keep} overlapping supports")
     rho = np.zeros((states.shape[1], 2 ** len(keep), 2 ** len(keep)), dtype=complex)
     for configs, gather in blocks.values():

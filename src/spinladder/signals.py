@@ -3,14 +3,15 @@
 Two scales coexist in the terminal-pair signals: a fast carrier set by the
 dressed rung gap and, two orders of magnitude slower at strong field, a
 transfer envelope. The routines here pull out carrier frequency, envelope
-period, power-law fits, and the effective-coupling prefactor.
+period, power-law fits, and the effective-coupling prefactor. Peaks are
+found by a NumPy prominence peak finder that returns the indices
+scipy.signal.find_peaks would; SciPy is not needed at run time.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
 
 from .errors import InsufficientDataError, InvalidArgumentError
 
@@ -78,6 +79,51 @@ def _refine_parabolic(xs, ys, k):
     return float(x), float(y)
 
 
+def _prominent_maxima(values, prominence):
+    """Indices of the local maxima of values whose prominence is at least prominence.
+
+    The definitions are those of scipy.signal.find_peaks(values,
+    prominence=prominence) without a window length, and the indices agree
+    with it exactly. A maximum needs a strict rise before it and a strict
+    fall after it; a plateau reports its midpoint, rounded down. Its base on
+    each side is the smallest sample between it and the first strictly
+    higher sample on that side, or the array edge, and its prominence is its
+    height above the higher of the two bases.
+    """
+    x = np.asarray(values, dtype=float)
+    slope = np.diff(x)
+    steps = np.flatnonzero(slope)
+    rising = slope[steps] > 0
+    top = rising[:-1] & ~rising[1:]
+    peaks = (steps[:-1][top] + 1 + steps[1:][top]) // 2
+    if peaks.size == 0:
+        return peaks
+    left = _base_minima(x, peaks)
+    right = _base_minima(x[::-1], len(x) - 1 - peaks[::-1])[::-1]
+    return peaks[x[peaks] - np.maximum(left, right) >= prominence]
+
+
+def _base_minima(x, peaks):
+    """Left base of each peak: min of x from past the nearest strictly higher peak on its left.
+
+    The first strictly higher sample left of a peak lies on the flank of the
+    nearest strictly higher peak, above every sample between the two, so the
+    minimum from that peak (or from the array start) equals the minimum from
+    that sample. A stack of peaks with strictly decreasing heights carries
+    each one's minimum back to its own higher neighbour; per-peak segment
+    minima feed it, for O(len(x) + len(peaks)) work.
+    """
+    segments = np.minimum.reduceat(x[:peaks[-1] + 1], np.concatenate(([0], peaks[:-1] + 1)))
+    minima = np.empty(len(peaks))
+    stack = []  # (height, minimum since the entry below), heights strictly decreasing
+    for k, (height, low) in enumerate(zip(x[peaks].tolist(), segments.tolist())):
+        while stack and stack[-1][0] <= height:
+            low = min(low, stack.pop()[1])
+        minima[k] = low
+        stack.append((height, low))
+    return minima
+
+
 def find_peaks(series, min_prominence):
     """Local maxima with at least the given prominence, parabolically refined.
 
@@ -85,7 +131,7 @@ def find_peaks(series, min_prominence):
     """
     if len(series.times) < 3:
         raise InsufficientDataError("need at least 3 samples to locate peaks")
-    idx, _ = scipy.signal.find_peaks(series.values, prominence=min_prominence)
+    idx = _prominent_maxima(series.values, min_prominence)
     return [_refine_parabolic(series.times, series.values, k) for k in idx]
 
 
@@ -164,7 +210,7 @@ def envelope_period(series, min_prominence=ENVELOPE_PROMINENCE):
     if vrange < 1e-6 * max(1.0, np.abs(smooth_v).max()):
         raise InsufficientDataError("envelope is flat; no slow modulation present")
 
-    idx, _ = scipy.signal.find_peaks(smooth_v, prominence=0.2 * vrange)
+    idx = _prominent_maxima(smooth_v, 0.2 * vrange)
     if len(idx) == 0:
         raise InsufficientDataError("no envelope maximum inside the sampled window")
     t_star, _ = _refine_parabolic(smooth_t, smooth_v, int(idx[0]))

@@ -51,15 +51,35 @@ def test_version_flag():
     assert main(["--version"]) == 0
 
 
+def _checkout_env():
+    """Environment for a child interpreter that imports the package this suite imports."""
+    package_root = str(pathlib.Path(spinladder.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+
+
 def test_entry_point():
     # runs from a checkout: the package this suite imports, not an installed script
-    package_root = str(pathlib.Path(spinladder.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "spinladder", "--version"],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_checkout_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == f"spinladder {__version__}"
+
+
+def test_runs_need_neither_scipy_nor_numpy_ma(tmp_path):
+    # NumPy is the only runtime dependency, and numpy.ma is a lazily imported
+    # part of it that costs start-up time; the field sweep reaches the peak finder
+    script = f"""
+import sys
+sys.modules["scipy"] = None  # every SciPy import now raises ImportError
+from spinladder.cli import main
+codes = [main(["reference", "--n-rungs", "2", "--out", {str(tmp_path / "reference")!r}]),
+         main(["field-sweep", "--h-values", "50", "--out", {str(tmp_path / "sweep")!r}])]
+print(codes, "numpy.ma" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_checkout_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0] False"
 
 
 def test_console_script_declared():

@@ -337,7 +337,8 @@ def test_effective_model_signal_round_trip():
 def test_effective_model_period_agrees_across_eigensolvers():
     """The effective-check golden's period does not hang on the LAPACK path.
 
-    Four eigensolver paths give eigenvectors that differ only by round-off;
+    Five eigensolver paths, the last the one diagonalize takes (NumPy's
+    real-symmetric syevd), give eigenvectors that differ only by round-off;
     at the golden's coupling on its h = 100 grid, the extracted period must
     agree between them to the goldens' rtol, as it must across BLAS builds.
     """
@@ -350,6 +351,7 @@ def test_effective_model_period_agrees_across_eigensolvers():
     psi0 = build_initial_state("phi_plus", proto)
     spectra = [scipy.linalg.eigh(ham, driver=driver) for driver in ("evr", "evd", "ev")]
     spectra.append(scipy.linalg.eigh(ham.real))
+    spectra.append(np.linalg.eigh(ham.real))
     periods = []
     for eigenvalues, eigenvectors in spectra:
         decomp = SpectralDecomposition(eigenvalues, eigenvectors.astype(complex), np.arange(16))

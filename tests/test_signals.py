@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.signal
+from hypothesis import example, given, settings, strategies as st
 
 from spinladder.errors import InsufficientDataError, InvalidArgumentError
 from spinladder.lattice import LadderParams
 from spinladder.signals import (
     ENVELOPE_PROMINENCE,
     TimeSeries,
+    _prominent_maxima,
     dominant_frequency,
     effective_coupling_from_period,
     envelope_period,
@@ -69,6 +72,34 @@ def test_find_peaks_empty_on_monotone():
 def test_find_peaks_needs_three_samples():
     with pytest.raises(InsufficientDataError):
         find_peaks(TimeSeries([0.0, 1.0], [0.0, 1.0]), 0.1)
+
+
+#: Runs of small integers: plateaus everywhere, at either edge too.
+_PLATEAUS = st.lists(st.tuples(st.integers(min_value=0, max_value=3), st.integers(min_value=1, max_value=4)),
+                     max_size=15).map(lambda runs: np.repeat([float(v) for v, _ in runs], [k for _, k in runs]))
+
+_SIGNALS = st.one_of(
+    st.lists(st.floats(min_value=-1e300, max_value=1e300), max_size=40).map(np.array),  # no overflow in x[i] - x[j]
+    st.lists(st.floats(min_value=-3.0, max_value=3.0), max_size=40).map(np.array),
+    _PLATEAUS,
+    _PLATEAUS.map(np.sort),
+    _PLATEAUS.map(lambda x: np.sort(x)[::-1]),
+)
+
+
+@settings(max_examples=300)
+@given(values=_SIGNALS, prominence=st.floats(min_value=0.0, max_value=3.0))
+@example(values=np.full(7, 2.0), prominence=0.0)
+@example(values=np.arange(9.0), prominence=0.0)
+@example(values=np.array([3.0, 3.0, 1.0, 2.0, 2.0, 2.0, 0.0, 2.0, 2.0]), prominence=0.0)
+@example(values=np.array([0.0, 2.0, 1.0, 2.0, 0.0]), prominence=0.0)  # equal peaks: bases run past each other
+def test_prominent_maxima_matches_scipy(values, prominence):
+    # each peak's own prominence, and the next float above it, puts that peak on the keep/drop edge
+    _, props = scipy.signal.find_peaks(values, prominence=0.0)
+    edges = props["prominences"]
+    for p in [prominence, 0.0, *edges, *np.nextafter(edges, np.inf)]:
+        expected, _ = scipy.signal.find_peaks(values, prominence=p)
+        np.testing.assert_array_equal(_prominent_maxima(values, p), expected, err_msg=f"prominence {p}")
 
 
 # ---------------------------------------------------------- dominant_frequency
