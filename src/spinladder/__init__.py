@@ -14,8 +14,7 @@ from .errors import (ConfigurationError, InsufficientDataError,
                      UnsupportedSizeError)
 from .lattice import (INITIAL_STATE_KINDS, LadderParams, bond_hamiltonian,
                       build_hamiltonian, build_initial_state, dressed_gap,
-                      leg_bonds, mediating_mask, parity_sector, pauli_string,
-                      uniform_mask)
+                      leg_bonds, mediating_mask, parity_sector, uniform_mask)
 from .evolution import (SpectralDecomposition, TimeGrid, diagonalize,
                         evolve_state, iter_evolved)
 from .metrics import (bell_fidelity, concurrence, mutual_information,

@@ -10,6 +10,12 @@ The decomposition records that sector's basis. Evolution takes a full-space
 initial state; the streamed states stay in the sector's coordinates, which
 metrics._reduced_many reads directly. Only evolve_state scatters a state
 back into the full space.
+
+iter_evolved streams a uniform TimeGrid. Its phases exp(-i w t) come from
+two small tables instead of one complex exp per eigenvalue and time: an
+anchor phase at every STRIDE-th grid time times one of STRIDE offset
+phases exp(-i w b dt). The anchors are the grid's own times, so every
+STRIDE-th phase is exactly the direct one.
 """
 
 from dataclasses import dataclass
@@ -25,6 +31,10 @@ SECTOR_LEAK_TOL = 1e-12
 
 #: Time points per state block of iter_evolved, which bounds the memory held.
 CHUNK = 2048
+
+#: Grid points per anchor phase in iter_evolved; the points between two
+#: anchors take their phases from one table of STRIDE offset phases.
+STRIDE = 64
 
 
 @dataclass(frozen=True)
@@ -100,40 +110,59 @@ def diagonalize(ham, basis=None):
 
 
 def _sector_amplitudes(decomp, psi0):
-    """psi0's amplitudes on decomp's basis; weight outside it is refused."""
-    if psi0.ndim != 1 or len(psi0) <= decomp.basis[-1]:
-        raise InvalidArgumentError(f"state of shape {psi0.shape} does not hold the basis up to {decomp.basis[-1]}")
+    """psi0's amplitudes on decomp's basis; weight outside it is refused.
+
+    Every basis the package builds is closed under the flip of the rung-1
+    pair, the two most significant bits, so its largest index has the bit
+    length of the site count and fixes the full-space length psi0 must have.
+    """
+    full_dim = 1 << int(decomp.basis[-1]).bit_length()
+    if psi0.shape != (full_dim,):
+        raise InvalidArgumentError(f"state of shape {psi0.shape} is not a state of the {full_dim}-dim space "
+                                   f"that the basis indexes")
     leak = np.linalg.norm(np.delete(psi0, decomp.basis))
     if leak > SECTOR_LEAK_TOL:
         raise InvalidArgumentError(f"state has weight {leak:.3e} outside the decomposition's basis")
     return psi0[decomp.basis]
 
 
+def _coefficients(decomp, psi0):
+    """psi0's coordinates in decomp's eigenbasis, V^dagger psi0."""
+    return decomp.eigenvectors.conj().T @ _sector_amplitudes(decomp, np.asarray(psi0, dtype=complex))
+
+
 def evolve_state(decomp, psi0, t):
     """psi(t) = V exp(-i w t) V^dagger psi0, as a full-space state."""
-    [(_, states)] = iter_evolved(decomp, psi0, [t])
+    coeffs = _coefficients(decomp, psi0)
     psi = np.zeros(len(psi0), dtype=complex)
-    psi[decomp.basis] = states[:, 0]
+    psi[decomp.basis] = decomp.eigenvectors @ (coeffs * np.exp(-1j * decomp.eigenvalues * t))
     return psi
 
 
-def iter_evolved(decomp, psi0, times):
-    """Yield (time_block, state_block) pairs, states as columns in decomp's basis.
+def iter_evolved(decomp, psi0, grid):
+    """Yield (time_block, state_block) pairs over a TimeGrid, states as columns in decomp's basis.
 
     This is the streaming workhorse behind experiments.evolve_and_measure;
     long sweeps never materialize the full state history. psi0 is a
     full-space state. The rotation runs in decomp's basis, with a real matrix
     product when V is real, and each state block has shape (decomp.dim,
     len(time_block)): row r is the amplitude of basis state decomp.basis[r].
+
+    The grid is uniform, so each time is an anchor (every STRIDE-th grid
+    time from a chunk's start, taken from grid.times) plus an offset
+    b * grid.dt with b < STRIDE, and exp(-i w t) is an anchor phase times an
+    offset phase. The offset phases are one table per call; the anchor
+    phases are computed per chunk.
     """
-    psi0 = np.asarray(psi0, dtype=complex)
-    sector = _sector_amplitudes(decomp, psi0)
-    vectors = decomp.eigenvectors
-    times = np.asarray(times, dtype=float)
-    coeffs = vectors.conj().T @ sector
+    w, vectors = decomp.eigenvalues, decomp.eigenvectors
+    coeffs = _coefficients(decomp, psi0)
+    times = grid.times
+    offsets = np.exp(-1j * np.outer(w, np.arange(min(STRIDE, grid.n_points)) * grid.dt))
     for start in range(0, len(times), CHUNK):
         block = times[start:start + CHUNK]
-        rotated = coeffs[:, None] * np.exp(-1j * np.outer(decomp.eigenvalues, block))
+        anchors = coeffs[:, None] * np.exp(-1j * np.outer(w, block[::STRIDE]))
+        rotated = (anchors[:, :, None] * offsets[:, None, :len(block)]).reshape(len(w), -1)
+        rotated = np.ascontiguousarray(rotated[:, :len(block)])
         if np.isrealobj(vectors):
             yield block, (vectors @ rotated.view(float)).view(complex)
         else:

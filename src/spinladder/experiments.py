@@ -170,7 +170,7 @@ def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False
     fid = np.empty(n_points) if fidelity else None
     mi = {name: np.empty(n_points) for name in ("first", "terminal", "joint") if mutual_info}
     pos = 0
-    for _, states in iter_evolved(decomp, psi0, times):
+    for _, states in iter_evolved(decomp, psi0, grid):
         sl = slice(pos, pos + states.shape[1])
         rhos = {pair: _reduced_many(states, list(pair), n_sites, decomp.basis) for pair in reduced}
         for pair in pairs:

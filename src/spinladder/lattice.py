@@ -21,29 +21,21 @@ That Hamiltonian is real, and it conserves the parity of the number of up
 spins: the sx sx and sy sy terms flip spins in pairs and the rest is
 diagonal. build_hamiltonian therefore assembles a real matrix directly from
 bit operations on basis indices, and usually only on the parity sector of
-the initial state (parity_sector). pauli_string builds the same operators
-as dense Kronecker products; it is kept as a public helper and as the
-independent oracle the tests compare the builder against.
+the initial state (parity_sector).
 """
 
 from dataclasses import dataclass, field, replace
-from functools import reduce
 import math
 
 import numpy as np
 
 from .errors import InvalidArgumentError
 
-# Pauli matrices in the spin-down-first basis. SZ is diag(-1, +1) so that
-# |0> (down) has eigenvalue -1; SY is chosen so that SX @ SY = i SZ still
-# holds. Only sy (x) sy products enter the Hamiltonian and the concurrence,
-# which are insensitive to the sign of SY.
-SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+# Pauli y in the spin-down-first basis, where sigma_z is diag(-1, +1) so that
+# |0> (down) has eigenvalue -1; its sign keeps sx @ sy = i sz. Only sy (x) sy
+# products enter the Hamiltonian and the concurrence, which are insensitive
+# to the sign of SY.
 SY = np.array([[0.0, 1j], [-1j, 0.0]], dtype=complex)
-SZ = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
-ID2 = np.eye(2, dtype=complex)
-
-_PAULI = {"x": SX, "y": SY, "z": SZ}
 
 INITIAL_STATE_KINDS = (
     "phi_plus",
@@ -118,26 +110,6 @@ class LadderParams:
         if "n_rungs" in changes and "field_mask" not in changes:
             changes["field_mask"] = None
         return replace(self, **changes)
-
-
-def pauli_string(axes, sites, n_sites):
-    """Operator acting with the given Paulis on the given sites, identity elsewhere.
-
-    Site 1 is the most significant tensor factor: pauli_string(["z"], [1], 2)
-    returns diag(-1, -1, +1, +1) because |0> carries sigma_z eigenvalue -1.
-    """
-    if len(axes) != len(sites):
-        raise InvalidArgumentError(f"{len(axes)} axes for {len(sites)} sites")
-    if len(set(sites)) != len(sites):
-        raise InvalidArgumentError(f"duplicate sites in {sites}")
-    factors = [ID2] * n_sites
-    for axis, site in zip(axes, sites):
-        if axis not in _PAULI:
-            raise InvalidArgumentError(f"unknown Pauli axis {axis!r}")
-        if not 1 <= site <= n_sites:
-            raise InvalidArgumentError(f"site {site} outside 1..{n_sites}")
-        factors[site - 1] = _PAULI[axis]
-    return reduce(np.kron, factors)
 
 
 def leg_bonds(n_rungs):

@@ -1,10 +1,13 @@
-"""Shared fixtures and random-state helpers for the test suite."""
+"""Shared fixtures, random-state helpers and dense operator oracles for the test suite."""
+
+from functools import reduce
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from spinladder.lattice import leg_bonds, pauli_string
+from spinladder.errors import InvalidArgumentError
+from spinladder.lattice import SY, leg_bonds
 
 settings.register_profile("suite", deadline=None, max_examples=30)
 settings.load_profile("suite")
@@ -36,6 +39,33 @@ def random_density(rng, dim, rank=None):
         psi = haar_state(rng, dim)
         rho += np.outer(psi, psi.conj())
     return rho / rank
+
+
+# Pauli matrices in the package's spin-down-first basis (see spinladder.lattice).
+SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SZ = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
+ID2 = np.eye(2, dtype=complex)
+_PAULI = {"x": SX, "y": SY, "z": SZ}
+
+
+def pauli_string(axes, sites, n_sites):
+    """Operator acting with the given Paulis on the given sites, identity elsewhere.
+
+    Site 1 is the most significant tensor factor: pauli_string(["z"], [1], 2)
+    returns diag(-1, -1, +1, +1) because |0> carries sigma_z eigenvalue -1.
+    """
+    if len(axes) != len(sites):
+        raise InvalidArgumentError(f"{len(axes)} axes for {len(sites)} sites")
+    if len(set(sites)) != len(sites):
+        raise InvalidArgumentError(f"duplicate sites in {sites}")
+    factors = [ID2] * n_sites
+    for axis, site in zip(axes, sites):
+        if axis not in _PAULI:
+            raise InvalidArgumentError(f"unknown Pauli axis {axis!r}")
+        if not 1 <= site <= n_sites:
+            raise InvalidArgumentError(f"site {site} outside 1..{n_sites}")
+        factors[site - 1] = _PAULI[axis]
+    return reduce(np.kron, factors)
 
 
 def pauli_hamiltonian(params, rung_factors=None, leg_factors=None):

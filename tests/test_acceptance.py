@@ -406,7 +406,7 @@ def test_a8_unitarity_and_energy_conservation():
     ham = build_hamiltonian(BASE)
     decomp = diagonalize(ham)
     psi0 = build_initial_state("phi_plus", BASE)
-    [(_, block)] = iter_evolved(decomp, psi0, TimeGrid(0.0, 10.0, 101).times)
+    [(_, block)] = iter_evolved(decomp, psi0, TimeGrid(0.0, 10.0, 101))
     states = block.T
     norms = np.linalg.norm(states, axis=1)
     e0 = float(np.real(psi0.conj() @ ham @ psi0))

@@ -6,11 +6,13 @@ from hypothesis import given, strategies as st
 
 from spinladder.errors import InvalidArgumentError
 from spinladder.evolution import (
+    STRIDE,
     TimeGrid,
     diagonalize,
     evolve_state,
     iter_evolved,
 )
+from spinladder.experiments import WINDOW_FACTOR, _envelope_grid, _slow_window
 from spinladder.lattice import LadderParams, build_hamiltonian, build_initial_state, parity_sector
 from spinladder.metrics import _reduced_many
 
@@ -106,7 +108,7 @@ def test_series_matches_pointwise(rng):
     decomp = diagonalize(build_hamiltonian(LadderParams(n_rungs=2)))
     psi = haar_state(rng, 16)
     grid = TimeGrid(0.0, 5.0, 23)
-    [(_, block)] = iter_evolved(decomp, psi, grid.times)
+    [(_, block)] = iter_evolved(decomp, psi, grid)
     states = block.T
     assert states.shape == (23, 16)
     for k, t in enumerate(grid.times):
@@ -119,13 +121,57 @@ def test_iter_evolved_chunking_invariance(rng, monkeypatch):
     decomp = diagonalize(build_hamiltonian(LadderParams(n_rungs=2)))
     psi = haar_state(rng, 16)
     grid = TimeGrid(0.0, 5.0, 23)
-    [(_, whole)] = iter_evolved(decomp, psi, grid.times)
+    [(_, whole)] = iter_evolved(decomp, psi, grid)
     monkeypatch.setattr("spinladder.evolution.CHUNK", 7)
-    blocks = list(iter_evolved(decomp, psi, grid.times))
+    blocks = list(iter_evolved(decomp, psi, grid))
     assert [states.shape[1] for _, states in blocks] == [7, 7, 7, 2]
     assert np.concatenate([t for t, _ in blocks]).shape == (23,)
     stitched = np.concatenate([states for _, states in blocks], axis=1)
     assert np.abs(stitched - whole).max() < 1e-13
+
+
+def _direct_states(decomp, psi0, times):
+    """V (c exp(-i w t)) with one complex exp per eigenvalue and time: the phases' oracle."""
+    w, vectors = decomp.eigenvalues, decomp.eigenvectors
+    coeffs = vectors.conj().T @ psi0[decomp.basis]
+    return vectors @ (coeffs[:, None] * np.exp(-1j * np.outer(w, times)))
+
+
+def _worst_against_direct(decomp, psi0, grid):
+    """Largest amplitude error of iter_evolved against _direct_states, block by block."""
+    return max(np.abs(states - _direct_states(decomp, psi0, block)).max()
+               for block, states in iter_evolved(decomp, psi0, grid))
+
+
+def test_phase_tables_match_direct_exp_on_long_high_field_grid():
+    """The h = 400 sweep row's grid: 102,421 points out to t = 1137.6 at N = 3.
+
+    Anchor times a table offset is the direct phase up to round-off in the
+    arguments w t, which grows as |w| t: the states stay within 4 eps
+    max|w| t_end (8.1e-10 here) of the one-exp-per-point evolution.
+    """
+    params = LadderParams(h=400.0)
+    psi0 = build_initial_state("phi_plus", params)
+    decomp = _sector_decomp(params, psi0)
+    grid = _envelope_grid(params, _slow_window(params, WINDOW_FACTOR))
+    assert grid.n_points == 102421
+    bound = 4.0 * np.abs(decomp.eigenvalues).max() * grid.t_end * 2.0 ** -52
+    assert _worst_against_direct(decomp, psi0, grid) <= bound
+
+
+def test_phase_tables_with_chunk_and_grid_off_the_stride(monkeypatch):
+    """Neither CHUNK nor n_points is a multiple of STRIDE: anchors restart in every chunk."""
+    p = LadderParams()
+    psi0 = build_initial_state("phi_plus", p)
+    decomp = _sector_decomp(p, psi0)
+    grid = TimeGrid(0.0, 10.0, 1000)
+    monkeypatch.setattr("spinladder.evolution.CHUNK", 150)
+    assert 150 % STRIDE and grid.n_points % STRIDE
+    blocks = list(iter_evolved(decomp, psi0, grid))
+    assert [states.shape[1] for _, states in blocks] == [150] * 6 + [100]
+    assert np.array_equal(np.concatenate([t for t, _ in blocks]), grid.times)
+    bound = 4.0 * np.abs(decomp.eigenvalues).max() * grid.t_end * 2.0 ** -52
+    assert _worst_against_direct(decomp, psi0, grid) <= bound
 
 
 def test_energy_conserved_on_reference_run():
@@ -134,7 +180,7 @@ def test_energy_conserved_on_reference_run():
     decomp = diagonalize(ham)
     psi0 = build_initial_state("phi_plus", p)
     e0 = np.real(psi0.conj() @ ham @ psi0)
-    [(_, block)] = iter_evolved(decomp, psi0, TimeGrid(0.0, 10.0, 101).times)
+    [(_, block)] = iter_evolved(decomp, psi0, TimeGrid(0.0, 10.0, 101))
     states = block.T
     energies = np.real(np.einsum("ki,ij,kj->k", states.conj(), ham, states))
     assert np.abs(energies - e0).max() < 1e-9 * max(abs(e0), 1.0)
@@ -171,14 +217,14 @@ def test_sector_evolution_matches_full_space_oracle():
     assert decomp.dim == 32 and np.isrealobj(decomp.eigenvectors)
     oracle = diagonalize(pauli_hamiltonian(p))
     assert np.array_equal(oracle.basis, np.arange(64)) and not np.isrealobj(oracle.eigenvectors)
-    times = TimeGrid(0.0, 10.0, 401).times
-    [(_, sector_states)] = iter_evolved(decomp, psi0, times)
-    [(_, expected)] = iter_evolved(oracle, psi0, times)
+    grid = TimeGrid(0.0, 10.0, 401)
+    [(_, sector_states)] = iter_evolved(decomp, psi0, grid)
+    [(_, expected)] = iter_evolved(oracle, psi0, grid)
     assert sector_states.shape == (32, 401)
     states = np.zeros((64, 401), dtype=complex)
     states[decomp.basis] = sector_states
     assert states.shape == (64, 401)
-    early = times <= 5.0
+    early = grid.times <= 5.0
     assert np.abs(states[:, early] - expected[:, early]).max() <= 1e-12
     for keep in ([1, 2], [3, 4], [5, 6], [1, 2, 5, 6]):
         rho = _reduced_many(sector_states, keep, 6, decomp.basis)
@@ -191,12 +237,12 @@ def test_sector_states_stream_in_sector_coordinates(monkeypatch):
     p = LadderParams(n_rungs=2)
     psi0 = build_initial_state("phi_plus", p)
     decomp = _sector_decomp(p, psi0)
-    times = TimeGrid(0.0, 5.0, 23).times
+    grid = TimeGrid(0.0, 5.0, 23)
     monkeypatch.setattr("spinladder.evolution.CHUNK", 7)
-    blocks = list(iter_evolved(decomp, psi0, times))
+    blocks = list(iter_evolved(decomp, psi0, grid))
     assert [states.shape for _, states in blocks] == [(8, 7), (8, 7), (8, 7), (8, 2)]
     stitched = np.concatenate([states for _, states in blocks], axis=1)
-    for k, t in enumerate(times):
+    for k, t in enumerate(grid.times):
         psi = evolve_state(decomp, psi0, t)
         assert psi.shape == (16,)
         assert np.abs(psi[decomp.basis] - stitched[:, k]).max() < 1e-13
@@ -211,7 +257,7 @@ def test_sector_evolution_refuses_weight_outside_basis():
     for leak in (1e-6, 1.0):
         psi = (phi + leak * odd) / np.linalg.norm(phi + leak * odd)
         with pytest.raises(InvalidArgumentError, match="outside"):
-            next(iter_evolved(decomp, psi, [0.0, 1.0]))
+            next(iter_evolved(decomp, psi, TimeGrid(0.0, 1.0, 2)))
         with pytest.raises(InvalidArgumentError, match="outside"):
             evolve_state(decomp, psi, 1.0)
     # round-off outside the sector is not a reason to refuse
@@ -219,6 +265,21 @@ def test_sector_evolution_refuses_weight_outside_basis():
     assert np.abs(evolve_state(decomp, psi, 0.0) - phi).max() < 1e-13
     with pytest.raises(InvalidArgumentError):
         evolve_state(decomp, phi[:8], 1.0)
+
+
+@pytest.mark.parametrize("space", ["parity sector", "full space"])
+def test_evolution_refuses_zero_padded_state(space):
+    """N = 2 phi_plus padded with zeros to 32 entries is not an N = 2 state."""
+    p = LadderParams(n_rungs=2)
+    phi = build_initial_state("phi_plus", p)
+    decomp = _sector_decomp(p, phi) if space == "parity sector" else diagonalize(build_hamiltonian(p))
+    assert len(decomp.basis) == (8 if space == "parity sector" else 16)
+    padded = np.concatenate([phi, np.zeros(16)])
+    with pytest.raises(InvalidArgumentError, match="shape"):
+        next(iter_evolved(decomp, padded, TimeGrid(0.0, 1.0, 2)))
+    with pytest.raises(InvalidArgumentError, match="shape"):
+        evolve_state(decomp, padded, 1.0)
+    assert evolve_state(decomp, phi, 0.0).shape == (16,)
 
 
 def test_diagonalize_checks_basis_length():

@@ -6,6 +6,7 @@ zero-field mirror symmetry) all run against it or against cheap variants.
 """
 
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -36,11 +37,15 @@ from spinladder.experiments import (
     _slow_window,
     evolve_and_measure,
 )
+from spinladder.io import read_csv
 from spinladder.lattice import LadderParams, build_initial_state, parity_sector, uniform_mask
 from spinladder.metrics import BELL_STATES, _concurrence_many, _fidelity_many, _reduced_many
 from spinladder.signals import TimeSeries, envelope_period, find_peaks
 
 from conftest import pauli_hamiltonian
+
+EFFECTIVE_CHECK_GOLDEN = (pathlib.Path(__file__).resolve().parent.parent
+                          / "goldens" / "effective-check" / "effective_check.csv")
 
 
 @pytest.fixture(scope="module")
@@ -144,7 +149,7 @@ def test_mixed_parity_run_matches_full_space_oracle():
     assert np.array_equal(parity_sector(psi0), np.arange(64))
     grid = TimeGrid(0.0, 10.0, 401)
     traj = run_reference(params, state_kind=kind, grid=grid, include_mutual_info=False)
-    [(_, states)] = iter_evolved(diagonalize(pauli_hamiltonian(params)), psi0, grid.times)
+    [(_, states)] = iter_evolved(diagonalize(pauli_hamiltonian(params)), psi0, grid)
     for pair in rung_pairs(3):
         rho = _reduced_many(states, list(pair), 6, np.arange(64))
         expected = np.clip(_concurrence_many(rho), 0.0, 1.0)
@@ -343,7 +348,9 @@ def test_effective_model_period_agrees_across_eigensolvers():
     agree between them to the goldens' rtol, as it must across BLAS builds.
     """
     params = LadderParams()
-    j_eff = 0.009601070373470693  # J_eff of goldens/effective-check at h = 100
+    _, golden = read_csv(str(EFFECTIVE_CHECK_GOLDEN))
+    assert golden["h"] == [100.0]
+    [j_eff] = golden["J_eff"]
     ham = build_effective_hamiltonian(j_eff, params)
     assert not ham.imag.any()
     grid = _envelope_grid(params, _slow_window(params, 1.2))

@@ -22,14 +22,13 @@ from spinladder.lattice import (
     leg_bonds,
     mediating_mask,
     parity_sector,
-    pauli_string,
     uniform_mask,
 )
 
-from conftest import pauli_hamiltonian
+from conftest import pauli_hamiltonian, pauli_string
 
 
-# ---------------------------------------------------------------- pauli_string
+# ------------------------------------------- pauli_string (the tests' oracle)
 
 def test_single_z_site1():
     # |0> is spin-down with sigma_z eigenvalue -1 and site 1 is the most
