@@ -9,7 +9,10 @@ eigensolver (LAPACK syevd).
 The decomposition records that sector's basis. Evolution takes a full-space
 initial state; the streamed states stay in the sector's coordinates, which
 metrics._reduced_many reads directly. Only evolve_state scatters a state
-back into the full space.
+back into the full space. A caller that needs only linear images M psi(t)
+of the states, such as the phi_plus amplitudes behind the terminal
+fidelity, passes iter_evolved the readout M V and gets those rows without
+the states.
 
 iter_evolved streams a uniform TimeGrid. Its phases exp(-i w t) come from
 two small tables instead of one complex exp per eigenvalue and time: an
@@ -139,14 +142,18 @@ def evolve_state(decomp, psi0, t):
     return psi
 
 
-def iter_evolved(decomp, psi0, grid):
-    """Yield (time_block, state_block) pairs over a TimeGrid, states as columns in decomp's basis.
+def iter_evolved(decomp, psi0, grid, readouts=None):
+    """Yield (time_block, row_block) pairs over a TimeGrid, one column per time.
 
     This is the streaming workhorse behind experiments.evolve_and_measure;
     long sweeps never materialize the full state history. psi0 is a
-    full-space state. The rotation runs in decomp's basis, with a real matrix
-    product when V is real, and each state block has shape (decomp.dim,
-    len(time_block)): row r is the amplitude of basis state decomp.basis[r].
+    full-space state. Each chunk's eigenbasis block c exp(-i w t) is
+    multiplied by every matrix in readouts, each in its own product (a real
+    one when the matrices are real), and their rows are stacked in order.
+    readouts defaults to (V,): the row block is then the states in decomp's
+    basis, shape (decomp.dim, len(time_block)), with row r the amplitude of
+    basis state decomp.basis[r]. A readout R = M V yields M psi(t) without
+    forming the states.
 
     The grid is uniform, so each time is an anchor (every STRIDE-th grid
     time from a chunk's start, taken from grid.times) plus an offset
@@ -154,7 +161,10 @@ def iter_evolved(decomp, psi0, grid):
     offset phase. The offset phases are one table per call; the anchor
     phases are computed per chunk.
     """
-    w, vectors = decomp.eigenvalues, decomp.eigenvectors
+    w = decomp.eigenvalues
+    readouts = (decomp.eigenvectors,) if readouts is None else tuple(readouts)
+    bounds = np.cumsum([0] + [len(readout) for readout in readouts])
+    real = not any(np.iscomplexobj(readout) for readout in readouts)
     coeffs = _coefficients(decomp, psi0)
     times = grid.times
     offsets = np.exp(-1j * np.outer(w, np.arange(min(STRIDE, grid.n_points)) * grid.dt))
@@ -163,7 +173,8 @@ def iter_evolved(decomp, psi0, grid):
         anchors = coeffs[:, None] * np.exp(-1j * np.outer(w, block[::STRIDE]))
         rotated = (anchors[:, :, None] * offsets[:, None, :len(block)]).reshape(len(w), -1)
         rotated = np.ascontiguousarray(rotated[:, :len(block)])
-        if np.isrealobj(vectors):
-            yield block, (vectors @ rotated.view(float)).view(complex)
-        else:
-            yield block, vectors @ rotated
+        rows = np.empty((bounds[-1], len(block)), dtype=complex)
+        target, operand = (rows.view(float), rotated.view(float)) if real else (rows, rotated)
+        for readout, lo, hi in zip(readouts, bounds, bounds[1:]):
+            np.matmul(readout, operand, out=target[lo:hi])
+        yield block, rows

@@ -3,9 +3,11 @@
 Every study is a plain function from parameters to tabular results:
 reference trajectory, field sweep, anisotropy heatmap, disorder ensemble,
 size scaling, effective-model comparison, and the carrier-frequency table.
-All of them run through evolve_and_measure, which streams the evolved states
-in chunks, so long windows at large field never hold the full state history
-in memory, and which computes only the channels its caller asks for.
+All of them run through evolve_and_measure, which streams the evolution in
+chunks, so long windows at large field never hold the full state history
+in memory, and which computes only the channels its caller asks for: a
+fidelity-only run (the heatmap, the disorder ensemble) streams the terminal
+pair's phi_plus amplitudes instead of states.
 """
 
 import math
@@ -25,8 +27,7 @@ from .lattice import (
     dressed_gap,
     parity_sector,
 )
-from .metrics import BELL_STATES, _concurrence_many, _entropy_many, _fidelity_many, _reduced_many, \
-    _site_marginals
+from .metrics import _concurrence_many, _entropy_many, _phi_plus_map, _reduced_many, _site_marginals
 from .signals import ENVELOPE_PROMINENCE, FitResult, TimeSeries, envelope_period, dominant_frequency, \
     extract_alpha, effective_coupling_from_period, loglog_fit
 
@@ -152,9 +153,14 @@ def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False
 
     pairs lists the rung pairs whose concurrence is recorded; fidelity adds
     the terminal pair's phi_plus fidelity; mutual_info adds I(first),
-    I(terminal) and the joint first-terminal channel. Every pair is reduced
-    once per chunk, in decomp's basis, however many channels read it; the
-    single sites that mutual information needs are traced from their pair.
+    I(terminal) and the joint first-terminal channel. Only pairs and mutual
+    information need states: every pair is reduced once per chunk, in
+    decomp's basis, however many channels read it, and the single sites that
+    mutual information needs are traced from their pair. Fidelity reads no
+    state and no rho: iter_evolved applies A = P V (P from
+    metrics._phi_plus_map, formed once per call) in a product of its own,
+    and F = sum_m |a_m|^2 over the amplitudes a it yields, so F comes from
+    the same arithmetic whatever other channels a run asks for.
     psi0 defaults to the phi_plus input and decomp to the spectrum of
     params' Hamiltonian on psi0's parity sector. C and F are clipped into
     [0, 1]; mutual information is not. Channels not asked for come back
@@ -165,18 +171,25 @@ def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False
     n_sites, n_points, times = params.n_sites, grid.n_points, grid.times
     ladder = rung_pairs(params.n_rungs)
     first, terminal = ladder[0], ladder[-1]
-    reduced = dict.fromkeys(list(pairs) + [terminal] * fidelity + [first, terminal] * mutual_info)
+    reduced = dict.fromkeys(list(pairs) + [first, terminal] * mutual_info)
+    readouts = [decomp.eigenvectors] if reduced else []
+    split = decomp.dim if reduced else 0
+    if fidelity:
+        readouts.append(_phi_plus_map(decomp.basis, terminal, n_sites) @ decomp.eigenvectors)
     conc = {pair: np.empty(n_points) for pair in pairs}
     fid = np.empty(n_points) if fidelity else None
     mi = {name: np.empty(n_points) for name in ("first", "terminal", "joint") if mutual_info}
     pos = 0
-    for _, states in iter_evolved(decomp, psi0, grid):
-        sl = slice(pos, pos + states.shape[1])
+    for block, rows in iter_evolved(decomp, psi0, grid, readouts):
+        sl = slice(pos, pos + len(block))
+        states, amplitudes = rows[:split], rows[split:]
         rhos = {pair: _reduced_many(states, list(pair), n_sites, decomp.basis) for pair in reduced}
         for pair in pairs:
             conc[pair][sl] = _concurrence_many(rhos[pair])
         if fidelity:
-            fid[sl] = _fidelity_many(rhos[terminal], BELL_STATES["phi_plus"])
+            parts = amplitudes.view(float)  # real and imaginary parts alternate along a row
+            squares = np.einsum("mt,mt->t", parts, parts)
+            fid[sl] = squares[::2] + squares[1::2]
         if mutual_info:
             s_first = _entropy_many(rhos[first])
             s_term = _entropy_many(rhos[terminal])

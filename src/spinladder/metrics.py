@@ -6,7 +6,8 @@ The partial trace reads states in the coordinates they were evolved in: a
 parity sector's basis, or the full space. A parity sector splits every
 reduced rho into two blocks, even and odd kept configurations, and each
 block is gathered straight from the sector rows; nothing is scattered back
-into the full space first.
+into the full space first. A pair's phi_plus fidelity needs no rho at all:
+_phi_plus_map gives the linear map whose images' squared norm it is.
 
 Concurrence has two routes. Every definite-parity run yields X states: the
 only nonzero elements of a pair's rho are the diagonal and the antidiagonal.
@@ -113,6 +114,28 @@ def _reduced_many(states, keep, n_sites, basis):
         block = states[np.array(gather)]
         rho[:, np.array(configs)[:, None], configs] = np.einsum("imt,jmt->tij", block, block.conj())
     return rho
+
+
+def _phi_plus_map(basis, pair, n_sites):
+    """Real map P from basis coordinates onto <phi_plus|_pair (x) 1, one row per rest configuration.
+
+    The pair's phi_plus fidelity is linear in the state: with a_m =
+    (psi_{00,m} + psi_{11,m}) / sqrt(2) over the configurations m of the
+    other sites, F = sum_m |a_m|^2, and a = P psi. Row k pairs the basis
+    rows whose pair configuration is 00 and 11 and whose rest code is the
+    k-th smallest m; a basis whose 00 and 11 configurations have different
+    supports in m is refused.
+    """
+    rest = [k for k in range(1, n_sites + 1) if k not in pair]
+    a, m = _site_code(basis, pair, n_sites), _site_code(basis, rest, n_sites)
+    zeros, ones = np.flatnonzero(a == 0), np.flatnonzero(a == 3)
+    zeros, ones = zeros[np.argsort(m[zeros])], ones[np.argsort(m[ones])]
+    if not np.array_equal(m[zeros], m[ones]):
+        raise InvalidArgumentError(f"basis gives the 00 and 11 configurations of sites {list(pair)} "
+                                   f"different supports")
+    proj, rows = np.zeros((len(zeros), len(basis))), np.arange(len(zeros))
+    proj[rows, zeros] = proj[rows, ones] = _S2
+    return proj
 
 
 def _site_code(rows, sites, n_sites):

@@ -249,6 +249,32 @@ def test_sector_states_stream_in_sector_coordinates(monkeypatch):
         assert not np.delete(psi, decomp.basis).any()
 
 
+@pytest.mark.parametrize("space", ["parity sector", "full space"])
+def test_readouts_stack_their_own_products(space, monkeypatch):
+    """Each readout R = M V yields M psi(t), bit for bit the same alone or behind others.
+
+    The parity sector has real V and takes the real product, the complex
+    pauli_string Hamiltonian the complex one.
+    """
+    p = LadderParams()
+    psi0 = build_initial_state("phi_plus", p)
+    decomp = _sector_decomp(p, psi0) if space == "parity sector" else diagonalize(pauli_hamiltonian(p))
+    assert np.isrealobj(decomp.eigenvectors) == (space == "parity sector")
+    mixer = np.random.default_rng(5).normal(size=(decomp.dim // 4, decomp.dim))
+    readout = mixer @ decomp.eigenvectors
+    grid = TimeGrid(0.0, 5.0, 23)
+    monkeypatch.setattr("spinladder.evolution.CHUNK", 7)
+    states = list(iter_evolved(decomp, psi0, grid))
+    alone = list(iter_evolved(decomp, psi0, grid, [readout]))
+    both = list(iter_evolved(decomp, psi0, grid, [decomp.eigenvectors, readout]))
+    assert [rows.shape for _, rows in alone] == [(decomp.dim // 4, 7)] * 3 + [(decomp.dim // 4, 2)]
+    for (_, full), (_, part), (_, stacked) in zip(states, alone, both):
+        assert stacked.shape == (decomp.dim + decomp.dim // 4, full.shape[1])
+        assert np.array_equal(stacked[:decomp.dim], full)
+        assert np.array_equal(stacked[decomp.dim:], part)
+        assert np.abs(part - mixer @ full).max() <= 1e-12
+
+
 def test_sector_evolution_refuses_weight_outside_basis():
     p = LadderParams(n_rungs=2)
     phi = build_initial_state("phi_plus", p)

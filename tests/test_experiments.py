@@ -279,15 +279,48 @@ def test_ensemble_stats_fields():
 
 
 def test_fidelity_only_drivers_skip_concurrence(monkeypatch):
-    """The heatmap and the disorder ensemble read fidelity alone, so no concurrence is computed."""
-    def refuse(rhos):
-        raise AssertionError("a fidelity-only driver evaluated concurrence")
+    """The heatmap and the disorder ensemble read fidelity alone: no concurrence, no rho, no states.
+
+    Their evolution yields only the dim/4 phi_plus amplitudes of the
+    terminal pair, never the dim-row state block.
+    """
+    def refuse(*args):
+        raise AssertionError("a fidelity-only driver evaluated concurrence or reduced a rho")
     monkeypatch.setattr("spinladder.experiments._concurrence_many", refuse)
+    monkeypatch.setattr("spinladder.experiments._reduced_many", refuse)
+    shapes = []
+
+    def recording(decomp, psi0, grid, readouts=None):
+        for block, rows in iter_evolved(decomp, psi0, grid, readouts):
+            shapes.append((decomp.dim, rows.shape))
+            yield block, rows
+    monkeypatch.setattr("spinladder.experiments.iter_evolved", recording)
     grid = TimeGrid(0.0, 2.0, 81)
     hm = anisotropy_heatmap([1.0], [0.5], grid=grid)
     assert 0.0 <= hm.f_max[0, 0] <= 1.0
     stats = disorder_ensemble(0.05, 2, base_seed=3, grid=grid)
     assert stats.peak_fidelities.shape == (2,)
+    assert shapes == [(32, (8, 81))] * 3
+
+
+@pytest.mark.parametrize("n_rungs, kind", [(3, "phi_plus"), (3, "psi_minus_plus_phi_plus"), (1, "phi_plus")],
+                         ids=["parity sector", "full space", "single rung"])
+def test_fidelity_is_bitwise_the_same_with_every_channel(n_rungs, kind):
+    """F comes from the same amplitude product whether or not states and rhos are also computed.
+
+    The single rung's pair is the whole system, so no other site is left over.
+    The grid spans two evolution chunks.
+    """
+    params = LadderParams(n_rungs=n_rungs)
+    psi0 = build_initial_state(kind, params)
+    assert len(parity_sector(psi0)) == (4 ** n_rungs if kind == "psi_minus_plus_phi_plus" else 4 ** n_rungs // 2)
+    grid = TimeGrid(0.0, 10.0, 2501)
+    alone = evolve_and_measure(params, grid, fidelity=True, psi0=psi0)
+    every = evolve_and_measure(params, grid, rung_pairs(n_rungs), fidelity=True, mutual_info=True,
+                               psi0=psi0)
+    assert alone.pair_concurrence == {} and alone.mutual_info is None
+    assert list(every.pair_concurrence) == [pair_label(*pair) for pair in rung_pairs(n_rungs)]
+    assert np.array_equal(alone.fidelity_terminal.values, every.fidelity_terminal.values)
 
 
 # ------------------------------------------------------------- effective model

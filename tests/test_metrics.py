@@ -14,7 +14,10 @@ from spinladder.lattice import parity_sector
 from spinladder.metrics import (
     BELL_STATES,
     _concurrence_many,
+    _fidelity_many,
+    _phi_plus_map,
     _reduced_many,
+    _site_code,
     _site_marginals,
     bell_fidelity,
     concurrence,
@@ -127,6 +130,45 @@ def test_reduction_refuses_basis_mixing_blocks():
     # so the supports of the two configurations of site 1 overlap without being equal
     with pytest.raises(InvalidArgumentError):
         _reduced_many(np.ones((3, 1), dtype=complex), [1], 2, np.array([0, 1, 2]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_rungs=st.integers(min_value=1, max_value=5), order=st.permutations(range(1, 11)),
+       sector=st.sampled_from([0, 1, None]), seed=st.integers(min_value=0, max_value=2 ** 31))
+@example(n_rungs=1, order=[2, 1, 3, 4, 5, 6, 7, 8, 9, 10], sector=0, seed=0)
+@example(n_rungs=5, order=[9, 10, 1, 2, 3, 4, 5, 6, 7, 8], sector=1, seed=0)
+@example(n_rungs=5, order=[10, 3, 1, 2, 4, 5, 6, 7, 8, 9], sector=None, seed=0)
+def test_phi_plus_amplitudes_match_reduced_fidelity(n_rungs, order, sector, seed):
+    """sum_m |(P psi)_m|^2 is the pair's <phi_plus|rho|phi_plus>, and unpaired 00/11 rows are refused.
+
+    sector 0 is the even parity sector, 1 the odd one, None the full space.
+    P pairs rows by their rest configuration, not by position, so it is
+    built on a shuffled copy of the basis.
+    """
+    n_sites = 2 * n_rungs
+    pair = [site for site in order if site <= n_sites][:2]
+    marker = np.zeros(2 ** n_sites)
+    marker[sector or 0] = 1.0
+    basis = np.arange(2 ** n_sites) if sector is None else parity_sector(marker)
+    rng = np.random.default_rng(seed)
+    states = rng.normal(size=(len(basis), 3)) + 1j * rng.normal(size=(len(basis), 3))
+    states /= np.linalg.norm(states, axis=0)
+    codes = _site_code(basis, pair, n_sites)
+    zeros, ones = np.flatnonzero(codes == 0), np.flatnonzero(codes == 3)
+    shuffled = rng.permutation(len(basis))
+    proj = _phi_plus_map(basis[shuffled], pair, n_sites)
+    assert proj.shape == (len(zeros), len(basis))
+    fidelity = (np.abs(proj @ states[shuffled]) ** 2).sum(axis=0)
+    expected = _fidelity_many(_reduced_many(states, pair, n_sites, basis), BELL_STATES["phi_plus"])
+    assert np.abs(fidelity - expected).max() <= 1e-13
+    refused = []
+    if len(zeros):  # one 00 or 11 row left without its partner
+        refused.append(np.delete(basis, rng.choice(np.r_[zeros, ones])))
+    if len(zeros) > 1:  # as many 00 as 11 rows, on different rest configurations
+        refused.append(np.delete(basis, [zeros[0], ones[-1]]))
+    for bad in refused:
+        with pytest.raises(InvalidArgumentError, match="different supports"):
+            _phi_plus_map(bad, pair, n_sites)
 
 
 # ----------------------------------------------------------------- concurrence
