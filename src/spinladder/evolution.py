@@ -107,7 +107,7 @@ def diagonalize(ham, basis=None):
         raise InvalidArgumentError(f"basis of {basis.shape} states for a matrix of dim {ham.shape[0]}")
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(ham)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh on dim<=1024 converges
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh on a sector (<= 512) or full space (<= 1024) converges
         raise NumericFailureError(f"eigensolver failed: {exc}") from exc
     return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors, basis=basis)
 

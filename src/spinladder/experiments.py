@@ -231,8 +231,10 @@ def run_reference(params=LadderParams(), state_kind="phi_plus", grid=DEFAULT_GRI
     """Evolve one ladder and record every rung pair's concurrence plus terminal fidelity.
 
     Mutual-information channels (first rung, terminal rung, and the joint
-    first-terminal correlation) are included by default; they roughly double
-    the per-point cost.
+    first-terminal correlation) are included by default. At N = 5 they add
+    about 60 % to the evolve-and-measure cost, most of it the joint rho's
+    two 8x8 blocks (0.20 s without, 0.32 s with, for 4001 points on one
+    Xeon core with single-threaded OpenBLAS).
     """
     psi0 = build_initial_state(state_kind, params)
     return evolve_and_measure(params, grid, rung_pairs(params.n_rungs), fidelity=True,
@@ -243,7 +245,8 @@ def scaling_run(n_rungs, base=LadderParams(), grid=DEFAULT_GRID):
     """Reference-style run at a different ladder length, all pair channels, no MI.
 
     Dense diagonalization bounds the size: n_rungs above MAX_DENSE_RUNGS
-    (dimension 1024) is refused rather than silently slow.
+    (a 512-state parity sector at five rungs) is refused rather than
+    silently slow.
     """
     if n_rungs > MAX_DENSE_RUNGS:
         raise UnsupportedSizeError(

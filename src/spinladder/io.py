@@ -107,6 +107,8 @@ def _refusal(key, value):
             _split(value, int)
         except ValueError:
             return "field_mask must be 'mediating', 'uniform', or comma-separated rung indices"
+    if key in _LIST_KEYS and not _split(value, _LIST_KEYS[key]):
+        return f"{key} must list at least one value"
     if key == "n_values":
         for n in _split(value, int):
             if n > MAX_DENSE_RUNGS:
@@ -247,7 +249,7 @@ def write_trajectory(traj, csv_path, sidecar_path=None, extras=None):
     if traj.mutual_info:
         header += list(traj.mutual_info)
         columns += [series.values for series in traj.mutual_info.values()]
-    write_table(zip(*columns), csv_path, header)
+    _write_columns(columns, csv_path, header)
     if sidecar_path is not None:
         summary = dict(extras or {})
         summary.update(trajectory_summary(traj))
@@ -256,10 +258,24 @@ def write_trajectory(traj, csv_path, sidecar_path=None, extras=None):
 
 def write_table(rows, csv_path, header):
     """CSV writer: the header line, then one line per row of values."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _write_text(csv_path, "\n".join(lines) + "\n")
+    _write_columns(list(zip(*rows)), csv_path, header)
+
+
+def _write_columns(columns, csv_path, header):
+    """CSV writer over columns of equal length: the header line, then one line per row."""
+    cells = [_column_cells(column) for column in columns]
+    _write_text(csv_path, "\n".join([",".join(header)] + [",".join(row) for row in zip(*cells)]) + "\n")
+
+
+def _column_cells(column):
+    """One column's CSV cells, each as _fmt writes it.
+
+    A column of numbers is converted to floats once, through tolist(); only
+    a column holding None or str cells goes through _fmt cell by cell.
+    """
+    if not isinstance(column, np.ndarray) and any(v is None or isinstance(v, str) for v in column):
+        return [_fmt(v) for v in column]
+    return list(map(repr, np.asarray(column, dtype=float).tolist()))
 
 
 def write_sweep(result, csv_path, sidecar_path, extras):
@@ -296,8 +312,8 @@ def write_heatmap(heatmap, csv_path, sidecar_path, extras):
 
 def write_ensemble(stats, curves_csv_path, peaks_csv_path, sidecar_path, extras):
     """Mean/std fidelity curves and per-realization peak fidelities."""
-    curves = zip(stats.mean_fidelity.times, stats.mean_fidelity.values, stats.std_fidelity.values)
-    write_table(curves, curves_csv_path, ["t", "mean_F", "std_F"])
+    curves = [stats.mean_fidelity.times, stats.mean_fidelity.values, stats.std_fidelity.values]
+    _write_columns(curves, curves_csv_path, ["t", "mean_F", "std_F"])
     peaks = [(k, v) for k, v in enumerate(stats.peak_fidelities)]
     write_table(peaks, peaks_csv_path, ["realization", "F_max"])
     summary = dict(extras)

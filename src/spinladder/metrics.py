@@ -6,8 +6,20 @@ The partial trace reads states in the coordinates they were evolved in: a
 parity sector's basis, or the full space. A parity sector splits every
 reduced rho into two blocks, even and odd kept configurations, and each
 block is gathered straight from the sector rows; nothing is scattered back
-into the full space first. A pair's phi_plus fidelity needs no rho at all:
-_phi_plus_map gives the linear map whose images' squared norm it is.
+into the full space first. Within a block, the diagonal is a sum of squares
+and each element above it one complex product summed over the other sites'
+configurations; the elements below it are their conjugates. A pair's
+phi_plus fidelity needs no rho at all: _phi_plus_map gives the linear map
+whose images' squared norm it is.
+
+Entropies follow the same blocks. When every element between the even and
+odd kept configurations is exactly 0 across a stack of rhos, as it is for
+every rho reduced from a parity sector, the eigenvalues are taken per
+block: a 1x1 block (a single site) is its diagonal, a 2x2 block (half of a
+pair's X state) has the closed form (a+b)/2 +- hypot((a-b)/2, |c|), and
+larger blocks (the 16-dim joint first-terminal rho splits into two 8x8)
+go to eigvalsh. Any other matrix, such as a full-space run's rho or a
+non-power-of-two one, takes eigvalsh whole.
 
 Concurrence has two routes. Every definite-parity run yields X states: the
 only nonzero elements of a pair's rho are the diagonal and the antidiagonal.
@@ -29,6 +41,8 @@ instead turns their round-off near 0 into errors up to ~3e-8 in C; this
 route stays within ~3e-15 of 2|ad - bc| on random pure states. The Werner,
 pure-state and local-unitary oracles in the test suite pin both routes.
 """
+
+from itertools import combinations
 
 import numpy as np
 
@@ -88,15 +102,18 @@ def partial_trace(psi, keep, n_sites=None):
 def _reduced_many(states, keep, n_sites, basis):
     """Reduced density matrices of the kept sites, one per state column, no validation.
 
-    Used by the experiment drivers on every chunk of evolved states. Row r of
-    states stands for the full-space basis state basis[r]; basis is ascending,
-    as on an evolution.SpectralDecomposition. Each row splits into the kept
+    Used by the experiment drivers on every chunk of evolved states, which
+    are complex128 like every state the package makes. Row r of states
+    stands for the full-space basis state basis[r]; basis is ascending, as
+    on an evolution.SpectralDecomposition. Each row splits into the kept
     sites' configuration a, in keep order, and the configuration m of the
-    other sites. Configurations a with
-    the same support in m form one block of rho: their rows are gathered into
-    a (|block|, |m|, nt) array G, and the block is G G^dagger contracted over
-    m. Elements between blocks are exactly 0. A parity sector gives two
-    blocks (even and odd a), the full space one.
+    other sites. Configurations a with the same support in m form one block
+    of rho: their rows are gathered once into a (|block|, |m|, nt) array G,
+    and the block is G G^dagger contracted over m. Its diagonal is one
+    einsum of squares over G's float view; each element i < j is the sum
+    over m of G_i conj(G_j), and element j, i its conjugate. Elements
+    between blocks are exactly 0. A parity sector gives two blocks (even and
+    odd a), the full space one.
     """
     rest = [k for k in range(1, n_sites + 1) if k not in keep]
     a, m = _site_code(basis, keep, n_sites), _site_code(basis, rest, n_sites)
@@ -112,7 +129,13 @@ def _reduced_many(states, keep, n_sites, basis):
     rho = np.zeros((states.shape[1], 2 ** len(keep), 2 ** len(keep)), dtype=complex)
     for configs, gather in blocks.values():
         block = states[np.array(gather)]
-        rho[:, np.array(configs)[:, None], configs] = np.einsum("imt,jmt->tij", block, block.conj())
+        parts = block.view(float)  # real and imaginary parts alternate along a row
+        squares = np.einsum("imt,imt->it", parts, parts)
+        rho[:, configs, configs] = (squares[:, ::2] + squares[:, 1::2]).T
+        for i, j in combinations(range(len(configs)), 2):
+            upper = (block[i] * block[j].conj()).sum(axis=0)
+            rho[:, configs[i], configs[j]] = upper
+            rho[:, configs[j], configs[i]] = upper.conj()
     return rho
 
 
@@ -215,11 +238,42 @@ def von_neumann_entropy(rho):
 
 
 def _entropy_many(rhos):
-    ev = np.linalg.eigvalsh(rhos)
-    ev = np.clip(ev, 0.0, None)
+    """Entropies in bits of a stack of density matrices, no validation.
+
+    Eigenvalues come per parity block when the stack allows it (see
+    _eigenvalues_many); negative round-off eigenvalues are clamped to 0.
+    """
+    ev = np.clip(_eigenvalues_many(rhos), 0.0, None)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(ev > 0.0, ev * np.log2(np.where(ev > 0.0, ev, 1.0)), 0.0)
     return -terms.sum(axis=-1)
+
+
+def _eigenvalues_many(rhos):
+    """Eigenvalues of a stack of Hermitian matrices, per parity block where the data allow it.
+
+    Row k of a 2^n-dim matrix is a configuration of n sites, of parity
+    popcount(k) mod 2. If every element between the two parities is exactly
+    0 in every matrix of the stack, each parity's block is solved alone;
+    otherwise, or for other dimensions, the whole matrix goes to eigvalsh.
+    Eigenvalues come back unsorted.
+    """
+    dim = rhos.shape[-1]
+    parity = np.array([bin(k).count("1") & 1 for k in range(dim)])
+    if dim < 2 or dim & (dim - 1) or rhos[:, parity[:, None] != parity].any():
+        return np.linalg.eigvalsh(rhos)
+    values = []
+    for rows in (np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)):
+        block = rhos[:, rows[:, None], rows]
+        if len(rows) == 1:
+            values.append(block[:, 0].real)
+        elif len(rows) == 2:
+            a, b, c = block[:, 0, 0].real, block[:, 1, 1].real, np.abs(block[:, 0, 1])
+            mean, spread = (a + b) / 2.0, np.hypot((a - b) / 2.0, c)
+            values += [mean - spread, mean + spread]
+        else:
+            values.append(np.linalg.eigvalsh(block))
+    return np.column_stack(values)
 
 
 def mutual_information(psi, part_a, part_b, n_sites=None):

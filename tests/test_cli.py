@@ -106,6 +106,16 @@ def test_invalid_flag_value_exits_2(tmp_path):
     assert main(["reference", "--out", str(tmp_path), "--n-rungs", "7"]) == 2
 
 
+@pytest.mark.parametrize("command,flag", [("field-sweep", "--h-values"), ("effective-check", "--eff-h-values"),
+                                          ("disorder", "--deltas"), ("freq-table", "--d-values"),
+                                          ("scaling", "--n-values")])
+def test_empty_list_value_exits_2(tmp_path, capsys, command, flag):
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out), flag, ""]) == 2
+    assert "at least one value" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_file_exits_2(tmp_path):
     code = main(["reference", "--config", str(tmp_path / "absent.cfg"),
                  "--out", str(tmp_path)])

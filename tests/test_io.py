@@ -125,6 +125,11 @@ _ERROR_LINES = {
     "h = 10\nd_values = 0,x\n": 2,
     "h = 10\nn_values = 4.5\n": 2,
     "h = 10\nn_points = many\n": 2,
+    "h_values =\n": 1,
+    "h = 10\neff_h_values = ,\n": 2,
+    "deltas = \n": 1,
+    "h = 10\n\nd_values = , ,\n": 3,
+    "n_values =\n": 1,
 }
 
 
@@ -147,6 +152,11 @@ _ERROR_LINES = {
     ("h = 10\nn_points = many\n", "n_points"),
     ("h = 10\nfield_mask = abc\n", "field_mask"),
     ("h = 10\nn_points = 1\n", "n_points"),
+    ("h_values =\n", "h_values"),
+    ("h = 10\neff_h_values = ,\n", "eff_h_values"),
+    ("deltas = \n", "deltas"),
+    ("h = 10\n\nd_values = , ,\n", "d_values"),
+    ("n_values =\n", "n_values"),
 ])
 def test_validation_names_offending_key(text, key):
     with pytest.raises(ConfigurationError) as err:
@@ -335,6 +345,10 @@ def test_write_table_generic(tmp_path):
                 str(path), ["d", "omega"])
     header, columns = read_csv(str(path))
     assert columns["omega"] == [2.8284271247461903, 4.47213595499958]
+    # a number of any type is written as repr(float(v)); None as an empty cell, text as given
+    write_table([(0, np.float64(-0.0), None, "x"), (np.int64(3), 1e-300, 2.5, "")], str(path),
+                ["k", "v", "w", "flag"])
+    assert path.read_text() == "k,v,w,flag\n0.0,-0.0,,x\n3.0,1e-300,2.5,\n"
 
 
 # --------------------------------------------------------------------- errors

@@ -14,6 +14,7 @@ from spinladder.lattice import parity_sector
 from spinladder.metrics import (
     BELL_STATES,
     _concurrence_many,
+    _entropy_many,
     _fidelity_many,
     _phi_plus_map,
     _reduced_many,
@@ -267,6 +268,64 @@ def test_entropy_reference_values():
     assert von_neumann_entropy(pure) == pytest.approx(0.0, abs=1e-10)
     assert von_neumann_entropy(np.eye(2) / 2.0) == pytest.approx(1.0, abs=1e-12)
     assert von_neumann_entropy(np.eye(4) / 4.0) == pytest.approx(2.0, abs=1e-12)
+
+
+def _plain_entropy(rhos):
+    """Oracle: S = -sum p log2 p over the clamped eigenvalues of the whole matrix."""
+    ev = np.clip(np.linalg.eigvalsh(rhos), 0.0, None)
+    return -np.where(ev > 0.0, ev * np.log2(np.where(ev > 0.0, ev, 1.0)), 0.0).sum(axis=-1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_rungs=st.integers(min_value=1, max_value=5), order=st.permutations(range(1, 11)),
+       size=st.integers(min_value=1, max_value=4), sector=st.sampled_from([0, 1, None]),
+       seed=st.integers(min_value=0, max_value=2 ** 31))
+@example(n_rungs=5, order=[1, 2, 9, 10, 3, 4, 5, 6, 7, 8], size=4, sector=0, seed=0)
+@example(n_rungs=5, order=[9, 10, 1, 2, 3, 4, 5, 6, 7, 8], size=2, sector=1, seed=0)
+@example(n_rungs=3, order=[5, 1, 2, 3, 4, 6, 7, 8, 9, 10], size=1, sector=0, seed=0)
+@example(n_rungs=3, order=[1, 2, 5, 6, 3, 4, 7, 8, 9, 10], size=4, sector=None, seed=0)
+def test_block_entropy_matches_full_spectrum(n_rungs, order, size, sector, seed):
+    """Entropies of reduced states equal those of the whole matrix's eigenvalues.
+
+    sector 0 is the even parity sector, 1 the odd one, None the full space.
+    A sector's rhos take the per-parity-block route, the full space's the
+    whole-matrix one; both must agree with the plain eigenvalue entropy.
+    """
+    n_sites = 2 * n_rungs
+    keep = [site for site in order if site <= n_sites][:size]
+    marker = np.zeros(2 ** n_sites)
+    marker[sector or 0] = 1.0
+    basis = np.arange(2 ** n_sites) if sector is None else parity_sector(marker)
+    rng = np.random.default_rng(seed)
+    states = rng.normal(size=(len(basis), 5)) + 1j * rng.normal(size=(len(basis), 5))
+    states /= np.linalg.norm(states, axis=0)
+    rhos = _reduced_many(states, keep, n_sites, basis)
+    assert np.abs(_entropy_many(rhos) - _plain_entropy(rhos)).max() <= 1e-12
+    if len(keep) == 2:
+        for marginal in _site_marginals(rhos):
+            assert np.abs(_entropy_many(marginal) - _plain_entropy(marginal)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_entropy_cross_parity_element_takes_full_spectrum(dim):
+    # (|i> + |j>)/sqrt(2) with i, j of different parity is pure, so S = 0, but its
+    # only coherence lies between the parity blocks; the blocks alone would give 1 bit.
+    # Its stack partner, the maximally mixed state, has no such element.
+    parity = [bin(k).count("1") % 2 for k in range(dim)]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            if parity[i] != parity[j]:
+                psi = np.zeros(dim)
+                psi[[i, j]] = 1.0 / np.sqrt(2.0)
+                stack = np.array([np.outer(psi, psi), np.eye(dim) / dim], dtype=complex)
+                assert np.abs(_entropy_many(stack) - [0.0, np.log2(dim)]).max() <= 1e-12, (i, j)
+                assert von_neumann_entropy(stack[0]) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_entropy_general_and_odd_sized_density_matrices(rng):
+    for dim in (3, 4):
+        rho = random_density(rng, dim)
+        assert von_neumann_entropy(rho) == pytest.approx(_plain_entropy(rho[None])[0], abs=1e-12)
 
 
 def test_entropy_symmetry_on_pure_bipartition(rng):
