@@ -3,8 +3,9 @@
 Simulates a Bell pair injected on the first rung and carried to the last
 rung by leg couplings, with a strong transverse-axis field on the rungs in
 between freezing the mediators. Real parity-sector exact diagonalization:
-the real Hamiltonian is built and diagonalized only on the initial state's
-spin-flip parity sector, so system sizes are desk-scale (up to five rungs).
+the real Hamiltonian is built only on the initial state's spin-flip parity
+sector and diagonalized only on the leg-swap x mirror blocks of it that the
+state occupies, so system sizes are desk-scale (up to five rungs).
 """
 
 __version__ = "0.1.0"
@@ -14,7 +15,8 @@ from .errors import (ConfigurationError, InsufficientDataError,
                      UnsupportedSizeError)
 from .lattice import (INITIAL_STATE_KINDS, LadderParams, bond_hamiltonian,
                       build_hamiltonian, build_initial_state, dressed_gap,
-                      leg_bonds, mediating_mask, parity_sector, uniform_mask)
+                      leg_bonds, mediating_mask, parity_sector, symmetry_blocks,
+                      uniform_mask)
 from .evolution import (SpectralDecomposition, TimeGrid, diagonalize,
                         evolve_state, iter_evolved)
 from .metrics import (bell_fidelity, concurrence, mutual_information,

@@ -3,9 +3,12 @@
 The Hamiltonian is diagonalized once; evolution at any time is then a phase
 rotation in the eigenbasis, exact to machine precision. The ladder
 Hamiltonian is real and conserves spin-flip parity, so the drivers
-diagonalize only the real block on the initial state's parity sector (512
-of the 4^5 = 1024 states at five rungs) with NumPy's real-symmetric
-eigensolver (LAPACK syevd).
+build it only on the initial state's parity sector (512 of the 4^5 = 1024
+states at five rungs). On a clean ladder it also commutes with the leg swap
+and the rung mirror; diagonalize then solves, with NumPy's real-symmetric
+eigensolver (LAPACK syevd), only the symmetry blocks the initial state
+occupies (lattice.symmetry_blocks: 152 + 120 of the 512 phi_plus sector
+states at five rungs) and maps their eigenvectors back into the sector.
 The decomposition records that sector's basis. Evolution takes a full-space
 initial state; the streamed states stay in the sector's coordinates, which
 metrics._reduced_many reads directly. Only evolve_state scatters a state
@@ -28,9 +31,15 @@ import numpy as np
 from .errors import InvalidArgumentError, NumericFailureError
 
 
-#: Largest norm of a state's part outside a decomposition's basis that
-#: evolution treats as round-off; a larger one is refused, never dropped.
+#: Largest norm of a state's part outside a decomposition's basis, or outside
+#: the span of its eigenvectors, that evolution treats as round-off; a larger
+#: one is refused, never dropped.
 SECTOR_LEAK_TOL = 1e-12
+
+#: Largest element of A - B, relative to A's largest element (at least 1),
+#: for which two matrices count as equal: H and H^dagger, or H and its image
+#: under a site permutation.
+MATRIX_TOL = 1e-12
 
 #: Time points per state block of iter_evolved, which bounds the memory held.
 CHUNK = 2048
@@ -42,18 +51,30 @@ STRIDE = 64
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigen-factorization H = V diag(w) V^dagger with w ascending.
+    """Eigenpairs H V = V diag(w) of H on a basis, w ascending.
 
     basis lists the full-space basis states that H's rows and columns stand
-    for, ascending.
+    for, ascending. eigenvectors has one orthonormal column per eigenvalue
+    and one row per basis state, shape (len(basis), dim). dim, the number of
+    eigenpairs kept, is len(basis) for a complete decomposition and smaller
+    when only the symmetry blocks an initial state occupies were solved; V
+    then spans an invariant subspace of H, and states outside it cannot be
+    evolved.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     basis: np.ndarray
 
+    def __post_init__(self):
+        shape = (len(self.basis), len(self.eigenvalues))
+        if np.shape(self.eigenvectors) != shape:
+            raise InvalidArgumentError(f"eigenvectors of shape {np.shape(self.eigenvectors)} for "
+                                       f"{shape[1]} eigenvalues on a basis of {shape[0]} states")
+
     @property
     def dim(self):
+        """The number of eigenpairs kept, len(eigenvalues), at most len(basis)."""
         return len(self.eigenvalues)
 
 
@@ -88,28 +109,50 @@ def _check_hermitian(matrix):
         raise InvalidArgumentError(f"expected a square matrix, got shape {matrix.shape}")
     scale = np.abs(matrix).max()
     dev = np.abs(matrix - matrix.conj().T).max()
-    if dev > 1e-12 * max(scale, 1.0):
+    if dev > MATRIX_TOL * max(scale, 1.0):
         raise InvalidArgumentError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     return matrix
 
 
-def diagonalize(ham, basis=None):
-    """Full eigendecomposition of a Hermitian matrix, eigenvalues ascending.
+def diagonalize(ham, basis=None, blocks=None):
+    """Eigenpairs of a Hermitian matrix on the given blocks, eigenvalues ascending.
 
-    A real matrix takes the real-symmetric solver and yields real
-    eigenvectors. basis lists the full-space basis states that ham's rows
-    stand for (see lattice.parity_sector; None: all of them) and is recorded
-    in the result.
+    Each block is an orthonormal map U from the block's coordinates into
+    ham's, in the orbit form lattice.symmetry_blocks returns: a pair
+    (rows, coefs) of (n_terms, k) arrays with U[rows[g, j], j] the sum of
+    coefs[g, j] over the terms g that share that row. Every block is solved
+    alone, on U^T ham U, and its eigenvectors are folded through U, so the
+    result's eigenvectors are (len(basis), sum of k) in ham's coordinates.
+    blocks defaults to one block, every row with coefficient 1, which
+    solves ham itself. A real matrix takes the real-symmetric solver and
+    yields real eigenvectors. basis lists the full-space basis states that
+    ham's rows stand for (see lattice.parity_sector; None: all of them) and
+    is recorded in the result.
     """
     ham = _check_hermitian(ham)
-    basis = np.asarray(np.arange(len(ham)) if basis is None else basis, dtype=np.int64)
-    if basis.shape != (ham.shape[0],):
-        raise InvalidArgumentError(f"basis of {basis.shape} states for a matrix of dim {ham.shape[0]}")
-    try:
-        eigenvalues, eigenvectors = np.linalg.eigh(ham)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh on a sector (<= 512) or full space (<= 1024) converges
-        raise NumericFailureError(f"eigensolver failed: {exc}") from exc
-    return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors, basis=basis)
+    dim = len(ham)
+    basis = np.asarray(np.arange(dim) if basis is None else basis, dtype=np.int64)
+    if basis.shape != (dim,):
+        raise InvalidArgumentError(f"basis of {basis.shape} states for a matrix of dim {dim}")
+    if blocks is None:
+        blocks = [(np.arange(dim)[None], np.ones((1, dim)))]
+    values, vectors = [], []
+    for rows, coefs in blocks:
+        projected = np.einsum("igj,gj->ij", ham[:, rows], coefs)        # ham U
+        projected = np.einsum("gjl,gj->jl", projected[rows], coefs)  # U^T ham U
+        try:
+            w, v = np.linalg.eigh(projected)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh on a block of <= 1024 states converges
+            raise NumericFailureError(f"eigensolver failed: {exc}") from exc
+        folded = np.zeros((dim, len(w)), dtype=v.dtype)
+        for r, c in zip(rows, coefs):  # the rows of one term are distinct
+            folded[r] += c[:, None] * v
+        values.append(w)
+        vectors.append(folded)
+    eigenvalues = np.concatenate(values)
+    order = np.argsort(eigenvalues, kind="stable")
+    return SpectralDecomposition(eigenvalues=eigenvalues[order],
+                                 eigenvectors=np.concatenate(vectors, axis=1)[:, order], basis=basis)
 
 
 def _sector_amplitudes(decomp, psi0):
@@ -130,8 +173,14 @@ def _sector_amplitudes(decomp, psi0):
 
 
 def _coefficients(decomp, psi0):
-    """psi0's coordinates in decomp's eigenbasis, V^dagger psi0."""
-    return decomp.eigenvectors.conj().T @ _sector_amplitudes(decomp, np.asarray(psi0, dtype=complex))
+    """psi0's coordinates in decomp's eigenbasis, V^dagger psi0; weight outside V's span is refused."""
+    amplitudes = _sector_amplitudes(decomp, np.asarray(psi0, dtype=complex))
+    coeffs = decomp.eigenvectors.conj().T @ amplitudes
+    leak = np.linalg.norm(amplitudes - decomp.eigenvectors @ coeffs)
+    if leak > SECTOR_LEAK_TOL:
+        raise InvalidArgumentError(f"state has weight {leak:.3e} outside the span of the "
+                                   f"decomposition's eigenvectors")
+    return coeffs
 
 
 def evolve_state(decomp, psi0, t):
@@ -151,7 +200,7 @@ def iter_evolved(decomp, psi0, grid, readouts=None):
     multiplied by every matrix in readouts, each in its own product (a real
     one when the matrices are real), and their rows are stacked in order.
     readouts defaults to (V,): the row block is then the states in decomp's
-    basis, shape (decomp.dim, len(time_block)), with row r the amplitude of
+    basis, shape (len(decomp.basis), len(time_block)), with row r the amplitude of
     basis state decomp.basis[r]. A readout R = M V yields M psi(t) without
     forming the states.
 

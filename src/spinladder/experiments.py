@@ -26,8 +26,9 @@ from .lattice import (
     build_initial_state,
     dressed_gap,
     parity_sector,
+    symmetry_blocks,
 )
-from .metrics import _concurrence_many, _entropy_many, _phi_plus_map, _reduced_many, _site_marginals
+from .metrics import _concurrence_many, _entropy_many, _marginals, _phi_plus_map, _reduced_many
 from .signals import ENVELOPE_PROMINENCE, FitResult, TimeSeries, envelope_period, dominant_frequency, \
     extract_alpha, effective_coupling_from_period, loglog_fit
 
@@ -155,25 +156,29 @@ def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False
     the terminal pair's phi_plus fidelity; mutual_info adds I(first),
     I(terminal) and the joint first-terminal channel. Only pairs and mutual
     information need states: every pair is reduced once per chunk, in
-    decomp's basis, however many channels read it, and the single sites that
-    mutual information needs are traced from their pair. Fidelity reads no
-    state and no rho: iter_evolved applies A = P V (P from
-    metrics._phi_plus_map, formed once per call) in a product of its own,
-    and F = sum_m |a_m|^2 over the amplitudes a it yields, so F comes from
-    the same arithmetic whatever other channels a run asks for.
-    psi0 defaults to the phi_plus input and decomp to the spectrum of
-    params' Hamiltonian on psi0's parity sector. C and F are clipped into
-    [0, 1]; mutual information is not. Channels not asked for come back
-    empty (concurrence) or None.
+    decomp's basis, however many channels read it. With mutual information
+    on, the joint first-terminal rho is reduced in place of those two
+    pairs, which are traced from it, as the single sites are from their
+    pair. Fidelity reads no state and no rho: iter_evolved applies A = P V
+    (P from metrics._phi_plus_map, formed once per call) in a product of
+    its own, and F = sum_m |a_m|^2 over the amplitudes a it yields, so F
+    comes from the same arithmetic whatever other channels a run asks for.
+    The states are the first len(decomp.basis) rows of each block, however
+    many eigenvectors decomp keeps. psi0 defaults to the phi_plus input and
+    decomp to the spectrum of params' Hamiltonian on the symmetry blocks
+    psi0 occupies. C and F are clipped into [0, 1]; mutual information is
+    not. Channels not asked for come back empty (concurrence) or None.
     """
     psi0 = build_initial_state("phi_plus", params) if psi0 is None else psi0
     decomp = _sector_spectrum(params, psi0) if decomp is None else decomp
     n_sites, n_points, times = params.n_sites, grid.n_points, grid.times
     ladder = rung_pairs(params.n_rungs)
     first, terminal = ladder[0], ladder[-1]
-    reduced = dict.fromkeys(list(pairs) + [first, terminal] * mutual_info)
-    readouts = [decomp.eigenvectors] if reduced else []
-    split = decomp.dim if reduced else 0
+    ends = [first, terminal] * mutual_info
+    traced = ends if first != terminal else []  # a one-rung joint rho is no pair of pairs
+    reduced = [pair for pair in dict.fromkeys([*pairs, *ends]) if pair not in traced]
+    readouts = [decomp.eigenvectors] if ends or pairs else []
+    split = len(decomp.basis) if readouts else 0
     if fidelity:
         readouts.append(_phi_plus_map(decomp.basis, terminal, n_sites) @ decomp.eigenvectors)
     conc = {pair: np.empty(n_points) for pair in pairs}
@@ -184,6 +189,9 @@ def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False
         sl = slice(pos, pos + len(block))
         states, amplitudes = rows[:split], rows[split:]
         rhos = {pair: _reduced_many(states, list(pair), n_sites, decomp.basis) for pair in reduced}
+        if mutual_info:
+            rho_joint = _reduced_many(states, [*first, *terminal], n_sites, decomp.basis)
+            rhos.update(zip(traced, _marginals(rho_joint)))
         for pair in pairs:
             conc[pair][sl] = _concurrence_many(rhos[pair])
         if fidelity:
@@ -193,10 +201,9 @@ def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False
         if mutual_info:
             s_first = _entropy_many(rhos[first])
             s_term = _entropy_many(rhos[terminal])
-            s_joint = _entropy_many(_reduced_many(states, [*first, *terminal], n_sites, decomp.basis))
-            mi["first"][sl] = sum(map(_entropy_many, _site_marginals(rhos[first]))) - s_first
-            mi["terminal"][sl] = sum(map(_entropy_many, _site_marginals(rhos[terminal]))) - s_term
-            mi["joint"][sl] = s_first + s_term - s_joint
+            mi["first"][sl] = sum(map(_entropy_many, _marginals(rhos[first]))) - s_first
+            mi["terminal"][sl] = sum(map(_entropy_many, _marginals(rhos[terminal]))) - s_term
+            mi["joint"][sl] = s_first + s_term - _entropy_many(rho_joint)
         pos = sl.stop
 
     mi_series = None
@@ -217,13 +224,17 @@ def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False
 
 
 def _sector_spectrum(params, psi0, **build):
-    """Spectrum of params' Hamiltonian on psi0's parity sector.
+    """Spectrum of params' Hamiltonian on the symmetry blocks psi0 occupies.
 
-    build passes bond factors on to build_hamiltonian. A psi0 that mixes
-    parities gets the full space.
+    H is built on psi0's parity sector (the full space for a psi0 that mixes
+    parities) and solved only on the leg-swap x mirror blocks that hold
+    psi0's weight (lattice.symmetry_blocks); a Hamiltonian that breaks both
+    symmetries is one block, the whole sector. build passes bond factors on
+    to build_hamiltonian.
     """
     basis = parity_sector(psi0)
-    return diagonalize(build_hamiltonian(params, basis=basis, **build), basis)
+    ham = build_hamiltonian(params, basis=basis, **build)
+    return diagonalize(ham, basis, symmetry_blocks(ham, basis, psi0[basis], params.n_rungs))
 
 
 def run_reference(params=LadderParams(), state_kind="phi_plus", grid=DEFAULT_GRID,
@@ -232,8 +243,9 @@ def run_reference(params=LadderParams(), state_kind="phi_plus", grid=DEFAULT_GRI
 
     Mutual-information channels (first rung, terminal rung, and the joint
     first-terminal correlation) are included by default. At N = 5 they add
-    about 60 % to the evolve-and-measure cost, most of it the joint rho's
-    two 8x8 blocks (0.20 s without, 0.32 s with, for 4001 points on one
+    about two thirds to the evolve-and-measure cost, most of it reducing the
+    joint rho and the eigenvalues of its two 8x8 blocks; the two end pairs
+    are traced from it (0.17 s without, 0.28 s with, for 4001 points on one
     Xeon core with single-threaded OpenBLAS).
     """
     psi0 = build_initial_state(state_kind, params)
@@ -245,8 +257,8 @@ def scaling_run(n_rungs, base=LadderParams(), grid=DEFAULT_GRID):
     """Reference-style run at a different ladder length, all pair channels, no MI.
 
     Dense diagonalization bounds the size: n_rungs above MAX_DENSE_RUNGS
-    (a 512-state parity sector at five rungs) is refused rather than
-    silently slow.
+    (a 512-state parity sector at five rungs, solved as its 152- and
+    120-state symmetry blocks) is refused rather than silently slow.
     """
     if n_rungs > MAX_DENSE_RUNGS:
         raise UnsupportedSizeError(

@@ -22,14 +22,26 @@ spins: the sx sx and sy sy terms flip spins in pairs and the rest is
 diagonal. build_hamiltonian therefore assembles a real matrix directly from
 bit operations on basis indices, and usually only on the parity sector of
 the initial state (parity_sector).
+
+Two site permutations can be symmetries too: the leg swap (2n-1 <-> 2n on
+every rung) and the mirror (rung n <-> rung N+1-n). A clean ladder with a
+mirror-symmetric field mask commutes with both; disorder or a one-leg
+variant breaks them. symmetry_blocks tests each on the built matrix and
+splits the state space into the blocks of the group the held ones
+generate, keeping only the blocks the initial state occupies: phi_plus
+is leg-even and fills the two leg-even blocks, 152 + 120 of its 512 sector
+states at five rungs.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from itertools import product
 import math
 
 import numpy as np
 
 from .errors import InvalidArgumentError
+from .evolution import MATRIX_TOL, SECTOR_LEAK_TOL
 
 # Pauli y in the spin-down-first basis, where sigma_z is diag(-1, +1) so that
 # |0> (down) has eigenvalue -1; its sign keeps sx @ sy = i sz. Only sy (x) sy
@@ -44,8 +56,9 @@ INITIAL_STATE_KINDS = (
     "separable_zero_zero",
 )
 
-#: Largest ladder the dense builder and eigensolver take (2^10 = 1024 states,
-#: of which one parity sector, 512, is diagonalized).
+#: Largest ladder the dense builder and eigensolver take (2^10 = 1024 states;
+#: the builder keeps one parity sector, 512, and on a clean ladder the
+#: eigensolver sees only the symmetry blocks the input occupies, at most 152).
 MAX_DENSE_RUNGS = 5
 
 
@@ -131,11 +144,90 @@ def parity_sector(psi):
     both parities gets all 2^n states.
     """
     psi = np.asarray(psi)
-    parity = np.array([bin(k).count("1") % 2 for k in range(len(psi))])
+    parity = np.zeros(1, dtype=np.int64)
+    while len(parity) < len(psi):  # k + 2^m has the opposite parity of k < 2^m
+        parity = np.concatenate([parity, 1 - parity])
+    parity = parity[:len(psi)]
     held = np.bincount(parity[psi != 0], minlength=2) > 0
     if not held.any():
         raise InvalidArgumentError("state has no support")
     return np.flatnonzero(held[parity])
+
+
+def symmetry_blocks(ham, basis, amplitudes, n_rungs):
+    """The symmetry blocks of ham that the amplitudes occupy, as orbit maps for evolution.diagonalize.
+
+    ham is a ladder Hamiltonian on basis (ascending full-space states) and
+    amplitudes a state in the same coordinates. Of the two site maps, the
+    leg swap and the mirror, each one whose permutation of the basis maps
+    ham onto itself (within evolution.MATRIX_TOL) is held; one that does
+    not, or that leads out of the basis, is not. The held maps generate a
+    group G of row permutations. For every character chi of G (one sign per
+    held map), the orbit {g r} of each representative row r gives the basis
+    vector sum_g chi(g) e_{g r}, normalized; it is 0, and dropped, when chi
+    is not 1 on r's stabilizer. Those vectors form an orthonormal map U into
+    basis coordinates, returned in orbit form (rows, coefs), both (|G|, k):
+    U[rows[g, j], j] sums coefs[g, j] over the g that share a row. A block
+    is kept only when |U^T amplitudes| is above round-off, so that the
+    blocks dropped leak less than evolution.SECTOR_LEAK_TOL of the state
+    together, the weight evolution refuses to lose. With no map held, G is
+    trivial and the one block is the identity. Everything but the test of
+    ham and the weights depends only on (n_rungs, basis) and is cached.
+    """
+    key = np.asarray(basis, dtype=np.int64).tobytes()
+    scale = MATRIX_TOL * max(np.abs(ham).max(), 1.0)
+    held = []
+    for k, image in enumerate(_site_map_images(n_rungs, key)):
+        if image is not None:
+            permuted = ham[image[:, None], image]
+            permuted -= ham
+            if np.abs(permuted, out=permuted).max() <= scale:
+                held.append(k)
+    blocks = _character_blocks(n_rungs, key, tuple(held))
+    floor = SECTOR_LEAK_TOL / len(blocks)  # the blocks dropped leak less than SECTOR_LEAK_TOL together
+    return [(rows, coefs) for rows, coefs in blocks
+            if np.linalg.norm(np.einsum("gj,gj->j", coefs, amplitudes[rows])) > floor]
+
+
+@lru_cache(maxsize=16)
+def _site_map_images(n_rungs, basis_key):
+    """Row images of the leg swap and the mirror on a basis, given as its int64 bytes.
+
+    A site map sends site k to map[k - 1]: the leg swap 2n-1 <-> 2n, the
+    mirror rung n to rung N+1-n on the same leg. A map that leads out of the
+    basis has the image None.
+    """
+    basis, n_sites = np.frombuffer(basis_key, dtype=np.int64), 2 * n_rungs
+    sites = np.arange(1, n_sites + 1)
+    rung_shift = 2 * (n_rungs + 1 - 2 * ((sites + 1) // 2))
+    lookup = np.full(2 ** n_sites, -1)
+    lookup[basis] = np.arange(len(basis))
+    bits = (basis[:, None] >> (n_sites - sites)) & 1
+    images = [lookup[bits @ (1 << (n_sites - site_map))]
+              for site_map in (sites + np.where(sites % 2, 1, -1), sites + rung_shift)]
+    return tuple(image if (image >= 0).all() else None for image in images)
+
+
+@lru_cache(maxsize=16)
+def _character_blocks(n_rungs, basis_key, held):
+    """Orbit maps (rows, coefs) of every character of the group the held site maps generate, read-only."""
+    images = _site_map_images(n_rungs, basis_key)
+    group = [(np.arange(len(basis_key) // 8), ())]  # (row images, positions in held of the maps composed)
+    for i, k in enumerate(held):
+        group += [(images[k][rows], used + (i,)) for rows, used in group]
+    rows = np.stack([image for image, _ in group])
+    rows = rows[:, rows.min(axis=0) == np.arange(rows.shape[1])]  # one representative per orbit
+    coincide = rows[:, None] == rows[None]  # (g, h, j): g and h take representative j to one row
+    blocks = []
+    for signs in product((1.0, -1.0), repeat=len(held)):
+        chi = np.array([np.prod([signs[i] for i in used]) for _, used in group])
+        norm2 = np.einsum("g,h,ghj->j", chi, chi, coincide)
+        kept = norm2 > 0
+        block = (rows[:, kept], chi[:, None] / np.sqrt(norm2[kept]))
+        for array in block:
+            array.flags.writeable = False
+        blocks.append(block)
+    return tuple(blocks)
 
 
 def bond_hamiltonian(n_sites, bonds, site_fields, basis=None):

@@ -167,9 +167,14 @@ def _site_code(rows, sites, n_sites):
     return bits @ (1 << np.arange(len(sites), dtype=np.int64)[::-1])
 
 
-def _site_marginals(rhos):
-    """Both single-site rhos of a stack of two-site rhos, by a 2x2 partial trace."""
-    rhos = rhos.reshape(-1, 2, 2, 2, 2)
+def _marginals(rhos):
+    """Both halves' rhos of a stack of rhos on two equal parts, by partial traces.
+
+    A pair's rho gives its two single sites, the joint rho of two pairs the
+    two pairs, each half in the order of the whole's kept sites.
+    """
+    half = int(round(np.sqrt(rhos.shape[-1])))
+    rhos = rhos.reshape(-1, half, half, half, half)
     return np.einsum("tijkj->tik", rhos), np.einsum("tijil->tjl", rhos)
 
 

@@ -7,12 +7,13 @@ from hypothesis import given, strategies as st
 from spinladder.errors import InvalidArgumentError
 from spinladder.evolution import (
     STRIDE,
+    SpectralDecomposition,
     TimeGrid,
     diagonalize,
     evolve_state,
     iter_evolved,
 )
-from spinladder.experiments import WINDOW_FACTOR, _envelope_grid, _slow_window
+from spinladder.experiments import WINDOW_FACTOR, _envelope_grid, _sector_spectrum, _slow_window
 from spinladder.lattice import LadderParams, build_hamiltonian, build_initial_state, parity_sector
 from spinladder.metrics import _reduced_many
 
@@ -312,3 +313,44 @@ def test_diagonalize_checks_basis_length():
     with pytest.raises(InvalidArgumentError):
         diagonalize(np.eye(3), basis=[0, 3])
     assert np.array_equal(diagonalize(np.eye(2), basis=[0, 3]).basis, [0, 3])
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (3, 3), (4, 2, 1), (4,)])
+def test_decomposition_refuses_eigenvectors_of_the_wrong_shape(shape):
+    """eigenvectors must be (len(basis), len(eigenvalues)): 4 basis states, 3 eigenvalues here."""
+    with pytest.raises(InvalidArgumentError, match="eigenvectors of shape"):
+        SpectralDecomposition(np.zeros(2 if shape == (4, 3) else 3), np.zeros(shape), np.arange(4))
+    assert SpectralDecomposition(np.zeros(3), np.zeros((4, 3)), np.arange(4)).dim == 3
+
+
+def test_blocked_spectrum_is_a_subset_of_the_sector_spectrum():
+    """The leg-even blocks of phi_plus at N = 4 give 72 of the 128 sector eigenpairs, ascending."""
+    p = LadderParams(n_rungs=4)
+    psi0 = build_initial_state("phi_plus", p)
+    blocked, sector = _sector_spectrum(p, psi0), _sector_decomp(p, psi0)
+    assert blocked.eigenvectors.shape == (128, 72) and blocked.dim == 72
+    assert np.all(np.diff(blocked.eigenvalues) >= 0)
+    nearest = np.abs(blocked.eigenvalues[:, None] - sector.eigenvalues[None]).min(axis=1)
+    assert nearest.max() <= 1e-12 * np.abs(sector.eigenvalues).max()
+    ham = build_hamiltonian(p, basis=blocked.basis)
+    v = blocked.eigenvectors
+    assert np.abs(v.T @ v - np.eye(72)).max() <= 1e-13
+    assert np.abs(ham @ v - v * blocked.eigenvalues).max() <= 1e-12 * np.abs(ham).max()
+
+
+def test_blocked_spectrum_refuses_weight_outside_its_blocks():
+    """|01 10 00> is half leg-odd, so the leg-even blocks of phi_plus cannot evolve it."""
+    p = LadderParams()
+    phi = build_initial_state("phi_plus", p)
+    decomp = _sector_spectrum(p, phi)
+    assert decomp.dim == 20
+    odd = np.zeros(64, dtype=complex)
+    odd[0b011000] = 1.0
+    with pytest.raises(InvalidArgumentError, match="outside the span"):
+        next(iter_evolved(decomp, odd, TimeGrid(0.0, 1.0, 2)))
+    with pytest.raises(InvalidArgumentError, match="outside the span"):
+        evolve_state(decomp, odd, 1.0)
+    even = odd.copy()
+    even[0b100100] = 1.0  # its leg-swap image: the leg-even combination evolves
+    even /= np.linalg.norm(even)
+    assert np.abs(evolve_state(decomp, even, 0.0) - even).max() < 1e-14

@@ -11,13 +11,14 @@ import pathlib
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, strategies as st
 
 from spinladder.errors import (
     InsufficientDataError,
     InvalidArgumentError,
     UnsupportedSizeError,
 )
-from spinladder.evolution import SpectralDecomposition, TimeGrid, diagonalize, iter_evolved
+from spinladder.evolution import SpectralDecomposition, TimeGrid, diagonalize, evolve_state, iter_evolved
 from spinladder.experiments import (
     DEFAULT_GRID,
     EnsembleStats,
@@ -34,12 +35,15 @@ from spinladder.experiments import (
     scaling_run,
     sweep_field,
     _envelope_grid,
+    _sector_spectrum,
     _slow_window,
     evolve_and_measure,
 )
 from spinladder.io import read_csv
-from spinladder.lattice import LadderParams, build_initial_state, parity_sector, uniform_mask
-from spinladder.metrics import BELL_STATES, _concurrence_many, _fidelity_many, _reduced_many
+from spinladder.lattice import (INITIAL_STATE_KINDS, LadderParams, build_hamiltonian, build_initial_state,
+                                leg_bonds, parity_sector, uniform_mask)
+from spinladder.metrics import (BELL_STATES, _concurrence_many, _fidelity_many, _reduced_many,
+                                mutual_information)
 from spinladder.signals import TimeSeries, envelope_period, find_peaks
 
 from conftest import pauli_hamiltonian
@@ -281,8 +285,10 @@ def test_ensemble_stats_fields():
 def test_fidelity_only_drivers_skip_concurrence(monkeypatch):
     """The heatmap and the disorder ensemble read fidelity alone: no concurrence, no rho, no states.
 
-    Their evolution yields only the dim/4 phi_plus amplitudes of the
-    terminal pair, never the dim-row state block.
+    Their evolution yields only the len(basis)/4 phi_plus amplitudes of the
+    terminal pair, never the state block. The clean heatmap cell evolves
+    the 20 eigenvectors of phi_plus's two leg-even blocks, each disordered
+    ladder all 32 of its sector.
     """
     def refuse(*args):
         raise AssertionError("a fidelity-only driver evaluated concurrence or reduced a rho")
@@ -300,7 +306,7 @@ def test_fidelity_only_drivers_skip_concurrence(monkeypatch):
     assert 0.0 <= hm.f_max[0, 0] <= 1.0
     stats = disorder_ensemble(0.05, 2, base_seed=3, grid=grid)
     assert stats.peak_fidelities.shape == (2,)
-    assert shapes == [(32, (8, 81))] * 3
+    assert shapes == [(20, (8, 81))] + [(32, (8, 81))] * 2
 
 
 @pytest.mark.parametrize("n_rungs, kind", [(3, "phi_plus"), (3, "psi_minus_plus_phi_plus"), (1, "phi_plus")],
@@ -321,6 +327,89 @@ def test_fidelity_is_bitwise_the_same_with_every_channel(n_rungs, kind):
     assert alone.pair_concurrence == {} and alone.mutual_info is None
     assert list(every.pair_concurrence) == [pair_label(*pair) for pair in rung_pairs(n_rungs)]
     assert np.array_equal(alone.fidelity_terminal.values, every.fidelity_terminal.values)
+
+
+# ----------------------------------------------------------- symmetry blocks
+
+@given(n_rungs=st.integers(min_value=3, max_value=5), kind=st.sampled_from(INITIAL_STATE_KINDS),
+       g=st.floats(min_value=-1.0, max_value=1.0), d=st.floats(min_value=0.0, max_value=1.0),
+       h=st.floats(min_value=0.0, max_value=100.0), t_end=st.floats(min_value=0.1, max_value=2.0))
+def test_blocked_evolution_matches_the_parity_sector(n_rungs, kind, g, d, h, t_end):
+    """The symmetry blocks psi0 occupies evolve it as the whole parity sector does.
+
+    Every rung pair's rho and the joint first-terminal rho agree within
+    1e-12, and so does the terminal fidelity of evolve_and_measure, which
+    splits the states from the amplitudes at len(basis) rows. Both routes
+    carry a phase error of eps |H| t, so t stays at most 2.
+    """
+    params = LadderParams(n_rungs=n_rungs, g=g, d=d, h=h)
+    psi0 = build_initial_state(kind, params)
+    basis = parity_sector(psi0)
+    sector = diagonalize(build_hamiltonian(params, basis=basis), basis)
+    blocked = _sector_spectrum(params, psi0)
+    assert blocked.dim <= sector.dim == len(blocked.basis)
+    grid = TimeGrid(0.0, t_end, 5)
+    [(_, expected)], [(_, states)] = (iter_evolved(decomp, psi0, grid) for decomp in (sector, blocked))
+    pairs = rung_pairs(n_rungs)
+    for keep in [list(pair) for pair in pairs] + [[*pairs[0], *pairs[-1]]]:
+        rho = _reduced_many(states, keep, params.n_sites, basis)
+        assert np.abs(rho - _reduced_many(expected, keep, params.n_sites, basis)).max() <= 1e-12
+    want, got = (evolve_and_measure(params, grid, pairs, fidelity=True, decomp=decomp, psi0=psi0)
+                 for decomp in (sector, blocked))
+    assert np.abs(got.fidelity_terminal.values - want.fidelity_terminal.values).max() <= 1e-12
+
+
+@pytest.mark.parametrize("bonds", ["disorder", "one leg"])
+def test_leg_asymmetric_ladder_drops_no_block(bonds):
+    """A Hamiltonian without the leg swap keeps every state of the sector.
+
+    A disorder realization breaks the mirror too and takes the one identity
+    block, so its spectrum is bit for bit the plain sector eigh. The one-leg
+    control of A1 keeps the mirror, and phi_plus fills both mirror blocks.
+    """
+    params = LadderParams()
+    psi0 = build_initial_state("phi_plus", params)
+    if bonds == "disorder":
+        real = disorder_realization(0.1, 7, 0, params.n_rungs)
+        build = {"rung_factors": 1.0 + real.rung_deltas, "leg_factors": 1.0 + real.leg_deltas}
+    else:
+        build = {"leg_factors": [0.0 if i % 2 else 1.0 for i, _ in leg_bonds(params.n_rungs)]}
+    decomp = _sector_spectrum(params, psi0, **build)
+    assert decomp.eigenvectors.shape == (len(decomp.basis), len(decomp.basis)) == (32, 32)
+    sector = diagonalize(build_hamiltonian(params, basis=decomp.basis, **build), decomp.basis)
+    if bonds == "disorder":
+        assert np.array_equal(decomp.eigenvalues, sector.eigenvalues)
+        assert np.array_equal(decomp.eigenvectors, sector.eigenvectors)
+    else:
+        assert np.abs(decomp.eigenvalues - sector.eigenvalues).max() <= 1e-14 * np.abs(sector.eigenvalues).max()
+
+
+def test_mutual_info_traces_the_end_pairs_from_the_joint_rho(monkeypatch):
+    """With mutual information on, the first and terminal pairs come from the joint rho.
+
+    Only the middle pair and the joint rho are reduced from the states. The
+    end pairs' concurrence matches a run that reduces them directly, and the
+    three mutual informations match metrics.mutual_information on full-space
+    states.
+    """
+    keeps = []
+
+    def recording(states, keep, n_sites, basis):
+        keeps.append(tuple(keep))
+        return _reduced_many(states, keep, n_sites, basis)
+    monkeypatch.setattr("spinladder.experiments._reduced_many", recording)
+    params, grid = LadderParams(), TimeGrid(0.0, 10.0, 401)
+    traced = run_reference(params, grid=grid)
+    assert keeps == [(3, 4), (1, 2, 5, 6)]
+    direct = run_reference(params, grid=grid, include_mutual_info=False)
+    for label, series in direct.pair_concurrence.items():
+        assert np.abs(traced.pair_concurrence[label].values - series.values).max() <= 1e-14
+    psi0 = build_initial_state("phi_plus", params)
+    decomp = _sector_spectrum(params, psi0)
+    for k in (0, 57, 400):
+        psi = evolve_state(decomp, psi0, grid.times[k])
+        for label, (a, b) in {"I12": ([1], [2]), "I56": ([5], [6]), "I12_56": ([1, 2], [5, 6])}.items():
+            assert traced.mutual_info[label].values[k] == pytest.approx(mutual_information(psi, a, b), abs=1e-10)
 
 
 # ------------------------------------------------------------- effective model

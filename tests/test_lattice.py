@@ -22,7 +22,9 @@ from spinladder.lattice import (
     leg_bonds,
     mediating_mask,
     parity_sector,
+    symmetry_blocks,
     uniform_mask,
+    _character_blocks,
 )
 
 from conftest import pauli_hamiltonian, pauli_string
@@ -283,6 +285,112 @@ def test_parity_sector_of_mixed_input_is_full_space():
 def test_builder_rejects_basis_not_closed_under_flips():
     with pytest.raises(InvalidArgumentError):
         bond_hamiltonian(2, [(1, 2, 1.0, 1.0, 0.5)], {}, basis=[0, 1])
+
+
+# ----------------------------------------------------------- symmetry blocks
+
+def _block_matrix(block, dim):
+    """Dense U of an orbit-form block: U[rows[g, j], j] summed over the terms g."""
+    rows, coefs = block
+    u = np.zeros((dim, rows.shape[1]))
+    for r, c in zip(rows, coefs):
+        u[r, np.arange(rows.shape[1])] += c
+    return u
+
+
+def _sector_blocks(params, kind, rung_factors=None, leg_factors=None):
+    psi = build_initial_state(kind, params)
+    basis = parity_sector(psi)
+    ham = build_hamiltonian(params, rung_factors, leg_factors, basis=basis)
+    return ham, basis, psi[basis], symmetry_blocks(ham, basis, psi[basis], params.n_rungs)
+
+
+def _held_terms(blocks):
+    """Group order |G| of the blocks (every block has one row per group element)."""
+    return {rows.shape[0] for rows, _ in blocks}
+
+
+def _held_maps(ham, basis, n_rungs):
+    """Which of the leg swap (0) and the mirror (1) permute H onto itself, found by bit loops."""
+    position = {int(state): row for row, state in enumerate(basis)}
+    n_sites = 2 * n_rungs
+    leg_swap = {site: site + 1 if site % 2 else site - 1 for site in range(1, n_sites + 1)}
+    # site 2n-1 (top leg) or 2n (bottom leg) of rung n goes to the same leg of rung N+1-n
+    mirror = {site: 2 * (n_rungs + 1 - (site + 1) // 2) - site % 2 for site in range(1, n_sites + 1)}
+    held = []
+    for k, site_map in enumerate((leg_swap, mirror)):
+        image = []
+        for state in basis:
+            bits = {site: (int(state) >> (n_sites - site)) & 1 for site in range(1, n_sites + 1)}
+            image.append(position[sum(bit << (n_sites - site_map[site]) for site, bit in bits.items())])
+        if np.abs(ham[np.ix_(image, image)] - ham).max() <= 1e-12 * max(1.0, np.abs(ham).max()):
+            held.append(k)
+    return tuple(held)
+
+
+@given(ladders(), st.sampled_from(INITIAL_STATE_KINDS), st.booleans())
+def test_symmetry_blocks_are_orthonormal_invariant_and_hold_the_state(ladder, kind, clean):
+    """Every character's U is orthonormal and spans an invariant subspace of H; the kept ones hold psi.
+
+    The blocks of all characters of the held maps' group are orthogonal to
+    each other and complete. symmetry_blocks keeps exactly those with
+    nonzero weight of the state, so the ones it drops carry none. A clean
+    ladder (no bond factors) keeps the leg swap, and the mirror too when
+    its mask is mirror-symmetric.
+    """
+    params, rung_factors, leg_factors = ladder
+    if clean:
+        rung_factors = leg_factors = None
+    ham, basis, amplitudes, blocks = _sector_blocks(params, kind, rung_factors, leg_factors)
+    held = _held_maps(ham, basis, params.n_rungs)
+    assert _held_terms(blocks) == {2 ** len(held)}
+    if clean:
+        mirrored = {params.n_rungs + 1 - rung for rung in params.field_mask}
+        assert 0 in held and (1 in held or mirrored != params.field_mask)
+    every = [_block_matrix(block, len(basis))
+             for block in _character_blocks(params.n_rungs, basis.tobytes(), held)]
+    whole = np.hstack(every)
+    assert whole.shape == (len(basis), len(basis))
+    assert np.abs(whole.T @ whole - np.eye(len(basis))).max() <= 1e-14
+    scale = max(1.0, np.abs(ham).max())
+    kept = [_block_matrix(block, len(basis)) for block in blocks]
+    weights = [np.linalg.norm(u.T @ amplitudes) for u in every]
+    weighted = [u for u, weight in zip(every, weights) if weight > 1e-15]
+    assert all(weight > 1e-3 for weight in weights if weight > 1e-15)  # the inputs are few exact amplitudes
+    assert len(kept) == len(weighted) and all(np.array_equal(u, k) for u, k in zip(weighted, kept))
+    for u in every:
+        if u.size:
+            assert np.abs(ham @ u - u @ (u.T @ ham @ u)).max() <= 1e-12 * scale
+    inside = sum(u @ (u.T @ amplitudes) for u in kept)
+    assert np.abs(inside - amplitudes).max() <= 1e-15
+
+
+def test_clean_phi_plus_blocks_are_the_two_leg_even_ones():
+    """phi_plus at N = 5 fills the leg-even blocks, 152 mirror-even and 120 mirror-odd states."""
+    _, basis, _, blocks = _sector_blocks(LadderParams(n_rungs=5), "phi_plus")
+    assert len(basis) == 512 and _held_terms(blocks) == {4}
+    assert [rows.shape[1] for rows, _ in blocks] == [152, 120]
+    # characters (chi(leg swap), chi(mirror)) read off the terms e, L, M, LM
+    assert [tuple(np.sign(coefs[[1, 2], 0] / coefs[0, 0])) for _, coefs in blocks] == [(1, 1), (1, -1)]
+
+
+def test_field_mask_off_mirror_breaks_the_mirror_only():
+    """A field on rung 2 alone at N = 4 keeps the leg swap; phi_plus stays in one 72-state leg-even block."""
+    params = LadderParams(n_rungs=4, field_mask=frozenset({2}))
+    _, basis, _, blocks = _sector_blocks(params, "phi_plus")
+    assert _held_terms(blocks) == {2}
+    [(rows, coefs)] = blocks
+    assert rows.shape[1] == 72 and (coefs[1] / coefs[0] == 1.0).all()
+    _, _, _, clean = _sector_blocks(LadderParams(n_rungs=4), "phi_plus")
+    assert _held_terms(clean) == {4} and sum(rows.shape[1] for rows, _ in clean) == 72
+
+
+def test_mixed_parity_input_keeps_both_leg_irreps():
+    """(phi_plus + psi_minus)/sqrt(2): phi_plus is leg-even, psi_minus leg-odd; nothing is dropped."""
+    _, basis, _, blocks = _sector_blocks(LadderParams(), "psi_minus_plus_phi_plus")
+    assert len(basis) == 64 and _held_terms(blocks) == {4}
+    assert {np.sign(coefs[1, 0] / coefs[0, 0]) for _, coefs in blocks} == {1.0, -1.0}
+    assert sum(rows.shape[1] for rows, _ in blocks) == 64
 
 
 # ------------------------------------------------------------ initial states

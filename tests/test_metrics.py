@@ -16,10 +16,10 @@ from spinladder.metrics import (
     _concurrence_many,
     _entropy_many,
     _fidelity_many,
+    _marginals,
     _phi_plus_map,
     _reduced_many,
     _site_code,
-    _site_marginals,
     bell_fidelity,
     concurrence,
     mutual_information,
@@ -121,9 +121,10 @@ def test_sector_reduction_matches_full_space(n_rungs, order, size, sector, seed)
     assert rho.shape == (3, 2 ** len(keep), 2 ** len(keep))
     assert np.abs(rho - _reduced_many(full, keep, n_sites, np.arange(2 ** n_sites))).max() <= 1e-13
     assert np.abs(rho - _dense_reduction(full, keep, n_sites)).max() <= 1e-13
-    if len(keep) == 2:
-        for site, marginal in zip(keep, _site_marginals(rho)):
-            assert np.abs(marginal - _dense_reduction(full, [site], n_sites)).max() <= 1e-13
+    if len(keep) % 2 == 0:  # a pair's two sites, or a joint rho's two pairs
+        half = len(keep) // 2
+        for part, marginal in zip((keep[:half], keep[half:]), _marginals(rho)):
+            assert np.abs(marginal - _dense_reduction(full, part, n_sites)).max() <= 1e-13
 
 
 def test_reduction_refuses_basis_mixing_blocks():
@@ -302,7 +303,7 @@ def test_block_entropy_matches_full_spectrum(n_rungs, order, size, sector, seed)
     rhos = _reduced_many(states, keep, n_sites, basis)
     assert np.abs(_entropy_many(rhos) - _plain_entropy(rhos)).max() <= 1e-12
     if len(keep) == 2:
-        for marginal in _site_marginals(rhos):
+        for marginal in _marginals(rhos):
             assert np.abs(_entropy_many(marginal) - _plain_entropy(marginal)).max() <= 1e-12
 
 
