@@ -8,7 +8,9 @@ states at five rungs). On a clean ladder it also commutes with the leg swap
 and the rung mirror; diagonalize then solves, with NumPy's real-symmetric
 eigensolver (LAPACK syevd), only the symmetry blocks the initial state
 occupies (lattice.symmetry_blocks: 152 + 120 of the 512 phi_plus sector
-states at five rungs) and maps their eigenvectors back into the sector.
+states at five rungs). Each block is an orthonormal matrix U; diagonalize
+solves U^T H U and maps its eigenvectors v back into the sector as U v.
+Without a held symmetry, as under disorder, the sector H is solved whole.
 The decomposition records that sector's basis. Evolution takes a full-space
 initial state; the streamed states stay in the sector's coordinates, which
 metrics._reduced_many reads directly. Only evolve_state scatters a state
@@ -57,9 +59,9 @@ class SpectralDecomposition:
     for, ascending. eigenvectors has one orthonormal column per eigenvalue
     and one row per basis state, shape (len(basis), dim). dim, the number of
     eigenpairs kept, is len(basis) for a complete decomposition and smaller
-    when only the symmetry blocks an initial state occupies were solved; V
-    then spans an invariant subspace of H, and states outside it cannot be
-    evolved.
+    when only the symmetry blocks an initial state occupies were solved; V,
+    the maps U v of each block's eigenvectors, then spans an invariant
+    subspace of H, and states outside it cannot be evolved.
     """
 
     eigenvalues: np.ndarray
@@ -117,38 +119,29 @@ def _check_hermitian(matrix):
 def diagonalize(ham, basis=None, blocks=None):
     """Eigenpairs of a Hermitian matrix on the given blocks, eigenvalues ascending.
 
-    Each block is an orthonormal map U from the block's coordinates into
-    ham's, in the orbit form lattice.symmetry_blocks returns: a pair
-    (rows, coefs) of (n_terms, k) arrays with U[rows[g, j], j] the sum of
-    coefs[g, j] over the terms g that share that row. Every block is solved
-    alone, on U^T ham U, and its eigenvectors are folded through U, so the
-    result's eigenvectors are (len(basis), sum of k) in ham's coordinates.
-    blocks defaults to one block, every row with coefficient 1, which
-    solves ham itself. A real matrix takes the real-symmetric solver and
-    yields real eigenvectors. basis lists the full-space basis states that
-    ham's rows stand for (see lattice.parity_sector; None: all of them) and
-    is recorded in the result.
+    blocks is None, which solves ham itself, or a list of orthonormal maps
+    U, each a (len(ham), k) matrix whose columns span an invariant subspace
+    of ham, as lattice.symmetry_blocks returns them. Every block is solved
+    alone, on U^T ham U, and its eigenvectors v are mapped back as U v, so
+    the result's eigenvectors are (len(basis), sum of k) in ham's
+    coordinates. A real matrix takes the real-symmetric solver and yields
+    real eigenvectors. basis lists the full-space basis states that ham's
+    rows stand for (see lattice.parity_sector; None: all of them) and is
+    recorded in the result.
     """
     ham = _check_hermitian(ham)
     dim = len(ham)
     basis = np.asarray(np.arange(dim) if basis is None else basis, dtype=np.int64)
     if basis.shape != (dim,):
         raise InvalidArgumentError(f"basis of {basis.shape} states for a matrix of dim {dim}")
-    if blocks is None:
-        blocks = [(np.arange(dim)[None], np.ones((1, dim)))]
     values, vectors = [], []
-    for rows, coefs in blocks:
-        projected = np.einsum("igj,gj->ij", ham[:, rows], coefs)        # ham U
-        projected = np.einsum("gjl,gj->jl", projected[rows], coefs)  # U^T ham U
+    for u in [None] if blocks is None else blocks:
         try:
-            w, v = np.linalg.eigh(projected)
+            w, v = np.linalg.eigh(ham if u is None else u.T @ ham @ u)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh on a block of <= 1024 states converges
             raise NumericFailureError(f"eigensolver failed: {exc}") from exc
-        folded = np.zeros((dim, len(w)), dtype=v.dtype)
-        for r, c in zip(rows, coefs):  # the rows of one term are distinct
-            folded[r] += c[:, None] * v
         values.append(w)
-        vectors.append(folded)
+        vectors.append(v if u is None else u @ v)
     eigenvalues = np.concatenate(values)
     order = np.argsort(eigenvalues, kind="stable")
     return SpectralDecomposition(eigenvalues=eigenvalues[order],

@@ -154,7 +154,8 @@ def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False
 
     pairs lists the rung pairs whose concurrence is recorded; fidelity adds
     the terminal pair's phi_plus fidelity; mutual_info adds I(first),
-    I(terminal) and the joint first-terminal channel. Only pairs and mutual
+    I(terminal) and the joint first-terminal channel, and is refused below
+    two rungs, where the first rung is the terminal one. Only pairs and mutual
     information need states: every pair is reduced once per chunk, in
     decomp's basis, however many channels read it. With mutual information
     on, the joint first-terminal rho is reduced in place of those two
@@ -169,14 +170,16 @@ def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False
     psi0 occupies. C and F are clipped into [0, 1]; mutual information is
     not. Channels not asked for come back empty (concurrence) or None.
     """
+    if mutual_info and params.n_rungs < 2:
+        raise InvalidArgumentError(f"mutual information needs distinct first and terminal rungs, "
+                                   f"got n_rungs={params.n_rungs}")
     psi0 = build_initial_state("phi_plus", params) if psi0 is None else psi0
     decomp = _sector_spectrum(params, psi0) if decomp is None else decomp
     n_sites, n_points, times = params.n_sites, grid.n_points, grid.times
     ladder = rung_pairs(params.n_rungs)
     first, terminal = ladder[0], ladder[-1]
     ends = [first, terminal] * mutual_info
-    traced = ends if first != terminal else []  # a one-rung joint rho is no pair of pairs
-    reduced = [pair for pair in dict.fromkeys([*pairs, *ends]) if pair not in traced]
+    reduced = [pair for pair in dict.fromkeys(pairs) if pair not in ends]
     readouts = [decomp.eigenvectors] if ends or pairs else []
     split = len(decomp.basis) if readouts else 0
     if fidelity:
@@ -191,7 +194,7 @@ def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False
         rhos = {pair: _reduced_many(states, list(pair), n_sites, decomp.basis) for pair in reduced}
         if mutual_info:
             rho_joint = _reduced_many(states, [*first, *terminal], n_sites, decomp.basis)
-            rhos.update(zip(traced, _marginals(rho_joint)))
+            rhos.update(zip(ends, _marginals(rho_joint)))
         for pair in pairs:
             conc[pair][sl] = _concurrence_many(rhos[pair])
         if fidelity:

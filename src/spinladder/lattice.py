@@ -25,12 +25,17 @@ the initial state (parity_sector).
 
 Two site permutations can be symmetries too: the leg swap (2n-1 <-> 2n on
 every rung) and the mirror (rung n <-> rung N+1-n). A clean ladder with a
-mirror-symmetric field mask commutes with both; disorder or a one-leg
-variant breaks them. symmetry_blocks tests each on the built matrix and
-splits the state space into the blocks of the group the held ones
-generate, keeping only the blocks the initial state occupies: phi_plus
-is leg-even and fills the two leg-even blocks, 152 + 120 of its 512 sector
-states at five rungs.
+mirror-symmetric field mask commutes with both; disorder breaks both, and
+the one-leg variant breaks the leg swap. symmetry_blocks tests each on the
+built matrix and splits the state space into the blocks of the group the
+held ones generate, each a dense orthonormal matrix U whose columns are
+symmetrized basis states, and keeps only the blocks the initial state
+occupies: phi_plus is leg-even and fills the two leg-even blocks, 152 + 120
+of its 512 sector states at five rungs. With neither map held there are no
+blocks to split, and the sector is solved whole.
+
+_site_code is the one decoder of that site-to-bit layout: the partial
+trace (metrics) and the site-map images here both read sites through it.
 """
 
 from dataclasses import dataclass, field, replace
@@ -155,24 +160,21 @@ def parity_sector(psi):
 
 
 def symmetry_blocks(ham, basis, amplitudes, n_rungs):
-    """The symmetry blocks of ham that the amplitudes occupy, as orbit maps for evolution.diagonalize.
+    """The symmetry blocks of ham that the amplitudes occupy, as orthonormal maps for evolution.diagonalize.
 
     ham is a ladder Hamiltonian on basis (ascending full-space states) and
     amplitudes a state in the same coordinates. Of the two site maps, the
     leg swap and the mirror, each one whose permutation of the basis maps
     ham onto itself (within evolution.MATRIX_TOL) is held; one that does
-    not, or that leads out of the basis, is not. The held maps generate a
-    group G of row permutations. For every character chi of G (one sign per
-    held map), the orbit {g r} of each representative row r gives the basis
-    vector sum_g chi(g) e_{g r}, normalized; it is 0, and dropped, when chi
-    is not 1 on r's stabilizer. Those vectors form an orthonormal map U into
-    basis coordinates, returned in orbit form (rows, coefs), both (|G|, k):
-    U[rows[g, j], j] sums coefs[g, j] over the g that share a row. A block
-    is kept only when |U^T amplitudes| is above round-off, so that the
-    blocks dropped leak less than evolution.SECTOR_LEAK_TOL of the state
-    together, the weight evolution refuses to lose. With no map held, G is
-    trivial and the one block is the identity. Everything but the test of
-    ham and the weights depends only on (n_rungs, basis) and is cached.
+    not, or that leads out of the basis, is not. With no map held the
+    result is None: ham is one block. Otherwise each character of the group
+    the held maps generate gives a block, a read-only orthonormal real
+    matrix U of shape (len(basis), k) whose columns span an invariant
+    subspace of ham (_character_blocks). A block is kept only when
+    |U^T amplitudes| is above round-off, so that the blocks dropped leak
+    less than evolution.SECTOR_LEAK_TOL of the state together, the weight
+    evolution refuses to lose. Everything but the test of ham and the
+    weights depends only on (n_rungs, basis) and is cached.
     """
     key = np.asarray(basis, dtype=np.int64).tobytes()
     scale = MATRIX_TOL * max(np.abs(ham).max(), 1.0)
@@ -183,10 +185,11 @@ def symmetry_blocks(ham, basis, amplitudes, n_rungs):
             permuted -= ham
             if np.abs(permuted, out=permuted).max() <= scale:
                 held.append(k)
+    if not held:
+        return None
     blocks = _character_blocks(n_rungs, key, tuple(held))
     floor = SECTOR_LEAK_TOL / len(blocks)  # the blocks dropped leak less than SECTOR_LEAK_TOL together
-    return [(rows, coefs) for rows, coefs in blocks
-            if np.linalg.norm(np.einsum("gj,gj->j", coefs, amplitudes[rows])) > floor]
+    return [u for u in blocks if np.linalg.norm(u.T @ amplitudes) > floor]
 
 
 @lru_cache(maxsize=16)
@@ -194,40 +197,53 @@ def _site_map_images(n_rungs, basis_key):
     """Row images of the leg swap and the mirror on a basis, given as its int64 bytes.
 
     A site map sends site k to map[k - 1]: the leg swap 2n-1 <-> 2n, the
-    mirror rung n to rung N+1-n on the same leg. A map that leads out of the
-    basis has the image None.
+    mirror rung n to rung N+1-n on the same leg. Both are involutions, so
+    reading the bits of sites map[0], map[1], ... as a basis index gives the
+    image of each state. A map that leads out of the basis has the image
+    None.
     """
     basis, n_sites = np.frombuffer(basis_key, dtype=np.int64), 2 * n_rungs
     sites = np.arange(1, n_sites + 1)
     rung_shift = 2 * (n_rungs + 1 - 2 * ((sites + 1) // 2))
     lookup = np.full(2 ** n_sites, -1)
     lookup[basis] = np.arange(len(basis))
-    bits = (basis[:, None] >> (n_sites - sites)) & 1
-    images = [lookup[bits @ (1 << (n_sites - site_map))]
+    images = [lookup[_site_code(basis, site_map, n_sites)]
               for site_map in (sites + np.where(sites % 2, 1, -1), sites + rung_shift)]
     return tuple(image if (image >= 0).all() else None for image in images)
 
 
 @lru_cache(maxsize=16)
 def _character_blocks(n_rungs, basis_key, held):
-    """Orbit maps (rows, coefs) of every character of the group the held site maps generate, read-only."""
-    images = _site_map_images(n_rungs, basis_key)
-    group = [(np.arange(len(basis_key) // 8), ())]  # (row images, positions in held of the maps composed)
-    for i, k in enumerate(held):
-        group += [(images[k][rows], used + (i,)) for rows, used in group]
-    rows = np.stack([image for image, _ in group])
-    rows = rows[:, rows.min(axis=0) == np.arange(rows.shape[1])]  # one representative per orbit
-    coincide = rows[:, None] == rows[None]  # (g, h, j): g and h take representative j to one row
+    """Orthonormal maps U of every character of the group the held site maps generate, read-only.
+
+    The held maps are commuting involutions P_i, so prod_i (1 + chi_i P_i)
+    applied to the unit column of an orbit's representative (its smallest
+    row) gives sum_g chi(g) e_{g r}. That column is 0, and dropped, when chi
+    is not 1 on the orbit's stabilizer; the others are normalized. One
+    block per sign choice chi, in the order of itertools.product.
+    """
+    images = [_site_map_images(n_rungs, basis_key)[k] for k in held]
+    smallest = np.arange(len(basis_key) // 8)
+    for image in images:
+        smallest = np.minimum(smallest, smallest[image])  # the smallest row of each orbit
+    reps = np.flatnonzero(smallest == np.arange(len(smallest)))
     blocks = []
     for signs in product((1.0, -1.0), repeat=len(held)):
-        chi = np.array([np.prod([signs[i] for i in used]) for _, used in group])
-        norm2 = np.einsum("g,h,ghj->j", chi, chi, coincide)
-        kept = norm2 > 0
-        block = (rows[:, kept], chi[:, None] / np.sqrt(norm2[kept]))
-        for array in block:
-            array.flags.writeable = False
-        blocks.append(block)
+        u = np.zeros((len(smallest), len(reps)))
+        u[reps, np.arange(len(reps))] = 1.0
+        for sign, image in zip(signs, images):
+            u += sign * u[image]
+        norms = np.linalg.norm(u, axis=0)
+        u = u[:, norms > 0] / norms[norms > 0]
+        u.flags.writeable = False
+        blocks.append(u)
     return tuple(blocks)
+
+
+def _site_code(rows, sites, n_sites):
+    """The bits of the given sites in each basis index, as an integer with the first site in front."""
+    bits = (rows[:, None] >> (n_sites - np.asarray(sites, dtype=np.int64))) & 1
+    return bits @ (1 << np.arange(len(sites), dtype=np.int64)[::-1])
 
 
 def bond_hamiltonian(n_sites, bonds, site_fields, basis=None):

@@ -47,7 +47,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .lattice import SY
+from .lattice import SY, _site_code
 
 _SYSY = np.kron(SY, SY).real  # antidiagonal (-1, 1, 1, -1); real in any sy sign convention
 
@@ -159,12 +159,6 @@ def _phi_plus_map(basis, pair, n_sites):
     proj, rows = np.zeros((len(zeros), len(basis))), np.arange(len(zeros))
     proj[rows, zeros] = proj[rows, ones] = _S2
     return proj
-
-
-def _site_code(rows, sites, n_sites):
-    """The bits of the given sites in each basis index, as an integer with the first site in front."""
-    bits = (rows[:, None] >> (n_sites - np.asarray(sites, dtype=np.int64))) & 1
-    return bits @ (1 << np.arange(len(sites), dtype=np.int64)[::-1])
 
 
 def _marginals(rhos):

@@ -154,13 +154,7 @@ def dominant_frequency(series):
     if len(power) < 3 or power[1:].max() == 0.0:
         raise InsufficientDataError("series has no oscillating component")
     k = int(np.argmax(power[1:])) + 1
-    if 0 < k < len(power) - 1:
-        logp = np.log(power[k - 1:k + 2] + np.finfo(float).tiny)
-        denom = logp[0] - 2.0 * logp[1] + logp[2]
-        shift = 0.0 if denom == 0.0 else float(np.clip(0.5 * (logp[0] - logp[2]) / denom, -1.0, 1.0))
-    else:
-        shift = 0.0
-    omega = freqs[k] + shift * (freqs[1] - freqs[0])
+    omega, _ = _refine_parabolic(freqs, np.log(power + np.finfo(float).tiny), k)
     if series.duration * omega < MIN_PERIODS * 2.0 * math.pi:
         raise InsufficientDataError(
             f"series spans fewer than {MIN_PERIODS} periods of the detected component"

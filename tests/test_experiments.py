@@ -41,7 +41,7 @@ from spinladder.experiments import (
 )
 from spinladder.io import read_csv
 from spinladder.lattice import (INITIAL_STATE_KINDS, LadderParams, build_hamiltonian, build_initial_state,
-                                leg_bonds, parity_sector, uniform_mask)
+                                leg_bonds, parity_sector, symmetry_blocks, uniform_mask)
 from spinladder.metrics import (BELL_STATES, _concurrence_many, _fidelity_many, _reduced_many,
                                 mutual_information)
 from spinladder.signals import TimeSeries, envelope_period, find_peaks
@@ -314,19 +314,29 @@ def test_fidelity_only_drivers_skip_concurrence(monkeypatch):
 def test_fidelity_is_bitwise_the_same_with_every_channel(n_rungs, kind):
     """F comes from the same amplitude product whether or not states and rhos are also computed.
 
-    The single rung's pair is the whole system, so no other site is left over.
-    The grid spans two evolution chunks.
+    The single rung's pair is the whole system, so no other site is left
+    over; it has no distinct terminal rung, so mutual information is asked
+    for only on a ladder. The grid spans two evolution chunks.
     """
     params = LadderParams(n_rungs=n_rungs)
     psi0 = build_initial_state(kind, params)
     assert len(parity_sector(psi0)) == (4 ** n_rungs if kind == "psi_minus_plus_phi_plus" else 4 ** n_rungs // 2)
     grid = TimeGrid(0.0, 10.0, 2501)
     alone = evolve_and_measure(params, grid, fidelity=True, psi0=psi0)
-    every = evolve_and_measure(params, grid, rung_pairs(n_rungs), fidelity=True, mutual_info=True,
+    every = evolve_and_measure(params, grid, rung_pairs(n_rungs), fidelity=True, mutual_info=n_rungs > 1,
                                psi0=psi0)
     assert alone.pair_concurrence == {} and alone.mutual_info is None
     assert list(every.pair_concurrence) == [pair_label(*pair) for pair in rung_pairs(n_rungs)]
     assert np.array_equal(alone.fidelity_terminal.values, every.fidelity_terminal.values)
+
+
+def test_mutual_info_needs_two_rungs():
+    """A single rung is both the first and the terminal pair, so it has no joint first-terminal channel."""
+    grid = TimeGrid(0.0, 1.0, 11)
+    with pytest.raises(InvalidArgumentError, match="n_rungs=1"):
+        evolve_and_measure(LadderParams(n_rungs=1), grid, rung_pairs(1), mutual_info=True)
+    assert set(evolve_and_measure(LadderParams(n_rungs=2), grid, mutual_info=True).mutual_info) == \
+        {"I12", "I34", "I12_34"}
 
 
 # ----------------------------------------------------------- symmetry blocks
@@ -359,15 +369,17 @@ def test_blocked_evolution_matches_the_parity_sector(n_rungs, kind, g, d, h, t_e
     assert np.abs(got.fidelity_terminal.values - want.fidelity_terminal.values).max() <= 1e-12
 
 
-@pytest.mark.parametrize("bonds", ["disorder", "one leg"])
-def test_leg_asymmetric_ladder_drops_no_block(bonds):
+@pytest.mark.parametrize("bonds, n_rungs", [("disorder", 3), ("one leg", 3), ("disorder", 5)],
+                         ids=["disorder", "one leg", "disorder at five rungs"])
+def test_leg_asymmetric_ladder_drops_no_block(bonds, n_rungs):
     """A Hamiltonian without the leg swap keeps every state of the sector.
 
-    A disorder realization breaks the mirror too and takes the one identity
-    block, so its spectrum is bit for bit the plain sector eigh. The one-leg
-    control of A1 keeps the mirror, and phi_plus fills both mirror blocks.
+    A disorder realization breaks the mirror too, so symmetry_blocks
+    returns None and the spectrum is bit for bit the plain sector eigh. The
+    one-leg control of A1 keeps the mirror, and phi_plus fills both mirror
+    blocks.
     """
-    params = LadderParams()
+    params = LadderParams(n_rungs=n_rungs)
     psi0 = build_initial_state("phi_plus", params)
     if bonds == "disorder":
         real = disorder_realization(0.1, 7, 0, params.n_rungs)
@@ -375,9 +387,11 @@ def test_leg_asymmetric_ladder_drops_no_block(bonds):
     else:
         build = {"leg_factors": [0.0 if i % 2 else 1.0 for i, _ in leg_bonds(params.n_rungs)]}
     decomp = _sector_spectrum(params, psi0, **build)
-    assert decomp.eigenvectors.shape == (len(decomp.basis), len(decomp.basis)) == (32, 32)
-    sector = diagonalize(build_hamiltonian(params, basis=decomp.basis, **build), decomp.basis)
+    assert decomp.eigenvectors.shape == (len(decomp.basis), len(decomp.basis)) == (4 ** n_rungs // 2,) * 2
+    ham = build_hamiltonian(params, basis=decomp.basis, **build)
+    sector = diagonalize(ham, decomp.basis)
     if bonds == "disorder":
+        assert symmetry_blocks(ham, decomp.basis, psi0[decomp.basis], n_rungs) is None
         assert np.array_equal(decomp.eigenvalues, sector.eigenvalues)
         assert np.array_equal(decomp.eigenvectors, sector.eigenvectors)
     else:

@@ -6,6 +6,7 @@ under test.
 """
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -289,15 +290,6 @@ def test_builder_rejects_basis_not_closed_under_flips():
 
 # ----------------------------------------------------------- symmetry blocks
 
-def _block_matrix(block, dim):
-    """Dense U of an orbit-form block: U[rows[g, j], j] summed over the terms g."""
-    rows, coefs = block
-    u = np.zeros((dim, rows.shape[1]))
-    for r, c in zip(rows, coefs):
-        u[r, np.arange(rows.shape[1])] += c
-    return u
-
-
 def _sector_blocks(params, kind, rung_factors=None, leg_factors=None):
     psi = build_initial_state(kind, params)
     basis = parity_sector(psi)
@@ -305,27 +297,34 @@ def _sector_blocks(params, kind, rung_factors=None, leg_factors=None):
     return ham, basis, psi[basis], symmetry_blocks(ham, basis, psi[basis], params.n_rungs)
 
 
-def _held_terms(blocks):
-    """Group order |G| of the blocks (every block has one row per group element)."""
-    return {rows.shape[0] for rows, _ in blocks}
-
-
-def _held_maps(ham, basis, n_rungs):
-    """Which of the leg swap (0) and the mirror (1) permute H onto itself, found by bit loops."""
+def _site_images(basis, n_rungs):
+    """Row images of the leg swap and the mirror on a basis, found by bit loops."""
     position = {int(state): row for row, state in enumerate(basis)}
     n_sites = 2 * n_rungs
     leg_swap = {site: site + 1 if site % 2 else site - 1 for site in range(1, n_sites + 1)}
     # site 2n-1 (top leg) or 2n (bottom leg) of rung n goes to the same leg of rung N+1-n
     mirror = {site: 2 * (n_rungs + 1 - (site + 1) // 2) - site % 2 for site in range(1, n_sites + 1)}
-    held = []
-    for k, site_map in enumerate((leg_swap, mirror)):
+    images = []
+    for site_map in (leg_swap, mirror):
         image = []
         for state in basis:
             bits = {site: (int(state) >> (n_sites - site)) & 1 for site in range(1, n_sites + 1)}
             image.append(position[sum(bit << (n_sites - site_map[site]) for site, bit in bits.items())])
-        if np.abs(ham[np.ix_(image, image)] - ham).max() <= 1e-12 * max(1.0, np.abs(ham).max()):
-            held.append(k)
-    return tuple(held)
+        images.append(np.array(image))
+    return images
+
+
+def _held_maps(ham, images):
+    """Which of the leg swap (0) and the mirror (1) permute H onto itself."""
+    return tuple(k for k, image in enumerate(images)
+                 if np.abs(ham[np.ix_(image, image)] - ham).max() <= 1e-12 * max(1.0, np.abs(ham).max()))
+
+
+def _character(u, images):
+    """The signs s with u[image] == s u exactly, one per image; each must be +1 or -1, not both."""
+    signs = [[s for s in (1.0, -1.0) if np.array_equal(u[image], s * u)] for image in images]
+    assert u.size and all(len(fits) == 1 for fits in signs)
+    return tuple(fits[0] for fits in signs)
 
 
 @given(ladders(), st.sampled_from(INITIAL_STATE_KINDS), st.booleans())
@@ -333,27 +332,31 @@ def test_symmetry_blocks_are_orthonormal_invariant_and_hold_the_state(ladder, ki
     """Every character's U is orthonormal and spans an invariant subspace of H; the kept ones hold psi.
 
     The blocks of all characters of the held maps' group are orthogonal to
-    each other and complete. symmetry_blocks keeps exactly those with
-    nonzero weight of the state, so the ones it drops carry none. A clean
-    ladder (no bond factors) keeps the leg swap, and the mirror too when
-    its mask is mirror-symmetric.
+    each other and complete, and each one's character is read off how the
+    held maps permute its rows. symmetry_blocks keeps exactly those with
+    nonzero weight of the state, so the ones it drops carry none; with no
+    map held it returns None, one block of every state. A clean ladder (no
+    bond factors) keeps the leg swap, and the mirror too when its mask is
+    mirror-symmetric.
     """
     params, rung_factors, leg_factors = ladder
     if clean:
         rung_factors = leg_factors = None
     ham, basis, amplitudes, blocks = _sector_blocks(params, kind, rung_factors, leg_factors)
-    held = _held_maps(ham, basis, params.n_rungs)
-    assert _held_terms(blocks) == {2 ** len(held)}
+    images = _site_images(basis, params.n_rungs)
+    held = _held_maps(ham, images)
+    assert (blocks is None) == (held == ())
     if clean:
         mirrored = {params.n_rungs + 1 - rung for rung in params.field_mask}
         assert 0 in held and (1 in held or mirrored != params.field_mask)
-    every = [_block_matrix(block, len(basis))
-             for block in _character_blocks(params.n_rungs, basis.tobytes(), held)]
+    every = _character_blocks(params.n_rungs, basis.tobytes(), held)
+    assert [_character(u, [images[k] for k in held]) for u in every if u.size] == \
+        [chi for chi, u in zip(product((1.0, -1.0), repeat=len(held)), every) if u.size]
     whole = np.hstack(every)
     assert whole.shape == (len(basis), len(basis))
     assert np.abs(whole.T @ whole - np.eye(len(basis))).max() <= 1e-14
     scale = max(1.0, np.abs(ham).max())
-    kept = [_block_matrix(block, len(basis)) for block in blocks]
+    kept = [np.eye(len(basis))] if blocks is None else blocks
     weights = [np.linalg.norm(u.T @ amplitudes) for u in every]
     weighted = [u for u, weight in zip(every, weights) if weight > 1e-15]
     assert all(weight > 1e-3 for weight in weights if weight > 1e-15)  # the inputs are few exact amplitudes
@@ -368,29 +371,33 @@ def test_symmetry_blocks_are_orthonormal_invariant_and_hold_the_state(ladder, ki
 def test_clean_phi_plus_blocks_are_the_two_leg_even_ones():
     """phi_plus at N = 5 fills the leg-even blocks, 152 mirror-even and 120 mirror-odd states."""
     _, basis, _, blocks = _sector_blocks(LadderParams(n_rungs=5), "phi_plus")
-    assert len(basis) == 512 and _held_terms(blocks) == {4}
-    assert [rows.shape[1] for rows, _ in blocks] == [152, 120]
-    # characters (chi(leg swap), chi(mirror)) read off the terms e, L, M, LM
-    assert [tuple(np.sign(coefs[[1, 2], 0] / coefs[0, 0])) for _, coefs in blocks] == [(1, 1), (1, -1)]
+    assert len(basis) == 512
+    assert [u.shape[1] for u in blocks] == [152, 120]
+    # characters (chi(leg swap), chi(mirror))
+    images = _site_images(basis, 5)
+    assert [_character(u, images) for u in blocks] == [(1, 1), (1, -1)]
 
 
 def test_field_mask_off_mirror_breaks_the_mirror_only():
     """A field on rung 2 alone at N = 4 keeps the leg swap; phi_plus stays in one 72-state leg-even block."""
     params = LadderParams(n_rungs=4, field_mask=frozenset({2}))
     _, basis, _, blocks = _sector_blocks(params, "phi_plus")
-    assert _held_terms(blocks) == {2}
-    [(rows, coefs)] = blocks
-    assert rows.shape[1] == 72 and (coefs[1] / coefs[0] == 1.0).all()
+    leg_swap, mirror = _site_images(basis, 4)
+    [u] = blocks
+    assert u.shape[1] == 72 and _character(u, [leg_swap]) == (1,)
+    assert not any(np.array_equal(u[mirror], s * u) for s in (1.0, -1.0))
     _, _, _, clean = _sector_blocks(LadderParams(n_rungs=4), "phi_plus")
-    assert _held_terms(clean) == {4} and sum(rows.shape[1] for rows, _ in clean) == 72
+    assert [_character(u, [leg_swap, mirror])[0] for u in clean] == [1, 1]
+    assert sum(u.shape[1] for u in clean) == 72
 
 
 def test_mixed_parity_input_keeps_both_leg_irreps():
     """(phi_plus + psi_minus)/sqrt(2): phi_plus is leg-even, psi_minus leg-odd; nothing is dropped."""
     _, basis, _, blocks = _sector_blocks(LadderParams(), "psi_minus_plus_phi_plus")
-    assert len(basis) == 64 and _held_terms(blocks) == {4}
-    assert {np.sign(coefs[1, 0] / coefs[0, 0]) for _, coefs in blocks} == {1.0, -1.0}
-    assert sum(rows.shape[1] for rows, _ in blocks) == 64
+    assert len(basis) == 64
+    characters = [_character(u, _site_images(basis, 3)) for u in blocks]
+    assert {leg for leg, _ in characters} == {1.0, -1.0}
+    assert sum(u.shape[1] for u in blocks) == 64
 
 
 # ------------------------------------------------------------ initial states
