@@ -8,9 +8,25 @@ into the output directory.
 
 Exit codes: 0 success, 2 bad configuration or arguments, 3 numeric failure
 during diagonalization or analysis, 4 output could not be written.
+
+Allocator policy: on Linux, main first asks glibc malloc to serve blocks of
+up to 32 MiB from its heap and not to trim freed heap memory during the run
+(mallopt M_MMAP_THRESHOLD = 32 MiB, then M_TRIM_THRESHOLD = 1 GiB). Every
+evolution chunk allocates and frees arrays of 0.25-17 MB; with glibc's
+defaults the freed top of the heap goes back to the kernel, and the next
+chunk page-faults the same memory in again, which is the largest cost of a
+short run such as a 40-sample disorder ensemble. Keeping the memory for
+reuse costs little peak RSS, because each chunk frees what the next one
+allocates. The mmap threshold is set first and the trim threshold only if
+glibc accepted it: setting either turns off glibc's dynamic adjustment, and
+a trim threshold alone would freeze the mmap threshold at 128 KiB. On other
+platforms, or a libc without mallopt, the allocator is left as it is.
+Importing this module changes nothing; library callers keep the default
+allocator.
 """
 
 import argparse
+import ctypes
 import os
 import sys
 from dataclasses import asdict, astuple, fields
@@ -29,21 +45,41 @@ from . import experiments, io, signals
 # their own grid defaults; an explicit t_end or n_points still wins.
 _COMMAND_DEFAULTS = {"freq-table": {"t_end": FREQ_GRID.t_end, "n_points": FREQ_GRID.n_points}}
 
+#: glibc mallopt parameters and the values main gives them (see the module docstring).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_BYTES = 32 << 20  # glibc's own ceiling for its dynamic threshold on 64-bit
+_TRIM_THRESHOLD_BYTES = 1 << 30   # no trimming during a run
+
+
+def _retain_freed_heap():
+    """Keep freed heap memory in the process for reuse, on glibc only."""
+    if not sys.platform.startswith("linux"):
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES) == 1:
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
 
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="spinladder",
         description="Entanglement transfer experiments on a two-leg XXZ ladder.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    # Every subcommand takes the same flags: build them once, share them as a parent.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", metavar="FILE", help="flat key = value config file")
+    common.add_argument("--out", metavar="DIR", required=True, help="output directory")
+    for field in fields(io.ExperimentConfig):
+        flag = "--" + field.name.replace("_", "-")
+        names = [flag] if flag == "--" + field.name else [flag, "--" + field.name]
+        common.add_argument(*names, dest="cfg_" + field.name, metavar="V", default=None)
     sub = parser.add_subparsers(dest="experiment", required=True)
     for name in io.EXPERIMENTS:
-        cmd = sub.add_parser(name, help=f"run the {name} experiment")
-        cmd.add_argument("--config", metavar="FILE", help="flat key = value config file")
-        cmd.add_argument("--out", metavar="DIR", required=True, help="output directory")
-        for field in fields(io.ExperimentConfig):
-            flag = "--" + field.name.replace("_", "-")
-            names = [flag] if flag == "--" + field.name else [flag, "--" + field.name]
-            cmd.add_argument(*names, dest="cfg_" + field.name, metavar="V", default=None)
+        sub.add_parser(name, parents=[common], help=f"run the {name} experiment")
     return parser
 
 
@@ -184,6 +220,7 @@ _COMMANDS = {
 
 
 def main(argv=None):
+    _retain_freed_heap()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

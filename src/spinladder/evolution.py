@@ -201,7 +201,9 @@ def iter_evolved(decomp, psi0, grid, readouts=None):
     time from a chunk's start, taken from grid.times) plus an offset
     b * grid.dt with b < STRIDE, and exp(-i w t) is an anchor phase times an
     offset phase. The offset phases are one table per call; the anchor
-    phases are computed per chunk.
+    phases are computed per chunk, and their products with the offsets fill
+    one phase buffer per call, which the readouts read in place. The row
+    blocks are allocated per chunk, so a caller may keep every one.
     """
     w = decomp.eigenvalues
     readouts = (decomp.eigenvectors,) if readouts is None else tuple(readouts)
@@ -210,11 +212,12 @@ def iter_evolved(decomp, psi0, grid, readouts=None):
     coeffs = _coefficients(decomp, psi0)
     times = grid.times
     offsets = np.exp(-1j * np.outer(w, np.arange(min(STRIDE, grid.n_points)) * grid.dt))
+    phases = np.empty((len(w), len(times[:CHUNK:STRIDE]), offsets.shape[1]), dtype=complex)
     for start in range(0, len(times), CHUNK):
         block = times[start:start + CHUNK]
         anchors = coeffs[:, None] * np.exp(-1j * np.outer(w, block[::STRIDE]))
-        rotated = (anchors[:, :, None] * offsets[:, None, :len(block)]).reshape(len(w), -1)
-        rotated = np.ascontiguousarray(rotated[:, :len(block)])
+        np.multiply(anchors[:, :, None], offsets[:, None, :], out=phases[:, :anchors.shape[1]])
+        rotated = phases.reshape(len(w), -1)[:, :len(block)]
         rows = np.empty((bounds[-1], len(block)), dtype=complex)
         target, operand = (rows.view(float), rotated.view(float)) if real else (rows, rotated)
         for readout, lo, hi in zip(readouts, bounds, bounds[1:]):

@@ -246,10 +246,10 @@ def run_reference(params=LadderParams(), state_kind="phi_plus", grid=DEFAULT_GRI
 
     Mutual-information channels (first rung, terminal rung, and the joint
     first-terminal correlation) are included by default. At N = 5 they add
-    about two thirds to the evolve-and-measure cost, most of it reducing the
-    joint rho and the eigenvalues of its two 8x8 blocks; the two end pairs
-    are traced from it (0.17 s without, 0.28 s with, for 4001 points on one
-    Xeon core with single-threaded OpenBLAS).
+    about three fifths to the evolve-and-measure cost, most of it reducing
+    the joint rho and the eigenvalues of its two 8x8 blocks; the two end
+    pairs are traced from it (0.17 s without, 0.26 s with, for 4001 points
+    on one Xeon core with single-threaded OpenBLAS, best of 7).
     """
     psi0 = build_initial_state(state_kind, params)
     return evolve_and_measure(params, grid, rung_pairs(params.n_rungs), fidelity=True,

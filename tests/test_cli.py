@@ -6,6 +6,7 @@ BLAS build cannot break them; bitwise determinism of a single installation
 is asserted separately by the repeated-run test.
 """
 
+import ctypes
 import importlib
 import inspect
 import math
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 import spinladder
-from spinladder import __version__, experiments
+from spinladder import __version__, cli, experiments
 from spinladder.cli import _build_parser, _resolve_config, main
 from spinladder.io import config_floats, config_grid, parse_config, read_csv, read_sidecar
 from spinladder.signals import envelope_period
@@ -270,6 +271,68 @@ def test_driver_defaults_match_resolved_config():
     args = _build_parser().parse_args(["freq-table", "--out", "unused"])
     assert config_grid(_resolve_config(args, "freq-table")) == \
         _default(experiments.frequency_table, "grid")
+
+
+# ------------------------------------------------------------------- allocator
+
+def _fake_libc(monkeypatch, platform, results=None):
+    """Put a libc whose mallopt returns results in turn (None: no mallopt) in place of ctypes.CDLL.
+
+    Returns the list of (name, args) calls the fake saw: the CDLL opens and
+    the mallopt calls.
+    """
+    calls = []
+    libc = type("FakeLibc", (), {})()
+    if results is not None:
+        answers = iter(results)
+
+        def mallopt(param, value):
+            calls.append(("mallopt", (param, value)))
+            return next(answers)
+        libc.mallopt = mallopt
+
+    def cdll(name):
+        calls.append(("CDLL", (name,)))
+        return libc
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    monkeypatch.setattr(sys, "platform", platform)
+    return calls, libc
+
+
+def test_retain_freed_heap_without_mallopt_calls_nothing(monkeypatch):
+    calls, _ = _fake_libc(monkeypatch, "linux")
+    cli._retain_freed_heap()
+    assert calls == [("CDLL", (None,))]
+
+
+@pytest.mark.parametrize("platform", ["darwin", "win32"])
+def test_retain_freed_heap_is_linux_only(monkeypatch, platform):
+    calls, _ = _fake_libc(monkeypatch, platform, results=[1, 1])
+    cli._retain_freed_heap()
+    assert calls == []
+
+
+def test_refused_mmap_threshold_sets_no_trim_threshold(monkeypatch):
+    calls, _ = _fake_libc(monkeypatch, "linux", results=[0])
+    cli._retain_freed_heap()
+    assert calls == [("CDLL", (None,)), ("mallopt", (-3, 32 * 2**20))]
+
+
+def test_retain_freed_heap_sets_both_thresholds_in_order(monkeypatch):
+    calls, libc = _fake_libc(monkeypatch, "linux", results=[1, 1])
+    cli._retain_freed_heap()
+    assert calls == [("CDLL", (None,)), ("mallopt", (-3, 32 * 2**20)), ("mallopt", (-1, 2**30))]
+    assert libc.mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+    assert libc.mallopt.restype is ctypes.c_int
+
+
+def test_main_configures_the_allocator_before_parsing(monkeypatch):
+    order = []
+    monkeypatch.setattr(cli, "_retain_freed_heap", lambda: order.append("allocator"))
+    monkeypatch.setattr(cli, "_build_parser", lambda: order.append("parser") or _build_parser())
+    assert main(["--version"]) == 0
+    assert order == ["allocator", "parser"]
 
 
 # --------------------------------------------------------------------- goldens
