@@ -78,7 +78,7 @@ def _build_parser():
         names = [flag] if flag == "--" + field.name else [flag, "--" + field.name]
         common.add_argument(*names, dest="cfg_" + field.name, metavar="V", default=None)
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in io.EXPERIMENTS:
+    for name in _COMMANDS:
         sub.add_parser(name, parents=[common], help=f"run the {name} experiment")
     return parser
 

@@ -175,7 +175,7 @@ def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False
                                    f"got n_rungs={params.n_rungs}")
     psi0 = build_initial_state("phi_plus", params) if psi0 is None else psi0
     decomp = _sector_spectrum(params, psi0) if decomp is None else decomp
-    n_sites, n_points, times = params.n_sites, grid.n_points, grid.times
+    n_sites, n_points = params.n_sites, grid.n_points
     ladder = rung_pairs(params.n_rungs)
     first, terminal = ladder[0], ladder[-1]
     ends = [first, terminal] * mutual_info
@@ -213,15 +213,15 @@ def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False
     if mutual_info:
         lf, lt = pair_label(*first), pair_label(*terminal)
         mi_series = {
-            f"I{lf}": TimeSeries(times, mi["first"]),
-            f"I{lt}": TimeSeries(times, mi["terminal"]),
-            f"I{lf}_{lt}": TimeSeries(times, mi["joint"]),
+            f"I{lf}": TimeSeries(grid, mi["first"]),
+            f"I{lt}": TimeSeries(grid, mi["terminal"]),
+            f"I{lf}_{lt}": TimeSeries(grid, mi["joint"]),
         }
     return Trajectory(
         grid=grid,
-        pair_concurrence={pair_label(*pair): TimeSeries(times, np.clip(values, 0.0, 1.0))
+        pair_concurrence={pair_label(*pair): TimeSeries(grid, np.clip(values, 0.0, 1.0))
                           for pair, values in conc.items()},
-        fidelity_terminal=None if fid is None else TimeSeries(times, np.clip(fid, 0.0, 1.0)),
+        fidelity_terminal=None if fid is None else TimeSeries(grid, np.clip(fid, 0.0, 1.0)),
         mutual_info=mi_series,
     )
 
@@ -380,8 +380,8 @@ def disorder_ensemble(delta, n_samples, base_seed, base=LadderParams(), grid=DEF
     return EnsembleStats(
         delta=float(delta),
         n_samples=int(n_samples),
-        mean_fidelity=TimeSeries(grid.times, mean),
-        std_fidelity=TimeSeries(grid.times, np.sqrt(m2 / n_samples)),
+        mean_fidelity=TimeSeries(grid, mean),
+        std_fidelity=TimeSeries(grid, np.sqrt(m2 / n_samples)),
         peak_fidelities=peaks,
         mean_peak_fidelity=float(peak_mean),
         std_peak_fidelity=float(np.sqrt(peak_m2 / n_samples)),

@@ -19,9 +19,6 @@ from .evolution import TimeGrid
 from .experiments import WINDOW_FACTOR
 from .signals import ENVELOPE_PROMINENCE
 
-EXPERIMENTS = ("reference", "field-sweep", "heatmap", "disorder", "scaling",
-               "freq-table", "effective-check")
-
 
 @dataclass
 class ExperimentConfig:
@@ -224,28 +221,29 @@ def write_sidecar(path, summary):
 
 
 def trajectory_summary(traj):
-    """Scalar digest of a trajectory: F_max, argmax time, per-pair max concurrence."""
+    """Scalar digest of a trajectory: F_max and its time if F was measured, per-pair max concurrence."""
+    summary = {}
     fid = traj.fidelity_terminal
-    k = int(np.argmax(fid.values))
-    return {
-        "f_max": float(fid.values[k]),
-        "f_argmax_time": float(fid.times[k]),
-        "max_concurrence": {label: float(s.values.max())
-                            for label, s in traj.pair_concurrence.items()},
-    }
+    if fid is not None:
+        k = int(np.argmax(fid.values))
+        summary.update(f_max=float(fid.values[k]), f_argmax_time=float(traj.grid.times[k]))
+    summary["max_concurrence"] = {label: float(s.values.max())
+                                  for label, s in traj.pair_concurrence.items()}
+    return summary
 
 
 def write_trajectory(traj, csv_path, sidecar_path=None, extras=None):
     """CSV with one row per grid point, plus an optional JSON summary sidecar.
 
-    Header: t, one concurrence column per rung pair, F, then any
-    mutual-information channels.
+    Header: t, one concurrence column per rung pair, F if fidelity was
+    measured, then any mutual-information channels.
     """
     labels = list(traj.pair_concurrence)
-    header = ["t"] + [f"C{label}" for label in labels] + ["F"]
-    columns = [traj.fidelity_terminal.times]
-    columns += [traj.pair_concurrence[label].values for label in labels]
-    columns += [traj.fidelity_terminal.values]
+    header = ["t"] + [f"C{label}" for label in labels]
+    columns = [traj.grid.times] + [traj.pair_concurrence[label].values for label in labels]
+    if traj.fidelity_terminal is not None:
+        header.append("F")
+        columns.append(traj.fidelity_terminal.values)
     if traj.mutual_info:
         header += list(traj.mutual_info)
         columns += [series.values for series in traj.mutual_info.values()]

@@ -5,7 +5,8 @@ dressed rung gap and, two orders of magnitude slower at strong field, a
 transfer envelope. The routines here pull out carrier frequency, envelope
 period, power-law fits, and the effective-coupling prefactor. Peaks are
 found by a NumPy prominence peak finder that returns the indices
-scipy.signal.find_peaks would; SciPy is not needed at run time.
+scipy.signal.find_peaks would; SciPy is not needed at run time. A series
+lives on the TimeGrid it was sampled on: uniform steps from t_start >= 0.
 """
 
 import math
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidArgumentError
+from .evolution import TimeGrid
 
 #: Minimum number of carrier oscillations for a frequency estimate.
 MIN_PERIODS = 10
@@ -24,36 +26,30 @@ ENVELOPE_PROMINENCE = 0.05
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Uniformly sampled real signal."""
+    """Real signal, one value per point of the TimeGrid (uniform, t_start >= 0) it lives on."""
 
-    times: np.ndarray
+    grid: TimeGrid
     values: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
+        if not isinstance(self.grid, TimeGrid):
+            raise InvalidArgumentError(f"a time series needs a TimeGrid, got {type(self.grid).__name__}")
         values = np.asarray(self.values, dtype=float)
-        if times.ndim != 1 or values.shape != times.shape:
-            raise InvalidArgumentError(
-                f"times and values must be equal-length vectors, got {times.shape} and {values.shape}"
-            )
-        if len(times) < 2:
-            raise InvalidArgumentError("a time series needs at least 2 samples")
-        steps = np.diff(times)
-        if steps.min() <= 0:
-            raise InvalidArgumentError("times must be strictly increasing")
-        dt = (times[-1] - times[0]) / (len(times) - 1)
-        if np.abs(steps - dt).max() > 1e-12 * max(abs(times[-1]), 1.0):
-            raise InvalidArgumentError("times must be uniformly spaced")
-        object.__setattr__(self, "times", times)
+        if values.shape != (self.grid.n_points,):
+            raise InvalidArgumentError(f"values of shape {values.shape} for {self.grid.n_points} grid points")
         object.__setattr__(self, "values", values)
 
     @property
+    def times(self):
+        return self.grid.times
+
+    @property
     def dt(self):
-        return (self.times[-1] - self.times[0]) / (len(self.times) - 1)
+        return self.grid.dt
 
     @property
     def duration(self):
-        return self.times[-1] - self.times[0]
+        return self.grid.t_end - self.grid.t_start
 
 
 @dataclass(frozen=True)
@@ -129,10 +125,11 @@ def find_peaks(series, min_prominence):
 
     Returns a list of (time, value) pairs. An empty list is a valid result.
     """
-    if len(series.times) < 3:
+    if series.grid.n_points < 3:
         raise InsufficientDataError("need at least 3 samples to locate peaks")
     idx = _prominent_maxima(series.values, min_prominence)
-    return [_refine_parabolic(series.times, series.values, k) for k in idx]
+    times = series.times  # read once: every read builds a fresh linspace
+    return [_refine_parabolic(times, series.values, k) for k in idx]
 
 
 def dominant_frequency(series):

@@ -6,6 +6,7 @@ BLAS build cannot break them; bitwise determinism of a single installation
 is asserted separately by the repeated-run test.
 """
 
+import argparse
 import ctypes
 import importlib
 import inspect
@@ -50,6 +51,13 @@ def test_unknown_experiment_is_usage_error(tmp_path):
 
 def test_version_flag():
     assert main(["--version"]) == 0
+
+
+def test_subcommands_are_the_seven_experiments_in_order():
+    parser = _build_parser()
+    (sub,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    assert list(sub.choices) == ["reference", "field-sweep", "heatmap", "disorder",
+                                 "scaling", "freq-table", "effective-check"]
 
 
 def _checkout_env():

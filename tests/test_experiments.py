@@ -74,8 +74,8 @@ def test_rung_pairs():
 
 def test_trajectory_validates_ranges():
     grid = TimeGrid(0.0, 1.0, 3)
-    good = TimeSeries(grid.times, [0.0, 0.5, 1.0])
-    bad = TimeSeries(grid.times, [0.0, 1.5, 0.2])
+    good = TimeSeries(grid, [0.0, 0.5, 1.0])
+    bad = TimeSeries(grid, [0.0, 1.5, 0.2])
     with pytest.raises(InvalidArgumentError):
         Trajectory(grid=grid, pair_concurrence={"12": bad}, fidelity_terminal=good)
     with pytest.raises(InvalidArgumentError):
@@ -84,8 +84,8 @@ def test_trajectory_validates_ranges():
 
 def test_trajectory_rejects_nan():
     grid = TimeGrid(0.0, 1.0, 3)
-    good = TimeSeries(grid.times, [0.0, 0.5, 1.0])
-    nan = TimeSeries(grid.times, np.full(3, np.nan))
+    good = TimeSeries(grid, [0.0, 0.5, 1.0])
+    nan = TimeSeries(grid, np.full(3, np.nan))
     with pytest.raises(InvalidArgumentError, match="non-finite"):
         Trajectory(grid=grid, pair_concurrence={"12": nan}, fidelity_terminal=good)
     with pytest.raises(InvalidArgumentError, match="non-finite"):

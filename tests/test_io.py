@@ -7,9 +7,9 @@ import pytest
 
 from spinladder.errors import ConfigurationError, OutputError
 from spinladder.evolution import TimeGrid
-from spinladder.experiments import EnsembleStats, HeatmapGrid, SweepResult, SweepRow, Trajectory
+from spinladder.experiments import (EnsembleStats, HeatmapGrid, SweepResult, SweepRow, Trajectory,
+                                   evolve_and_measure, rung_pairs)
 from spinladder.io import (
-    EXPERIMENTS,
     ExperimentConfig,
     build_config,
     config_echo,
@@ -196,18 +196,13 @@ def test_config_echo_covers_every_field():
     assert set(echo) == {f for f in ExperimentConfig.__dataclass_fields__}
 
 
-def test_experiments_tuple():
-    assert EXPERIMENTS == ("reference", "field-sweep", "heatmap", "disorder",
-                           "scaling", "freq-table", "effective-check")
-
-
 # --------------------------------------------------------------- trajectory csv
 
 def tiny_trajectory():
     grid = TimeGrid(0.0, 1.0, 2)
-    c12 = TimeSeries(grid.times, [1.0, 0.4561128734])
-    c56 = TimeSeries(grid.times, [0.0, 0.1 / 3.0])
-    fid = TimeSeries(grid.times, [0.5, 0.987654321001])
+    c12 = TimeSeries(grid, [1.0, 0.4561128734])
+    c56 = TimeSeries(grid, [0.0, 0.1 / 3.0])
+    fid = TimeSeries(grid, [0.5, 0.987654321001])
     return Trajectory(grid=grid, pair_concurrence={"12": c12, "56": c56},
                       fidelity_terminal=fid)
 
@@ -244,6 +239,26 @@ def test_trajectory_csv_includes_mutual_info(tmp_path):
     path = tmp_path / "t.csv"
     write_trajectory(traj, str(path))
     assert path.read_text().splitlines()[0] == "t,C12,C56,F,I12,I12_56"
+
+
+def test_trajectory_without_fidelity_round_trip(tmp_path):
+    """A run that did not ask for F writes no F column and no F summary keys."""
+    grid = TimeGrid(0, 1, 11)
+    traj = evolve_and_measure(LadderParams(), grid, rung_pairs(3))
+    assert traj.fidelity_terminal is None
+    csv_path = tmp_path / "trajectory.csv"
+    side_path = tmp_path / "trajectory.json"
+    write_trajectory(traj, str(csv_path), str(side_path), extras={"seed": 42})
+
+    header, columns = read_csv(str(csv_path))
+    assert header == ["t", "C12", "C34", "C56"]
+    assert columns["t"] == grid.times.tolist()
+    for label, series in traj.pair_concurrence.items():
+        assert columns[f"C{label}"] == series.values.tolist()
+
+    side = read_sidecar(str(side_path))
+    assert side == {"seed": 42, "max_concurrence": {label: float(series.values.max())
+                                                    for label, series in traj.pair_concurrence.items()}}
 
 
 # ------------------------------------------------------------------- sidecars
@@ -312,11 +327,11 @@ def test_heatmap_single_cell(tmp_path):
 # ---------------------------------------------------------------- ensemble csv
 
 def test_ensemble_outputs(tmp_path):
-    times = np.array([0.0, 0.5, 1.0])
+    grid = TimeGrid(0.0, 1.0, 3)
     stats = EnsembleStats(
         delta=0.0, n_samples=2,
-        mean_fidelity=TimeSeries(times, [0.5, 0.7, 0.9]),
-        std_fidelity=TimeSeries(times, [0.0, 0.0, 0.0]),
+        mean_fidelity=TimeSeries(grid, [0.5, 0.7, 0.9]),
+        std_fidelity=TimeSeries(grid, [0.0, 0.0, 0.0]),
         peak_fidelities=np.array([0.9, 0.9]),
         mean_peak_fidelity=0.9, std_peak_fidelity=0.0,
     )

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 import scipy.signal
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from spinladder.errors import InsufficientDataError, InvalidArgumentError
+from spinladder.evolution import TimeGrid
 from spinladder.lattice import LadderParams
 from spinladder.signals import (
     ENVELOPE_PROMINENCE,
@@ -23,8 +24,8 @@ from spinladder.signals import (
 
 
 def series(fn, t_end, n):
-    t = np.linspace(0.0, t_end, n)
-    return TimeSeries(t, fn(t))
+    grid = TimeGrid(0.0, t_end, n)
+    return TimeSeries(grid, fn(grid.times))
 
 
 # ------------------------------------------------------------------ TimeSeries
@@ -36,14 +37,27 @@ def test_time_series_properties():
 
 
 def test_time_series_validation():
-    with pytest.raises(InvalidArgumentError):
-        TimeSeries([0.0], [1.0])
-    with pytest.raises(InvalidArgumentError):
-        TimeSeries([0.0, 1.0, 0.5], [1.0, 2.0, 3.0])
-    with pytest.raises(InvalidArgumentError):
-        TimeSeries([0.0, 1.0, 3.0], [1.0, 2.0, 3.0])  # non-uniform
-    with pytest.raises(InvalidArgumentError):
-        TimeSeries([0.0, 1.0], [1.0, 2.0, 3.0])
+    grid = TimeGrid(0.0, 1.0, 2)
+    with pytest.raises(InvalidArgumentError, match="2 grid points"):
+        TimeSeries(grid, [1.0, 2.0, 3.0])
+    with pytest.raises(InvalidArgumentError, match="2 grid points"):
+        TimeSeries(grid, [[1.0, 2.0]])
+    with pytest.raises(InvalidArgumentError, match="needs a TimeGrid, got ndarray"):
+        TimeSeries(grid.times, [1.0, 2.0])
+
+
+@given(st.floats(min_value=0.0, max_value=1e12), st.floats(min_value=0.0, max_value=1e12),
+       st.integers(min_value=2, max_value=5000))
+@example(0.0, 10.0, 4001)
+@example(0.0, 40.0, 8001)
+@example(0.3, 0.3000000000000001, 3)
+def test_grid_step_and_span_match_the_sampled_times(t_start, t_end, n_points):
+    """dt and duration from the grid equal those of its times, bitwise: linspace hits both ends."""
+    assume(t_end > t_start)
+    ts = TimeSeries(TimeGrid(t_start, t_end, n_points), np.zeros(n_points))
+    t = ts.times
+    assert ts.dt == (t[-1] - t[0]) / (n_points - 1)
+    assert ts.duration == t[-1] - t[0]
 
 
 # ------------------------------------------------------------------ find_peaks
@@ -71,7 +85,7 @@ def test_find_peaks_empty_on_monotone():
 
 def test_find_peaks_needs_three_samples():
     with pytest.raises(InsufficientDataError):
-        find_peaks(TimeSeries([0.0, 1.0], [0.0, 1.0]), 0.1)
+        find_peaks(TimeSeries(TimeGrid(0.0, 1.0, 2), [0.0, 1.0]), 0.1)
 
 
 #: Runs of small integers: plateaus everywhere, at either edge too.
@@ -110,9 +124,10 @@ def test_dominant_frequency_pure_cosine():
 
 
 def test_dominant_frequency_scale_offset_invariant():
-    t = np.linspace(0.0, 40.0, 8000)
-    base = dominant_frequency(TimeSeries(t, np.cos(3.0 * t)))
-    moved = dominant_frequency(TimeSeries(t, 5.0 * np.cos(3.0 * t) + 2.0))
+    grid = TimeGrid(0.0, 40.0, 8000)
+    t = grid.times
+    base = dominant_frequency(TimeSeries(grid, np.cos(3.0 * t)))
+    moved = dominant_frequency(TimeSeries(grid, 5.0 * np.cos(3.0 * t) + 2.0))
     assert moved == pytest.approx(base, abs=1e-9)
 
 
