@@ -15,8 +15,8 @@ from .errors import (ConfigurationError, InsufficientDataError,
                      UnsupportedSizeError)
 from .lattice import (INITIAL_STATE_KINDS, LadderParams, bond_hamiltonian,
                       build_hamiltonian, build_initial_state, dressed_gap,
-                      leg_bonds, mediating_mask, parity_sector, symmetry_blocks,
-                      uniform_mask)
+                      ladder_terms, leg_bonds, mediating_mask, parity_sector,
+                      symmetry_blocks, uniform_mask)
 from .evolution import (SpectralDecomposition, TimeGrid, diagonalize,
                         evolve_state, iter_evolved)
 from .metrics import (bell_fidelity, concurrence, mutual_information,

@@ -38,9 +38,8 @@ from .errors import InvalidArgumentError, NumericFailureError
 #: one is refused, never dropped.
 SECTOR_LEAK_TOL = 1e-12
 
-#: Largest element of A - B, relative to A's largest element (at least 1),
-#: for which two matrices count as equal: H and H^dagger, or H and its image
-#: under a site permutation.
+#: Largest element of H - H^dagger, relative to H's largest element (at
+#: least 1), for which diagonalize takes H as Hermitian.
 MATRIX_TOL = 1e-12
 
 #: Time points per state block of iter_evolved, which bounds the memory held.

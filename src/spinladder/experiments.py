@@ -231,13 +231,13 @@ def _sector_spectrum(params, psi0, **build):
 
     H is built on psi0's parity sector (the full space for a psi0 that mixes
     parities) and solved only on the leg-swap x mirror blocks that hold
-    psi0's weight (lattice.symmetry_blocks); a Hamiltonian that breaks both
-    symmetries is one block, the whole sector. build passes bond factors on
-    to build_hamiltonian.
+    psi0's weight, the held maps read from the ladder's terms, not from H
+    (lattice.symmetry_blocks); a ladder that breaks both maps is one block,
+    the whole sector. build passes bond factors on to both.
     """
     basis = parity_sector(psi0)
-    ham = build_hamiltonian(params, basis=basis, **build)
-    return diagonalize(ham, basis, symmetry_blocks(ham, basis, psi0[basis], params.n_rungs))
+    blocks = symmetry_blocks(params, basis, psi0[basis], **build)
+    return diagonalize(build_hamiltonian(params, basis=basis, **build), basis, blocks)
 
 
 def run_reference(params=LadderParams(), state_kind="phi_plus", grid=DEFAULT_GRID,

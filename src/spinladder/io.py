@@ -7,6 +7,7 @@ own sidecar. Floats are serialized with repr, which round-trips exactly.
 """
 
 import json
+import math
 import os
 from dataclasses import asdict, astuple, dataclass, fields
 
@@ -77,43 +78,42 @@ def _convert(key, raw, line=None):
     kind = _FIELD_TYPES[key]
     raw = raw.strip()
     try:
-        if key in _LIST_KEYS:
-            _split(raw, _LIST_KEYS[key])
         value = kind(raw) if kind in (int, float) else raw
+        entries = _split(raw, _LIST_KEYS[key]) if key in _LIST_KEYS else [value]
     except ValueError:
         what = f"comma-separated {_LIST_KEYS[key].__name__} values" if key in _LIST_KEYS else kind
         raise ConfigurationError(f"cannot parse {raw!r} as {what}", key=key, line=line) from None
-    problem = _refusal(key, value)
+    problem = _refusal(key, value, entries)
     if problem is not None:
         raise ConfigurationError(problem, key=key, line=line)
     return value
 
 
-def _refusal(key, value):
-    """Why a value is refused whatever the other keys hold, or None."""
+#: The least value of a key, or of every entry of a list key.
+_LEAST = {"n_points": 2, "n_g": 1, "n_d": 1, "n_samples": 1, "n_values": 3, "deltas": 0.0}
+
+
+def _refusal(key, value, entries):
+    """Why a value (a list key's entries, or the value alone) is refused whatever the other keys hold, or None."""
+    if not entries:
+        return f"{key} must list at least one value"
+    if float in (_FIELD_TYPES[key], _LIST_KEYS.get(key)) and not all(map(math.isfinite, entries)):
+        return f"{key} must be finite, got {value}"
+    if key in ("t_end", "window_factor", "prominence") and value <= 0:
+        return f"{key} must be positive"
+    if key in _LEAST and min(entries) < _LEAST[key]:
+        return f"{key} must be >= {_LEAST[key]}, got {value}"
+    if key == "n_values" and max(entries) > MAX_DENSE_RUNGS:
+        return f"n_values entry {max(entries)} exceeds the dense bound of {MAX_DENSE_RUNGS}"
     if key == "n_rungs" and not 2 <= value <= MAX_DENSE_RUNGS:
         return f"n_rungs must be between 2 and {MAX_DENSE_RUNGS} for dense diagonalization, got {value}"
     if key == "state" and value not in INITIAL_STATE_KINDS:
         return f"state must be one of {INITIAL_STATE_KINDS}"
-    if key == "n_points" and value < 2:
-        return "n_points must be >= 2"
-    if key == "t_end" and value <= 0:
-        return "t_end must be positive"
     if key == "field_mask" and value not in ("mediating", "uniform"):
         try:
             _split(value, int)
         except ValueError:
             return "field_mask must be 'mediating', 'uniform', or comma-separated rung indices"
-    if key in _LIST_KEYS and not _split(value, _LIST_KEYS[key]):
-        return f"{key} must list at least one value"
-    if key == "n_values":
-        for n in _split(value, int):
-            if n > MAX_DENSE_RUNGS:
-                return f"n_values entry {n} exceeds the dense bound of {MAX_DENSE_RUNGS}"
-    if key in ("n_g", "n_d") and value < 1:
-        return "grid size must be >= 1"
-    if key == "n_samples" and value < 1:
-        return "n_samples must be >= 1"
     return None
 
 

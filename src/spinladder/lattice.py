@@ -26,9 +26,10 @@ the initial state (parity_sector).
 Two site permutations can be symmetries too: the leg swap (2n-1 <-> 2n on
 every rung) and the mirror (rung n <-> rung N+1-n). A clean ladder with a
 mirror-symmetric field mask commutes with both; disorder breaks both, and
-the one-leg variant breaks the leg swap. symmetry_blocks tests each on the
-built matrix and splits the state space into the blocks of the group the
-held ones generate, each a dense orthonormal matrix U whose columns are
+the one-leg variant breaks the leg swap. symmetry_blocks holds a map when
+it sends the ladder's terms (ladder_terms) onto themselves, with no H and
+no tolerance, and splits the state space into the blocks of the group the
+held maps generate, each a dense orthonormal matrix U whose columns are
 symmetrized basis states, and keeps only the blocks the initial state
 occupies: phi_plus is leg-even and fills the two leg-even blocks, 152 + 120
 of its 512 sector states at five rungs. With neither map held there are no
@@ -46,7 +47,7 @@ import math
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .evolution import MATRIX_TOL, SECTOR_LEAK_TOL
+from .evolution import SECTOR_LEAK_TOL
 
 # Pauli y in the spin-down-first basis, where sigma_z is diag(-1, +1) so that
 # |0> (down) has eigenvalue -1; its sign keeps sx @ sy = i sz. Only sy (x) sy
@@ -159,71 +160,67 @@ def parity_sector(psi):
     return np.flatnonzero(held[parity])
 
 
-def symmetry_blocks(ham, basis, amplitudes, n_rungs):
-    """The symmetry blocks of ham that the amplitudes occupy, as orthonormal maps for evolution.diagonalize.
+def symmetry_blocks(params, basis, amplitudes, rung_factors=None, leg_factors=None):
+    """The symmetry blocks of a ladder's H that the amplitudes occupy, as orthonormal maps for evolution.diagonalize.
 
-    ham is a ladder Hamiltonian on basis (ascending full-space states) and
-    amplitudes a state in the same coordinates. Of the two site maps, the
-    leg swap and the mirror, each one whose permutation of the basis maps
-    ham onto itself (within evolution.MATRIX_TOL) is held; one that does
-    not, or that leads out of the basis, is not. With no map held the
-    result is None: ham is one block. Otherwise each character of the group
-    the held maps generate gives a block, a read-only orthonormal real
-    matrix U of shape (len(basis), k) whose columns span an invariant
-    subspace of ham (_character_blocks). A block is kept only when
-    |U^T amplitudes| is above round-off, so that the blocks dropped leak
-    less than evolution.SECTOR_LEAK_TOL of the state together, the weight
-    evolution refuses to lose. Everything but the test of ham and the
-    weights depends only on (n_rungs, basis) and is cached.
+    The ladder is given as build_hamiltonian takes it; basis lists H's
+    ascending full-space states, and amplitudes is a state on it. With
+    neither the leg swap nor the mirror held (_held_site_maps) the result
+    is None: H is one block. Otherwise each character of the held maps'
+    group gives a read-only orthonormal real matrix U of shape
+    (len(basis), k) spanning an invariant subspace of H (_character_blocks,
+    cached), kept only when |U^T amplitudes| is above round-off: the blocks
+    dropped leak less than evolution.SECTOR_LEAK_TOL of the state together,
+    the weight evolution refuses to lose.
     """
-    key = np.asarray(basis, dtype=np.int64).tobytes()
-    scale = MATRIX_TOL * max(np.abs(ham).max(), 1.0)
-    held = []
-    for k, image in enumerate(_site_map_images(n_rungs, key)):
-        if image is not None:
-            permuted = ham[image[:, None], image]
-            permuted -= ham
-            if np.abs(permuted, out=permuted).max() <= scale:
-                held.append(k)
+    held = _held_site_maps(*ladder_terms(params, rung_factors, leg_factors), params.n_rungs)
     if not held:
         return None
-    blocks = _character_blocks(n_rungs, key, tuple(held))
+    blocks = _character_blocks(params.n_rungs, np.asarray(basis, dtype=np.int64).tobytes(), held)
     floor = SECTOR_LEAK_TOL / len(blocks)  # the blocks dropped leak less than SECTOR_LEAK_TOL together
     return [u for u in blocks if np.linalg.norm(u.T @ amplitudes) > floor]
 
 
-@lru_cache(maxsize=16)
-def _site_map_images(n_rungs, basis_key):
-    """Row images of the leg swap and the mirror on a basis, given as its int64 bytes.
+def _site_maps(n_rungs):
+    """The leg swap (2n-1 <-> 2n) and the mirror (rung n <-> rung N+1-n, same leg), as the images of sites 1..2N."""
+    sites = range(1, 2 * n_rungs + 1)
+    return ([site + 1 if site % 2 else site - 1 for site in sites],
+            [2 * (n_rungs + 1 - (site + 1) // 2) - site % 2 for site in sites])
 
-    A site map sends site k to map[k - 1]: the leg swap 2n-1 <-> 2n, the
-    mirror rung n to rung N+1-n on the same leg. Both are involutions, so
-    reading the bits of sites map[0], map[1], ... as a basis index gives the
-    image of each state. A map that leads out of the basis has the image
-    None.
+
+def _held_site_maps(bonds, site_fields, n_rungs):
+    """The site maps (0: leg swap, 1: mirror) that send the nonzero bonds and fields onto themselves.
+
+    A map renames site k to map[k - 1]. The test is exact and O(bonds): a
+    held map permutes H onto itself up to the order bond_hamiltonian sums in.
     """
-    basis, n_sites = np.frombuffer(basis_key, dtype=np.int64), 2 * n_rungs
-    sites = np.arange(1, n_sites + 1)
-    rung_shift = 2 * (n_rungs + 1 - 2 * ((sites + 1) // 2))
-    lookup = np.full(2 ** n_sites, -1)
-    lookup[basis] = np.arange(len(basis))
-    images = [lookup[_site_code(basis, site_map, n_sites)]
-              for site_map in (sites + np.where(sites % 2, 1, -1), sites + rung_shift)]
-    return tuple(image if (image >= 0).all() else None for image in images)
+    def terms(to):
+        return (sorted((to[i - 1], to[j - 1], c, g, d) if to[i - 1] < to[j - 1] else (to[j - 1], to[i - 1], c, g, d)
+                       for i, j, c, g, d in bonds if c),
+                sorted((to[site - 1], value) for site, value in site_fields.items() if value))
+    own = terms(range(1, 2 * n_rungs + 1))
+    return tuple(k for k, site_map in enumerate(_site_maps(n_rungs)) if terms(site_map) == own)
 
 
 @lru_cache(maxsize=16)
 def _character_blocks(n_rungs, basis_key, held):
     """Orthonormal maps U of every character of the group the held site maps generate, read-only.
 
-    The held maps are commuting involutions P_i, so prod_i (1 + chi_i P_i)
-    applied to the unit column of an orbit's representative (its smallest
-    row) gives sum_g chi(g) e_{g r}. That column is 0, and dropped, when chi
-    is not 1 on the orbit's stabilizer; the others are normalized. One
-    block per sign choice chi, in the order of itertools.product.
+    basis_key is the basis as its int64 bytes; a basis that a held map
+    leads out of is refused. The held maps are commuting involutions P_i, so
+    prod_i (1 + chi_i P_i) applied to the unit column of an orbit's
+    representative (its smallest row) gives sum_g chi(g) e_{g r}. That
+    column is 0, and dropped, when chi is not 1 on the orbit's stabilizer;
+    the others are normalized. One block per sign choice chi, in the order
+    of itertools.product.
     """
-    images = [_site_map_images(n_rungs, basis_key)[k] for k in held]
-    smallest = np.arange(len(basis_key) // 8)
+    basis, n_sites = np.frombuffer(basis_key, dtype=np.int64), 2 * n_rungs
+    lookup = np.full(2 ** n_sites, -1)
+    lookup[basis] = np.arange(len(basis))
+    images = [lookup[_site_code(basis, _site_maps(n_rungs)[k], n_sites)] for k in held]  # involutions: P = P^-1
+    if any((image < 0).any() for image in images):
+        raise InvalidArgumentError("basis is not closed under the held site maps")
+    smallest = np.arange(len(basis))
     for image in images:
         smallest = np.minimum(smallest, smallest[image])  # the smallest row of each orbit
     reps = np.flatnonzero(smallest == np.arange(len(smallest)))
@@ -280,14 +277,13 @@ def bond_hamiltonian(n_sites, bonds, site_fields, basis=None):
     return ham
 
 
-def build_hamiltonian(params, rung_factors=None, leg_factors=None, basis=None):
-    """Real Hamiltonian for the ladder described by params, on basis (None: all states).
+def ladder_terms(params, rung_factors=None, leg_factors=None):
+    """The ladder's bonds, as bond_hamiltonian takes them, and its site fields.
 
     Both legs carry the same coupling j_parallel. rung_factors / leg_factors
     optionally scale each bond coupling, in the order of rungs 1..N and of
     leg_bonds(N); the disorder ensemble passes (1 + delta_k) here, and a
-    factor of 0 drops a bond. The field term is never scaled. basis is
-    usually parity_sector(psi0), the only block psi0 ever reaches.
+    factor of 0 drops a bond. The field term is never scaled.
     """
     rung_factors = np.ones(params.n_rungs) if rung_factors is None else np.asarray(rung_factors, dtype=float)
     n_leg = 2 * (params.n_rungs - 1)
@@ -298,12 +294,17 @@ def build_hamiltonian(params, rung_factors=None, leg_factors=None, basis=None):
         raise InvalidArgumentError(f"need {n_leg} leg factors, got {leg_factors.shape}")
 
     g, d = params.g, params.d
-    bonds = [(2 * rung - 1, 2 * rung, params.j_perp * rung_factors[rung - 1], g, d)
-             for rung in range(1, params.n_rungs + 1)]
-    bonds += [(i, j, params.j_parallel * leg_factors[k], g, d)
-              for k, (i, j) in enumerate(leg_bonds(params.n_rungs))]
+    bonds = [(2 * rung - 1, 2 * rung, coupling, g, d)
+             for rung, coupling in enumerate((params.j_perp * rung_factors).tolist(), start=1)]
+    bonds += [(i, j, coupling, g, d)
+              for (i, j), coupling in zip(leg_bonds(params.n_rungs), (params.j_parallel * leg_factors).tolist())]
     fields = {site: params.h for rung in params.field_mask for site in (2 * rung - 1, 2 * rung)}
-    return bond_hamiltonian(params.n_sites, bonds, fields, basis)
+    return bonds, fields
+
+
+def build_hamiltonian(params, rung_factors=None, leg_factors=None, basis=None):
+    """Real Hamiltonian of ladder_terms(...) on basis (None: all states), usually parity_sector(psi0)."""
+    return bond_hamiltonian(params.n_sites, *ladder_terms(params, rung_factors, leg_factors), basis)
 
 
 def build_initial_state(kind, params):

@@ -125,6 +125,23 @@ def test_empty_list_value_exits_2(tmp_path, capsys, command, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,flag,value,key", [
+    ("reference", "--t-end", "inf", "t_end"),
+    ("field-sweep", "--window-factor", "nan", "window_factor"),
+    ("disorder", "--deltas", "nan", "deltas"),
+    ("disorder", "--deltas", "inf", "deltas"),
+    ("field-sweep", "--prominence", "nan", "prominence"),
+    ("scaling", "--n-values", "4,2", "n_values"),
+    ("disorder", "--deltas", "0.1,-0.1", "deltas"),
+])
+def test_out_of_range_value_exits_2_before_writing(tmp_path, capsys, command, flag, value, key):
+    """A non-finite float or a list entry out of range is refused before any file is written."""
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out), flag, value]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_file_exits_2(tmp_path):
     code = main(["reference", "--config", str(tmp_path / "absent.cfg"),
                  "--out", str(tmp_path)])

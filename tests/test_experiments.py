@@ -391,7 +391,7 @@ def test_leg_asymmetric_ladder_drops_no_block(bonds, n_rungs):
     ham = build_hamiltonian(params, basis=decomp.basis, **build)
     sector = diagonalize(ham, decomp.basis)
     if bonds == "disorder":
-        assert symmetry_blocks(ham, decomp.basis, psi0[decomp.basis], n_rungs) is None
+        assert symmetry_blocks(params, decomp.basis, psi0[decomp.basis], **build) is None
         assert np.array_equal(decomp.eigenvalues, sector.eigenvalues)
         assert np.array_equal(decomp.eigenvectors, sector.eigenvectors)
     else:

@@ -20,13 +20,16 @@ from spinladder.lattice import (
     build_hamiltonian,
     build_initial_state,
     dressed_gap,
+    ladder_terms,
     leg_bonds,
     mediating_mask,
     parity_sector,
     symmetry_blocks,
     uniform_mask,
     _character_blocks,
+    _held_site_maps,
 )
+from spinladder.experiments import disorder_realization
 
 from conftest import pauli_hamiltonian, pauli_string
 
@@ -294,7 +297,7 @@ def _sector_blocks(params, kind, rung_factors=None, leg_factors=None):
     psi = build_initial_state(kind, params)
     basis = parity_sector(psi)
     ham = build_hamiltonian(params, rung_factors, leg_factors, basis=basis)
-    return ham, basis, psi[basis], symmetry_blocks(ham, basis, psi[basis], params.n_rungs)
+    return ham, basis, psi[basis], symmetry_blocks(params, basis, psi[basis], rung_factors, leg_factors)
 
 
 def _site_images(basis, n_rungs):
@@ -335,20 +338,25 @@ def test_symmetry_blocks_are_orthonormal_invariant_and_hold_the_state(ladder, ki
     each other and complete, and each one's character is read off how the
     held maps permute its rows. symmetry_blocks keeps exactly those with
     nonzero weight of the state, so the ones it drops carry none; with no
-    map held it returns None, one block of every state. A clean ladder (no
-    bond factors) keeps the leg swap, and the mirror too when its mask is
-    mirror-symmetric.
+    map held it returns None, one block of every state. The maps are held
+    by the exact test on the ladder's terms, and each of them also permutes
+    H onto itself within round-off (the oracle _held_maps). The converse
+    does not hold: with j_parallel = 1.65e-288 on one bottom-leg bond and
+    no other term, H is symmetric within 1e-12 under both maps, but the
+    terms are not. A clean ladder (no bond factors) keeps the leg swap, and the
+    mirror exactly when its mask is mirror-symmetric or its field is 0.
     """
     params, rung_factors, leg_factors = ladder
     if clean:
         rung_factors = leg_factors = None
     ham, basis, amplitudes, blocks = _sector_blocks(params, kind, rung_factors, leg_factors)
     images = _site_images(basis, params.n_rungs)
-    held = _held_maps(ham, images)
+    held = _held_site_maps(*ladder_terms(params, rung_factors, leg_factors), params.n_rungs)
+    assert set(held) <= set(_held_maps(ham, images))
     assert (blocks is None) == (held == ())
     if clean:
         mirrored = {params.n_rungs + 1 - rung for rung in params.field_mask}
-        assert 0 in held and (1 in held or mirrored != params.field_mask)
+        assert held == ((0, 1) if mirrored == params.field_mask or params.h == 0 else (0,))
     every = _character_blocks(params.n_rungs, basis.tobytes(), held)
     assert [_character(u, [images[k] for k in held]) for u in every if u.size] == \
         [chi for chi, u in zip(product((1.0, -1.0), repeat=len(held)), every) if u.size]
@@ -366,6 +374,38 @@ def test_symmetry_blocks_are_orthonormal_invariant_and_hold_the_state(ladder, ki
             assert np.abs(ham @ u - u @ (u.T @ ham @ u)).max() <= 1e-12 * scale
     inside = sum(u @ (u.T @ amplitudes) for u in kept)
     assert np.abs(inside - amplitudes).max() <= 1e-15
+
+
+def _disordered(delta, n_rungs):
+    real = disorder_realization(delta, 42, 0, n_rungs)
+    return LadderParams(n_rungs=n_rungs), 1.0 + real.rung_deltas, 1.0 + real.leg_deltas
+
+
+@pytest.mark.parametrize("ladder, expected", [
+    *[((LadderParams(n_rungs=n), None, None), (0, 1)) for n in (2, 3, 4, 5)],
+    ((LadderParams(g=0.0, d=0.0), None, None), (0, 1)),
+    ((LadderParams(n_rungs=4, field_mask=frozenset({2})), None, None), (0,)),
+    ((LadderParams(field_mask=uniform_mask(3)), None, None), (0, 1)),
+    ((LadderParams(n_rungs=4, h=0.0, field_mask=frozenset({2})), None, None), (0, 1)),
+    (_disordered(0.0, 3), (0, 1)),
+    (_disordered(0.1, 3), ()),
+    (_disordered(0.1, 4), ()),
+    ((LadderParams(), None, [0.0 if i % 2 else 1.0 for i, _ in leg_bonds(3)]), (1,)),
+], ids=["clean N=2", "clean N=3", "clean N=4", "clean N=5", "g=d=0", "mask {2} at N=4", "uniform mask",
+        "h=0 with mask {2}", "disorder delta=0", "disorder delta=0.1", "disorder delta=0.1 at N=4", "one leg"])
+def test_term_test_holds_the_maps_that_permute_h(ladder, expected):
+    """On every ladder the CLI, the goldens and the benchmark reach, the terms hold the same maps as H does."""
+    params, rung_factors, leg_factors = ladder
+    basis = parity_sector(build_initial_state("phi_plus", params))
+    ham = build_hamiltonian(params, rung_factors, leg_factors, basis=basis)
+    held = _held_site_maps(*ladder_terms(params, rung_factors, leg_factors), params.n_rungs)
+    assert held == _held_maps(ham, _site_images(basis, params.n_rungs)) == expected
+
+
+def test_basis_a_held_map_leads_out_of_is_refused():
+    """On one rung the leg swap is held and sends |01> to |10>, which a basis of |01> alone lacks."""
+    with pytest.raises(InvalidArgumentError, match="held site maps"):
+        symmetry_blocks(LadderParams(n_rungs=1), np.array([0b01]), np.array([1.0]))
 
 
 def test_clean_phi_plus_blocks_are_the_two_leg_even_ones():
