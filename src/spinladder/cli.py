@@ -104,7 +104,6 @@ def _common_extras(config):
         "config": io.config_echo(config),
         "seed": config.seed,
         "version": __version__,
-        "thresholds": {"prominence": config.prominence},
     }
 
 
@@ -128,7 +127,7 @@ def cmd_reference(args, config):
     extras["omega_fast"] = dressed_gap(params)
     terminal = traj.pair_concurrence[traj.terminal_label]
     try:
-        extras["t_slow"] = signals.envelope_period(terminal, min_prominence=config.prominence)
+        extras["t_slow"] = signals.envelope_period(terminal)
     except InsufficientDataError:
         pass  # window too short for the slow envelope, leave it out
     io.write_trajectory(traj, _out(args, "trajectory.csv"),
@@ -138,9 +137,7 @@ def cmd_reference(args, config):
 
 def cmd_field_sweep(args, config):
     params = io.config_params(config)
-    result = experiments.sweep_field(io.config_floats(config, "h_values"), params,
-                                     window_factor=config.window_factor,
-                                     min_prominence=config.prominence)
+    result = experiments.sweep_field(io.config_floats(config, "h_values"), params)
     io.write_sweep(result, _out(args, "sweep.csv"), _out(args, "sweep.json"),
                    _common_extras(config))
     return 0
@@ -180,7 +177,7 @@ def cmd_scaling(args, config):
         traj = experiments.scaling_run(n, params, grid=grid)
         io.write_trajectory(traj, _out(args, f"scaling_n{n}.csv"))
         terminal = traj.pair_concurrence[traj.terminal_label]
-        peaks = signals.find_peaks(terminal, min_prominence=config.prominence)
+        peaks = signals.find_peaks(terminal, signals.ENVELOPE_PROMINENCE)
         entry = dict(io.trajectory_summary(traj))
         entry["n_rungs"] = n
         if peaks:
@@ -200,9 +197,7 @@ def cmd_freq_table(args, config):
 
 def cmd_effective_check(args, config):
     params = io.config_params(config)
-    rows = experiments.effective_model_check(
-        params, h_values=io.config_floats(config, "eff_h_values"),
-        window_factor=config.window_factor, min_prominence=config.prominence)
+    rows = experiments.effective_model_check(params, io.config_floats(config, "eff_h_values"))
     _write_rows(args, config, "effective_check", rows,
                 ["h", "T_slow_full", "J_eff", "alpha", "T_slow_effective", "rel_error"])
     return 0
@@ -232,7 +227,7 @@ def main(argv=None):
     except (ConfigurationError, InvalidArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericFailureError, InsufficientDataError) as exc:
+    except (NumericFailureError, InsufficientDataError, OverflowError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except (OutputError, OSError) as exc:

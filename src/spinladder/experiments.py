@@ -29,7 +29,7 @@ from .lattice import (
     symmetry_blocks,
 )
 from .metrics import _concurrence_many, _entropy_many, _marginals, _phi_plus_map, _reduced_many
-from .signals import ENVELOPE_PROMINENCE, FitResult, TimeSeries, envelope_period, dominant_frequency, \
+from .signals import FitResult, TimeSeries, envelope_period, dominant_frequency, \
     extract_alpha, effective_coupling_from_period, loglog_fit
 
 #: Reference sampling of t in [0, 10].
@@ -38,11 +38,11 @@ DEFAULT_GRID = TimeGrid(0.0, 10.0, 4001)
 #: Sampling of t in [0, 40], long enough for the carrier-frequency table's FFT.
 FREQ_GRID = TimeGrid(0.0, 40.0, 8001)
 
-#: A-priori prefactor and default safety factor, used only to size simulation
-#: windows for slow-envelope studies (window = window_factor *
+#: A-priori prefactor and fixed safety factor, used only to size simulation
+#: windows for slow-envelope studies (window = WINDOW_FACTOR *
 #: NOMINAL_SLOW_PREFACTOR * h / J^2). The measured prefactor at the reference
 #: anisotropies comes out larger (close to pi), and the first envelope maximum
-#: sits near pi*h/2, so the default WINDOW_FACTOR still covers it comfortably.
+#: sits near pi*h/2, so the fixed WINDOW_FACTOR still covers it comfortably.
 NOMINAL_SLOW_PREFACTOR = 2.37
 WINDOW_FACTOR = 1.2
 
@@ -277,19 +277,18 @@ def _envelope_grid(params, t_end):
     return TimeGrid(0.0, t_end, int(round(t_end / dt)) + 1)
 
 
-def _slow_window(params, window_factor):
+def _slow_window(params):
     j = abs(params.j_parallel)
     if params.h > 0 and j > 0:
-        return window_factor * NOMINAL_SLOW_PREFACTOR * params.h / j ** 2
+        return WINDOW_FACTOR * NOMINAL_SLOW_PREFACTOR * params.h / j ** 2
     return 10.0
 
 
-def sweep_field(h_values, base=LadderParams(), window_factor=WINDOW_FACTOR,
-                min_prominence=ENVELOPE_PROMINENCE):
+def sweep_field(h_values, base=LadderParams()):
     """Slow period and peak fidelity per field value, plus the log-log fit.
 
     Each field value gets its own carrier-resolving grid spanning
-    window_factor nominal slow periods. Rows whose envelope extraction fails
+    WINDOW_FACTOR nominal slow periods. Rows whose envelope extraction fails
     are kept and flagged rather than dropped. The fit runs over the unflagged
     rows with h > 0 when at least three remain; its alpha field carries the
     prefactor extracted from the largest such field, where the strong-field
@@ -298,12 +297,12 @@ def sweep_field(h_values, base=LadderParams(), window_factor=WINDOW_FACTOR,
     rows = []
     for h in h_values:
         params = base.replace(h=float(h))
-        grid = _envelope_grid(params, _slow_window(params, window_factor))
+        grid = _envelope_grid(params, _slow_window(params))
         traj = evolve_and_measure(params, grid, rung_pairs(params.n_rungs)[-1:], fidelity=True)
         c_term = traj.pair_concurrence[traj.terminal_label]
         f_max = float(traj.fidelity_terminal.values.max())
         try:
-            t_slow = envelope_period(c_term, min_prominence)
+            t_slow = envelope_period(c_term)
             rows.append(SweepRow(h=float(h), t_slow=t_slow, f_max=f_max))
         except InsufficientDataError as exc:
             rows.append(SweepRow(h=float(h), t_slow=None, f_max=f_max, flag=str(exc)))
@@ -353,6 +352,8 @@ def disorder_ensemble(delta, n_samples, base_seed, base=LadderParams(), grid=DEF
         raise InvalidArgumentError(f"delta must be >= 0, got {delta}")
     if n_samples < 1:
         raise InvalidArgumentError(f"n_samples must be >= 1, got {n_samples}")
+    if base_seed < 0:
+        raise InvalidArgumentError(f"base_seed must be >= 0, got {base_seed}")
 
     # Welford accumulation, for the curves and the peaks alike: the naive
     # sum-of-squares variance loses ~8 digits near F = 1, and a plain mean of
@@ -407,36 +408,36 @@ def build_effective_hamiltonian(j_eff, params, basis=None):
     return bond_hamiltonian(4, rungs + rails, fields, basis)
 
 
-def effective_model_check(base=LadderParams(), h_values=(100.0, 200.0, 400.0),
-                          window_factor=WINDOW_FACTOR, min_prominence=ENVELOPE_PROMINENCE):
+def effective_model_check(base=LadderParams(), h_values=(100.0, 200.0, 400.0)):
     """Envelope period of the full ladder vs the four-spin effective model.
 
-    For each field value the full simulation fixes the measured slow period;
-    the coupling mapped from that period drives the effective model over the
-    same window, and the two extracted periods are compared. Because the
-    coupling is taken from the full run, the residual error reflects how
-    consistently the envelope extractor reads both signals, not a physics
-    gap between the models.
+    The full ladder's period is sweep_field's T_slow (a flagged row raises
+    InsufficientDataError with its flag); the coupling mapped from it drives
+    the effective model over the same window, and the two extracted periods
+    are compared. Because the coupling is taken from the full run, the
+    residual error reflects how consistently the envelope extractor reads
+    both signals, not a physics gap between the models.
     """
     rows = []
     eff_proto = LadderParams(n_rungs=2, j_perp=base.j_perp, j_parallel=base.j_parallel,
                              g=base.g, d=base.d, h=0.0, field_mask=frozenset())
     eff_psi0 = build_initial_state("phi_plus", eff_proto)
     eff_basis = parity_sector(eff_psi0)
-    for h in h_values:
-        params = base.replace(h=float(h))
-        grid = _envelope_grid(params, _slow_window(params, window_factor))
-        full = evolve_and_measure(params, grid, rung_pairs(params.n_rungs)[-1:])
-        t_full = envelope_period(full.pair_concurrence[full.terminal_label], min_prominence)
+    for row in sweep_field(h_values, base).rows:
+        if row.flag is not None:
+            raise InsufficientDataError(row.flag)
+        params = base.replace(h=row.h)
+        t_full = row.t_slow
         j_eff = effective_coupling_from_period(t_full, params)
         alpha = extract_alpha(t_full, params)
 
+        grid = _envelope_grid(params, _slow_window(params))
         eff_ham = build_effective_hamiltonian(j_eff, params, eff_basis)
         eff = evolve_and_measure(eff_proto, grid, [(3, 4)], decomp=diagonalize(eff_ham, eff_basis),
                                  psi0=eff_psi0)
-        t_eff = envelope_period(eff.pair_concurrence["34"], min_prominence)
+        t_eff = envelope_period(eff.pair_concurrence["34"])
         rows.append(EffectiveCheckRow(
-            h=float(h), t_slow_full=t_full, j_eff=j_eff, alpha=alpha,
+            h=row.h, t_slow_full=t_full, j_eff=j_eff, alpha=alpha,
             t_slow_effective=t_eff,
             relative_error=abs(t_eff - t_full) / t_full,
         ))

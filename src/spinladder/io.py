@@ -17,8 +17,6 @@ from .errors import ConfigurationError, OutputError
 from .lattice import (MAX_DENSE_RUNGS, INITIAL_STATE_KINDS, LadderParams, mediating_mask,
                       uniform_mask)
 from .evolution import TimeGrid
-from .experiments import WINDOW_FACTOR
-from .signals import ENVELOPE_PROMINENCE
 
 
 @dataclass
@@ -41,10 +39,8 @@ class ExperimentConfig:
     t_end: float = 10.0
     n_points: int = 4001
     seed: int = 42
-    prominence: float = ENVELOPE_PROMINENCE
     # field-sweep / effective-check
     h_values: str = "50,100,200,400"
-    window_factor: float = WINDOW_FACTOR
     eff_h_values: str = "100,200,400"
     # heatmap
     g_min: float = 0.0
@@ -90,7 +86,7 @@ def _convert(key, raw, line=None):
 
 
 #: The least value of a key, or of every entry of a list key.
-_LEAST = {"n_points": 2, "n_g": 1, "n_d": 1, "n_samples": 1, "n_values": 3, "deltas": 0.0}
+_LEAST = {"n_points": 2, "n_g": 1, "n_d": 1, "n_samples": 1, "n_values": 3, "deltas": 0.0, "seed": 0}
 
 
 def _refusal(key, value, entries):
@@ -99,8 +95,8 @@ def _refusal(key, value, entries):
         return f"{key} must list at least one value"
     if float in (_FIELD_TYPES[key], _LIST_KEYS.get(key)) and not all(map(math.isfinite, entries)):
         return f"{key} must be finite, got {value}"
-    if key in ("t_end", "window_factor", "prominence") and value <= 0:
-        return f"{key} must be positive"
+    if key == "t_end" and value <= 0:
+        return "t_end must be positive"
     if key in _LEAST and min(entries) < _LEAST[key]:
         return f"{key} must be >= {_LEAST[key]}, got {value}"
     if key == "n_values" and max(entries) > MAX_DENSE_RUNGS:
@@ -111,9 +107,11 @@ def _refusal(key, value, entries):
         return f"state must be one of {INITIAL_STATE_KINDS}"
     if key == "field_mask" and value not in ("mediating", "uniform"):
         try:
-            _split(value, int)
+            rungs = _split(value, int)
         except ValueError:
             return "field_mask must be 'mediating', 'uniform', or comma-separated rung indices"
+        if not rungs:
+            return "field_mask must list at least one rung"
     return None
 
 

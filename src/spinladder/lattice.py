@@ -346,8 +346,7 @@ def dressed_gap(params):
         omega = 2 * sqrt(g^2 j_perp^2 + 4 d^2 j_parallel^2)
 
     which reduces to 2*sqrt(g^2 + 4 d^2)*J for equal couplings and is the
-    fast carrier seen in the terminal concurrence.
+    fast carrier seen in the terminal concurrence. A hypot squares nothing,
+    so finite couplings give a finite gap.
     """
-    return 2.0 * math.sqrt(
-        (params.g * params.j_perp) ** 2 + 4.0 * (params.d * params.j_parallel) ** 2
-    )
+    return 2.0 * math.hypot(params.g * params.j_perp, 2.0 * params.d * params.j_parallel)

@@ -20,7 +20,7 @@ from .evolution import TimeGrid
 #: Minimum number of carrier oscillations for a frequency estimate.
 MIN_PERIODS = 10
 
-#: Default carrier-peak prominence used by the envelope extractor.
+#: Carrier-peak prominence of the envelope extractor, fixed.
 ENVELOPE_PROMINENCE = 0.05
 
 
@@ -120,14 +120,14 @@ def _base_minima(x, peaks):
     return minima
 
 
-def find_peaks(series, min_prominence):
+def find_peaks(series, prominence):
     """Local maxima with at least the given prominence, parabolically refined.
 
     Returns a list of (time, value) pairs. An empty list is a valid result.
     """
     if series.grid.n_points < 3:
         raise InsufficientDataError("need at least 3 samples to locate peaks")
-    idx = _prominent_maxima(series.values, min_prominence)
+    idx = _prominent_maxima(series.values, prominence)
     times = series.times  # read once: every read builds a fresh linspace
     return [_refine_parabolic(times, series.values, k) for k in idx]
 
@@ -159,10 +159,11 @@ def dominant_frequency(series):
     return float(omega)
 
 
-def envelope_period(series, min_prominence=ENVELOPE_PROMINENCE):
+def envelope_period(series):
     """Slow period T = 2 t*, with t* the first maximum of the carrier-peak envelope.
 
-    The envelope is the sequence of carrier-peak values from find_peaks.
+    The envelope is the sequence of carrier-peak values from find_peaks with
+    prominence ENVELOPE_PROMINENCE.
     Two cleanup steps are applied before locating its first maximum, both
     needed in practice:
 
@@ -177,7 +178,7 @@ def envelope_period(series, min_prominence=ENVELOPE_PROMINENCE):
     contains no envelope maximum, raises InsufficientDataError rather than
     returning a spurious period.
     """
-    peaks = find_peaks(series, min_prominence)
+    peaks = find_peaks(series, ENVELOPE_PROMINENCE)
     if len(peaks) < 8:
         raise InsufficientDataError(f"only {len(peaks)} carrier peaks; envelope is undefined")
     pt = np.array([p[0] for p in peaks])

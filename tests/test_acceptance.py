@@ -49,7 +49,7 @@ def freq_rows():
 @pytest.fixture(scope="module")
 def ref_long():
     """Reference run over 1.2 nominal slow periods (t up to 284.4)."""
-    grid = _envelope_grid(BASE, _slow_window(BASE, 1.2))
+    grid = _envelope_grid(BASE, _slow_window(BASE))
     return run_reference(BASE, grid=grid, include_mutual_info=False)
 
 

@@ -23,7 +23,6 @@ import spinladder
 from spinladder import __version__, cli, experiments
 from spinladder.cli import _build_parser, _resolve_config, main
 from spinladder.io import config_floats, config_grid, parse_config, read_csv, read_sidecar
-from spinladder.signals import envelope_period
 
 GOLDEN_ROOT = pathlib.Path(__file__).resolve().parent.parent / "goldens"
 
@@ -127,10 +126,10 @@ def test_empty_list_value_exits_2(tmp_path, capsys, command, flag):
 
 @pytest.mark.parametrize("command,flag,value,key", [
     ("reference", "--t-end", "inf", "t_end"),
-    ("field-sweep", "--window-factor", "nan", "window_factor"),
+    ("disorder", "--seed", "-1", "seed"),
     ("disorder", "--deltas", "nan", "deltas"),
     ("disorder", "--deltas", "inf", "deltas"),
-    ("field-sweep", "--prominence", "nan", "prominence"),
+    ("reference", "--field-mask", ",", "field_mask"),
     ("scaling", "--n-values", "4,2", "n_values"),
     ("disorder", "--deltas", "0.1,-0.1", "deltas"),
 ])
@@ -140,6 +139,32 @@ def test_out_of_range_value_exits_2_before_writing(tmp_path, capsys, command, fl
     assert main([command, "--out", str(out), flag, value]) == 2
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_envelope_window_and_prominence_are_not_settings(tmp_path, capsys):
+    """The slow-envelope window factor and carrier prominence are fixed: no flag, no config key."""
+    out = tmp_path / "out"
+    assert main(["field-sweep", "--out", str(out), "--prominence", "0.05"]) == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("window_factor = 1.2\n")
+    assert main(["field-sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown config key (key: window_factor)" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["reference", "--j-parallel", "1e300", "--n-points", "11"], 0),
+    (["reference", "--j-perp", "1e200", "--n-points", "11"], 0),
+    (["reference", "--g", "1e300", "--n-points", "11"], 0),
+    (["field-sweep", "--j-parallel", "1e300"], 3),
+    (["effective-check", "--j-parallel", "1e300"], 3),
+], ids=["reference-j-parallel", "reference-j-perp", "reference-g", "field-sweep-j-parallel",
+        "effective-check-j-parallel"])
+def test_huge_finite_coupling_exits_without_traceback(tmp_path, capsys, argv, code):
+    """The dressed gap is a hypot, and an overflowing slow window is a numeric failure."""
+    assert main(argv + ["--out", str(tmp_path / "out")]) == code
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_missing_config_file_exits_2(tmp_path):
@@ -178,7 +203,6 @@ def test_reference_run(tmp_path):
     assert side["config"]["h"] == 100.0
     assert side["seed"] == 42
     assert side["version"] == __version__
-    assert side["thresholds"] == {"prominence": 0.05}
     assert side["omega_fast"] == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-12)
     # ten time units cannot hold the slow envelope, so no period is claimed
     assert "t_slow" not in side
@@ -283,10 +307,6 @@ def _default(func, name):
 def test_driver_defaults_match_resolved_config():
     """A driver called without a keyword runs the setting the CLI resolves by default."""
     config = parse_config()
-    for driver in (experiments.sweep_field, experiments.effective_model_check):
-        assert _default(driver, "window_factor") == config.window_factor
-        assert _default(driver, "min_prominence") == config.prominence
-    assert _default(envelope_period, "min_prominence") == config.prominence
     assert list(_default(experiments.effective_model_check, "h_values")) == \
         config_floats(config, "eff_h_values")
     assert config_grid(config) == experiments.DEFAULT_GRID

@@ -13,7 +13,7 @@ from spinladder.evolution import (
     evolve_state,
     iter_evolved,
 )
-from spinladder.experiments import WINDOW_FACTOR, _envelope_grid, _sector_spectrum, _slow_window
+from spinladder.experiments import _envelope_grid, _sector_spectrum, _slow_window
 from spinladder.lattice import LadderParams, build_hamiltonian, build_initial_state, parity_sector
 from spinladder.metrics import _reduced_many
 
@@ -154,7 +154,7 @@ def test_phase_tables_match_direct_exp_on_long_high_field_grid():
     params = LadderParams(h=400.0)
     psi0 = build_initial_state("phi_plus", params)
     decomp = _sector_decomp(params, psi0)
-    grid = _envelope_grid(params, _slow_window(params, WINDOW_FACTOR))
+    grid = _envelope_grid(params, _slow_window(params))
     assert grid.n_points == 102421
     bound = 4.0 * np.abs(decomp.eigenvalues).max() * grid.t_end * 2.0 ** -52
     assert _worst_against_direct(decomp, psi0, grid) <= bound

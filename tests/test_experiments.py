@@ -270,6 +270,8 @@ def test_disorder_validation():
         disorder_ensemble(-0.1, 2, base_seed=1)
     with pytest.raises(InvalidArgumentError):
         disorder_ensemble(0.1, 0, base_seed=1)
+    with pytest.raises(InvalidArgumentError, match="base_seed"):
+        disorder_ensemble(0.1, 2, base_seed=-1)
 
 
 def test_ensemble_stats_fields():
@@ -489,7 +491,7 @@ def test_effective_model_period_agrees_across_eigensolvers():
     [j_eff] = golden["J_eff"]
     ham = build_effective_hamiltonian(j_eff, params)
     assert not ham.imag.any()
-    grid = _envelope_grid(params, _slow_window(params, 1.2))
+    grid = _envelope_grid(params, _slow_window(params))
     proto = LadderParams(n_rungs=2, h=0.0, field_mask=frozenset())
     psi0 = build_initial_state("phi_plus", proto)
     spectra = [scipy.linalg.eigh(ham, driver=driver) for driver in ("evr", "evd", "ev")]
@@ -499,8 +501,16 @@ def test_effective_model_period_agrees_across_eigensolvers():
     for eigenvalues, eigenvectors in spectra:
         decomp = SpectralDecomposition(eigenvalues, eigenvectors.astype(complex), np.arange(16))
         traj = evolve_and_measure(proto, grid, [(3, 4)], decomp=decomp, psi0=psi0)
-        periods.append(envelope_period(traj.pair_concurrence["34"], 0.05))
+        periods.append(envelope_period(traj.pair_concurrence["34"]))
     assert np.allclose(periods, periods[0], rtol=1e-9, atol=0.0), periods
+
+
+def test_effective_check_full_period_is_the_sweep_period():
+    """effective-check reads the full ladder's slow period from sweep_field, bit for bit."""
+    [sweep_row] = sweep_field([100.0]).rows
+    [check_row] = effective_model_check(h_values=[100.0])
+    assert check_row.h == sweep_row.h
+    assert check_row.t_slow_full == sweep_row.t_slow
 
 
 # -------------------------------------------------------------- frequency table
