@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.random import SeedSequence, default_rng  # loaded here: np.random would load it mid-run
 
-from .errors import InsufficientDataError, InvalidArgumentError, UnsupportedSizeError
+from .errors import InsufficientDataError, InvalidArgumentError, NumericFailureError, UnsupportedSizeError
 from .evolution import TimeGrid, diagonalize, iter_evolved
 from .lattice import (
     MAX_DENSE_RUNGS,
@@ -28,7 +28,8 @@ from .lattice import (
     parity_sector,
     symmetry_blocks,
 )
-from .metrics import _concurrence_many, _entropy_many, _marginals, _phi_plus_map, _reduced_many
+from .metrics import _concurrence_many, _entropy_many, _marginals, _phi_plus_map, _reduced_many, \
+    _x_concurrence_many, _x_layout
 from .signals import FitResult, TimeSeries, envelope_period, dominant_frequency, \
     extract_alpha, effective_coupling_from_period, loglog_fit
 
@@ -156,8 +157,10 @@ def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False
     the terminal pair's phi_plus fidelity; mutual_info adds I(first),
     I(terminal) and the joint first-terminal channel, and is refused below
     two rungs, where the first rung is the terminal one. Only pairs and mutual
-    information need states: every pair is reduced once per chunk, in
-    decomp's basis, however many channels read it. With mutual information
+    information need states, read in decomp's basis. A pair that has an X
+    layout in that basis (metrics._x_layout, found once per call: every
+    parity sector) takes its concurrence straight from the states with no
+    rho; any other pair is reduced once per chunk. With mutual information
     on, the joint first-terminal rho is reduced in place of those two
     pairs, which are traced from it, as the single sites are from their
     pair. Fidelity reads no state and no rho: iter_evolved applies A = P V
@@ -179,7 +182,9 @@ def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False
     ladder = rung_pairs(params.n_rungs)
     first, terminal = ladder[0], ladder[-1]
     ends = [first, terminal] * mutual_info
-    reduced = [pair for pair in dict.fromkeys(pairs) if pair not in ends]
+    layouts = {pair: _x_layout(decomp.basis, pair, n_sites) for pair in dict.fromkeys(pairs)
+               if pair not in ends}
+    reduced = [pair for pair, order in layouts.items() if order is None]
     readouts = [decomp.eigenvectors] if ends or pairs else []
     split = len(decomp.basis) if readouts else 0
     if fidelity:
@@ -196,7 +201,9 @@ def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False
             rho_joint = _reduced_many(states, [*first, *terminal], n_sites, decomp.basis)
             rhos.update(zip(ends, _marginals(rho_joint)))
         for pair in pairs:
-            conc[pair][sl] = _concurrence_many(rhos[pair])
+            order = layouts.get(pair)
+            conc[pair][sl] = (_concurrence_many(rhos[pair]) if order is None
+                              else _x_concurrence_many(states, order))
         if fidelity:
             parts = amplitudes.view(float)  # real and imaginary parts alternate along a row
             squares = np.einsum("mt,mt->t", parts, parts)
@@ -280,7 +287,11 @@ def _envelope_grid(params, t_end):
 def _slow_window(params):
     j = abs(params.j_parallel)
     if params.h > 0 and j > 0:
-        return WINDOW_FACTOR * NOMINAL_SLOW_PREFACTOR * params.h / j ** 2
+        try:
+            return WINDOW_FACTOR * NOMINAL_SLOW_PREFACTOR * params.h / j ** 2
+        except OverflowError:
+            raise NumericFailureError(f"j_parallel = {params.j_parallel!r} overflows j_parallel^2 in the "
+                                      f"slow-envelope window h / j_parallel^2") from None
     return 10.0
 
 

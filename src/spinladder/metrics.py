@@ -27,11 +27,16 @@ For those the Yu-Eberly closed form is exact,
 
     C = 2 max(0, |rho14| - sqrt(rho22 rho33), |rho23| - sqrt(rho11 rho44))
 
-(Quantum Inf. Comput. 7, 459, 2007). It is used whenever every off-X
-element has magnitude at most X_STATE_TOL. States evolved in one parity
-sector leave exactly 0 there; a full-space evolution leaves a ~1e-13
-round-off leak, far below the threshold. Any other rho, such as
-the pair states of the mixed-parity superposition input, goes through the
+(Quantum Inf. Comput. 7, 459, 2007). The drivers decide this once per run
+from the basis: where _x_layout finds the pair's 00 and 11 configurations
+on one support of the other sites and 01 and 10 on another, disjoint one
+(every parity sector), every off-X element is exactly 0, and
+_x_concurrence_many reads the four populations, rho14 and rho23 straight
+from the states, with no rho. Any other stack of rhos goes through
+_concurrence_many, which chooses per rho: the closed form when every off-X
+element has magnitude at most X_STATE_TOL (a full-space evolution leaves a
+~1e-13 round-off leak there, far below the threshold), otherwise, as for
+the pair states of the mixed-parity superposition input, the
 Wootters spin-flip construction C = max(0, l1 - l2 - l3 - l4) (PRL 80,
 2245, 1998), with l_i the descending singular values of
 sqrt(rho) (sy x sy) sqrt(rho)*: the square roots of the eigenvalues of
@@ -103,7 +108,8 @@ def _reduced_many(states, keep, n_sites, basis):
     """Reduced density matrices of the kept sites, one per state column, no validation.
 
     Used by the experiment drivers on every chunk of evolved states, which
-    are complex128 like every state the package makes. Row r of states
+    are complex128 like every state the package makes, for the joint
+    first-terminal rho and for the pairs that have no X layout. Row r of states
     stands for the full-space basis state basis[r]; basis is ascending, as
     on an evolution.SpectralDecomposition. Each row splits into the kept
     sites' configuration a, in keep order, and the configuration m of the
@@ -137,6 +143,42 @@ def _reduced_many(states, keep, n_sites, basis):
             rho[:, configs[i], configs[j]] = upper
             rho[:, configs[j], configs[i]] = upper.conj()
     return rho
+
+
+def _x_layout(basis, pair, n_sites):
+    """Row order that reads a pair's X-state rho straight from the states, or None.
+
+    The order groups the rows of basis (ascending, as on an
+    evolution.SpectralDecomposition) by the pair's configuration 00, 01, 10,
+    11, each group in the order of the other sites' configurations m. It is
+    None unless 00 and 11 have one support in m and 01 and 10 another,
+    disjoint from it and as large: then every element of the pair's rho
+    off the diagonal and the antidiagonal is exactly 0. That holds for
+    every parity sector of three or more sites and fails for the full space.
+    """
+    rest = [k for k in range(1, n_sites + 1) if k not in pair]
+    a, m = _site_code(basis, pair, n_sites), _site_code(basis, rest, n_sites)
+    groups = [np.flatnonzero(a == config) for config in range(4)]
+    outer, inner = m[groups[0]], m[groups[1]]
+    if (np.array_equal(outer, m[groups[3]]) and np.array_equal(inner, m[groups[2]])
+            and len(outer) == len(inner) and not np.isin(outer, inner).any()):
+        return np.concatenate(groups)
+    return None
+
+
+def _x_concurrence_many(states, order):
+    """Concurrence of a pair per state column, read through its X layout (_x_layout).
+
+    The same arithmetic as _reduced_many and _concurrence_many on the same
+    rows, so the values are bitwise theirs: the four populations are one
+    einsum of squares, rho14 and rho23 one complex product sum each.
+    """
+    groups = states[order].reshape(4, -1, states.shape[1])
+    parts = groups.view(float)  # real and imaginary parts alternate along a row
+    squares = np.einsum("imt,imt->it", parts, parts)
+    pop = squares[:, ::2] + squares[:, 1::2]
+    return _x_state_concurrence(pop, (groups[0] * groups[3].conj()).sum(axis=0),
+                                (groups[1] * groups[2].conj()).sum(axis=0))
 
 
 def _phi_plus_map(basis, pair, n_sites):
@@ -197,17 +239,17 @@ def _concurrence_many(rhos):
     Used by the experiment drivers, which call this on every grid point.
     X states take the exact closed form, all others the Wootters route.
     """
-    out = _x_state_concurrence(rhos)
+    out = _x_state_concurrence(np.diagonal(rhos, axis1=1, axis2=2).real.T, rhos[:, 0, 3], rhos[:, 1, 2])
     general = np.abs(rhos[:, _OFF_X]).max(axis=-1) > X_STATE_TOL
     if general.any():
         out[general] = _wootters_concurrence(rhos[general])
     return out
 
 
-def _x_state_concurrence(rhos):
-    pop = np.diagonal(rhos, axis1=1, axis2=2).real
-    outer = np.abs(rhos[:, 0, 3]) - np.sqrt(np.clip(pop[:, 1] * pop[:, 2], 0.0, None))
-    inner = np.abs(rhos[:, 1, 2]) - np.sqrt(np.clip(pop[:, 0] * pop[:, 3], 0.0, None))
+def _x_state_concurrence(pop, rho14, rho23):
+    """Yu-Eberly closed-form concurrence from an X state's populations pop[0..3], rho14 and rho23."""
+    outer = np.abs(rho14) - np.sqrt(np.clip(pop[1] * pop[2], 0.0, None))
+    inner = np.abs(rho23) - np.sqrt(np.clip(pop[0] * pop[3], 0.0, None))
     return 2.0 * np.maximum(0.0, np.maximum(outer, inner))
 
 

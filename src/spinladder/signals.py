@@ -60,19 +60,23 @@ class FitResult:
     alpha: float = None
 
 
-def _refine_parabolic(xs, ys, k):
-    """Vertex of the parabola through points k-1, k, k+1; falls back to the sample."""
-    if k <= 0 or k >= len(ys) - 1:
-        return float(xs[k]), float(ys[k])
-    y0, y1, y2 = ys[k - 1], ys[k], ys[k + 1]
+def _refine_parabolic(xs, ys, idx):
+    """Vertices (x, y) of the parabolas through points k-1, k, k+1, one per k in idx.
+
+    ys holds at least three samples. A k at either end of ys, or whose three
+    points are collinear, keeps its sample; the vertex moves at most one
+    step from it.
+    """
+    k = np.asarray(idx, dtype=np.intp)
+    j = np.clip(k, 1, len(ys) - 2)  # an end k reads its neighbour's points, then keeps its sample
+    y0, y1, y2 = ys[j - 1], ys[j], ys[j + 1]
     denom = y0 - 2.0 * y1 + y2
-    if denom == 0.0:
-        return float(xs[k]), float(ys[k])
-    shift = 0.5 * (y0 - y2) / denom
-    shift = float(np.clip(shift, -1.0, 1.0))
-    x = xs[k] + shift * (xs[k] - xs[k - 1])
-    y = y1 - 0.25 * (y0 - y2) * shift
-    return float(x), float(y)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # collinear: k keeps its sample
+        shift = np.clip(0.5 * (y0 - y2) / denom, -1.0, 1.0)
+    bent = (k == j) & (denom != 0.0)
+    x = np.where(bent, xs[j] + shift * (xs[j] - xs[j - 1]), xs[k])
+    y = np.where(bent, y1 - 0.25 * (y0 - y2) * shift, ys[k])
+    return x, y
 
 
 def _prominent_maxima(values, prominence):
@@ -127,9 +131,8 @@ def find_peaks(series, prominence):
     """
     if series.grid.n_points < 3:
         raise InsufficientDataError("need at least 3 samples to locate peaks")
-    idx = _prominent_maxima(series.values, prominence)
-    times = series.times  # read once: every read builds a fresh linspace
-    return [_refine_parabolic(times, series.values, k) for k in idx]
+    x, y = _refine_parabolic(series.times, series.values, _prominent_maxima(series.values, prominence))
+    return list(zip(x.tolist(), y.tolist()))
 
 
 def dominant_frequency(series):
@@ -151,7 +154,7 @@ def dominant_frequency(series):
     if len(power) < 3 or power[1:].max() == 0.0:
         raise InsufficientDataError("series has no oscillating component")
     k = int(np.argmax(power[1:])) + 1
-    omega, _ = _refine_parabolic(freqs, np.log(power + np.finfo(float).tiny), k)
+    (omega,), _ = _refine_parabolic(freqs, np.log(power + np.finfo(float).tiny), [k])
     if series.duration * omega < MIN_PERIODS * 2.0 * math.pi:
         raise InsufficientDataError(
             f"series spans fewer than {MIN_PERIODS} periods of the detected component"
@@ -181,8 +184,7 @@ def envelope_period(series):
     peaks = find_peaks(series, ENVELOPE_PROMINENCE)
     if len(peaks) < 8:
         raise InsufficientDataError(f"only {len(peaks)} carrier peaks; envelope is undefined")
-    pt = np.array([p[0] for p in peaks])
-    pv = np.array([p[1] for p in peaks])
+    pt, pv = np.array(peaks).T
 
     # average disjoint consecutive pairs: kills the period-2 alternation
     half_n = len(pv) // 2
@@ -205,8 +207,8 @@ def envelope_period(series):
     idx = _prominent_maxima(smooth_v, 0.2 * vrange)
     if len(idx) == 0:
         raise InsufficientDataError("no envelope maximum inside the sampled window")
-    t_star, _ = _refine_parabolic(smooth_t, smooth_v, int(idx[0]))
-    return 2.0 * t_star
+    (t_star,), _ = _refine_parabolic(smooth_t, smooth_v, idx[:1])
+    return 2.0 * float(t_star)
 
 
 def loglog_fit(xs, ys):

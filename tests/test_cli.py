@@ -167,6 +167,15 @@ def test_huge_finite_coupling_exits_without_traceback(tmp_path, capsys, argv, co
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["field-sweep", "effective-check"])
+def test_overflowing_slow_window_names_the_coupling(tmp_path, capsys, command):
+    """The exit-3 message says which key overflowed in which step, and no output is made."""
+    assert main([command, "--j-parallel", "1e300", "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "j_parallel = 1e+300" in err and "slow-envelope window" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_file_exits_2(tmp_path):
     code = main(["reference", "--config", str(tmp_path / "absent.cfg"),
                  "--out", str(tmp_path)])

@@ -43,7 +43,7 @@ from spinladder.io import read_csv
 from spinladder.lattice import (INITIAL_STATE_KINDS, LadderParams, build_hamiltonian, build_initial_state,
                                 leg_bonds, parity_sector, symmetry_blocks, uniform_mask)
 from spinladder.metrics import (BELL_STATES, _concurrence_many, _fidelity_many, _reduced_many,
-                                mutual_information)
+                                _x_concurrence_many, _x_layout, mutual_information)
 from spinladder.signals import TimeSeries, envelope_period, find_peaks
 
 from conftest import pauli_hamiltonian
@@ -403,8 +403,9 @@ def test_leg_asymmetric_ladder_drops_no_block(bonds, n_rungs):
 def test_mutual_info_traces_the_end_pairs_from_the_joint_rho(monkeypatch):
     """With mutual information on, the first and terminal pairs come from the joint rho.
 
-    Only the middle pair and the joint rho are reduced from the states. The
-    end pairs' concurrence matches a run that reduces them directly, and the
+    Only the joint rho is reduced from the states; the middle pair reads
+    its concurrence through its X layout with no rho. The end pairs'
+    concurrence matches a run that reduces them directly, and the
     three mutual informations match metrics.mutual_information on full-space
     states.
     """
@@ -416,7 +417,7 @@ def test_mutual_info_traces_the_end_pairs_from_the_joint_rho(monkeypatch):
     monkeypatch.setattr("spinladder.experiments._reduced_many", recording)
     params, grid = LadderParams(), TimeGrid(0.0, 10.0, 401)
     traced = run_reference(params, grid=grid)
-    assert keeps == [(3, 4), (1, 2, 5, 6)]
+    assert keeps == [(1, 2, 5, 6)]
     direct = run_reference(params, grid=grid, include_mutual_info=False)
     for label, series in direct.pair_concurrence.items():
         assert np.abs(traced.pair_concurrence[label].values - series.values).max() <= 1e-14
@@ -426,6 +427,33 @@ def test_mutual_info_traces_the_end_pairs_from_the_joint_rho(monkeypatch):
         psi = evolve_state(decomp, psi0, grid.times[k])
         for label, (a, b) in {"I12": ([1], [2]), "I56": ([5], [6]), "I12_56": ([1, 2], [5, 6])}.items():
             assert traced.mutual_info[label].values[k] == pytest.approx(mutual_information(psi, a, b), abs=1e-10)
+
+
+@pytest.mark.parametrize("n_rungs", [3, 4, 5])
+@pytest.mark.parametrize("kind", ["phi_plus", "psi_plus"])
+def test_x_layout_concurrence_is_the_reduced_rho_route(n_rungs, kind):
+    """Read through its X layout, a pair's concurrence on evolved sector states is the rho route's.
+
+    Every rung pair and the leg pair (1, 3), chunk by chunk: bitwise on the
+    N = 3 phi_plus reference grid, within 1e-15 elsewhere.
+    """
+    params = LadderParams(n_rungs=n_rungs)
+    psi0 = build_initial_state(kind, params)
+    decomp = _sector_spectrum(params, psi0)
+    reference = n_rungs == 3 and kind == "phi_plus"
+    peak = 0.0
+    for _, states in iter_evolved(decomp, psi0, DEFAULT_GRID if reference else TimeGrid(0.0, 10.0, 401)):
+        for pair in [*rung_pairs(n_rungs), (1, 3)]:
+            order = _x_layout(decomp.basis, pair, params.n_sites)
+            assert np.array_equal(np.sort(order), np.arange(len(decomp.basis)))
+            via_rho = _concurrence_many(_reduced_many(states, list(pair), params.n_sites, decomp.basis))
+            direct = _x_concurrence_many(states, order)
+            if reference:
+                assert np.array_equal(direct, via_rho)
+            else:
+                assert np.abs(direct - via_rho).max() <= 1e-15
+            peak = max(peak, via_rho.max())
+    assert peak > 0.9
 
 
 # ------------------------------------------------------------- effective model

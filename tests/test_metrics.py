@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from spinladder.errors import InvalidArgumentError
-from spinladder.lattice import parity_sector
+from spinladder.lattice import LadderParams, build_initial_state, parity_sector
 from spinladder.metrics import (
     BELL_STATES,
     _concurrence_many,
@@ -20,6 +20,7 @@ from spinladder.metrics import (
     _phi_plus_map,
     _reduced_many,
     _site_code,
+    _x_layout,
     bell_fidelity,
     concurrence,
     mutual_information,
@@ -171,6 +172,33 @@ def test_phi_plus_amplitudes_match_reduced_fidelity(n_rungs, order, sector, seed
     for bad in refused:
         with pytest.raises(InvalidArgumentError, match="different supports"):
             _phi_plus_map(bad, pair, n_sites)
+
+
+@pytest.mark.parametrize("n_rungs", [1, 2, 3])
+def test_x_layout_only_where_the_supports_are_disjoint(n_rungs):
+    """A parity sector of three or more sites orders every row; the full space has no X layout.
+
+    The mixed-parity input evolves in the full space. A single rung's even
+    sector has no 01 or 10 row, so its two supports differ in size and it
+    keeps the rho route too.
+    """
+    params = LadderParams(n_rungs=n_rungs)
+    n_sites = params.n_sites
+    sector = parity_sector(build_initial_state("phi_plus", params))
+    mixed = parity_sector(build_initial_state("psi_minus_plus_phi_plus", params))
+    for pair in [(1, 2), (n_sites - 1, n_sites), (1, n_sites)]:
+        assert _x_layout(np.arange(2 ** n_sites), pair, n_sites) is None
+        assert _x_layout(mixed, pair, n_sites) is None
+        order = _x_layout(sector, pair, n_sites)
+        if n_rungs == 1:
+            assert order is None
+            continue
+        assert np.array_equal(np.sort(order), np.arange(len(sector)))
+        codes = _site_code(sector[order], pair, n_sites).reshape(4, -1)
+        assert (codes == np.arange(4)[:, None]).all()
+        rest = [k for k in range(1, n_sites + 1) if k not in pair]
+        m = _site_code(sector[order], rest, n_sites).reshape(4, -1)
+        assert (np.diff(m, axis=1) > 0).all() and (m[0] == m[3]).all() and (m[1] == m[2]).all()
 
 
 # ----------------------------------------------------------------- concurrence

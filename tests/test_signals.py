@@ -1,6 +1,7 @@
 """Signal extraction on synthetic series with known answers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from spinladder.signals import (
     ENVELOPE_PROMINENCE,
     TimeSeries,
     _prominent_maxima,
+    _refine_parabolic,
     dominant_frequency,
     effective_coupling_from_period,
     envelope_period,
@@ -81,6 +83,38 @@ def test_find_peaks_counts_oscillations():
 def test_find_peaks_empty_on_monotone():
     ts = series(lambda t: t, 1.0, 50)
     assert find_peaks(ts, 0.1) == []
+
+
+def _scalar_vertex(xs, ys, k):
+    """The parabolic vertex at one index k, written out."""
+    if k <= 0 or k >= len(ys) - 1:
+        return xs[k], ys[k]
+    y0, y1, y2 = ys[k - 1], ys[k], ys[k + 1]
+    denom = y0 - 2.0 * y1 + y2
+    if denom == 0.0:
+        return xs[k], ys[k]
+    shift = min(max(0.5 * (y0 - y2) / denom, -1.0), 1.0)
+    return xs[k] + shift * (xs[k] - xs[k - 1]), y1 - 0.25 * (y0 - y2) * shift
+
+
+def test_refine_parabolic_matches_the_scalar_vertex():
+    """One call refines every index, bitwise as the formula does one at a time, without a warning.
+
+    k = 0 and k = 7 are the ends, k = 1 is collinear (denominator 0), k = 2
+    an ordinary vertex and k = 3 one whose shift is clipped to a step.
+    """
+    xs = np.linspace(0.0, 1.4, 8)
+    ys = np.array([0.0, 1.0, 2.0, 1.1, 0.0, 3.0, 1.0, 5.0])
+    idx = np.arange(8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, y = _refine_parabolic(xs, ys, idx)
+        empty = _refine_parabolic(xs, ys, idx[:0])
+    expected = np.array([_scalar_vertex(xs, ys, k) for k in idx])
+    assert np.array_equal(x, expected[:, 0]) and np.array_equal(y, expected[:, 1])
+    assert (x[[0, 1, 7]] == xs[[0, 1, 7]]).all() and x[3] == xs[2]
+    assert 0.0 < x[2] - xs[2] < xs[1] - xs[0]
+    assert empty[0].shape == empty[1].shape == (0,)
 
 
 def test_find_peaks_needs_three_samples():
