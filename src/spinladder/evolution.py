@@ -49,6 +49,9 @@ CHUNK = 2048
 #: anchors take their phases from one table of STRIDE offset phases.
 STRIDE = 64
 
+#: Largest round-off eps * max|w| * t_end of the phases w t that iter_evolved accepts.
+PHASE_ROUNDOFF_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
@@ -194,7 +197,8 @@ def iter_evolved(decomp, psi0, grid, readouts=None):
     readouts defaults to (V,): the row block is then the states in decomp's
     basis, shape (len(decomp.basis), len(time_block)), with row r the amplitude of
     basis state decomp.basis[r]. A readout R = M V yields M psi(t) without
-    forming the states.
+    forming the states. A grid whose phases w t pass PHASE_ROUNDOFF_TOL / eps
+    is refused with NumericFailureError before any state is formed.
 
     The grid is uniform, so each time is an anchor (every STRIDE-th grid
     time from a chunk's start, taken from grid.times) plus an offset
@@ -205,6 +209,9 @@ def iter_evolved(decomp, psi0, grid, readouts=None):
     blocks are allocated per chunk, so a caller may keep every one.
     """
     w = decomp.eigenvalues
+    phase = float(np.abs(w).max()) * grid.t_end
+    if not np.finfo(float).eps * phase <= PHASE_ROUNDOFF_TOL:
+        raise NumericFailureError(f"phases E t reach {phase:.3g}, so their round-off exceeds {PHASE_ROUNDOFF_TOL:g}")
     readouts = (decomp.eigenvectors,) if readouts is None else tuple(readouts)
     bounds = np.cumsum([0] + [len(readout) for readout in readouts])
     real = not any(np.iscomplexobj(readout) for readout in readouts)

@@ -28,8 +28,8 @@ from .lattice import (
     parity_sector,
     symmetry_blocks,
 )
-from .metrics import _concurrence_many, _entropy_many, _marginals, _phi_plus_map, _reduced_many, \
-    _x_concurrence_many, _x_layout
+from .metrics import _concurrence_many, _entropy_many, _is_x, _layout, _marginals, _phi_plus_map, \
+    _reduced_many, _x_concurrence_many
 from .signals import FitResult, TimeSeries, envelope_period, dominant_frequency, \
     extract_alpha, effective_coupling_from_period, loglog_fit
 
@@ -47,8 +47,10 @@ FREQ_GRID = TimeGrid(0.0, 40.0, 8001)
 NOMINAL_SLOW_PREFACTOR = 2.37
 WINDOW_FACTOR = 1.2
 
-#: Carrier sampling density for envelope studies: grid steps per fast period.
+#: Carrier sampling density for envelope studies, grid steps per fast period, and
+#: the most points an envelope grid may hold (h = 400 at j_parallel = 0.1 needs 7.3e6).
 POINTS_PER_CARRIER = 200
+MAX_ENVELOPE_POINTS = 2 ** 23
 
 
 def pair_label(i, j):
@@ -156,22 +158,22 @@ def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False
     pairs lists the rung pairs whose concurrence is recorded; fidelity adds
     the terminal pair's phi_plus fidelity; mutual_info adds I(first),
     I(terminal) and the joint first-terminal channel, and is refused below
-    two rungs, where the first rung is the terminal one. Only pairs and mutual
-    information need states, read in decomp's basis. A pair that has an X
-    layout in that basis (metrics._x_layout, found once per call: every
-    parity sector) takes its concurrence straight from the states with no
-    rho; any other pair is reduced once per chunk. With mutual information
-    on, the joint first-terminal rho is reduced in place of those two
-    pairs, which are traced from it, as the single sites are from their
-    pair. Fidelity reads no state and no rho: iter_evolved applies A = P V
-    (P from metrics._phi_plus_map, formed once per call) in a product of
-    its own, and F = sum_m |a_m|^2 over the amplitudes a it yields, so F
-    comes from the same arithmetic whatever other channels a run asks for.
-    The states are the first len(decomp.basis) rows of each block, however
-    many eigenvectors decomp keeps. psi0 defaults to the phi_plus input and
-    decomp to the spectrum of params' Hamiltonian on the symmetry blocks
-    psi0 occupies. C and F are clipped into [0, 1]; mutual information is
-    not. Channels not asked for come back empty (concurrence) or None.
+    two rungs, where the first rung is the terminal one. Every site set read
+    is split into its blocks once per call (metrics._layout). Pairs and
+    mutual information read the states in decomp's basis: an X pair
+    (metrics._is_x: every parity sector) takes its concurrence from the
+    block sums with no rho, any other pair from a rho reduced once per chunk.
+    With mutual information on, the joint first-terminal rho is reduced in
+    place of those two pairs, which are traced from it, as the single sites
+    are from their pair. Fidelity reads no state and no rho: iter_evolved
+    applies A = P V (P from metrics._phi_plus_map, formed once per call) in a
+    product of its own, and F = sum_m |a_m|^2 over the amplitudes a it
+    yields, so F comes from the same arithmetic whatever other channels a
+    run asks for. The states are the first len(decomp.basis) rows of each
+    block, however many eigenvectors decomp keeps. psi0 defaults to the
+    phi_plus input and decomp to the spectrum of params' Hamiltonian on the
+    symmetry blocks psi0 occupies. C and F are clipped into [0, 1]; mutual
+    information is not. Channels not asked for come back empty (concurrence) or None.
     """
     if mutual_info and params.n_rungs < 2:
         raise InvalidArgumentError(f"mutual information needs distinct first and terminal rungs, "
@@ -182,13 +184,13 @@ def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False
     ladder = rung_pairs(params.n_rungs)
     first, terminal = ladder[0], ladder[-1]
     ends = [first, terminal] * mutual_info
-    layouts = {pair: _x_layout(decomp.basis, pair, n_sites) for pair in dict.fromkeys(pairs)
-               if pair not in ends}
-    reduced = [pair for pair, order in layouts.items() if order is None]
+    keeps = [pair for pair in pairs if pair not in ends] + [first + terminal] * mutual_info + [terminal] * fidelity
+    layouts = {keep: _layout(decomp.basis, keep, n_sites) for keep in dict.fromkeys(keeps)}
+    reduced = [pair for pair in dict.fromkeys(pairs) if pair not in ends and not _is_x(layouts[pair])]
     readouts = [decomp.eigenvectors] if ends or pairs else []
     split = len(decomp.basis) if readouts else 0
     if fidelity:
-        readouts.append(_phi_plus_map(decomp.basis, terminal, n_sites) @ decomp.eigenvectors)
+        readouts.append(_phi_plus_map(layouts[terminal], len(decomp.basis)) @ decomp.eigenvectors)
     conc = {pair: np.empty(n_points) for pair in pairs}
     fid = np.empty(n_points) if fidelity else None
     mi = {name: np.empty(n_points) for name in ("first", "terminal", "joint") if mutual_info}
@@ -196,14 +198,13 @@ def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False
     for block, rows in iter_evolved(decomp, psi0, grid, readouts):
         sl = slice(pos, pos + len(block))
         states, amplitudes = rows[:split], rows[split:]
-        rhos = {pair: _reduced_many(states, list(pair), n_sites, decomp.basis) for pair in reduced}
+        rhos = {pair: _reduced_many(states, layouts[pair]) for pair in reduced}
         if mutual_info:
-            rho_joint = _reduced_many(states, [*first, *terminal], n_sites, decomp.basis)
+            rho_joint = _reduced_many(states, layouts[first + terminal])
             rhos.update(zip(ends, _marginals(rho_joint)))
         for pair in pairs:
-            order = layouts.get(pair)
-            conc[pair][sl] = (_concurrence_many(rhos[pair]) if order is None
-                              else _x_concurrence_many(states, order))
+            conc[pair][sl] = (_concurrence_many(rhos[pair]) if pair in rhos
+                              else _x_concurrence_many(states, layouts[pair]))
         if fidelity:
             parts = amplitudes.view(float)  # real and imaginary parts alternate along a row
             squares = np.einsum("mt,mt->t", parts, parts)
@@ -280,7 +281,11 @@ def scaling_run(n_rungs, base=LadderParams(), grid=DEFAULT_GRID):
 
 
 def _envelope_grid(params, t_end):
+    """Carrier-resolving grid over [0, t_end]; more than MAX_ENVELOPE_POINTS, or an infinite window, is refused."""
     dt = 2.0 * math.pi / dressed_gap(params) / POINTS_PER_CARRIER
+    if not t_end / dt + 1 <= MAX_ENVELOPE_POINTS:
+        raise NumericFailureError(f"the slow-envelope grid at j_parallel = {params.j_parallel!r}, h = {params.h!r} "
+                                  f"needs {t_end / dt + 1:,.0f} time points, more than {MAX_ENVELOPE_POINTS:,}")
     return TimeGrid(0.0, t_end, int(round(t_end / dt)) + 1)
 
 
@@ -292,6 +297,8 @@ def _slow_window(params):
         except OverflowError:
             raise NumericFailureError(f"j_parallel = {params.j_parallel!r} overflows j_parallel^2 in the "
                                       f"slow-envelope window h / j_parallel^2") from None
+        except ZeroDivisionError:  # j_parallel^2 underflows to 0: a window _envelope_grid refuses
+            return math.inf
     return 10.0
 
 
@@ -299,24 +306,25 @@ def sweep_field(h_values, base=LadderParams()):
     """Slow period and peak fidelity per field value, plus the log-log fit.
 
     Each field value gets its own carrier-resolving grid spanning
-    WINDOW_FACTOR nominal slow periods. Rows whose envelope extraction fails
-    are kept and flagged rather than dropped. The fit runs over the unflagged
-    rows with h > 0 when at least three remain; its alpha field carries the
-    prefactor extracted from the largest such field, where the strong-field
-    expansion is cleanest.
+    WINDOW_FACTOR nominal slow periods, all made (and refused over
+    MAX_ENVELOPE_POINTS) before the first evolution. Rows whose envelope
+    extraction fails are kept and flagged rather than dropped. The fit runs
+    over the unflagged rows with h > 0 when at least three remain; its alpha
+    field carries the prefactor extracted from the largest such field, where
+    the strong-field expansion is cleanest.
     """
+    studies = [base.replace(h=float(h)) for h in h_values]
+    grids = [_envelope_grid(params, _slow_window(params)) for params in studies]
     rows = []
-    for h in h_values:
-        params = base.replace(h=float(h))
-        grid = _envelope_grid(params, _slow_window(params))
+    for params, grid in zip(studies, grids):
         traj = evolve_and_measure(params, grid, rung_pairs(params.n_rungs)[-1:], fidelity=True)
         c_term = traj.pair_concurrence[traj.terminal_label]
         f_max = float(traj.fidelity_terminal.values.max())
         try:
             t_slow = envelope_period(c_term)
-            rows.append(SweepRow(h=float(h), t_slow=t_slow, f_max=f_max))
+            rows.append(SweepRow(h=params.h, t_slow=t_slow, f_max=f_max))
         except InsufficientDataError as exc:
-            rows.append(SweepRow(h=float(h), t_slow=None, f_max=f_max, flag=str(exc)))
+            rows.append(SweepRow(h=params.h, t_slow=None, f_max=f_max, flag=str(exc)))
     fit = None
     good = [r for r in rows if r.flag is None and r.h > 0]
     if len(good) >= 3:

@@ -2,15 +2,14 @@
 
 Entropies and mutual information are in bits.
 
-The partial trace reads states in the coordinates they were evolved in: a
-parity sector's basis, or the full space. A parity sector splits every
-reduced rho into two blocks, even and odd kept configurations, and each
-block is gathered straight from the sector rows; nothing is scattered back
-into the full space first. Within a block, the diagonal is a sum of squares
-and each element above it one complex product summed over the other sites'
-configurations; the elements below it are their conjugates. A pair's
-phi_plus fidelity needs no rho at all: _phi_plus_map gives the linear map
-whose images' squared norm it is.
+The partial trace reads states in the coordinates they were evolved in, a
+parity sector's basis or the full space, with nothing scattered back into
+the full space first. _layout splits a basis into the blocks of a site
+set's rho once per run (two in a parity sector, one in the full space),
+_block_sums is the one kernel that reads the states through them, and
+_reduced_many scatters its sums into rho. A pair's phi_plus fidelity needs
+no rho at all: _phi_plus_map gives the linear map whose images' squared
+norm it is.
 
 Entropies follow the same blocks. When every element between the even and
 odd kept configurations is exactly 0 across a stack of rhos, as it is for
@@ -27,17 +26,15 @@ For those the Yu-Eberly closed form is exact,
 
     C = 2 max(0, |rho14| - sqrt(rho22 rho33), |rho23| - sqrt(rho11 rho44))
 
-(Quantum Inf. Comput. 7, 459, 2007). The drivers decide this once per run
-from the basis: where _x_layout finds the pair's 00 and 11 configurations
-on one support of the other sites and 01 and 10 on another, disjoint one
-(every parity sector), every off-X element is exactly 0, and
-_x_concurrence_many reads the four populations, rho14 and rho23 straight
-from the states, with no rho. Any other stack of rhos goes through
-_concurrence_many, which chooses per rho: the closed form when every off-X
-element has magnitude at most X_STATE_TOL (a full-space evolution leaves a
-~1e-13 round-off leak there, far below the threshold), otherwise, as for
-the pair states of the mixed-parity superposition input, the
-Wootters spin-flip construction C = max(0, l1 - l2 - l3 - l4) (PRL 80,
+(Quantum Inf. Comput. 7, 459, 2007). Where a pair's layout is X (_is_x:
+every parity sector), every off-X element is exactly 0, and
+_x_concurrence_many reads the populations, rho14 and rho23 from the block
+sums with no rho, bitwise the rho route's values. Any other stack of rhos
+goes through _concurrence_many, which chooses per rho: the closed form
+when every off-X element has magnitude at most X_STATE_TOL (a full-space
+evolution leaves a ~1e-13 round-off leak there, far below the threshold),
+otherwise, as for the pair states of the mixed-parity superposition input,
+the Wootters spin-flip construction C = max(0, l1 - l2 - l3 - l4) (PRL 80,
 2245, 1998), with l_i the descending singular values of
 sqrt(rho) (sy x sy) sqrt(rho)*: the square roots of the eigenvalues of
 R = rho (sy x sy) rho* (sy x sy). sqrt(rho) comes from eigh, with negative
@@ -101,105 +98,90 @@ def partial_trace(psi, keep, n_sites=None):
     """Reduced density matrix of the kept sites (1-based), in keep order."""
     psi, n_sites = _as_state(psi, n_sites)
     keep = _check_keep(keep, n_sites)
-    return _reduced_many(psi[:, None], keep, n_sites, np.arange(len(psi)))[0]
+    return _reduced_many(psi[:, None], _layout(np.arange(len(psi)), keep, n_sites))[0]
 
 
-def _reduced_many(states, keep, n_sites, basis):
-    """Reduced density matrices of the kept sites, one per state column, no validation.
+def _layout(basis, keep, n_sites):
+    """(2^len(keep), blocks): the blocks of the kept sites' rho in the rows of basis, in any order.
 
-    Used by the experiment drivers on every chunk of evolved states, which
-    are complex128 like every state the package makes, for the joint
-    first-terminal rho and for the pairs that have no X layout. Row r of states
-    stands for the full-space basis state basis[r]; basis is ascending, as
-    on an evolution.SpectralDecomposition. Each row splits into the kept
-    sites' configuration a, in keep order, and the configuration m of the
-    other sites. Configurations a with the same support in m form one block
-    of rho: their rows are gathered once into a (|block|, |m|, nt) array G,
-    and the block is G G^dagger contracted over m. Its diagonal is one
-    einsum of squares over G's float view; each element i < j is the sum
-    over m of G_i conj(G_j), and element j, i its conjugate. Elements
-    between blocks are exactly 0. A parity sector gives two blocks (even and
-    odd a), the full space one.
+    A row splits into the kept sites' configuration a, in keep order, and
+    the other sites' configuration m. The a with one support in m form a
+    block (configs, rows), rows[i] holding the rows of configs[i] in
+    increasing m; rho is exactly 0 between blocks, and supports that overlap
+    unequally are refused. A parity sector gives two blocks, the full space one.
     """
     rest = [k for k in range(1, n_sites + 1) if k not in keep]
     a, m = _site_code(basis, keep, n_sites), _site_code(basis, rest, n_sites)
+    order = np.argsort(m, kind="stable")
     blocks = {}  # support in m -> (configurations a, their rows in m order)
     for config in range(2 ** len(keep)):
-        members = np.flatnonzero(a == config)
+        members = order[a[order] == config]
         if members.size:
-            configs, gather = blocks.setdefault(m[members].tobytes(), ([], []))
+            configs, rows = blocks.setdefault(m[members].tobytes(), ([], []))
             configs.append(config)
-            gather.append(members)
-    if sum(len(gather[0]) for _, gather in blocks.values()) != np.count_nonzero(np.bincount(m)):
-        raise InvalidArgumentError(f"basis gives the configurations of sites {keep} overlapping supports")
-    rho = np.zeros((states.shape[1], 2 ** len(keep), 2 ** len(keep)), dtype=complex)
-    for configs, gather in blocks.values():
-        block = states[np.array(gather)]
+            rows.append(members)
+    if sum(len(rows[0]) for _, rows in blocks.values()) != np.count_nonzero(np.bincount(m)):
+        raise InvalidArgumentError(f"basis gives the configurations of sites {list(keep)} overlapping supports")
+    return 2 ** len(keep), [(configs, np.array(rows)) for configs, rows in blocks.values()]
+
+
+def _block_sums(states, layout):
+    """Yield (configs, populations, uppers) per block of layout over the state columns, no validation.
+
+    A block's rows are gathered once into a (|block|, |m|, nt) array G. The
+    populations are one einsum of squares over G's float view, and uppers
+    maps each i < j to the element above the diagonal, sum_m G_i conj(G_j).
+    """
+    for configs, rows in layout[1]:
+        block = states[rows]
         parts = block.view(float)  # real and imaginary parts alternate along a row
         squares = np.einsum("imt,imt->it", parts, parts)
-        rho[:, configs, configs] = (squares[:, ::2] + squares[:, 1::2]).T
-        for i, j in combinations(range(len(configs)), 2):
-            upper = (block[i] * block[j].conj()).sum(axis=0)
+        uppers = {(i, j): (block[i] * block[j].conj()).sum(axis=0)
+                  for i, j in combinations(range(len(configs)), 2)}
+        yield configs, squares[:, ::2] + squares[:, 1::2], uppers
+
+
+def _reduced_many(states, layout):
+    """Reduced density matrices of a layout's sites, one per complex128 state column, no validation."""
+    rho = np.zeros((states.shape[1], layout[0], layout[0]), dtype=complex)
+    for configs, pop, uppers in _block_sums(states, layout):
+        rho[:, configs, configs] = pop.T
+        for (i, j), upper in uppers.items():
             rho[:, configs[i], configs[j]] = upper
             rho[:, configs[j], configs[i]] = upper.conj()
     return rho
 
 
-def _x_layout(basis, pair, n_sites):
-    """Row order that reads a pair's X-state rho straight from the states, or None.
-
-    The order groups the rows of basis (ascending, as on an
-    evolution.SpectralDecomposition) by the pair's configuration 00, 01, 10,
-    11, each group in the order of the other sites' configurations m. It is
-    None unless 00 and 11 have one support in m and 01 and 10 another,
-    disjoint from it and as large: then every element of the pair's rho
-    off the diagonal and the antidiagonal is exactly 0. That holds for
-    every parity sector of three or more sites and fails for the full space.
-    """
-    rest = [k for k in range(1, n_sites + 1) if k not in pair]
-    a, m = _site_code(basis, pair, n_sites), _site_code(basis, rest, n_sites)
-    groups = [np.flatnonzero(a == config) for config in range(4)]
-    outer, inner = m[groups[0]], m[groups[1]]
-    if (np.array_equal(outer, m[groups[3]]) and np.array_equal(inner, m[groups[2]])
-            and len(outer) == len(inner) and not np.isin(outer, inner).any()):
-        return np.concatenate(groups)
-    return None
+def _is_x(layout):
+    """Whether a pair's layout gives X states: every block within {00, 11} or within {01, 10}."""
+    return all(set(configs) <= {0, 3} or set(configs) <= {1, 2} for configs, _ in layout[1])
 
 
-def _x_concurrence_many(states, order):
-    """Concurrence of a pair per state column, read through its X layout (_x_layout).
-
-    The same arithmetic as _reduced_many and _concurrence_many on the same
-    rows, so the values are bitwise theirs: the four populations are one
-    einsum of squares, rho14 and rho23 one complex product sum each.
-    """
-    groups = states[order].reshape(4, -1, states.shape[1])
-    parts = groups.view(float)  # real and imaginary parts alternate along a row
-    squares = np.einsum("imt,imt->it", parts, parts)
-    pop = squares[:, ::2] + squares[:, 1::2]
-    return _x_state_concurrence(pop, (groups[0] * groups[3].conj()).sum(axis=0),
-                                (groups[1] * groups[2].conj()).sum(axis=0))
+def _x_concurrence_many(states, layout):
+    """Concurrence of a pair per state column from an X layout's block sums: _concurrence_many's, bitwise."""
+    pop, coherence = dict.fromkeys(range(4), 0.0), {0: 0.0, 1: 0.0}
+    for configs, squares, uppers in _block_sums(states, layout):
+        pop.update(zip(configs, squares))
+        coherence[configs[0]] = uppers.get((0, 1), 0.0)  # rho14 with 00 and 11, rho23 with 01 and 10
+    return _x_state_concurrence(pop, coherence[0], coherence[1])
 
 
-def _phi_plus_map(basis, pair, n_sites):
-    """Real map P from basis coordinates onto <phi_plus|_pair (x) 1, one row per rest configuration.
+def _phi_plus_map(layout, n_rows):
+    """Real map P from n_rows basis rows onto <phi_plus|_pair (x) 1, one row per rest configuration.
 
     The pair's phi_plus fidelity is linear in the state: with a_m =
     (psi_{00,m} + psi_{11,m}) / sqrt(2) over the configurations m of the
-    other sites, F = sum_m |a_m|^2, and a = P psi. Row k pairs the basis
-    rows whose pair configuration is 00 and 11 and whose rest code is the
-    k-th smallest m; a basis whose 00 and 11 configurations have different
-    supports in m is refused.
+    other sites, F = sum_m |a_m|^2, and a = P psi. Row k pairs the k-th rows
+    of 00 and 11 in the pair's layout, which must hold them in one block.
     """
-    rest = [k for k in range(1, n_sites + 1) if k not in pair]
-    a, m = _site_code(basis, pair, n_sites), _site_code(basis, rest, n_sites)
-    zeros, ones = np.flatnonzero(a == 0), np.flatnonzero(a == 3)
-    zeros, ones = zeros[np.argsort(m[zeros])], ones[np.argsort(m[ones])]
-    if not np.array_equal(m[zeros], m[ones]):
-        raise InvalidArgumentError(f"basis gives the 00 and 11 configurations of sites {list(pair)} "
-                                   f"different supports")
-    proj, rows = np.zeros((len(zeros), len(basis))), np.arange(len(zeros))
-    proj[rows, zeros] = proj[rows, ones] = _S2
+    ends = [(configs, rows) for configs, rows in layout[1] if {0, 3} & set(configs)]
+    if not ends:
+        return np.zeros((0, n_rows))
+    configs, rows = ends[0]
+    if len(ends) > 1 or not {0, 3} <= set(configs):
+        raise InvalidArgumentError("basis gives the pair's 00 and 11 configurations different supports")
+    proj, k = np.zeros((rows.shape[1], n_rows)), np.arange(rows.shape[1])
+    proj[k, rows[configs.index(0)]] = proj[k, rows[configs.index(3)]] = _S2
     return proj
 
 

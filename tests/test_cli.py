@@ -154,17 +154,46 @@ def test_envelope_window_and_prominence_are_not_settings(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv,code", [
-    (["reference", "--j-parallel", "1e300", "--n-points", "11"], 0),
-    (["reference", "--j-perp", "1e200", "--n-points", "11"], 0),
-    (["reference", "--g", "1e300", "--n-points", "11"], 0),
+    (["reference", "--j-parallel", "1e300", "--n-points", "11"], 3),
+    (["reference", "--j-perp", "1e200", "--n-points", "11"], 3),
+    (["reference", "--g", "1e300", "--n-points", "11"], 3),
     (["field-sweep", "--j-parallel", "1e300"], 3),
     (["effective-check", "--j-parallel", "1e300"], 3),
 ], ids=["reference-j-parallel", "reference-j-perp", "reference-g", "field-sweep-j-parallel",
         "effective-check-j-parallel"])
 def test_huge_finite_coupling_exits_without_traceback(tmp_path, capsys, argv, code):
-    """The dressed gap is a hypot, and an overflowing slow window is a numeric failure."""
+    """The dressed gap is a hypot, and phases past round-off or an overflowing slow window are numeric failures."""
     assert main(argv + ["--out", str(tmp_path / "out")]) == code
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_round_off_phases_are_refused_before_writing(tmp_path, capsys):
+    """Phases E t near 4e301 carry no digit of the evolution, so the run exits 3 and writes nothing."""
+    out = tmp_path / "out"
+    assert main(["reference", "--j-parallel", "1e300", "--n-points", "11", "--out", str(out)]) == 3
+    assert "round-off" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["field-sweep", "effective-check"])
+@pytest.mark.parametrize("j_parallel, count", [("1e-200", "inf"), ("0.01", "181,063,717")],
+                         ids=["underflowing", "weak"])
+def test_unbounded_envelope_grid_is_refused_before_evolving(tmp_path, capsys, monkeypatch, command,
+                                                            j_parallel, count):
+    """A window h / j_parallel^2 past MAX_ENVELOPE_POINTS exits 3 naming j_parallel, h and the count.
+
+    j_parallel = 1e-200 squares to 0, an infinite window; 0.01 at h = 100
+    asks for 181,063,717 points. Nothing is evolved and no output is made.
+    """
+    def refuse(*args, **kwargs):
+        raise AssertionError("an envelope study evolved before its grids were checked")
+    monkeypatch.setattr("spinladder.experiments.iter_evolved", refuse)
+    out = tmp_path / "out"
+    assert main([command, "--j-parallel", j_parallel, "--h-values", "100", "--eff-h-values", "100",
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"j_parallel = {float(j_parallel)!r}, h = 100.0 needs {count} time points" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 @pytest.mark.parametrize("command", ["field-sweep", "effective-check"])

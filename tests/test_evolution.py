@@ -15,7 +15,7 @@ from spinladder.evolution import (
 )
 from spinladder.experiments import _envelope_grid, _sector_spectrum, _slow_window
 from spinladder.lattice import LadderParams, build_hamiltonian, build_initial_state, parity_sector
-from spinladder.metrics import _reduced_many
+from spinladder.metrics import _layout, _reduced_many
 
 from conftest import haar_state, pauli_hamiltonian
 
@@ -228,8 +228,8 @@ def test_sector_evolution_matches_full_space_oracle():
     early = grid.times <= 5.0
     assert np.abs(states[:, early] - expected[:, early]).max() <= 1e-12
     for keep in ([1, 2], [3, 4], [5, 6], [1, 2, 5, 6]):
-        rho = _reduced_many(sector_states, keep, 6, decomp.basis)
-        assert np.abs(rho - _reduced_many(expected, keep, 6, np.arange(64))).max() <= 1e-12
+        rho = _reduced_many(sector_states, _layout(decomp.basis, keep, 6))
+        assert np.abs(rho - _reduced_many(expected, _layout(np.arange(64), keep, 6))).max() <= 1e-12
     assert np.abs(evolve_state(decomp, psi0, 3.7) - evolve_state(oracle, psi0, 3.7)).max() <= 1e-12
 
 

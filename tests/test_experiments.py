@@ -42,8 +42,8 @@ from spinladder.experiments import (
 from spinladder.io import read_csv
 from spinladder.lattice import (INITIAL_STATE_KINDS, LadderParams, build_hamiltonian, build_initial_state,
                                 leg_bonds, parity_sector, symmetry_blocks, uniform_mask)
-from spinladder.metrics import (BELL_STATES, _concurrence_many, _fidelity_many, _reduced_many,
-                                _x_concurrence_many, _x_layout, mutual_information)
+from spinladder.metrics import (BELL_STATES, _concurrence_many, _fidelity_many, _is_x, _layout, _reduced_many,
+                                _x_concurrence_many, mutual_information)
 from spinladder.signals import TimeSeries, envelope_period, find_peaks
 
 from conftest import pauli_hamiltonian
@@ -155,7 +155,7 @@ def test_mixed_parity_run_matches_full_space_oracle():
     traj = run_reference(params, state_kind=kind, grid=grid, include_mutual_info=False)
     [(_, states)] = iter_evolved(diagonalize(pauli_hamiltonian(params)), psi0, grid)
     for pair in rung_pairs(3):
-        rho = _reduced_many(states, list(pair), 6, np.arange(64))
+        rho = _reduced_many(states, _layout(np.arange(64), pair, 6))
         expected = np.clip(_concurrence_many(rho), 0.0, 1.0)
         assert np.abs(traj.pair_concurrence[pair_label(*pair)].values - expected).max() <= 1e-10
     fid = np.clip(_fidelity_many(rho, BELL_STATES["phi_plus"]), 0.0, 1.0)
@@ -364,8 +364,8 @@ def test_blocked_evolution_matches_the_parity_sector(n_rungs, kind, g, d, h, t_e
     [(_, expected)], [(_, states)] = (iter_evolved(decomp, psi0, grid) for decomp in (sector, blocked))
     pairs = rung_pairs(n_rungs)
     for keep in [list(pair) for pair in pairs] + [[*pairs[0], *pairs[-1]]]:
-        rho = _reduced_many(states, keep, params.n_sites, basis)
-        assert np.abs(rho - _reduced_many(expected, keep, params.n_sites, basis)).max() <= 1e-12
+        layout = _layout(basis, keep, params.n_sites)
+        assert np.abs(_reduced_many(states, layout) - _reduced_many(expected, layout)).max() <= 1e-12
     want, got = (evolve_and_measure(params, grid, pairs, fidelity=True, decomp=decomp, psi0=psi0)
                  for decomp in (sector, blocked))
     assert np.abs(got.fidelity_terminal.values - want.fidelity_terminal.values).max() <= 1e-12
@@ -409,49 +409,51 @@ def test_mutual_info_traces_the_end_pairs_from_the_joint_rho(monkeypatch):
     three mutual informations match metrics.mutual_information on full-space
     states.
     """
-    keeps = []
+    layouts = []
 
-    def recording(states, keep, n_sites, basis):
-        keeps.append(tuple(keep))
-        return _reduced_many(states, keep, n_sites, basis)
+    def recording(states, layout):
+        layouts.append(layout)
+        return _reduced_many(states, layout)
     monkeypatch.setattr("spinladder.experiments._reduced_many", recording)
     params, grid = LadderParams(), TimeGrid(0.0, 10.0, 401)
     traced = run_reference(params, grid=grid)
-    assert keeps == [(1, 2, 5, 6)]
+    psi0 = build_initial_state("phi_plus", params)
+    decomp = _sector_spectrum(params, psi0)
+    [(dim, blocks)] = layouts
+    joint = _layout(decomp.basis, (1, 2, 5, 6), params.n_sites)
+    assert dim == joint[0] and len(blocks) == len(joint[1])
+    for (configs, rows), (want_configs, want_rows) in zip(blocks, joint[1]):
+        assert configs == want_configs and np.array_equal(rows, want_rows)
     direct = run_reference(params, grid=grid, include_mutual_info=False)
     for label, series in direct.pair_concurrence.items():
         assert np.abs(traced.pair_concurrence[label].values - series.values).max() <= 1e-14
-    psi0 = build_initial_state("phi_plus", params)
-    decomp = _sector_spectrum(params, psi0)
     for k in (0, 57, 400):
         psi = evolve_state(decomp, psi0, grid.times[k])
         for label, (a, b) in {"I12": ([1], [2]), "I56": ([5], [6]), "I12_56": ([1, 2], [5, 6])}.items():
             assert traced.mutual_info[label].values[k] == pytest.approx(mutual_information(psi, a, b), abs=1e-10)
 
 
-@pytest.mark.parametrize("n_rungs", [3, 4, 5])
+@pytest.mark.parametrize("n_rungs", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("kind", ["phi_plus", "psi_plus"])
 def test_x_layout_concurrence_is_the_reduced_rho_route(n_rungs, kind):
-    """Read through its X layout, a pair's concurrence on evolved sector states is the rho route's.
+    """Read through its X layout, a pair's concurrence on evolved sector states is bitwise the rho route's.
 
-    Every rung pair and the leg pair (1, 3), chunk by chunk: bitwise on the
-    N = 3 phi_plus reference grid, within 1e-15 elsewhere.
+    Every rung pair and, on a ladder, the leg pair (1, 3), chunk by chunk.
+    A single rung's even sector has one {00, 11} block and takes the X
+    route too. Both routes read the same block sums (metrics._block_sums).
     """
     params = LadderParams(n_rungs=n_rungs)
     psi0 = build_initial_state(kind, params)
     decomp = _sector_spectrum(params, psi0)
-    reference = n_rungs == 3 and kind == "phi_plus"
+    pairs = rung_pairs(n_rungs) + [(1, 3)] * (n_rungs > 1)
+    layouts = {pair: _layout(decomp.basis, pair, params.n_sites) for pair in pairs}
+    assert all(map(_is_x, layouts.values()))
+    grid = DEFAULT_GRID if n_rungs == 3 and kind == "phi_plus" else TimeGrid(0.0, 10.0, 401)
     peak = 0.0
-    for _, states in iter_evolved(decomp, psi0, DEFAULT_GRID if reference else TimeGrid(0.0, 10.0, 401)):
-        for pair in [*rung_pairs(n_rungs), (1, 3)]:
-            order = _x_layout(decomp.basis, pair, params.n_sites)
-            assert np.array_equal(np.sort(order), np.arange(len(decomp.basis)))
-            via_rho = _concurrence_many(_reduced_many(states, list(pair), params.n_sites, decomp.basis))
-            direct = _x_concurrence_many(states, order)
-            if reference:
-                assert np.array_equal(direct, via_rho)
-            else:
-                assert np.abs(direct - via_rho).max() <= 1e-15
+    for _, states in iter_evolved(decomp, psi0, grid):
+        for pair, layout in layouts.items():
+            via_rho = _concurrence_many(_reduced_many(states, layout))
+            assert np.array_equal(_x_concurrence_many(states, layout), via_rho)
             peak = max(peak, via_rho.max())
     assert peak > 0.9
 

@@ -16,11 +16,12 @@ from spinladder.metrics import (
     _concurrence_many,
     _entropy_many,
     _fidelity_many,
+    _is_x,
+    _layout,
     _marginals,
     _phi_plus_map,
     _reduced_many,
     _site_code,
-    _x_layout,
     bell_fidelity,
     concurrence,
     mutual_information,
@@ -118,9 +119,9 @@ def test_sector_reduction_matches_full_space(n_rungs, order, size, sector, seed)
     states /= np.linalg.norm(states, axis=0)
     full = np.zeros((2 ** n_sites, 3), dtype=complex)
     full[basis] = states
-    rho = _reduced_many(states, keep, n_sites, basis)
+    rho = _reduced_many(states, _layout(basis, keep, n_sites))
     assert rho.shape == (3, 2 ** len(keep), 2 ** len(keep))
-    assert np.abs(rho - _reduced_many(full, keep, n_sites, np.arange(2 ** n_sites))).max() <= 1e-13
+    assert np.abs(rho - _reduced_many(full, _layout(np.arange(2 ** n_sites), keep, n_sites))).max() <= 1e-13
     assert np.abs(rho - _dense_reduction(full, keep, n_sites)).max() <= 1e-13
     if len(keep) % 2 == 0:  # a pair's two sites, or a joint rho's two pairs
         half = len(keep) // 2
@@ -131,8 +132,8 @@ def test_sector_reduction_matches_full_space(n_rungs, order, size, sector, seed)
 def test_reduction_refuses_basis_mixing_blocks():
     # rows |00>, |01>, |10>: site 1 in |0> sees site 2 in {0, 1}, site 1 in |1> only 0,
     # so the supports of the two configurations of site 1 overlap without being equal
-    with pytest.raises(InvalidArgumentError):
-        _reduced_many(np.ones((3, 1), dtype=complex), [1], 2, np.array([0, 1, 2]))
+    with pytest.raises(InvalidArgumentError, match="overlapping supports"):
+        _layout(np.array([0, 1, 2]), [1], 2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -159,46 +160,53 @@ def test_phi_plus_amplitudes_match_reduced_fidelity(n_rungs, order, sector, seed
     codes = _site_code(basis, pair, n_sites)
     zeros, ones = np.flatnonzero(codes == 0), np.flatnonzero(codes == 3)
     shuffled = rng.permutation(len(basis))
-    proj = _phi_plus_map(basis[shuffled], pair, n_sites)
+    proj = _phi_plus_map(_layout(basis[shuffled], pair, n_sites), len(basis))
     assert proj.shape == (len(zeros), len(basis))
     fidelity = (np.abs(proj @ states[shuffled]) ** 2).sum(axis=0)
-    expected = _fidelity_many(_reduced_many(states, pair, n_sites, basis), BELL_STATES["phi_plus"])
+    expected = _fidelity_many(_reduced_many(states, _layout(basis, pair, n_sites)), BELL_STATES["phi_plus"])
     assert np.abs(fidelity - expected).max() <= 1e-13
     refused = []
     if len(zeros):  # one 00 or 11 row left without its partner
         refused.append(np.delete(basis, rng.choice(np.r_[zeros, ones])))
     if len(zeros) > 1:  # as many 00 as 11 rows, on different rest configurations
         refused.append(np.delete(basis, [zeros[0], ones[-1]]))
-    for bad in refused:
-        with pytest.raises(InvalidArgumentError, match="different supports"):
-            _phi_plus_map(bad, pair, n_sites)
+    for bad in refused:  # the layout refuses supports that overlap, the map 00 and 11 in different blocks
+        with pytest.raises(InvalidArgumentError, match="overlapping supports|different supports"):
+            _phi_plus_map(_layout(bad, pair, n_sites), len(bad))
 
 
 @pytest.mark.parametrize("n_rungs", [1, 2, 3])
-def test_x_layout_only_where_the_supports_are_disjoint(n_rungs):
-    """A parity sector of three or more sites orders every row; the full space has no X layout.
+def test_layout_splits_a_pair_by_its_rest_supports(n_rungs):
+    """A parity sector gives a pair two X blocks; the full space and the mixed-parity sector one non-X block.
 
     The mixed-parity input evolves in the full space. A single rung's even
-    sector has no 01 or 10 row, so its two supports differ in size and it
-    keeps the rho route too.
+    sector has no 01 or 10 row: one {00, 11} block, which is X. Within a
+    block every configuration's rows run in increasing rest configuration,
+    the same one row by row, and a shuffled basis gives the same rows.
     """
     params = LadderParams(n_rungs=n_rungs)
     n_sites = params.n_sites
     sector = parity_sector(build_initial_state("phi_plus", params))
     mixed = parity_sector(build_initial_state("psi_minus_plus_phi_plus", params))
+    shuffled = np.random.default_rng(n_rungs).permutation(len(sector))
     for pair in [(1, 2), (n_sites - 1, n_sites), (1, n_sites)]:
-        assert _x_layout(np.arange(2 ** n_sites), pair, n_sites) is None
-        assert _x_layout(mixed, pair, n_sites) is None
-        order = _x_layout(sector, pair, n_sites)
-        if n_rungs == 1:
-            assert order is None
-            continue
-        assert np.array_equal(np.sort(order), np.arange(len(sector)))
-        codes = _site_code(sector[order], pair, n_sites).reshape(4, -1)
-        assert (codes == np.arange(4)[:, None]).all()
+        for basis in (np.arange(2 ** n_sites), mixed):
+            layout = _layout(basis, pair, n_sites)
+            assert layout[0] == 4 and [configs for configs, _ in layout[1]] == [[0, 1, 2, 3]]
+            assert not _is_x(layout)
+        layout = _layout(sector, pair, n_sites)
+        assert _is_x(layout)
+        assert [configs for configs, _ in layout[1]] == ([[0, 3]] if n_rungs == 1 else [[0, 3], [1, 2]])
+        assert np.array_equal(np.sort(np.concatenate([rows.ravel() for _, rows in layout[1]])),
+                              np.arange(len(sector)))
         rest = [k for k in range(1, n_sites + 1) if k not in pair]
-        m = _site_code(sector[order], rest, n_sites).reshape(4, -1)
-        assert (np.diff(m, axis=1) > 0).all() and (m[0] == m[3]).all() and (m[1] == m[2]).all()
+        for configs, rows in layout[1]:
+            assert (_site_code(sector[rows.ravel()], pair, n_sites).reshape(rows.shape)
+                    == np.array(configs)[:, None]).all()
+            m = _site_code(sector[rows.ravel()], rest, n_sites).reshape(rows.shape)
+            assert (np.diff(m, axis=1) > 0).all() and (m == m[0]).all()
+        for (configs, rows), (moved_configs, moved) in zip(layout[1], _layout(sector[shuffled], pair, n_sites)[1]):
+            assert moved_configs == configs and np.array_equal(sector[shuffled][moved], sector[rows])
 
 
 # ----------------------------------------------------------------- concurrence
@@ -328,7 +336,7 @@ def test_block_entropy_matches_full_spectrum(n_rungs, order, size, sector, seed)
     rng = np.random.default_rng(seed)
     states = rng.normal(size=(len(basis), 5)) + 1j * rng.normal(size=(len(basis), 5))
     states /= np.linalg.norm(states, axis=0)
-    rhos = _reduced_many(states, keep, n_sites, basis)
+    rhos = _reduced_many(states, _layout(basis, keep, n_sites))
     assert np.abs(_entropy_many(rhos) - _plain_entropy(rhos)).max() <= 1e-12
     if len(keep) == 2:
         for marginal in _marginals(rhos):
