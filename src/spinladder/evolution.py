@@ -23,7 +23,12 @@ iter_evolved streams a uniform TimeGrid. Its phases exp(-i w t) come from
 two small tables instead of one complex exp per eigenvalue and time: an
 anchor phase at every STRIDE-th grid time times one of STRIDE offset
 phases exp(-i w b dt). The anchors are the grid's own times, so every
-STRIDE-th phase is exactly the direct one.
+STRIDE-th phase is exactly the direct one. A chunk holds as many points as
+fill CHUNK_BYTES with the decomposition's states and phases, a multiple of
+STRIDE so that chunks start on anchors, and at most CHUNK: N = 3 takes
+CHUNK points, N = 4 1280 and N = 5 320. The length does not depend on the
+readouts, which the caller chooses; experiments.evolve_and_measure reads
+only the distinct rows of V.
 """
 
 from dataclasses import dataclass
@@ -42,8 +47,13 @@ SECTOR_LEAK_TOL = 1e-12
 #: least 1), for which diagonalize takes H as Hermitian.
 MATRIX_TOL = 1e-12
 
-#: Time points per state block of iter_evolved, which bounds the memory held.
+#: Most time points per state block of iter_evolved.
 CHUNK = 2048
+
+#: Bytes of the complex state and phase blocks that sets the points per chunk
+#: of iter_evolved on large bases (_chunk_points); 4 MiB was the fastest of
+#: 0.5-8 MiB for N = 4 and 5 on a 2 MiB-L2 Xeon core.
+CHUNK_BYTES = 4 << 20
 
 #: Grid points per anchor phase in iter_evolved; the points between two
 #: anchors take their phases from one table of STRIDE offset phases.
@@ -97,6 +107,9 @@ class TimeGrid:
             raise InvalidArgumentError(f"need t_end > t_start, got [{self.t_start}, {self.t_end}]")
         if self.n_points < 2:
             raise InvalidArgumentError(f"n_points must be >= 2, got {self.n_points}")
+        if not self.dt > 0:
+            raise InvalidArgumentError(f"the step of [{self.t_start}, {self.t_end}] over {self.n_points} points "
+                                       f"underflows to 0; raise t_end or lower n_points")
 
     @property
     def times(self):
@@ -112,6 +125,8 @@ def _check_hermitian(matrix):
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise InvalidArgumentError(f"expected a square matrix, got shape {matrix.shape}")
     scale = np.abs(matrix).max()
+    if not np.isfinite(scale):
+        raise NumericFailureError("matrix has non-finite elements: a term of H overflows")
     dev = np.abs(matrix - matrix.conj().T).max()
     if dev > MATRIX_TOL * max(scale, 1.0):
         raise InvalidArgumentError(f"matrix is not Hermitian (max deviation {dev:.3e})")
@@ -186,6 +201,19 @@ def evolve_state(decomp, psi0, t):
     return psi
 
 
+def _chunk_points(n_states, n_pairs):
+    """Time points per chunk on a basis of n_states states with n_pairs eigenpairs kept.
+
+    As many as fill CHUNK_BYTES with one complex block of the states and
+    one of the phases, rounded down to a multiple of STRIDE so every chunk
+    starts on an anchor, at least STRIDE and at most CHUNK. The length
+    follows the decomposition, not the readouts, so every readout of one
+    decomposition is formed in the same products whatever else is read.
+    """
+    fit = CHUNK_BYTES // (16 * (n_states + n_pairs)) // STRIDE * STRIDE
+    return min(CHUNK, max(STRIDE, fit))
+
+
 def iter_evolved(decomp, psi0, grid, readouts=None):
     """Yield (time_block, row_block) pairs over a TimeGrid, one column per time.
 
@@ -218,9 +246,10 @@ def iter_evolved(decomp, psi0, grid, readouts=None):
     coeffs = _coefficients(decomp, psi0)
     times = grid.times
     offsets = np.exp(-1j * np.outer(w, np.arange(min(STRIDE, grid.n_points)) * grid.dt))
-    phases = np.empty((len(w), len(times[:CHUNK:STRIDE]), offsets.shape[1]), dtype=complex)
-    for start in range(0, len(times), CHUNK):
-        block = times[start:start + CHUNK]
+    chunk = _chunk_points(len(decomp.basis), len(w))
+    phases = np.empty((len(w), len(times[:chunk:STRIDE]), offsets.shape[1]), dtype=complex)
+    for start in range(0, len(times), chunk):
+        block = times[start:start + chunk]
         anchors = coeffs[:, None] * np.exp(-1j * np.outer(w, block[::STRIDE]))
         np.multiply(anchors[:, :, None], offsets[:, None, :], out=phases[:, :anchors.shape[1]])
         rotated = phases.reshape(len(w), -1)[:, :len(block)]

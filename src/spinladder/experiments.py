@@ -160,7 +160,10 @@ def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False
     I(terminal) and the joint first-terminal channel, and is refused below
     two rungs, where the first rung is the terminal one. Every site set read
     is split into its blocks once per call (metrics._layout). Pairs and
-    mutual information read the states in decomp's basis: an X pair
+    mutual information read the states in decomp's basis, each bitwise-
+    distinct row of V evolved once (_distinct_rows: rows r and P r are
+    equal where psi0 keeps the leg swap P) and the layouts indexed into
+    those rows, so the kernels read the smaller block unchanged: an X pair
     (metrics._is_x: every parity sector) takes its concurrence from the
     block sums with no rho, any other pair from a rho reduced once per chunk.
     With mutual information on, the joint first-terminal rho is reduced in
@@ -169,11 +172,10 @@ def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False
     applies A = P V (P from metrics._phi_plus_map, formed once per call) in a
     product of its own, and F = sum_m |a_m|^2 over the amplitudes a it
     yields, so F comes from the same arithmetic whatever other channels a
-    run asks for. The states are the first len(decomp.basis) rows of each
-    block, however many eigenvectors decomp keeps. psi0 defaults to the
-    phi_plus input and decomp to the spectrum of params' Hamiltonian on the
-    symmetry blocks psi0 occupies. C and F are clipped into [0, 1]; mutual
-    information is not. Channels not asked for come back empty (concurrence) or None.
+    run asks for. psi0 defaults to the phi_plus input and decomp to the
+    spectrum of params' Hamiltonian on the symmetry blocks psi0 occupies.
+    C and F are clipped into [0, 1]; mutual information is not. Channels
+    not asked for come back empty (concurrence) or None.
     """
     if mutual_info and params.n_rungs < 2:
         raise InvalidArgumentError(f"mutual information needs distinct first and terminal rungs, "
@@ -187,10 +189,16 @@ def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False
     keeps = [pair for pair in pairs if pair not in ends] + [first + terminal] * mutual_info + [terminal] * fidelity
     layouts = {keep: _layout(decomp.basis, keep, n_sites) for keep in dict.fromkeys(keeps)}
     reduced = [pair for pair in dict.fromkeys(pairs) if pair not in ends and not _is_x(layouts[pair])]
-    readouts = [decomp.eigenvectors] if ends or pairs else []
-    split = len(decomp.basis) if readouts else 0
+    readouts, split = [], 0
+    if ends or pairs:
+        distinct, inverse = _distinct_rows(decomp.eigenvectors)
+        readouts.append(decomp.eigenvectors[distinct])
+        split = len(distinct)
     if fidelity:
         readouts.append(_phi_plus_map(layouts[terminal], len(decomp.basis)) @ decomp.eigenvectors)
+    if split:
+        layouts = {keep: (dim, [(configs, inverse[rows]) for configs, rows in blocks])
+                   for keep, (dim, blocks) in layouts.items()}
     conc = {pair: np.empty(n_points) for pair in pairs}
     fid = np.empty(n_points) if fidelity else None
     mi = {name: np.empty(n_points) for name in ("first", "terminal", "joint") if mutual_info}
@@ -234,6 +242,19 @@ def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False
     )
 
 
+def _distinct_rows(matrix):
+    """(distinct, inverse): the first row of each bitwise-distinct row value, in order, and every row's index among them.
+
+    matrix[distinct][inverse] == matrix exactly; a matrix without repeated
+    rows gives distinct = arange(len(matrix)).
+    """
+    matrix = np.ascontiguousarray(matrix)
+    keys = matrix.view(np.dtype((np.void, matrix.dtype.itemsize * matrix.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # unique's sorted keys, by first occurrence
+    return first[order], np.argsort(order)[inverse]
+
+
 def _sector_spectrum(params, psi0, **build):
     """Spectrum of params' Hamiltonian on the symmetry blocks psi0 occupies.
 
@@ -253,11 +274,11 @@ def run_reference(params=LadderParams(), state_kind="phi_plus", grid=DEFAULT_GRI
     """Evolve one ladder and record every rung pair's concurrence plus terminal fidelity.
 
     Mutual-information channels (first rung, terminal rung, and the joint
-    first-terminal correlation) are included by default. At N = 5 they add
-    about three fifths to the evolve-and-measure cost, most of it reducing
-    the joint rho and the eigenvalues of its two 8x8 blocks; the two end
-    pairs are traced from it (0.17 s without, 0.26 s with, for 4001 points
-    on one Xeon core with single-threaded OpenBLAS, best of 7).
+    first-terminal correlation) are included by default. At N = 5 they
+    nearly double the evolve-and-measure cost, most of it reducing the joint
+    rho and the eigenvalues of its two 8x8 blocks; the two end pairs are
+    traced from it (0.064 s without, 0.12 s with, for 4001 points on one
+    Xeon core with single-threaded OpenBLAS, best of 7).
     """
     psi0 = build_initial_state(state_kind, params)
     return evolve_and_measure(params, grid, rung_pairs(params.n_rungs), fidelity=True,
@@ -280,9 +301,19 @@ def scaling_run(n_rungs, base=LadderParams(), grid=DEFAULT_GRID):
     return run_reference(params, grid=grid, include_mutual_info=False)
 
 
+def _carrier(params):
+    """dressed_gap(params); a gap of 0 or one that overflows sets no carrier period and is refused."""
+    gap = dressed_gap(params)
+    if not 0 < gap < math.inf:
+        raise InvalidArgumentError(f"g = {params.g!r}, j_perp = {params.j_perp!r}, d = {params.d!r}, "
+                                   f"j_parallel = {params.j_parallel!r} give the dressed gap {gap!r}, "
+                                   f"which sets no carrier period")
+    return gap
+
+
 def _envelope_grid(params, t_end):
     """Carrier-resolving grid over [0, t_end]; more than MAX_ENVELOPE_POINTS, or an infinite window, is refused."""
-    dt = 2.0 * math.pi / dressed_gap(params) / POINTS_PER_CARRIER
+    dt = 2.0 * math.pi / _carrier(params) / POINTS_PER_CARRIER
     if not t_end / dt + 1 <= MAX_ENVELOPE_POINTS:
         raise NumericFailureError(f"the slow-envelope grid at j_parallel = {params.j_parallel!r}, h = {params.h!r} "
                                   f"needs {t_end / dt + 1:,.0f} time points, more than {MAX_ENVELOPE_POINTS:,}")
@@ -367,7 +398,7 @@ def disorder_ensemble(delta, n_samples, base_seed, base=LadderParams(), grid=DEF
     field h is left clean. Aggregation is by realization index, so results
     are bitwise reproducible for a fixed base seed.
     """
-    if delta < 0:
+    if math.copysign(1.0, delta) < 0:  # -0.0 too: uniform(-delta, delta) needs low <= high
         raise InvalidArgumentError(f"delta must be >= 0, got {delta}")
     if n_samples < 1:
         raise InvalidArgumentError(f"n_samples must be >= 1, got {n_samples}")
@@ -464,13 +495,16 @@ def effective_model_check(base=LadderParams(), h_values=(100.0, 200.0, 400.0)):
 
 
 def frequency_table(d_values, base=LadderParams(), grid=FREQ_GRID):
-    """Measured carrier frequency of the terminal concurrence vs the dressed-gap prediction."""
+    """Measured carrier frequency of the terminal concurrence vs the dressed-gap prediction.
+
+    Every d's gap is checked before the first evolution; a zero gap is refused.
+    """
+    studies = [base.replace(d=float(d)) for d in d_values]
+    gaps = [_carrier(params) for params in studies]
     rows = []
-    for d in d_values:
-        params = base.replace(d=float(d))
+    for params, predicted in zip(studies, gaps):
         traj = evolve_and_measure(params, grid, rung_pairs(params.n_rungs)[-1:])
         measured = dominant_frequency(traj.pair_concurrence[traj.terminal_label])
-        predicted = dressed_gap(params)
-        rows.append(FrequencyRow(d=float(d), predicted=predicted, measured=measured,
+        rows.append(FrequencyRow(d=params.d, predicted=predicted, measured=measured,
                                  ratio=measured / predicted))
     return rows

@@ -97,7 +97,7 @@ def _refusal(key, value, entries):
         return f"{key} must be finite, got {value}"
     if key == "t_end" and value <= 0:
         return "t_end must be positive"
-    if key in _LEAST and min(entries) < _LEAST[key]:
+    if key in _LEAST and (min(entries) < _LEAST[key] or any(math.copysign(1, entry) < 0 for entry in entries)):
         return f"{key} must be >= {_LEAST[key]}, got {value}"
     if key == "n_values" and max(entries) > MAX_DENSE_RUNGS:
         return f"n_values entry {max(entries)} exceeds the dense bound of {MAX_DENSE_RUNGS}"

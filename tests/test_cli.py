@@ -15,12 +15,15 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spinladder
-from spinladder import __version__, cli, experiments
+from spinladder import __version__, cli, experiments, io
 from spinladder.cli import _build_parser, _resolve_config, main
 from spinladder.io import config_floats, config_grid, parse_config, read_csv, read_sidecar
 
@@ -132,9 +135,14 @@ def test_empty_list_value_exits_2(tmp_path, capsys, command, flag):
     ("reference", "--field-mask", ",", "field_mask"),
     ("scaling", "--n-values", "4,2", "n_values"),
     ("disorder", "--deltas", "0.1,-0.1", "deltas"),
+    ("disorder", "--deltas", "-0.0", "deltas"),
+    ("freq-table", "--t-end", "5e-324", "t_end"),
 ])
 def test_out_of_range_value_exits_2_before_writing(tmp_path, capsys, command, flag, value, key):
-    """A non-finite float or a list entry out of range is refused before any file is written."""
+    """A non-finite float, a list entry out of range or a step that underflows is refused before any file is written.
+
+    -0.0 compares equal to 0 but carries a negative sign, which uniform(-delta, delta) refuses.
+    """
     out = tmp_path / "out"
     assert main([command, "--out", str(out), flag, value]) == 2
     assert key in capsys.readouterr().err
@@ -203,6 +211,52 @@ def test_overflowing_slow_window_names_the_coupling(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert "j_parallel = 1e+300" in err and "slow-envelope window" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["field-sweep", "--d", "0"], ["effective-check", "--d", "0"], ["freq-table"]],
+                         ids=["field-sweep", "effective-check", "freq-table"])
+def test_zero_dressed_gap_is_refused_before_evolving(tmp_path, capsys, monkeypatch, argv):
+    """At g = d = 0 (freq-table's default d values start at 0) no carrier sets a grid or a ratio: exit 2, keys named.
+
+    Nothing is evolved and no output is made.
+    """
+    def refuse(*args, **kwargs):
+        raise AssertionError("a gapless ladder was evolved")
+    monkeypatch.setattr("spinladder.experiments.iter_evolved", refuse)
+    out = tmp_path / "out"
+    assert main(argv + ["--g", "0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "g = 0.0, j_perp = 1.0, d = 0.0, j_parallel = 1.0 give the dressed gap 0.0" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+class _Evolved(Exception):
+    """Raised in place of the first evolution, so a run stops once its inputs are accepted."""
+
+
+#: Every float config key, list keys included, and the extremes drawn for them.
+_FLOAT_KEYS = sorted(key for key, kind in io._FIELD_TYPES.items() if float in (kind, io._LIST_KEYS.get(key)))
+_EXTREMES = ["0", "-0.0", "-1", "5e-324", "1e-300", "1e300", "-1e300"]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(command=st.sampled_from(list(cli._COMMANDS)),
+       values=st.dictionaries(st.sampled_from(_FLOAT_KEYS), st.sampled_from(_EXTREMES), min_size=1, max_size=3))
+def test_extreme_float_keys_exit_without_traceback(command, values):
+    """One to three float keys at extremes: a run is refused (exit 2 or 3) or reaches its first evolution.
+
+    The evolution is replaced by a sentinel, so every accepted input stops
+    there; neither a refused nor a stopped run may leave an output directory.
+    """
+    assert len(_FLOAT_KEYS) == 14
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(experiments, "iter_evolved", side_effect=_Evolved):
+        out = os.path.join(tmp, "out")
+        try:
+            code = main([command, "--out", out] + [f"--{key}={value}" for key, value in values.items()])
+        except _Evolved:
+            code = None
+        assert code in (None, 0, 2, 3), (command, values)
+        assert code == 0 or not os.path.exists(out), (command, values)
 
 
 def test_missing_config_file_exits_2(tmp_path):

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from spinladder.errors import InvalidArgumentError
+from spinladder.errors import InvalidArgumentError, NumericFailureError
 from spinladder.evolution import (
+    CHUNK,
+    CHUNK_BYTES,
     STRIDE,
     SpectralDecomposition,
     TimeGrid,
     diagonalize,
     evolve_state,
+    _chunk_points,
     iter_evolved,
 )
 from spinladder.experiments import _envelope_grid, _sector_spectrum, _slow_window
@@ -31,10 +34,20 @@ def test_time_grid_basics():
     (5.0, 5.0, 5),     # empty span
     (5.0, 2.0, 5),     # reversed span
     (0.0, 10.0, 1),    # too few points
+    (0.0, 5e-324, 8001),  # step underflows to 0
 ])
 def test_time_grid_validation(args):
     with pytest.raises(InvalidArgumentError):
         TimeGrid(*args)
+
+
+@pytest.mark.parametrize("element", [np.inf, np.nan])
+def test_diagonalize_refuses_a_non_finite_matrix(element):
+    """An overflowed term of H never reaches the eigensolver."""
+    ham = np.eye(3)
+    ham[1, 1] = element
+    with pytest.raises(NumericFailureError, match="non-finite"):
+        diagonalize(ham)
 
 
 def test_diagonalize_sorted_permutation():
@@ -173,6 +186,41 @@ def test_phase_tables_with_chunk_and_grid_off_the_stride(monkeypatch):
     assert np.array_equal(np.concatenate([t for t, _ in blocks]), grid.times)
     bound = 4.0 * np.abs(decomp.eigenvalues).max() * grid.t_end * 2.0 ** -52
     assert _worst_against_direct(decomp, psi0, grid) <= bound
+
+
+@pytest.mark.parametrize("n_pairs", [1, 20, 272, 1056])
+@pytest.mark.parametrize("n_states", [1, 32, 128, 512, 2048, 10 ** 6])
+def test_chunk_points_fill_the_byte_budget_from_anchor_to_anchor(n_states, n_pairs):
+    """At most CHUNK points; where the budget decides, a multiple of STRIDE whose state and phase blocks fit CHUNK_BYTES."""
+    points = _chunk_points(n_states, n_pairs)
+    assert STRIDE <= points <= CHUNK
+    if points < CHUNK:
+        assert points % STRIDE == 0
+        assert points == STRIDE or 16 * points * (n_states + n_pairs) <= CHUNK_BYTES < 16 * (points + STRIDE) * (
+            n_states + n_pairs)
+
+
+def test_large_basis_streams_budget_sized_chunks_of_the_same_states(monkeypatch):
+    """N = 5: 512 state rows over 272 eigenpairs take chunks of a multiple of STRIDE points within CHUNK_BYTES.
+
+    The time blocks tile the grid exactly, and the states match a run in
+    CHUNK-point blocks to round-off: the anchors are the same grid times.
+    """
+    params = LadderParams(n_rungs=5)
+    psi0 = build_initial_state("phi_plus", params)
+    decomp = _sector_decomp(params, psi0)
+    grid = TimeGrid(0.0, 10.0, 4001)
+    points = _chunk_points(len(decomp.basis), decomp.dim)
+    assert points < CHUNK and points % STRIDE == 0
+    blocks = list(iter_evolved(decomp, psi0, grid))
+    assert [len(t) for t, _ in blocks] == [points] * (grid.n_points // points) + [grid.n_points % points]
+    assert blocks[0][1].nbytes + 16 * decomp.dim * points <= CHUNK_BYTES
+    assert np.array_equal(np.concatenate([t for t, _ in blocks]), grid.times)
+    monkeypatch.setattr("spinladder.evolution.CHUNK_BYTES", 1 << 40)
+    whole = list(iter_evolved(decomp, psi0, grid))
+    assert [len(t) for t, _ in whole] == [CHUNK, grid.n_points - CHUNK]
+    stitched = np.concatenate([states for _, states in blocks], axis=1)
+    assert np.abs(stitched - np.concatenate([states for _, states in whole], axis=1)).max() < 1e-13
 
 
 def test_energy_conserved_on_reference_run():

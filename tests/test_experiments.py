@@ -34,6 +34,7 @@ from spinladder.experiments import (
     rung_pairs,
     scaling_run,
     sweep_field,
+    _distinct_rows,
     _envelope_grid,
     _sector_spectrum,
     _slow_window,
@@ -268,6 +269,8 @@ def test_disorder_bitwise_determinism():
 def test_disorder_validation():
     with pytest.raises(InvalidArgumentError):
         disorder_ensemble(-0.1, 2, base_seed=1)
+    with pytest.raises(InvalidArgumentError, match="delta must be >= 0, got -0.0"):
+        disorder_ensemble(-0.0, 2, base_seed=1)
     with pytest.raises(InvalidArgumentError):
         disorder_ensemble(0.1, 0, base_seed=1)
     with pytest.raises(InvalidArgumentError, match="base_seed"):
@@ -329,6 +332,70 @@ def test_fidelity_is_bitwise_the_same_with_every_channel(n_rungs, kind):
                                psi0=psi0)
     assert alone.pair_concurrence == {} and alone.mutual_info is None
     assert list(every.pair_concurrence) == [pair_label(*pair) for pair in rung_pairs(n_rungs)]
+    assert np.array_equal(alone.fidelity_terminal.values, every.fidelity_terminal.values)
+
+
+def test_distinct_rows_are_evolved_once_and_read_as_every_row(monkeypatch):
+    """On a clean N = 4 ladder the 128 sector rows of V hold 72 distinct ones; reading them gives every channel.
+
+    Rows r and P r of V are bitwise equal under the leg swap P that phi_plus
+    keeps. The run evolves the distinct rows only and matches a readout of
+    all rows to round-off, for every pair, F and the mutual informations.
+    """
+    params, grid = LadderParams(n_rungs=4), TimeGrid(0.0, 10.0, 801)
+    psi0 = build_initial_state("phi_plus", params)
+    decomp = _sector_spectrum(params, psi0)
+    distinct, inverse = _distinct_rows(decomp.eigenvectors)
+    assert len(decomp.basis) == 128 and len(distinct) == 72
+    assert np.array_equal(distinct, np.sort(distinct)) and np.array_equal(inverse[distinct], np.arange(72))
+    assert np.array_equal(decomp.eigenvectors[distinct][inverse], decomp.eigenvectors)
+    rows = []
+
+    def recording(decomp, psi0, grid, readouts):
+        rows.append([len(readout) for readout in readouts])
+        yield from iter_evolved(decomp, psi0, grid, readouts)
+    monkeypatch.setattr("spinladder.experiments.iter_evolved", recording)
+    channels = dict(pairs=rung_pairs(4), fidelity=True, mutual_info=True, decomp=decomp, psi0=psi0)
+    once = evolve_and_measure(params, grid, **channels)
+    monkeypatch.setattr("spinladder.experiments._distinct_rows", lambda matrix: (np.arange(len(matrix)),) * 2)
+    every = evolve_and_measure(params, grid, **channels)
+    assert [readout_rows[0] for readout_rows in rows] == [72, 128]
+    for series in ("pair_concurrence", "mutual_info"):
+        for label, values in getattr(every, series).items():
+            assert np.abs(getattr(once, series)[label].values - values.values).max() <= 1e-13, label
+    assert np.abs(once.fidelity_terminal.values - every.fidelity_terminal.values).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n_rungs", [3, 4])
+def test_disordered_ladder_has_no_rows_to_merge(n_rungs):
+    """Disorder breaks the leg swap, so every sector row of V is its own and the readout is V itself."""
+    base = LadderParams(n_rungs=n_rungs)
+    real = disorder_realization(0.1, 42, 0, n_rungs)
+    psi0 = build_initial_state("phi_plus", base)
+    decomp = _sector_spectrum(base, psi0, rung_factors=1.0 + real.rung_deltas, leg_factors=1.0 + real.leg_deltas)
+    distinct, inverse = _distinct_rows(decomp.eigenvectors)
+    assert np.array_equal(distinct, np.arange(len(decomp.basis)))
+    assert np.array_equal(inverse, np.arange(len(decomp.basis)))
+
+
+def test_fidelity_chunks_follow_the_spectrum_not_the_channels(monkeypatch):
+    """N = 5 streams budget-sized chunks, of one length for a fidelity-only run and one with every channel.
+
+    The phi_plus amplitudes are then formed in the same products, so F is
+    bitwise the same; 2501 points end in a short last chunk.
+    """
+    lengths = []
+
+    def recording(decomp, psi0, grid, readouts):
+        for block, rows in iter_evolved(decomp, psi0, grid, readouts):
+            lengths.append(len(block))
+            yield block, rows
+    monkeypatch.setattr("spinladder.experiments.iter_evolved", recording)
+    params, grid = LadderParams(n_rungs=5), TimeGrid(0.0, 10.0, 2501)
+    decomp = _sector_spectrum(params, build_initial_state("phi_plus", params))
+    alone = evolve_and_measure(params, grid, fidelity=True, decomp=decomp)
+    every = evolve_and_measure(params, grid, rung_pairs(5), fidelity=True, mutual_info=True, decomp=decomp)
+    assert lengths[:len(lengths) // 2] == lengths[len(lengths) // 2:] and max(lengths) < 2048
     assert np.array_equal(alone.fidelity_terminal.values, every.fidelity_terminal.values)
 
 
@@ -404,26 +471,31 @@ def test_mutual_info_traces_the_end_pairs_from_the_joint_rho(monkeypatch):
     """With mutual information on, the first and terminal pairs come from the joint rho.
 
     Only the joint rho is reduced from the states; the middle pair reads
-    its concurrence through its X layout with no rho. The end pairs'
+    its concurrence through its X layout with no rho. The states are the
+    distinct rows of V evolved, so the joint layout's rows are the sector
+    layout's mapped through the inverse index. The end pairs'
     concurrence matches a run that reduces them directly, and the
     three mutual informations match metrics.mutual_information on full-space
     states.
     """
-    layouts = []
+    layouts, n_states = [], []
 
     def recording(states, layout):
         layouts.append(layout)
+        n_states.append(len(states))
         return _reduced_many(states, layout)
     monkeypatch.setattr("spinladder.experiments._reduced_many", recording)
     params, grid = LadderParams(), TimeGrid(0.0, 10.0, 401)
     traced = run_reference(params, grid=grid)
     psi0 = build_initial_state("phi_plus", params)
     decomp = _sector_spectrum(params, psi0)
+    distinct, inverse = _distinct_rows(decomp.eigenvectors)
     [(dim, blocks)] = layouts
+    assert n_states == [len(distinct)]
     joint = _layout(decomp.basis, (1, 2, 5, 6), params.n_sites)
     assert dim == joint[0] and len(blocks) == len(joint[1])
     for (configs, rows), (want_configs, want_rows) in zip(blocks, joint[1]):
-        assert configs == want_configs and np.array_equal(rows, want_rows)
+        assert configs == want_configs and np.array_equal(rows, inverse[want_rows])
     direct = run_reference(params, grid=grid, include_mutual_info=False)
     for label, series in direct.pair_concurrence.items():
         assert np.abs(traced.pair_concurrence[label].values - series.values).max() <= 1e-14
