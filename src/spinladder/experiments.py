@@ -189,14 +189,12 @@ def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False
     keeps = [pair for pair in pairs if pair not in ends] + [first + terminal] * mutual_info + [terminal] * fidelity
     layouts = {keep: _layout(decomp.basis, keep, n_sites) for keep in dict.fromkeys(keeps)}
     reduced = [pair for pair in dict.fromkeys(pairs) if pair not in ends and not _is_x(layouts[pair])]
-    readouts, split = [], 0
+    readouts = [_phi_plus_map(layouts[terminal], len(decomp.basis)) @ decomp.eigenvectors] if fidelity else []
+    split = 0
     if ends or pairs:
         distinct, inverse = _distinct_rows(decomp.eigenvectors)
-        readouts.append(decomp.eigenvectors[distinct])
+        readouts.insert(0, decomp.eigenvectors[distinct])
         split = len(distinct)
-    if fidelity:
-        readouts.append(_phi_plus_map(layouts[terminal], len(decomp.basis)) @ decomp.eigenvectors)
-    if split:
         layouts = {keep: (dim, [(configs, inverse[rows]) for configs, rows in blocks])
                    for keep, (dim, blocks) in layouts.items()}
     conc = {pair: np.empty(n_points) for pair in pairs}
