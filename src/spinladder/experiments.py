@@ -28,8 +28,8 @@ from .lattice import (
     parity_sector,
     symmetry_blocks,
 )
-from .metrics import _concurrence_many, _entropy_many, _is_x, _layout, _marginals, _phi_plus_map, \
-    _reduced_many, _x_concurrence_many
+from .metrics import _concurrence_many, _entropy_many, _folded_layout, _is_x, _layout, _marginals, \
+    _phi_plus_map, _reduced_many, _schmidt_many, _x_concurrence_many
 from .signals import FitResult, TimeSeries, envelope_period, dominant_frequency, \
     extract_alpha, effective_coupling_from_period, loglog_fit
 
@@ -166,9 +166,12 @@ def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False
     those rows, so the kernels read the smaller block unchanged: an X pair
     (metrics._is_x: every parity sector) takes its concurrence from the
     block sums with no rho, any other pair from a rho reduced once per chunk.
-    With mutual information on, the joint first-terminal rho is reduced in
-    place of those two pairs, which are traced from it, as the single sites
-    are from their pair. Fidelity reads no state and no rho: iter_evolved
+    With mutual information on, no joint first-terminal rho is formed: its
+    leg-swap-folded Schmidt blocks (metrics._folded_layout, built once per
+    call on the remapped rows) give the joint entropy from each block's
+    smaller side and the two end pairs' rhos as fixed linear images, in
+    place of reducing those pairs; the single sites are traced from their
+    pair. Fidelity reads no state and no rho: iter_evolved
     applies A = P V (P from metrics._phi_plus_map, formed once per call) in a
     product of its own, and F = sum_m |a_m|^2 over the amplitudes a it
     yields, so F comes from the same arithmetic whatever other channels a
@@ -186,7 +189,7 @@ def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False
     ladder = rung_pairs(params.n_rungs)
     first, terminal = ladder[0], ladder[-1]
     ends = [first, terminal] * mutual_info
-    keeps = [pair for pair in pairs if pair not in ends] + [first + terminal] * mutual_info + [terminal] * fidelity
+    keeps = [pair for pair in pairs if pair not in ends] + [terminal] * fidelity
     layouts = {keep: _layout(decomp.basis, keep, n_sites) for keep in dict.fromkeys(keeps)}
     reduced = [pair for pair in dict.fromkeys(pairs) if pair not in ends and not _is_x(layouts[pair])]
     readouts = [_phi_plus_map(layouts[terminal], len(decomp.basis)) @ decomp.eigenvectors] if fidelity else []
@@ -197,6 +200,7 @@ def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False
         split = len(distinct)
         layouts = {keep: (dim, [(configs, inverse[rows]) for configs, rows in blocks])
                    for keep, (dim, blocks) in layouts.items()}
+        joint = _folded_layout(decomp.basis, first + terminal, n_sites, inverse) if mutual_info else None
     conc = {pair: np.empty(n_points) for pair in pairs}
     fid = np.empty(n_points) if fidelity else None
     mi = {name: np.empty(n_points) for name in ("first", "terminal", "joint") if mutual_info}
@@ -206,8 +210,8 @@ def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False
         states, amplitudes = rows[:split], rows[split:]
         rhos = {pair: _reduced_many(states, layouts[pair]) for pair in reduced}
         if mutual_info:
-            rho_joint = _reduced_many(states, layouts[first + terminal])
-            rhos.update(zip(ends, _marginals(rho_joint)))
+            sides, halves = _schmidt_many(states, joint)
+            rhos.update(zip(ends, halves))
         for pair in pairs:
             conc[pair][sl] = (_concurrence_many(rhos[pair]) if pair in rhos
                               else _x_concurrence_many(states, layouts[pair]))
@@ -220,7 +224,7 @@ def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False
             s_term = _entropy_many(rhos[terminal])
             mi["first"][sl] = sum(map(_entropy_many, _marginals(rhos[first]))) - s_first
             mi["terminal"][sl] = sum(map(_entropy_many, _marginals(rhos[terminal]))) - s_term
-            mi["joint"][sl] = s_first + s_term - _entropy_many(rho_joint)
+            mi["joint"][sl] = s_first + s_term - _entropy_many(sides)
         pos = sl.stop
 
     mi_series = None
@@ -272,11 +276,10 @@ def run_reference(params=LadderParams(), state_kind="phi_plus", grid=DEFAULT_GRI
     """Evolve one ladder and record every rung pair's concurrence plus terminal fidelity.
 
     Mutual-information channels (first rung, terminal rung, and the joint
-    first-terminal correlation) are included by default. At N = 5 they
-    nearly double the evolve-and-measure cost, most of it reducing the joint
-    rho and the eigenvalues of its two 8x8 blocks; the two end pairs are
-    traced from it (0.064 s without, 0.12 s with, for 4001 points on one
-    Xeon core with single-threaded OpenBLAS, best of 7).
+    first-terminal correlation) are included by default. For 4001 points on
+    one Xeon core with single-threaded OpenBLAS (best of 9) they take N = 3
+    from 0.0023 s to 0.0095 s, and N = 5 from 0.060 s to 0.090 s, most of
+    it the eigvalsh of the joint's folded 6x6 and 4x4 Schmidt blocks.
     """
     psi0 = build_initial_state(state_kind, params)
     return evolve_and_measure(params, grid, rung_pairs(params.n_rungs), fidelity=True,

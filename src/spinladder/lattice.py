@@ -46,7 +46,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, NumericFailureError
 from .evolution import SECTOR_LEAK_TOL
 
 # Pauli y in the spin-down-first basis, where sigma_z is diag(-1, +1) so that
@@ -294,11 +294,19 @@ def ladder_terms(params, rung_factors=None, leg_factors=None):
         raise InvalidArgumentError(f"need {n_leg} leg factors, got {leg_factors.shape}")
 
     g, d = params.g, params.d
-    bonds = [(2 * rung - 1, 2 * rung, coupling, g, d)
-             for rung, coupling in enumerate((params.j_perp * rung_factors).tolist(), start=1)]
-    bonds += [(i, j, coupling, g, d)
-              for (i, j), coupling in zip(leg_bonds(params.n_rungs), (params.j_parallel * leg_factors).tolist())]
+    bonds = [(2 * rung - 1, 2 * rung, params.j_perp * factor, g, d)
+             for rung, factor in enumerate(rung_factors.tolist(), start=1)]
+    bonds += [(i, j, params.j_parallel * factor, g, d)
+              for (i, j), factor in zip(leg_bonds(params.n_rungs), leg_factors.tolist())]
     fields = {site: params.h for rung in params.field_mask for site in (2 * rung - 1, 2 * rung)}
+    # Python floats overflow to inf without a warning. The bound caps every
+    # element of H and every partial sum that bond_hamiltonian forms.
+    bound = sum(abs(coupling) for _, _, coupling, _, _ in bonds) * (1.0 + abs(g) + abs(d))
+    if not bound + sum(map(abs, fields.values())) < math.inf:
+        factor = float(max(np.abs(rung_factors).max(initial=1.0), np.abs(leg_factors).max(initial=1.0)))
+        scaled = f" with bond factors 1 + delta up to {factor!r}" if factor != 1.0 else ""
+        raise NumericFailureError(f"j_perp = {params.j_perp!r}, j_parallel = {params.j_parallel!r}, g = {g!r}, "
+                                  f"d = {d!r} and h = {params.h!r}{scaled} give bond and field terms that overflow")
     return bonds, fields
 
 

@@ -16,9 +16,25 @@ odd kept configurations is exactly 0 across a stack of rhos, as it is for
 every rho reduced from a parity sector, the eigenvalues are taken per
 block: a 1x1 block (a single site) is its diagonal, a 2x2 block (half of a
 pair's X state) has the closed form (a+b)/2 +- hypot((a-b)/2, |c|), and
-larger blocks (the 16-dim joint first-terminal rho splits into two 8x8)
-go to eigvalsh. Any other matrix, such as a full-space run's rho or a
-non-power-of-two one, takes eigvalsh whole.
+larger blocks go to eigvalsh. Any other matrix, such as a full-space run's
+rho or a non-power-of-two one, takes eigvalsh whole.
+
+The joint rho of two whole rungs is never formed. Its block of a layout is
+G G^H, G the (kept x other sites' configurations) slice of the state, and
+its nonzero eigenvalues are those of G^H G (the Schmidt decomposition,
+Nielsen & Chuang, Thm 2.7). _folded_layout splits each block further where
+the states keep the leg swap P bitwise, which after the distinct-row remap
+shows as equal row indices of (P a, P m) and (a, m): P commutes with the
+block's rho, so the kept side splits into its P-even vectors e_a (a = P a)
+and (e_a + e_Pa)/sqrt(2) and its P-odd ones (e_a - e_Pa)/sqrt(2), and the
+other side into one column per {m, P m} orbit, the P-odd vectors having no
+column where m = P m. A block that fails the test is the same code with
+every orbit of size one. _schmidt_many forms each folded G from the state
+rows, its Gram G G^H and, where G has fewer columns than rows, G^H G, so
+_entropy_many takes the joint entropy from the smaller side of each block;
+the two halves' rhos are fixed linear images of the G G^H. At five rungs,
+phi_plus gives 6x20, 2x12, 4x16 and 4x16 blocks in place of two 8x32, at
+three rungs no block larger than 2x2 on its smaller side.
 
 Concurrence has two routes. Every definite-parity run yields X states: the
 only nonzero elements of a pair's rho are the diagonal and the antidiagonal.
@@ -185,6 +201,96 @@ def _phi_plus_map(layout, n_rows):
     return proj
 
 
+def _leg_swap(sites):
+    """The 1-based position in sites of each site's rung partner, or None where sites are not whole rungs."""
+    partners = [site + 1 if site % 2 else site - 1 for site in sites]
+    return [sites.index(partner) + 1 for partner in partners] if set(partners) == set(sites) else None
+
+
+def _folded_layout(basis, keep, n_sites, index):
+    """(2^len(keep), blocks): keep's rho as Schmidt blocks folded by the leg swap P, state row index[r] for basis row r.
+
+    A block of _layout(basis, keep, n_sites) folds where keep and the other
+    sites are whole rungs, P maps its configurations a and the other sites'
+    m onto themselves, and index gives (P a, P m) the row of (a, m)
+    throughout; otherwise it stays whole, every orbit of size one. It yields
+    its P-even part and any P-odd part as (terms, subtract, (n_rows,
+    n_columns), halves). terms (2, k, c) holds the state rows of a and of
+    P a at one m per {m, P m} orbit, orbits of size one first on each side;
+    G = terms[0] +- terms[1] with those first n_rows rows and n_columns
+    columns scaled by 1/sqrt(2) is the state in the block's kept vectors q,
+    each column weighted by sqrt(|orbit|). halves maps G G^H, flattened, onto
+    the rhos of keep's two equal halves, side by side.
+    """
+    keep = list(keep)
+    rest = [site for site in range(1, n_sites + 1) if site not in keep]
+    rest_code = _site_code(basis, rest, n_sites)
+    swaps = _leg_swap(keep), _leg_swap(rest)
+    dim, folded = 2 ** len(keep), []
+    for configs, rows in _layout(basis, keep, n_sites)[1]:
+        codes, rows = (np.array(configs), rest_code[rows[0]]), index[rows]  # both ascending
+        swap = tuple(map(np.arange, rows.shape))
+        if None not in swaps:
+            images = [_site_code(code, positions, len(positions)) for code, positions in zip(codes, swaps)]
+            image = [np.searchsorted(code, mapped) for code, mapped in zip(codes, images)]
+            if all(np.isin(mapped, code).all() for code, mapped in zip(codes, images)) \
+                    and np.array_equal(rows[image[0]][:, image[1]], rows):
+                swap = image
+        (fixed, paired), (fixed_columns, paired_columns) = [
+            (np.flatnonzero(mapped == ids), np.flatnonzero(ids < mapped))
+            for mapped, ids in zip(swap, map(np.arange, rows.shape))]
+        for subtract, vectors, columns, n_fixed in (
+                (False, np.concatenate([fixed, paired]), np.concatenate([fixed_columns, paired_columns]),
+                 (len(fixed), len(fixed_columns))),
+                (True, paired, paired_columns, (0, 0))):
+            if len(vectors) and len(columns):
+                images, u = swap[0][vectors], np.arange(len(vectors))
+                weight = np.where(images == vectors, 0.5, _S2)  # a fixed vector's two terms are one config
+                q = np.zeros((len(vectors), dim))
+                np.add.at(q, (u, codes[0][vectors]), weight)
+                np.add.at(q, (u, codes[0][images]), -weight if subtract else weight)
+                terms = np.stack([rows[vectors][:, columns], rows[images][:, columns]])
+                # keep's rho is the sum of rho_uv q_u q_v^T over the blocks.
+                outer = np.einsum("ua,vb->uvab", q, q).reshape(-1, dim, dim)
+                halves = np.concatenate([half.reshape(len(outer), -1) for half in _marginals(outer)], axis=1)
+                folded.append((terms, subtract, n_fixed, halves))
+    return dim, folded
+
+
+def _schmidt_many(states, layout):
+    """(sides, halves) of a _folded_layout per state column, no validation.
+
+    sides lists each block's smaller Gram, G G^H or G^H G, as a stack: the
+    diagonal blocks of a matrix with the nonzero eigenvalues of keep's rho,
+    for _entropy_many. halves holds the rhos of keep's two halves, each
+    block's G G^H through its halves map.
+    """
+    dim, blocks = layout
+    half = int(round(np.sqrt(dim)))
+    sides, halves = [], np.zeros((states.shape[1], 2 * dim), dtype=complex)
+    for terms, subtract, (n_rows, n_columns), to_halves in blocks:
+        g = states[terms[0]]
+        (np.subtract if subtract else np.add)(g, states[terms[1]], out=g)
+        g[:n_rows, :n_columns] *= 0.5
+        g[:n_rows, n_columns:] *= _S2
+        g[n_rows:, :n_columns] *= _S2
+        rho = _gram(g)
+        halves += rho.reshape(len(rho), -1) @ to_halves
+        sides.append(rho if len(g) <= g.shape[1] else _gram(g.swapaxes(0, 1)))
+    halves = halves.reshape(-1, 2, half, half)
+    return sides, (halves[:, 0], halves[:, 1])
+
+
+def _gram(g):
+    """G G^H per state column of a (rows, columns, columns of states) stack, as a (states, rows, rows) stack."""
+    gram = np.empty((g.shape[2], len(g), len(g)), dtype=complex)
+    for i in range(len(g)):
+        column = (g[i].conj() * g[i:]).sum(axis=1)  # elements (j, i) for j >= i
+        gram[:, i:, i] = column.T
+        gram[:, i, i:] = column.T.conj()
+    return gram
+
+
 def _marginals(rhos):
     """Both halves' rhos of a stack of rhos on two equal parts, by partial traces.
 
@@ -263,8 +369,10 @@ def von_neumann_entropy(rho):
 def _entropy_many(rhos):
     """Entropies in bits of a stack of density matrices, no validation.
 
-    Eigenvalues come per parity block when the stack allows it (see
-    _eigenvalues_many); negative round-off eigenvalues are clamped to 0.
+    rhos is a (states, d, d) stack, or a list of stacks that are the
+    diagonal blocks of one (the sides of _schmidt_many). Eigenvalues come
+    per block where the stack allows it (see _eigenvalues_many); negative
+    round-off eigenvalues are clamped to 0.
     """
     ev = np.clip(_eigenvalues_many(rhos), 0.0, None)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -273,24 +381,26 @@ def _entropy_many(rhos):
 
 
 def _eigenvalues_many(rhos):
-    """Eigenvalues of a stack of Hermitian matrices, per parity block where the data allow it.
+    """Eigenvalues of a stack of Hermitian matrices, or of a list of block stacks, per block, unsorted.
 
     Row k of a 2^n-dim matrix is a configuration of n sites, of parity
     popcount(k) mod 2. If every element between the two parities is exactly
-    0 in every matrix of the stack, each parity's block is solved alone;
-    otherwise, or for other dimensions, the whole matrix goes to eigvalsh.
-    Eigenvalues come back unsorted.
+    0 in every matrix of the stack, the stack is split into its two parity
+    blocks; otherwise, or for other dimensions, the whole matrix goes to
+    eigvalsh. A list is taken as its blocks. A 1x1 block is its diagonal, a
+    2x2 block takes the closed form, a larger one eigvalsh.
     """
-    dim = rhos.shape[-1]
-    parity = np.array([bin(k).count("1") & 1 for k in range(dim)])
-    if dim < 2 or dim & (dim - 1) or rhos[:, parity[:, None] != parity].any():
-        return np.linalg.eigvalsh(rhos)
+    if isinstance(rhos, np.ndarray):
+        dim = rhos.shape[-1]
+        parity = np.array([bin(k).count("1") & 1 for k in range(dim)])
+        if dim < 2 or dim & (dim - 1) or rhos[:, parity[:, None] != parity].any():
+            return np.linalg.eigvalsh(rhos)
+        rhos = [rhos[:, rows[:, None], rows] for rows in (np.flatnonzero(parity == 0), np.flatnonzero(parity == 1))]
     values = []
-    for rows in (np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)):
-        block = rhos[:, rows[:, None], rows]
-        if len(rows) == 1:
+    for block in rhos:
+        if block.shape[-1] == 1:
             values.append(block[:, 0].real)
-        elif len(rows) == 2:
+        elif block.shape[-1] == 2:
             a, b, c = block[:, 0, 0].real, block[:, 1, 1].real, np.abs(block[:, 0, 1])
             mean, spread = (a + b) / 2.0, np.hypot((a - b) / 2.0, c)
             values += [mean - spread, mean + spread]

@@ -16,6 +16,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -173,6 +174,25 @@ def test_huge_finite_coupling_exits_without_traceback(tmp_path, capsys, argv, co
     """The dressed gap is a hypot, and phases past round-off or an overflowing slow window are numeric failures."""
     assert main(argv + ["--out", str(tmp_path / "out")]) == code
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["reference", "--g", "1e300", "--j-parallel", "1e300"], "j_parallel = 1e+300, g = 1e+300"),
+    (["reference", "--d", "1e300", "--j-parallel", "1e300"], "j_parallel = 1e+300, g = 1.0, d = 1e+300"),
+    (["disorder", "--deltas", "1e300", "--j-parallel", "1e300", "--n-samples", "1"], "bond factors 1 + delta"),
+], ids=["g", "d", "disorder"])
+def test_overflowing_bond_terms_are_refused_without_a_warning(tmp_path, capsys, monkeypatch, argv, named):
+    """A coupling product past the float range exits 3 naming the keys, before any H is built, and warns nothing."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an overflowing Hamiltonian was built")
+    monkeypatch.setattr("spinladder.lattice.bond_hamiltonian", refuse)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv + ["--n-points", "11", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert named in err and "give bond and field terms that overflow" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_round_off_phases_are_refused_before_writing(tmp_path, capsys):

@@ -44,7 +44,7 @@ from spinladder.io import read_csv
 from spinladder.lattice import (INITIAL_STATE_KINDS, LadderParams, build_hamiltonian, build_initial_state,
                                 leg_bonds, parity_sector, symmetry_blocks, uniform_mask)
 from spinladder.metrics import (BELL_STATES, _concurrence_many, _fidelity_many, _is_x, _layout, _reduced_many,
-                                _x_concurrence_many, mutual_information)
+                                _schmidt_many, _x_concurrence_many, mutual_information)
 from spinladder.signals import TimeSeries, envelope_period, find_peaks
 
 from conftest import pauli_hamiltonian
@@ -468,34 +468,43 @@ def test_leg_asymmetric_ladder_drops_no_block(bonds, n_rungs):
 
 
 def test_mutual_info_traces_the_end_pairs_from_the_joint_rho(monkeypatch):
-    """With mutual information on, the first and terminal pairs come from the joint rho.
+    """With mutual information on, the first and terminal pairs come from the joint's folded Schmidt blocks.
 
-    Only the joint rho is reduced from the states; the middle pair reads
-    its concurrence through its X layout with no rho. The states are the
-    distinct rows of V evolved, so the joint layout's rows are the sector
-    layout's mapped through the inverse index. The end pairs'
-    concurrence matches a run that reduces them directly, and the
-    three mutual informations match metrics.mutual_information on full-space
-    states.
+    No rho is reduced from the states: the joint is read once per chunk
+    through _schmidt_many, and the middle pair reads its concurrence through
+    its X layout. The states are the distinct rows of V evolved, and the
+    joint's blocks read exactly the sector layout's rows mapped through the
+    inverse index, each block only those of its own sector block. The end
+    pairs' concurrence matches a run that reduces them directly, and the
+    three mutual informations match metrics.mutual_information on
+    full-space states.
     """
     layouts, n_states = [], []
 
     def recording(states, layout):
         layouts.append(layout)
         n_states.append(len(states))
-        return _reduced_many(states, layout)
-    monkeypatch.setattr("spinladder.experiments._reduced_many", recording)
+        return _schmidt_many(states, layout)
+
+    def refuse(*args):
+        raise AssertionError("a rho was reduced from the states")
+    monkeypatch.setattr("spinladder.experiments._schmidt_many", recording)
+    monkeypatch.setattr("spinladder.experiments._reduced_many", refuse)
     params, grid = LadderParams(), TimeGrid(0.0, 10.0, 401)
     traced = run_reference(params, grid=grid)
+    monkeypatch.undo()
     psi0 = build_initial_state("phi_plus", params)
     decomp = _sector_spectrum(params, psi0)
     distinct, inverse = _distinct_rows(decomp.eigenvectors)
     [(dim, blocks)] = layouts
     assert n_states == [len(distinct)]
     joint = _layout(decomp.basis, (1, 2, 5, 6), params.n_sites)
-    assert dim == joint[0] and len(blocks) == len(joint[1])
-    for (configs, rows), (want_configs, want_rows) in zip(blocks, joint[1]):
-        assert configs == want_configs and np.array_equal(rows, inverse[want_rows])
+    assert dim == joint[0]
+    assert [terms.shape[1:] for terms, _, _, _ in blocks] == [(6, 2), (4, 1), (4, 1)]
+    read = [set(terms.ravel()) for terms, _, _, _ in blocks]
+    sector = [set(inverse[rows].ravel()) for _, rows in joint[1]]
+    assert set().union(*read) == set().union(*sector)
+    assert all(any(rows <= block for block in sector) for rows in read)
     direct = run_reference(params, grid=grid, include_mutual_info=False)
     for label, series in direct.pair_concurrence.items():
         assert np.abs(traced.pair_concurrence[label].values - series.values).max() <= 1e-14
@@ -503,6 +512,101 @@ def test_mutual_info_traces_the_end_pairs_from_the_joint_rho(monkeypatch):
         psi = evolve_state(decomp, psi0, grid.times[k])
         for label, (a, b) in {"I12": ([1], [2]), "I56": ([5], [6]), "I12_56": ([1, 2], [5, 6])}.items():
             assert traced.mutual_info[label].values[k] == pytest.approx(mutual_information(psi, a, b), abs=1e-10)
+
+
+def _oracle_rho(psi, keep, n_sites):
+    """Reduced rho of a full-space state by a reshape partial trace, kept sites in keep order."""
+    rest = [site for site in range(1, n_sites + 1) if site not in keep]
+    mat = psi.reshape((2,) * n_sites).transpose([site - 1 for site in keep + rest]).reshape(2 ** len(keep), -1)
+    return mat @ mat.conj().T
+
+
+def _oracle_entropy(rho):
+    ev = np.linalg.eigvalsh(rho)
+    ev = ev[ev > 0.0]
+    return float(-(ev * np.log2(ev)).sum())
+
+
+def _rung_one_state(params, amplitudes):
+    """Full-space state with the given (00, 01, 10, 11) amplitudes on rung 1 and |0> elsewhere."""
+    psi = np.zeros(params.dim, dtype=complex)
+    psi[np.arange(4) << (2 * params.n_rungs - 2)] = amplitudes
+    return psi
+
+
+_ORACLE_CASES = [(n, kind, None) for n in (2, 3, 4, 5)
+                 for kind in ("phi_plus", "psi_plus", "psi_minus", "psi_minus_plus_phi_plus")]
+_ORACLE_CASES += [(4, "phi_plus", "field on rung 2"), (3, "phi_plus", "disorder"), (4, "phi_plus", "disorder")]
+
+
+@pytest.mark.parametrize("n_rungs, kind, variant", _ORACLE_CASES)
+def test_joint_mutual_info_and_end_pairs_match_the_whole_rho_oracle(monkeypatch, n_rungs, kind, variant):
+    """The joint first-terminal MI and both end pairs' rhos agree with a reshape partial trace and eigvalsh on 16x16.
+
+    The oracle reduces evolve_state's full-space states without the package's
+    layouts. Inputs that keep the leg swap bitwise (phi_plus, psi_plus, a
+    field on rung 2 alone) fold; psi_minus, which the swap negates, the
+    mixed-parity input and disordered ladders stay whole.
+    """
+    params = LadderParams(n_rungs=n_rungs, field_mask=frozenset({2}) if variant == "field on rung 2" else None)
+    psi0 = (_rung_one_state(params, BELL_STATES["psi_minus"]) if kind == "psi_minus"
+            else build_initial_state(kind, params))
+    build = {}
+    if variant == "disorder":
+        real = disorder_realization(0.1, 11, 0, n_rungs)
+        build = {"rung_factors": 1.0 + real.rung_deltas, "leg_factors": 1.0 + real.leg_deltas}
+    decomp = _sector_spectrum(params, psi0, **build)
+    calls = []
+
+    def recording(states, layout):
+        calls.append((layout, _schmidt_many(states, layout)))
+        return calls[-1][1]
+    monkeypatch.setattr("spinladder.experiments._schmidt_many", recording)
+    grid = TimeGrid(0.0, 2.0, 9)
+    traj = evolve_and_measure(params, grid, rung_pairs(n_rungs), mutual_info=True, decomp=decomp, psi0=psi0)
+    [((_, blocks), (_, halves))] = calls
+    folds = kind in ("phi_plus", "psi_plus") and variant != "disorder"
+    assert any(n_fixed < len(terms[0]) for terms, _, (n_fixed, _), _ in blocks) == folds
+    first, terminal = rung_pairs(n_rungs)[0], rung_pairs(n_rungs)[-1]
+    label = f"I{pair_label(*first)}_{pair_label(*terminal)}"
+    for k, t in enumerate(grid.times):
+        psi = evolve_state(decomp, psi0, t)
+        rho_first, rho_terminal = (_oracle_rho(psi, list(pair), params.n_sites) for pair in (first, terminal))
+        joint = _oracle_rho(psi, [*first, *terminal], params.n_sites)
+        want = _oracle_entropy(rho_first) + _oracle_entropy(rho_terminal) - _oracle_entropy(joint)
+        assert abs(traj.mutual_info[label].values[k] - want) <= 1e-12, t
+        assert np.abs(halves[0][k] - rho_first).max() <= 1e-12, t
+        assert np.abs(halves[1][k] - rho_terminal).max() <= 1e-12, t
+
+
+@pytest.mark.parametrize("n_rungs, variant, sizes", [(5, None, {4, 6}), (3, None, set()), (4, "disorder", {8})],
+                         ids=["leg-even five rungs", "three rungs", "disordered four rungs"])
+def test_joint_entropy_solves_only_the_smaller_folded_sides(monkeypatch, n_rungs, variant, sizes):
+    """The joint entropy takes eigvalsh on the smaller side of each folded block, and closed forms below 3x3.
+
+    phi_plus at five rungs solves 6x6 and 4x4 blocks, at three rungs
+    nothing (6x2, 4x1 and 4x1 blocks: 2x2 and 1x1 sides). A disordered
+    ladder does not fold, and its two 8x8 blocks at four rungs go to
+    eigvalsh whole. The pair and site entropies of a parity sector take
+    closed forms throughout.
+    """
+    params = LadderParams(n_rungs=n_rungs)
+    psi0 = build_initial_state("phi_plus", params)
+    build = {}
+    if variant == "disorder":
+        real = disorder_realization(0.1, 5, 0, n_rungs)
+        build = {"rung_factors": 1.0 + real.rung_deltas, "leg_factors": 1.0 + real.leg_deltas}
+    decomp = _sector_spectrum(params, psi0, **build)
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(matrices):
+        solved.append(matrices.shape[-1])
+        return eigvalsh(matrices)
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    evolve_and_measure(params, TimeGrid(0.0, 10.0, 401), rung_pairs(n_rungs), fidelity=True, mutual_info=True,
+                       decomp=decomp, psi0=psi0)
+    assert set(solved) == sizes
 
 
 @pytest.mark.parametrize("n_rungs", [1, 2, 3, 4, 5])

@@ -16,11 +16,13 @@ from spinladder.metrics import (
     _concurrence_many,
     _entropy_many,
     _fidelity_many,
+    _folded_layout,
     _is_x,
     _layout,
     _marginals,
     _phi_plus_map,
     _reduced_many,
+    _schmidt_many,
     _site_code,
     bell_fidelity,
     concurrence,
@@ -370,6 +372,55 @@ def test_entropy_symmetry_on_pure_bipartition(rng):
     s_a = von_neumann_entropy(partial_trace(psi, n_sites=6, keep=[1, 2]))
     s_b = von_neumann_entropy(partial_trace(psi, n_sites=6, keep=[3, 4, 5, 6]))
     assert s_a == pytest.approx(s_b, abs=1e-9)
+
+
+def _oracle_rho(states, keep, n_sites):
+    """Reduced rhos of full-space state columns by a reshape partial trace, kept sites in keep order."""
+    rest = [site for site in range(1, n_sites + 1) if site not in keep]
+    tensor = states.reshape((2,) * n_sites + (-1,))
+    mats = tensor.transpose([site - 1 for site in keep + rest] + [n_sites]).reshape(2 ** len(keep), -1, states.shape[1])
+    return np.einsum("amt,bmt->tab", mats, mats.conj())
+
+
+@pytest.mark.parametrize("n_rungs", [2, 3, 4, 5])
+@pytest.mark.parametrize("sector", [0, 1])
+def test_folded_blocks_of_leg_symmetric_states_match_the_whole_rho(n_rungs, sector):
+    """On states that keep the leg swap, read one row per {r, P r} orbit, the joint folds and still gives the 16-dim rho.
+
+    The joint first-terminal entropy from the blocks' smaller sides and both
+    end pairs' rhos match a reshape partial trace of the full-space states
+    and eigvalsh on the whole 16x16 rho. Read through every sector row, the
+    same states give the unfolded blocks, with the same values. At five
+    rungs the even sector's two 8x32 blocks fold into 6x20, 2x12, 4x16 and
+    4x16.
+    """
+    n_sites = 2 * n_rungs
+    keep = [1, 2, n_sites - 1, n_sites]
+    marker = np.zeros(2 ** n_sites)
+    marker[sector] = 1.0
+    basis = parity_sector(marker)
+    low = int("01" * n_rungs, 2)
+    swapped = ((basis >> 1) & low) | ((basis & low) << 1)
+    _, orbit = np.unique(np.minimum(basis, swapped), return_inverse=True)
+    rng = np.random.default_rng(n_rungs + 10 * sector)
+    amplitudes = rng.normal(size=(orbit.max() + 1, 6)) + 1j * rng.normal(size=(orbit.max() + 1, 6))
+    amplitudes /= np.linalg.norm(amplitudes[orbit], axis=0)
+    full = np.zeros((2 ** n_sites, 6), dtype=complex)
+    full[basis] = amplitudes[orbit]
+    whole = _oracle_rho(full, keep, n_sites)
+    halves = _oracle_rho(full, keep[:2], n_sites), _oracle_rho(full, keep[2:], n_sites)
+    folded = _folded_layout(basis, keep, n_sites, orbit)
+    unfolded = _folded_layout(basis, keep, n_sites, np.arange(len(basis)))
+    assert any(subtract for _, subtract, _, _ in folded[1]) == (n_rungs > 2)  # two rungs leave no other site
+    assert not any(subtract for _, subtract, _, _ in unfolded[1])
+    assert all(np.array_equal(*terms) for terms, _, _, _ in unfolded[1])
+    for states, layout in ((amplitudes, folded), (full[basis], unfolded)):
+        sides, got = _schmidt_many(states, layout)
+        assert np.abs(_entropy_many(sides) - _plain_entropy(whole)).max() <= 1e-12
+        for rho, want in zip(got, halves):
+            assert np.abs(rho - want).max() <= 1e-12
+    if n_rungs == 5 and sector == 0:
+        assert [terms.shape[1:] for terms, _, _, _ in folded[1]] == [(6, 20), (2, 12), (4, 16), (4, 16)]
 
 
 # ---------------------------------------------------------- mutual information

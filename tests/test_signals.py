@@ -53,9 +53,17 @@ def test_time_series_validation():
 @example(0.0, 10.0, 4001)
 @example(0.0, 40.0, 8001)
 @example(0.3, 0.3000000000000001, 3)
+@example(0.0, 5e-324, 3)
 def test_grid_step_and_span_match_the_sampled_times(t_start, t_end, n_points):
-    """dt and duration from the grid equal those of its times, bitwise: linspace hits both ends."""
+    """dt and duration from the grid equal those of its times, bitwise: linspace hits both ends.
+
+    A span too short for its points, whose step underflows to 0, is refused.
+    """
     assume(t_end > t_start)
+    if not (t_end - t_start) / (n_points - 1) > 0:
+        with pytest.raises(InvalidArgumentError, match="underflows to 0"):
+            TimeGrid(t_start, t_end, n_points)
+        return
     ts = TimeSeries(TimeGrid(t_start, t_end, n_points), np.zeros(n_points))
     t = ts.times
     assert ts.dt == (t[-1] - t[0]) / (n_points - 1)
