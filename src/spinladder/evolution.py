@@ -23,15 +23,25 @@ iter_evolved streams a uniform TimeGrid. Its phases exp(-i w t) come from
 two small tables instead of one complex exp per eigenvalue and time: an
 anchor phase at every STRIDE-th grid time times one of STRIDE offset
 phases exp(-i w b dt). The anchors are the grid's own times, so every
-STRIDE-th phase is exactly the direct one. A chunk holds as many points as
-fill CHUNK_BYTES with the decomposition's states and phases, a multiple of
-STRIDE so that chunks start on anchors, and at most CHUNK: N = 3 takes
-CHUNK points, N = 4 1280 and N = 5 320. The length does not depend on the
-readouts, which the caller chooses; experiments.evolve_and_measure reads
-only the distinct rows of V.
+STRIDE-th phase is exactly the direct one.
+
+Ladders that differ only in their couplings, such as a heatmap's cells or
+a disorder ensemble's realizations, share the basis and psi0, and are
+solved and evolved as one stack: a leading axis of K ladders on H, on the
+decomposition and on the streamed rows. NumPy's stacked eigh and matmul
+call LAPACK and BLAS once per matrix, so each ladder of a stack gets the
+same bits as alone in a chunk of the same length. CHUNK_BYTES bounds the
+whole stack. A chunk holds as many points as fill it with every ladder's
+states and phases, a multiple of STRIDE so that chunks start on anchors,
+and at most CHUNK: one ladder at N = 3 takes CHUNK points, at N = 4 1280
+and at N = 5 320, a stack of 40 at N = 3 64. _stacks splits a study into
+stacks that fit it with their H and V at the shortest chunk. The length
+does not depend on the readouts, which the caller chooses;
+experiments.evolve_and_measure reads only the distinct rows of V.
 """
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -65,7 +75,7 @@ PHASE_ROUNDOFF_TOL = 1e-6
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenpairs H V = V diag(w) of H on a basis, w ascending.
+    """Eigenpairs H V = V diag(w) of H on a basis, w ascending; or of a stack of K such H.
 
     basis lists the full-space basis states that H's rows and columns stand
     for, ascending. eigenvectors has one orthonormal column per eigenvalue
@@ -73,7 +83,9 @@ class SpectralDecomposition:
     eigenpairs kept, is len(basis) for a complete decomposition and smaller
     when only the symmetry blocks an initial state occupies were solved; V,
     the maps U v of each block's eigenvectors, then spans an invariant
-    subspace of H, and states outside it cannot be evolved.
+    subspace of H, and states outside it cannot be evolved. A stack of K
+    ladders on one basis puts K in front: eigenvalues (K, dim) and
+    eigenvectors (K, len(basis), dim).
     """
 
     eigenvalues: np.ndarray
@@ -81,15 +93,15 @@ class SpectralDecomposition:
     basis: np.ndarray
 
     def __post_init__(self):
-        shape = (len(self.basis), len(self.eigenvalues))
+        shape = np.shape(self.eigenvalues)[:-1] + (len(self.basis), self.dim)
         if np.shape(self.eigenvectors) != shape:
             raise InvalidArgumentError(f"eigenvectors of shape {np.shape(self.eigenvectors)} for "
-                                       f"{shape[1]} eigenvalues on a basis of {shape[0]} states")
+                                       f"{self.dim} eigenvalues on a basis of {shape[-2]} states")
 
     @property
     def dim(self):
-        """The number of eigenpairs kept, len(eigenvalues), at most len(basis)."""
-        return len(self.eigenvalues)
+        """The number of eigenpairs kept per ladder, at most len(basis)."""
+        return np.shape(self.eigenvalues)[-1]
 
 
 @dataclass(frozen=True)
@@ -121,15 +133,16 @@ class TimeGrid:
 
 
 def _check_hermitian(matrix):
+    """matrix, a square matrix or a stack of them, each checked finite and Hermitian on its own scale."""
     matrix = np.asarray(matrix)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise InvalidArgumentError(f"expected a square matrix, got shape {matrix.shape}")
-    scale = np.abs(matrix).max()
-    if not np.isfinite(scale):
+    if matrix.ndim not in (2, 3) or matrix.shape[-2] != matrix.shape[-1]:
+        raise InvalidArgumentError(f"expected a square matrix or a stack of them, got shape {matrix.shape}")
+    scale = np.abs(matrix).max(axis=(-2, -1))
+    if not np.isfinite(scale).all():
         raise NumericFailureError("matrix has non-finite elements: a term of H overflows")
-    dev = np.abs(matrix - matrix.conj().T).max()
-    if dev > MATRIX_TOL * max(scale, 1.0):
-        raise InvalidArgumentError(f"matrix is not Hermitian (max deviation {dev:.3e})")
+    dev = np.abs(matrix - matrix.conj().swapaxes(-2, -1)).max(axis=(-2, -1))
+    if (dev > MATRIX_TOL * np.maximum(scale, 1.0)).any():
+        raise InvalidArgumentError(f"matrix is not Hermitian (max deviation {dev.max():.3e})")
     return matrix
 
 
@@ -144,10 +157,12 @@ def diagonalize(ham, basis=None, blocks=None):
     coordinates. A real matrix takes the real-symmetric solver and yields
     real eigenvectors. basis lists the full-space basis states that ham's
     rows stand for (see lattice.parity_sector; None: all of them) and is
-    recorded in the result.
+    recorded in the result. A stack of K matrices, shape (K, n, n), is
+    solved matrix by matrix in the same stacked calls, each bitwise as
+    alone, and gives a stacked decomposition.
     """
     ham = _check_hermitian(ham)
-    dim = len(ham)
+    dim = ham.shape[-1]
     basis = np.asarray(np.arange(dim) if basis is None else basis, dtype=np.int64)
     if basis.shape != (dim,):
         raise InvalidArgumentError(f"basis of {basis.shape} states for a matrix of dim {dim}")
@@ -159,10 +174,11 @@ def diagonalize(ham, basis=None, blocks=None):
             raise NumericFailureError(f"eigensolver failed: {exc}") from exc
         values.append(w)
         vectors.append(v if u is None else u @ v)
-    eigenvalues = np.concatenate(values)
-    order = np.argsort(eigenvalues, kind="stable")
-    return SpectralDecomposition(eigenvalues=eigenvalues[order],
-                                 eigenvectors=np.concatenate(vectors, axis=1)[:, order], basis=basis)
+    eigenvalues = np.concatenate(values, axis=-1)
+    order = np.argsort(eigenvalues, axis=-1, kind="stable")
+    index = (np.arange(len(order))[:, None], order) if order.ndim > 1 else order
+    columns = np.concatenate(vectors, axis=-1).swapaxes(-2, -1)[index]  # one C-ordered row per eigenvector
+    return SpectralDecomposition(eigenvalues=eigenvalues[index], eigenvectors=columns.swapaxes(-2, -1), basis=basis)
 
 
 def _sector_amplitudes(decomp, psi0):
@@ -183,10 +199,11 @@ def _sector_amplitudes(decomp, psi0):
 
 
 def _coefficients(decomp, psi0):
-    """psi0's coordinates in decomp's eigenbasis, V^dagger psi0; weight outside V's span is refused."""
+    """psi0's coordinates in decomp's eigenbasis, V^dagger psi0; weight outside V's span, in any ladder, is refused."""
     amplitudes = _sector_amplitudes(decomp, np.asarray(psi0, dtype=complex))
-    coeffs = decomp.eigenvectors.conj().T @ amplitudes
-    leak = np.linalg.norm(amplitudes - decomp.eigenvectors @ coeffs)
+    vectors = decomp.eigenvectors
+    coeffs = vectors.conj().swapaxes(-2, -1) @ amplitudes
+    leak = np.linalg.norm(amplitudes - (vectors @ coeffs[..., None])[..., 0], axis=-1).max()
     if leak > SECTOR_LEAK_TOL:
         raise InvalidArgumentError(f"state has weight {leak:.3e} outside the span of the "
                                    f"decomposition's eigenvectors")
@@ -194,24 +211,38 @@ def _coefficients(decomp, psi0):
 
 
 def evolve_state(decomp, psi0, t):
-    """psi(t) = V exp(-i w t) V^dagger psi0, as a full-space state."""
+    """psi(t) = V exp(-i w t) V^dagger psi0, as a full-space state, for a decomposition of one ladder."""
     coeffs = _coefficients(decomp, psi0)
     psi = np.zeros(len(psi0), dtype=complex)
     psi[decomp.basis] = decomp.eigenvectors @ (coeffs * np.exp(-1j * decomp.eigenvalues * t))
     return psi
 
 
-def _chunk_points(n_states, n_pairs):
-    """Time points per chunk on a basis of n_states states with n_pairs eigenpairs kept.
+def _chunk_points(n_states, n_pairs, n_ladders=1):
+    """Time points per chunk for n_ladders ladders on a basis of n_states states with n_pairs eigenpairs kept.
 
     As many as fill CHUNK_BYTES with one complex block of the states and
-    one of the phases, rounded down to a multiple of STRIDE so every chunk
-    starts on an anchor, at least STRIDE and at most CHUNK. The length
-    follows the decomposition, not the readouts, so every readout of one
-    decomposition is formed in the same products whatever else is read.
+    one of the phases per ladder, rounded down to a multiple of STRIDE so
+    every chunk starts on an anchor, at least STRIDE and at most CHUNK. The
+    length follows the decomposition, not the readouts, so every readout of
+    one decomposition is formed in the same products whatever else is read.
     """
-    fit = CHUNK_BYTES // (16 * (n_states + n_pairs)) // STRIDE * STRIDE
+    fit = CHUNK_BYTES // (16 * n_ladders * (n_states + n_pairs)) // STRIDE * STRIDE
     return min(CHUNK, max(STRIDE, fit))
+
+
+def _stacks(n_ladders, n_states):
+    """Slices of range(n_ladders) in stacks of near-equal size, each within CHUNK_BYTES.
+
+    A ladder on a basis of n_states states takes at most 16 n_states
+    (n_states + 2 STRIDE) bytes of a stack: its real H and V (at most
+    n_states eigenpairs) and its complex state and phase blocks over a
+    chunk of STRIDE points, the shortest. A stack holds as many ladders as
+    fit CHUNK_BYTES so, at least one: 51 at N = 3, 8 at N = 4 and 1 at N = 5.
+    """
+    most = max(1, CHUNK_BYTES // (16 * n_states * (n_states + 2 * STRIDE)))
+    count = -(-n_ladders // most)
+    return [slice(n_ladders * k // count, n_ladders * (k + 1) // count) for k in range(count)]
 
 
 def iter_evolved(decomp, psi0, grid, readouts=None):
@@ -225,8 +256,10 @@ def iter_evolved(decomp, psi0, grid, readouts=None):
     readouts defaults to (V,): the row block is then the states in decomp's
     basis, shape (len(decomp.basis), len(time_block)), with row r the amplitude of
     basis state decomp.basis[r]. A readout R = M V yields M psi(t) without
-    forming the states. A grid whose phases w t pass PHASE_ROUNDOFF_TOL / eps
-    is refused with NumericFailureError before any state is formed.
+    forming the states. A stacked decomp takes readouts with the same
+    leading axis of K ladders and yields (K, rows, len(time_block)) blocks.
+    A grid whose phases w t pass PHASE_ROUNDOFF_TOL / eps in any ladder is
+    refused with NumericFailureError before any state is formed.
 
     The grid is uniform, so each time is an anchor (every STRIDE-th grid
     time from a chunk's start, taken from grid.times) plus an offset
@@ -237,24 +270,25 @@ def iter_evolved(decomp, psi0, grid, readouts=None):
     blocks are allocated per chunk, so a caller may keep every one.
     """
     w = decomp.eigenvalues
+    stack = w.shape[:-1]
     phase = float(np.abs(w).max()) * grid.t_end
     if not np.finfo(float).eps * phase <= PHASE_ROUNDOFF_TOL:
         raise NumericFailureError(f"phases E t reach {phase:.3g}, so their round-off exceeds {PHASE_ROUNDOFF_TOL:g}")
     readouts = (decomp.eigenvectors,) if readouts is None else tuple(readouts)
-    bounds = np.cumsum([0] + [len(readout) for readout in readouts])
+    bounds = np.cumsum([0] + [readout.shape[-2] for readout in readouts])
     real = not any(np.iscomplexobj(readout) for readout in readouts)
     coeffs = _coefficients(decomp, psi0)
     times = grid.times
-    offsets = np.exp(-1j * np.outer(w, np.arange(min(STRIDE, grid.n_points)) * grid.dt))
-    chunk = _chunk_points(len(decomp.basis), len(w))
-    phases = np.empty((len(w), len(times[:chunk:STRIDE]), offsets.shape[1]), dtype=complex)
+    offsets = np.exp(-1j * w[..., None] * (np.arange(min(STRIDE, grid.n_points)) * grid.dt))
+    chunk = _chunk_points(len(decomp.basis), decomp.dim, math.prod(stack))
+    phases = np.empty(w.shape + (len(times[:chunk:STRIDE]), offsets.shape[-1]), dtype=complex)
     for start in range(0, len(times), chunk):
         block = times[start:start + chunk]
-        anchors = coeffs[:, None] * np.exp(-1j * np.outer(w, block[::STRIDE]))
-        np.multiply(anchors[:, :, None], offsets[:, None, :], out=phases[:, :anchors.shape[1]])
-        rotated = phases.reshape(len(w), -1)[:, :len(block)]
-        rows = np.empty((bounds[-1], len(block)), dtype=complex)
+        anchors = coeffs[..., None] * np.exp(-1j * w[..., None] * block[::STRIDE])
+        np.multiply(anchors[..., None], offsets[..., None, :], out=phases[..., :anchors.shape[-1], :])
+        rotated = phases.reshape(w.shape + (-1,))[..., :len(block)]
+        rows = np.empty(stack + (bounds[-1], len(block)), dtype=complex)
         target, operand = (rows.view(float), rotated.view(float)) if real else (rows, rotated)
         for readout, lo, hi in zip(readouts, bounds, bounds[1:]):
-            np.matmul(readout, operand, out=target[lo:hi])
+            np.matmul(readout, operand, out=target[..., lo:hi, :])
         yield block, rows

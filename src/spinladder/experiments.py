@@ -7,7 +7,8 @@ All of them run through evolve_and_measure, which streams the evolution in
 chunks, so long windows at large field never hold the full state history
 in memory, and which computes only the channels its caller asks for: a
 fidelity-only run (the heatmap, the disorder ensemble) streams the terminal
-pair's phi_plus amplitudes instead of states.
+pair's phi_plus amplitudes instead of states, for a whole stack of ladders
+that differ only in their couplings at once.
 """
 
 import math
@@ -17,7 +18,7 @@ import numpy as np
 from numpy.random import SeedSequence, default_rng  # loaded here: np.random would load it mid-run
 
 from .errors import InsufficientDataError, InvalidArgumentError, NumericFailureError, UnsupportedSizeError
-from .evolution import TimeGrid, diagonalize, iter_evolved
+from .evolution import TimeGrid, _stacks, diagonalize, iter_evolved
 from .lattice import (
     MAX_DENSE_RUNGS,
     LadderParams,
@@ -25,8 +26,10 @@ from .lattice import (
     build_hamiltonian,
     build_initial_state,
     dressed_gap,
+    ladder_terms,
     parity_sector,
-    symmetry_blocks,
+    _held_site_maps,
+    _occupied_blocks,
 )
 from .metrics import _concurrence_many, _entropy_many, _folded_layout, _is_x, _layout, _marginals, \
     _phi_plus_map, _reduced_many, _schmidt_many, _x_concurrence_many
@@ -153,7 +156,7 @@ class FrequencyRow:
 
 def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False,
                        decomp=None, psi0=None):
-    """Evolve one ladder over the grid once and compute only the requested channels.
+    """Evolve one ladder, or a stack of ladders, over the grid once and compute only the requested channels.
 
     pairs lists the rung pairs whose concurrence is recorded; fidelity adds
     the terminal pair's phi_plus fidelity; mutual_info adds I(first),
@@ -179,12 +182,22 @@ def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False
     spectrum of params' Hamiltonian on the symmetry blocks psi0 occupies.
     C and F are clipped into [0, 1]; mutual information is not. Channels
     not asked for come back empty (concurrence) or None.
+
+    decomp may also be a stack, _sector_spectrum of a list of ladders with
+    params' n_rungs and field mask: the stack is evolved at once and
+    measures fidelity alone, one Trajectory per ladder in a list, each F
+    formed as a single ladder's would be. Pairs and mutual information read
+    one ladder's states, and a stack asking for them is refused.
     """
     if mutual_info and params.n_rungs < 2:
         raise InvalidArgumentError(f"mutual information needs distinct first and terminal rungs, "
                                    f"got n_rungs={params.n_rungs}")
     psi0 = build_initial_state("phi_plus", params) if psi0 is None else psi0
     decomp = _sector_spectrum(params, psi0) if decomp is None else decomp
+    stack = decomp.eigenvalues.shape[:-1]
+    if stack and (pairs or mutual_info or not fidelity):
+        raise InvalidArgumentError(f"a stack of {stack[0]} ladders measures fidelity alone; pair and mutual-"
+                                   f"information channels read one ladder's states")
     n_sites, n_points = params.n_sites, grid.n_points
     ladder = rung_pairs(params.n_rungs)
     first, terminal = ladder[0], ladder[-1]
@@ -202,12 +215,12 @@ def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False
                    for keep, (dim, blocks) in layouts.items()}
         joint = _folded_layout(decomp.basis, first + terminal, n_sites, inverse) if mutual_info else None
     conc = {pair: np.empty(n_points) for pair in pairs}
-    fid = np.empty(n_points) if fidelity else None
+    fid = np.empty(stack + (n_points,)) if fidelity else None
     mi = {name: np.empty(n_points) for name in ("first", "terminal", "joint") if mutual_info}
     pos = 0
     for block, rows in iter_evolved(decomp, psi0, grid, readouts):
         sl = slice(pos, pos + len(block))
-        states, amplitudes = rows[:split], rows[split:]
+        states, amplitudes = rows[..., :split, :], rows[..., split:, :]
         rhos = {pair: _reduced_many(states, layouts[pair]) for pair in reduced}
         if mutual_info:
             sides, halves = _schmidt_many(states, joint)
@@ -217,8 +230,8 @@ def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False
                               else _x_concurrence_many(states, layouts[pair]))
         if fidelity:
             parts = amplitudes.view(float)  # real and imaginary parts alternate along a row
-            squares = np.einsum("mt,mt->t", parts, parts)
-            fid[sl] = squares[::2] + squares[1::2]
+            squares = np.einsum("...mt,...mt->...t", parts, parts)
+            fid[..., sl] = squares[..., ::2] + squares[..., 1::2]
         if mutual_info:
             s_first = _entropy_many(rhos[first])
             s_term = _entropy_many(rhos[terminal])
@@ -235,13 +248,16 @@ def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False
             f"I{lt}": TimeSeries(grid, mi["terminal"]),
             f"I{lf}_{lt}": TimeSeries(grid, mi["joint"]),
         }
-    return Trajectory(
-        grid=grid,
-        pair_concurrence={pair_label(*pair): TimeSeries(grid, np.clip(values, 0.0, 1.0))
-                          for pair, values in conc.items()},
-        fidelity_terminal=None if fid is None else TimeSeries(grid, np.clip(fid, 0.0, 1.0)),
-        mutual_info=mi_series,
-    )
+
+    def trajectory(fid):
+        return Trajectory(
+            grid=grid,
+            pair_concurrence={pair_label(*pair): TimeSeries(grid, np.clip(values, 0.0, 1.0))
+                              for pair, values in conc.items()},
+            fidelity_terminal=None if fid is None else TimeSeries(grid, np.clip(fid, 0.0, 1.0)),
+            mutual_info=mi_series,
+        )
+    return [trajectory(f) for f in fid] if stack else trajectory(fid)
 
 
 def _distinct_rows(matrix):
@@ -258,17 +274,27 @@ def _distinct_rows(matrix):
 
 
 def _sector_spectrum(params, psi0, **build):
-    """Spectrum of params' Hamiltonian on the symmetry blocks psi0 occupies.
+    """Spectrum of params' Hamiltonian on the symmetry blocks psi0 occupies; of a stack of ladders for a list.
 
     H is built on psi0's parity sector (the full space for a psi0 that mixes
     parities) and solved only on the leg-swap x mirror blocks that hold
     psi0's weight, the held maps read from the ladder's terms, not from H
     (lattice.symmetry_blocks); a ladder that breaks both maps is one block,
-    the whole sector. build passes bond factors on to both.
+    the whole sector. build passes bond factors on to both. A list of K
+    ladders sharing n_rungs and field mask, with build's values lists of K
+    factor arrays, gives a stacked decomposition: the sector and blocks are
+    found once, on the maps that every ladder holds, and each ladder's terms
+    are checked before any H is built.
     """
+    stacked = not isinstance(params, LadderParams)
+    ladders = params if stacked else [params]
+    builds = [{key: values[k] for key, values in build.items()} for k in range(len(ladders))] if stacked else [build]
     basis = parity_sector(psi0)
-    blocks = symmetry_blocks(params, basis, psi0[basis], **build)
-    return diagonalize(build_hamiltonian(params, basis=basis, **build), basis, blocks)
+    held = set.intersection(*(set(_held_site_maps(*ladder_terms(ladder, **factors), ladder.n_rungs))
+                              for ladder, factors in zip(ladders, builds)))
+    blocks = _occupied_blocks(ladders[0].n_rungs, basis, psi0[basis], tuple(sorted(held)))
+    hams = [build_hamiltonian(ladder, basis=basis, **factors) for ladder, factors in zip(ladders, builds)]
+    return diagonalize(np.stack(hams) if stacked else hams[0], basis, blocks)
 
 
 def run_reference(params=LadderParams(), state_kind="phi_plus", grid=DEFAULT_GRID,
@@ -368,15 +394,23 @@ def sweep_field(h_values, base=LadderParams()):
 
 
 def anisotropy_heatmap(g_values, d_values, base=LadderParams(), grid=DEFAULT_GRID):
-    """Peak terminal fidelity over a (g, d) grid; cells are independent runs."""
+    """Peak terminal fidelity over a (g, d) grid.
+
+    The cells share psi0, n_rungs and field mask, so they are solved and
+    evolved as stacks of ladders (evolution._stacks) in row-major order, up
+    to 51 cells a stack at N = 3; each cell's F is that of a run of the cell
+    alone to round-off.
+    """
     g_values = np.asarray(g_values, dtype=float)
     d_values = np.asarray(d_values, dtype=float)
-    f_max = np.empty((len(g_values), len(d_values)))
-    for i, g in enumerate(g_values):
-        for j, d in enumerate(d_values):
-            traj = evolve_and_measure(base.replace(g=float(g), d=float(d)), grid, fidelity=True)
-            f_max[i, j] = traj.fidelity_terminal.values.max()
-    return HeatmapGrid(g_values=g_values, d_values=d_values, f_max=f_max)
+    cells = [base.replace(g=float(g), d=float(d)) for g in g_values for d in d_values]
+    psi0 = build_initial_state("phi_plus", base)
+    f_max = np.empty(len(cells))
+    for stack in _stacks(len(cells), len(parity_sector(psi0))):
+        decomp = _sector_spectrum(cells[stack], psi0)
+        trajs = evolve_and_measure(base, grid, fidelity=True, decomp=decomp, psi0=psi0)
+        f_max[stack] = [traj.fidelity_terminal.values.max() for traj in trajs]
+    return HeatmapGrid(g_values=g_values, d_values=d_values, f_max=f_max.reshape(len(g_values), len(d_values)))
 
 
 def disorder_realization(delta, base_seed, k, n_rungs):
@@ -396,8 +430,10 @@ def disorder_ensemble(delta, n_samples, base_seed, base=LadderParams(), grid=DEF
     """Terminal-fidelity statistics over independent coupling-disorder realizations.
 
     Every rung and leg bond is scaled by (1 + delta_k) independently; the
-    field h is left clean. Aggregation is by realization index, so results
-    are bitwise reproducible for a fixed base seed.
+    field h is left clean. The realizations are solved and evolved as
+    stacks of ladders (evolution._stacks), in index order. Aggregation is by
+    realization index, so results are bitwise reproducible for a fixed base
+    seed.
     """
     if math.copysign(1.0, delta) < 0:  # -0.0 too: uniform(-delta, delta) needs low <= high
         raise InvalidArgumentError(f"delta must be >= 0, got {delta}")
@@ -419,15 +455,17 @@ def disorder_ensemble(delta, n_samples, base_seed, base=LadderParams(), grid=DEF
     peak_mean, peak_m2 = 0.0, 0.0
     peaks = np.empty(n_samples)
     psi0 = build_initial_state("phi_plus", base)
-    for k in range(n_samples):
-        real = disorder_realization(delta, base_seed, k, base.n_rungs)
-        decomp = _sector_spectrum(base, psi0, rung_factors=1.0 + real.rung_deltas,
-                                  leg_factors=1.0 + real.leg_deltas)
-        traj = evolve_and_measure(base, grid, fidelity=True, decomp=decomp, psi0=psi0)
-        fid = traj.fidelity_terminal.values
-        peaks[k] = fid.max()
-        mean, m2 = welford(mean, m2, fid, k)
-        peak_mean, peak_m2 = welford(peak_mean, peak_m2, peaks[k], k)
+    for stack in _stacks(n_samples, len(parity_sector(psi0))):
+        members = range(n_samples)[stack]
+        reals = [disorder_realization(delta, base_seed, k, base.n_rungs) for k in members]
+        decomp = _sector_spectrum([base] * len(reals), psi0, rung_factors=[1.0 + r.rung_deltas for r in reals],
+                                  leg_factors=[1.0 + r.leg_deltas for r in reals])
+        trajs = evolve_and_measure(base, grid, fidelity=True, decomp=decomp, psi0=psi0)
+        for k, traj in zip(members, trajs):
+            fid = traj.fidelity_terminal.values
+            peaks[k] = fid.max()
+            mean, m2 = welford(mean, m2, fid, k)
+            peak_mean, peak_m2 = welford(peak_mean, peak_m2, peaks[k], k)
 
     return EnsembleStats(
         delta=float(delta),

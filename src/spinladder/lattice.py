@@ -174,9 +174,14 @@ def symmetry_blocks(params, basis, amplitudes, rung_factors=None, leg_factors=No
     the weight evolution refuses to lose.
     """
     held = _held_site_maps(*ladder_terms(params, rung_factors, leg_factors), params.n_rungs)
+    return _occupied_blocks(params.n_rungs, basis, amplitudes, held)
+
+
+def _occupied_blocks(n_rungs, basis, amplitudes, held):
+    """symmetry_blocks for the held site maps given: None when there are none, else the blocks the amplitudes occupy."""
     if not held:
         return None
-    blocks = _character_blocks(params.n_rungs, np.asarray(basis, dtype=np.int64).tobytes(), held)
+    blocks = _character_blocks(n_rungs, np.asarray(basis, dtype=np.int64).tobytes(), held)
     floor = SECTOR_LEAK_TOL / len(blocks)  # the blocks dropped leak less than SECTOR_LEAK_TOL together
     return [u for u in blocks if np.linalg.norm(u.T @ amplitudes) > floor]
 

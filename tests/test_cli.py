@@ -224,6 +224,23 @@ def test_unbounded_envelope_grid_is_refused_before_evolving(tmp_path, capsys, mo
     assert "Traceback" not in err and not out.exists()
 
 
+def test_a_stack_with_one_overflowing_ladder_is_refused_before_evolving(tmp_path, capsys, monkeypatch):
+    """The 2 x 2 heatmap is one stack; its g = 0 cells are finite, its g = 1e300 ones overflow at j_perp = 1e300.
+
+    The stack is refused before any of its ladders is evolved: exit 3, the
+    keys named, no output.
+    """
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stack was evolved before every ladder in it was checked")
+    monkeypatch.setattr("spinladder.experiments.iter_evolved", refuse)
+    out = tmp_path / "out"
+    assert main(["heatmap", "--j-perp", "1e300", "--g-min", "0", "--g-max", "1e300", "--n-g", "2", "--n-d", "2",
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "j_perp = 1e+300, j_parallel = 1.0, g = 1e+300, d = 0.0 and h = 100.0 give bond and field terms" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 @pytest.mark.parametrize("command", ["field-sweep", "effective-check"])
 def test_overflowing_slow_window_names_the_coupling(tmp_path, capsys, command):
     """The exit-3 message says which key overflowed in which step, and no output is made."""

@@ -17,7 +17,7 @@ from spinladder.evolution import (
     iter_evolved,
 )
 from spinladder.experiments import _envelope_grid, _sector_spectrum, _slow_window
-from spinladder.lattice import LadderParams, build_hamiltonian, build_initial_state, parity_sector
+from spinladder.lattice import LadderParams, build_hamiltonian, build_initial_state, parity_sector, symmetry_blocks
 from spinladder.metrics import _layout, _reduced_many
 
 from conftest import haar_state, pauli_hamiltonian
@@ -63,6 +63,48 @@ def test_diagonalize_rejects_nonhermitian():
     ham = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(InvalidArgumentError):
         diagonalize(ham)
+
+
+def test_diagonalize_solves_a_stack_matrix_by_matrix():
+    """Three stacked N = 4 sector Hamiltonians on phi_plus's blocks give each one's eigenpairs bitwise, in its layout.
+
+    Every matrix of the stack is checked on its own: one non-finite or
+    non-Hermitian matrix refuses the stack.
+    """
+    params = [LadderParams(n_rungs=4, g=g, d=d) for g, d in ((1.0, 0.5), (0.6, 0.2), (0.3, 0.9))]
+    psi0 = build_initial_state("phi_plus", params[0])
+    basis = parity_sector(psi0)
+    blocks = symmetry_blocks(params[0], basis, psi0[basis])
+    hams = np.stack([build_hamiltonian(p, basis=basis) for p in params])
+    stacked = diagonalize(hams, basis, blocks)
+    assert stacked.eigenvalues.shape == (3, 72) and stacked.dim == 72
+    for ham, values, vectors in zip(hams, stacked.eigenvalues, stacked.eigenvectors):
+        alone = diagonalize(ham, basis, blocks)
+        assert np.array_equal(values, alone.eigenvalues) and np.array_equal(vectors, alone.eigenvectors)
+        assert vectors.strides == alone.eigenvectors.strides
+    with pytest.raises(InvalidArgumentError, match="eigenvectors of shape"):
+        SpectralDecomposition(stacked.eigenvalues, stacked.eigenvectors[:2], basis)
+    broken = hams.copy()
+    broken[2, 0, 0] = np.inf
+    with pytest.raises(NumericFailureError, match="non-finite"):
+        diagonalize(broken, basis)
+    broken[2, 0, 0], broken[1, 0, 1] = 0.0, 1.0
+    with pytest.raises(InvalidArgumentError, match="not Hermitian"):
+        diagonalize(broken, basis)
+
+
+def test_one_ladder_of_a_stack_refuses_the_stack_before_any_state():
+    """Phases past the round-off bound, or weight outside V's span, in the second ladder alone refuse the whole stack."""
+    params = [LadderParams(), LadderParams(j_parallel=1e300)]
+    psi0 = build_initial_state("phi_plus", params[0])
+    huge = _sector_spectrum(params, psi0)
+    with pytest.raises(NumericFailureError, match="round-off"):
+        next(iter_evolved(huge, psi0, TimeGrid(0.0, 1.0, 2)))
+    clean = _sector_spectrum([params[0]] * 2, psi0)
+    vectors = clean.eigenvectors.copy()
+    vectors[1, :, np.abs(vectors[1].T @ psi0[clean.basis]).argmax()] = 0.0
+    with pytest.raises(InvalidArgumentError, match="outside the span"):
+        next(iter_evolved(SpectralDecomposition(clean.eigenvalues, vectors, clean.basis), psi0, TimeGrid(0.0, 1.0, 2)))
 
 
 def test_single_rung_energies():
@@ -191,13 +233,18 @@ def test_phase_tables_with_chunk_and_grid_off_the_stride(monkeypatch):
 @pytest.mark.parametrize("n_pairs", [1, 20, 272, 1056])
 @pytest.mark.parametrize("n_states", [1, 32, 128, 512, 2048, 10 ** 6])
 def test_chunk_points_fill_the_byte_budget_from_anchor_to_anchor(n_states, n_pairs):
-    """At most CHUNK points; where the budget decides, a multiple of STRIDE whose state and phase blocks fit CHUNK_BYTES."""
+    """At most CHUNK points; where the budget decides, a multiple of STRIDE whose state and phase blocks fit CHUNK_BYTES.
+
+    A stack of ladders shares the budget: its chunk is that of one ladder
+    with as many states and eigenpairs as the whole stack.
+    """
     points = _chunk_points(n_states, n_pairs)
     assert STRIDE <= points <= CHUNK
     if points < CHUNK:
         assert points % STRIDE == 0
         assert points == STRIDE or 16 * points * (n_states + n_pairs) <= CHUNK_BYTES < 16 * (points + STRIDE) * (
             n_states + n_pairs)
+    assert _chunk_points(n_states, n_pairs, 40) == _chunk_points(40 * n_states, 40 * n_pairs)
 
 
 def test_large_basis_streams_budget_sized_chunks_of_the_same_states(monkeypatch):

@@ -18,7 +18,8 @@ from spinladder.errors import (
     InvalidArgumentError,
     UnsupportedSizeError,
 )
-from spinladder.evolution import SpectralDecomposition, TimeGrid, diagonalize, evolve_state, iter_evolved
+from spinladder.evolution import (CHUNK_BYTES, STRIDE, SpectralDecomposition, TimeGrid, _chunk_points, _stacks,
+                                  diagonalize, evolve_state, iter_evolved)
 from spinladder.experiments import (
     DEFAULT_GRID,
     EnsembleStats,
@@ -293,17 +294,19 @@ def test_fidelity_only_drivers_skip_concurrence(monkeypatch):
     Their evolution yields only the len(basis)/4 phi_plus amplitudes of the
     terminal pair, never the state block. The clean heatmap cell evolves
     the 20 eigenvectors of phi_plus's two leg-even blocks, each disordered
-    ladder all 32 of its sector.
+    ladder all 32 of its sector. Both drivers evolve stacks of ladders, so
+    the shapes are recorded per ladder of a stack.
     """
     def refuse(*args):
         raise AssertionError("a fidelity-only driver evaluated concurrence or reduced a rho")
     monkeypatch.setattr("spinladder.experiments._concurrence_many", refuse)
     monkeypatch.setattr("spinladder.experiments._reduced_many", refuse)
-    shapes = []
+    shapes, stacks = [], []
 
     def recording(decomp, psi0, grid, readouts=None):
         for block, rows in iter_evolved(decomp, psi0, grid, readouts):
-            shapes.append((decomp.dim, rows.shape))
+            stacks.append(len(rows))
+            shapes.extend((decomp.dim, ladder_rows.shape) for ladder_rows in rows)
             yield block, rows
     monkeypatch.setattr("spinladder.experiments.iter_evolved", recording)
     grid = TimeGrid(0.0, 2.0, 81)
@@ -312,6 +315,123 @@ def test_fidelity_only_drivers_skip_concurrence(monkeypatch):
     stats = disorder_ensemble(0.05, 2, base_seed=3, grid=grid)
     assert stats.peak_fidelities.shape == (2,)
     assert shapes == [(20, (8, 81))] + [(32, (8, 81))] * 2
+    assert stacks == [1, 2]
+
+
+#: Largest |F(stack) - F(alone)| accepted where a stack's chunks are shorter than a single ladder's. The
+#: single-ladder path itself moves by up to 1.3e-15 between 128- and 1024-point chunks at N = 4 with two
+#: OpenBLAS threads (by 5.6e-16 with one), as BLAS blocks the two products differently.
+CHUNKED_F_TOL = 2e-15
+
+
+def _stacked_and_alone(params, grid, decomp, singles, psi0, monkeypatch):
+    """Largest |F(stacked) - F(alone)| over the ladders of a stacked decomposition, against single-ladder ones.
+
+    Run alone in chunks of the stack's length (CHUNK lowered to it), each
+    ladder's F is bitwise the one the stack gives it.
+    """
+    stacked = evolve_and_measure(params, grid, fidelity=True, decomp=decomp, psi0=psi0)
+    assert len(stacked) == len(singles)
+    alone = [evolve_and_measure(params, grid, fidelity=True, decomp=single, psi0=psi0) for single in singles]
+    with monkeypatch.context() as patch:
+        patch.setattr("spinladder.evolution.CHUNK", _chunk_points(len(decomp.basis), decomp.dim, len(singles)))
+        for traj, single in zip(stacked, singles):
+            same_chunks = evolve_and_measure(params, grid, fidelity=True, decomp=single, psi0=psi0)
+            assert np.array_equal(traj.fidelity_terminal.values, same_chunks.fidelity_terminal.values)
+    return max(np.abs(traj.fidelity_terminal.values - one.fidelity_terminal.values).max()
+               for traj, one in zip(stacked, alone))
+
+
+@pytest.mark.parametrize("n_rungs", [3, 4, 5])
+@pytest.mark.parametrize("n_points", [61, 801], ids=["one chunk", "chunks"])
+def test_heatmap_stacks_give_every_cell_its_own_fidelity(n_rungs, n_points, monkeypatch):
+    """Each cell of a heatmap's stacks has its own run's F, bitwise where the grid is one chunk or the chunks match.
+
+    The stacks are the ones anisotropy_heatmap forms: N = 3 puts all nine
+    cells in one stack, N = 4 two, N = 5 one cell per stack. Where the
+    stack's chunks are shorter than a single ladder's, F moves by round-off
+    only, within CHUNKED_F_TOL.
+    """
+    base, grid = LadderParams(n_rungs=n_rungs), TimeGrid(0.0, 10.0, n_points)
+    psi0 = build_initial_state("phi_plus", base)
+    cells = [base.replace(g=g, d=d) for g in (0.4, 0.7, 1.0) for d in (0.2, 0.5, 0.8)]
+    stacks = _stacks(len(cells), len(parity_sector(psi0)))
+    assert [s.stop - s.start for s in stacks] == {3: [9], 4: [4, 5], 5: [1] * 9}[n_rungs]
+    for stack in stacks:
+        gap = _stacked_and_alone(base, grid, _sector_spectrum(cells[stack], psi0),
+                                 [_sector_spectrum(cell, psi0) for cell in cells[stack]], psi0, monkeypatch)
+        assert gap <= (0.0 if n_points <= STRIDE else CHUNKED_F_TOL)
+
+
+@pytest.mark.parametrize("n_rungs", [3, 4])
+@pytest.mark.parametrize("n_points", [61, 801], ids=["one chunk", "chunks"])
+def test_disorder_stacks_give_every_realization_its_own_fidelity(n_rungs, n_points, monkeypatch):
+    """Each realization of a disorder stack has the F of its own run, as each heatmap cell has."""
+    base, grid = LadderParams(n_rungs=n_rungs), TimeGrid(0.0, 10.0, n_points)
+    psi0 = build_initial_state("phi_plus", base)
+    reals = [disorder_realization(0.1, 42, k, n_rungs) for k in range(6)]
+    factors = [dict(rung_factors=1.0 + real.rung_deltas, leg_factors=1.0 + real.leg_deltas) for real in reals]
+    decomp = _sector_spectrum([base] * 6, psi0, rung_factors=[f["rung_factors"] for f in factors],
+                              leg_factors=[f["leg_factors"] for f in factors])
+    assert decomp.eigenvalues.shape == (6, len(decomp.basis))
+    singles = [_sector_spectrum(base, psi0, **f) for f in factors]
+    gap = _stacked_and_alone(base, grid, decomp, singles, psi0, monkeypatch)
+    assert gap <= (0.0 if n_points <= STRIDE else CHUNKED_F_TOL)
+
+
+@pytest.mark.parametrize("n_rungs", [3, 4])
+def test_a_stack_mixing_clean_and_disordered_ladders_is_solved_on_the_whole_sector(n_rungs, monkeypatch):
+    """A clean ladder holds both site maps, a disordered one neither, so their stack uses none.
+
+    The clean ladder is then solved on its whole parity sector: its F is
+    that of its own whole-sector run (bitwise in chunks of the stack's
+    length) and that of its own blocked run to the 1e-12 of
+    test_blocked_evolution_matches_the_parity_sector.
+    """
+    base, grid = LadderParams(n_rungs=n_rungs), TimeGrid(0.0, 10.0, 801)
+    psi0 = build_initial_state("phi_plus", base)
+    real = disorder_realization(0.1, 42, 0, n_rungs)
+    rungs, legs = [np.ones(n_rungs), 1.0 + real.rung_deltas], [np.ones(2 * n_rungs - 2), 1.0 + real.leg_deltas]
+    decomp = _sector_spectrum([base] * 2, psi0, rung_factors=rungs, leg_factors=legs)
+    basis = parity_sector(psi0)
+    assert decomp.dim == len(basis)
+    whole = diagonalize(build_hamiltonian(base, basis=basis), basis)
+    disordered = _sector_spectrum(base, psi0, rung_factors=rungs[1], leg_factors=legs[1])
+    assert _stacked_and_alone(base, grid, decomp, [whole, disordered], psi0, monkeypatch) <= CHUNKED_F_TOL
+    clean = evolve_and_measure(base, grid, fidelity=True, decomp=decomp, psi0=psi0)[0].fidelity_terminal.values
+    blocked = evolve_and_measure(base, grid, fidelity=True, psi0=psi0).fidelity_terminal.values
+    assert np.abs(clean - blocked).max() <= 1e-12
+
+
+def test_a_stack_measures_fidelity_alone():
+    """Pairs and mutual information read one ladder's states, so a stack asking for them is refused."""
+    cells = [LadderParams(g=g) for g in (0.5, 1.0)]
+    decomp = _sector_spectrum(cells, build_initial_state("phi_plus", cells[0]))
+    grid = TimeGrid(0.0, 1.0, 11)
+    for channels in (dict(pairs=rung_pairs(3)[-1:], fidelity=True), dict(mutual_info=True, fidelity=True), {}):
+        with pytest.raises(InvalidArgumentError, match="a stack of 2 ladders measures fidelity alone"):
+            evolve_and_measure(cells[0], grid, decomp=decomp, **channels)
+
+
+def test_n5_heatmap_is_split_into_stacks_within_chunk_bytes(monkeypatch):
+    """Every stack's H, V and shortest chunk fit CHUNK_BYTES, so a 2 x 2 heatmap at N = 5 is four stacks of one.
+
+    At N = 3 the same budget puts all 36 cells of a 6 x 6 heatmap in one stack.
+    """
+    sizes = []
+
+    def recording(decomp, psi0, grid, readouts=None):
+        sizes.append((len(decomp.eigenvalues), len(decomp.basis)))
+        yield from iter_evolved(decomp, psi0, grid, readouts)
+    monkeypatch.setattr("spinladder.experiments.iter_evolved", recording)
+    grid = TimeGrid(0.0, 1.0, 201)
+    anisotropy_heatmap([0.5, 1.0], [0.3, 0.6], LadderParams(n_rungs=5), grid=grid)
+    assert sizes == [(1, 512)] * 4
+    assert 16 * 512 * (512 + 2 * STRIDE) > CHUNK_BYTES
+    sizes.clear()
+    anisotropy_heatmap(np.linspace(0.5, 1.0, 6), np.linspace(0.2, 0.8, 6), grid=grid)
+    assert sizes == [(36, 32)]
+    assert 36 * 16 * 32 * (32 + 2 * STRIDE) <= CHUNK_BYTES
 
 
 @pytest.mark.parametrize("n_rungs, kind", [(3, "phi_plus"), (3, "psi_minus_plus_phi_plus"), (1, "phi_plus")],
