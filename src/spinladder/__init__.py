@@ -17,10 +17,7 @@ from .lattice import (INITIAL_STATE_KINDS, LadderParams, bond_hamiltonian,
                       build_hamiltonian, build_initial_state, dressed_gap,
                       ladder_terms, leg_bonds, mediating_mask, parity_sector,
                       symmetry_blocks, uniform_mask)
-from .evolution import (SpectralDecomposition, TimeGrid, diagonalize,
-                        evolve_state, iter_evolved)
-from .metrics import (bell_fidelity, concurrence, mutual_information,
-                      partial_trace, von_neumann_entropy)
+from .evolution import SpectralDecomposition, TimeGrid, diagonalize, iter_evolved
 from .signals import (FitResult, TimeSeries, dominant_frequency,
                       effective_coupling_from_period, envelope_period,
                       extract_alpha, find_peaks, loglog_fit)

@@ -29,7 +29,7 @@ import argparse
 import ctypes
 import os
 import sys
-from dataclasses import asdict, astuple, fields
+from dataclasses import asdict, astuple, fields, replace
 
 import numpy as np
 
@@ -157,10 +157,15 @@ def cmd_heatmap(args, config):
 def cmd_disorder(args, config):
     params = io.config_params(config)
     grid = io.config_grid(config)
+    tags = {}  # file tag -> delta: deltas equal to 6 significant digits would write the same files
     for delta in io.config_floats(config, "deltas"):
+        tag = f"delta{delta:g}"
+        if tag in tags:
+            raise ConfigurationError(f"deltas {tags[tag]!r} and {delta!r} share the file tag {tag}", key="deltas")
+        tags[tag] = delta
+    for tag, delta in tags.items():
         stats = experiments.disorder_ensemble(delta, config.n_samples, config.seed,
                                               params, grid=grid)
-        tag = f"delta{delta:g}"
         io.write_ensemble(stats, _out(args, f"disorder_{tag}_curves.csv"),
                           _out(args, f"disorder_{tag}_peaks.csv"),
                           _out(args, f"disorder_{tag}.json"),
@@ -169,12 +174,16 @@ def cmd_disorder(args, config):
 
 
 def cmd_scaling(args, config):
-    params = io.config_params(config)
     grid = io.config_grid(config)
     summary = _common_extras(config)
     summary["runs"] = []
-    for n in (int(v) for v in io.config_floats(config, "n_values")):
-        traj = experiments.scaling_run(n, params, grid=grid)
+    # Every size's ladder is built, its field_mask resolved for that size and
+    # checked, before the first run.
+    ladders = [io.config_params(replace(config, n_rungs=int(n))) for n in io.config_floats(config, "n_values")]
+    for params in ladders:
+        n = params.n_rungs
+        traj = experiments.scaling_run(n, params, grid=grid, state_kind=config.state,
+                                       field_mask=params.field_mask)
         io.write_trajectory(traj, _out(args, f"scaling_n{n}.csv"))
         terminal = traj.pair_concurrence[traj.terminal_label]
         peaks = signals.find_peaks(terminal, signals.ENVELOPE_PROMINENCE)

@@ -13,11 +13,10 @@ solves U^T H U and maps its eigenvectors v back into the sector as U v.
 Without a held symmetry, as under disorder, the sector H is solved whole.
 The decomposition records that sector's basis. Evolution takes a full-space
 initial state; the streamed states stay in the sector's coordinates, which
-metrics._reduced_many reads directly. Only evolve_state scatters a state
-back into the full space. A caller that needs only linear images M psi(t)
-of the states, such as the phi_plus amplitudes behind the terminal
-fidelity, passes iter_evolved the readout M V and gets those rows without
-the states.
+metrics._reduced_many reads directly. A caller that needs only linear
+images M psi(t) of the states, such as the phi_plus amplitudes behind the
+terminal fidelity, passes iter_evolved the readout M V and gets those rows
+without the states.
 
 iter_evolved streams a uniform TimeGrid. Its phases exp(-i w t) come from
 two small tables instead of one complex exp per eigenvalue and time: an
@@ -208,14 +207,6 @@ def _coefficients(decomp, psi0):
         raise InvalidArgumentError(f"state has weight {leak:.3e} outside the span of the "
                                    f"decomposition's eigenvectors")
     return coeffs
-
-
-def evolve_state(decomp, psi0, t):
-    """psi(t) = V exp(-i w t) V^dagger psi0, as a full-space state, for a decomposition of one ladder."""
-    coeffs = _coefficients(decomp, psi0)
-    psi = np.zeros(len(psi0), dtype=complex)
-    psi[decomp.basis] = decomp.eigenvectors @ (coeffs * np.exp(-1j * decomp.eigenvalues * t))
-    return psi
 
 
 def _chunk_points(n_states, n_pairs, n_ladders=1):

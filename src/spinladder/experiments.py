@@ -249,12 +249,15 @@ def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False
             f"I{lf}_{lt}": TimeSeries(grid, mi["joint"]),
         }
 
+    if fidelity:
+        np.clip(fid, 0.0, 1.0, out=fid)  # once for the whole stack, no copy per ladder
+
     def trajectory(fid):
         return Trajectory(
             grid=grid,
             pair_concurrence={pair_label(*pair): TimeSeries(grid, np.clip(values, 0.0, 1.0))
                               for pair, values in conc.items()},
-            fidelity_terminal=None if fid is None else TimeSeries(grid, np.clip(fid, 0.0, 1.0)),
+            fidelity_terminal=None if fid is None else TimeSeries(grid, fid),
             mutual_info=mi_series,
         )
     return [trajectory(f) for f in fid] if stack else trajectory(fid)
@@ -312,20 +315,22 @@ def run_reference(params=LadderParams(), state_kind="phi_plus", grid=DEFAULT_GRI
                               mutual_info=include_mutual_info, psi0=psi0)
 
 
-def scaling_run(n_rungs, base=LadderParams(), grid=DEFAULT_GRID):
-    """Reference-style run at a different ladder length, all pair channels, no MI.
+def scaling_run(n_rungs, base=LadderParams(), grid=DEFAULT_GRID, state_kind="phi_plus", field_mask=None):
+    """Reference-style run of state_kind at a different ladder length, all pair channels, no MI.
 
-    Dense diagonalization bounds the size: n_rungs above MAX_DENSE_RUNGS
-    (a 512-state parity sector at five rungs, solved as its 152- and
-    120-state symmetry blocks) is refused rather than silently slow.
+    base is resized to n_rungs rungs with field_mask on them; None puts the
+    field on the mediating rungs {2, ..., N-1}. Dense diagonalization bounds
+    the size: n_rungs above MAX_DENSE_RUNGS (a 512-state parity sector at
+    five rungs, solved as its 152- and 120-state symmetry blocks) is refused
+    rather than silently slow.
     """
     if n_rungs > MAX_DENSE_RUNGS:
         raise UnsupportedSizeError(
             f"n_rungs = {n_rungs} exceeds the dense-diagonalization bound of {MAX_DENSE_RUNGS}")
     if n_rungs < 3:
         raise InvalidArgumentError(f"a scaling run needs at least one mediating rung, got n_rungs = {n_rungs}")
-    params = base.replace(n_rungs=int(n_rungs))
-    return run_reference(params, grid=grid, include_mutual_info=False)
+    params = base.replace(n_rungs=int(n_rungs), field_mask=field_mask)
+    return run_reference(params, state_kind=state_kind, grid=grid, include_mutual_info=False)
 
 
 def _carrier(params):

@@ -49,12 +49,6 @@ import numpy as np
 from .errors import InvalidArgumentError, NumericFailureError
 from .evolution import SECTOR_LEAK_TOL
 
-# Pauli y in the spin-down-first basis, where sigma_z is diag(-1, +1) so that
-# |0> (down) has eigenvalue -1; its sign keeps sx @ sy = i sz. Only sy (x) sy
-# products enter the Hamiltonian and the concurrence, which are insensitive
-# to the sign of SY.
-SY = np.array([[0.0, 1j], [-1j, 0.0]], dtype=complex)
-
 INITIAL_STATE_KINDS = (
     "phi_plus",
     "psi_plus",

@@ -71,8 +71,12 @@ from itertools import combinations
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .lattice import SY, _site_code
+from .lattice import _site_code
 
+# Pauli y in the spin-down-first basis, where sigma_z is diag(-1, +1) so that
+# |0> (down) has eigenvalue -1; its sign keeps sx @ sy = i sz. The Wootters
+# spin flip takes only sy (x) sy, which is insensitive to the sign of SY.
+SY = np.array([[0.0, 1j], [-1j, 0.0]], dtype=complex)
 _SYSY = np.kron(SY, SY).real  # antidiagonal (-1, 1, 1, -1); real in any sy sign convention
 
 #: Largest off-X element magnitude that the closed-form concurrence treats
@@ -83,44 +87,6 @@ X_STATE_TOL = 1e-10
 _OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
 
 _S2 = 1.0 / np.sqrt(2.0)
-BELL_STATES = {
-    "phi_plus": np.array([_S2, 0.0, 0.0, _S2], dtype=complex),
-    "phi_minus": np.array([_S2, 0.0, 0.0, -_S2], dtype=complex),
-    "psi_plus": np.array([0.0, _S2, _S2, 0.0], dtype=complex),
-    "psi_minus": np.array([0.0, _S2, -_S2, 0.0], dtype=complex),
-}
-
-
-def _as_state(psi, n_sites=None):
-    psi = np.asarray(psi, dtype=complex)
-    if psi.ndim != 1:
-        raise InvalidArgumentError(f"expected a state vector, got shape {psi.shape}")
-    if n_sites is None:
-        n_sites = int(round(np.log2(len(psi))))
-    if 2 ** n_sites != len(psi):
-        raise InvalidArgumentError(f"state length {len(psi)} is not 2^{n_sites}")
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-9:
-        raise InvalidArgumentError(f"state is not normalized (|psi| = {norm!r})")
-    return psi, n_sites
-
-
-def _check_keep(keep, n_sites):
-    keep = [int(k) for k in keep]
-    if not keep:
-        raise InvalidArgumentError("keep set is empty")
-    if len(set(keep)) != len(keep):
-        raise InvalidArgumentError(f"duplicate sites in keep set {keep}")
-    if not all(1 <= k <= n_sites for k in keep):
-        raise InvalidArgumentError(f"keep set {keep} outside 1..{n_sites}")
-    return keep
-
-
-def partial_trace(psi, keep, n_sites=None):
-    """Reduced density matrix of the kept sites (1-based), in keep order."""
-    psi, n_sites = _as_state(psi, n_sites)
-    keep = _check_keep(keep, n_sites)
-    return _reduced_many(psi[:, None], _layout(np.arange(len(psi)), keep, n_sites))[0]
 
 
 def _layout(basis, keep, n_sites):
@@ -308,25 +274,6 @@ def _marginals(rhos):
     return np.einsum("tijkj->tik", rhos), np.einsum("tijil->tjl", rhos)
 
 
-def _check_density_matrix(rho, dim=None):
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise InvalidArgumentError(f"expected a square density matrix, got shape {rho.shape}")
-    if dim is not None and rho.shape[0] != dim:
-        raise InvalidArgumentError(f"expected dimension {dim}, got {rho.shape[0]}")
-    if np.abs(rho - rho.conj().T).max() > 1e-10:
-        raise InvalidArgumentError("density matrix is not Hermitian within 1e-10")
-    if abs(np.trace(rho).real - 1.0) > 1e-10 or abs(np.trace(rho).imag) > 1e-10:
-        raise InvalidArgumentError(f"density matrix trace is {np.trace(rho)!r}, expected 1")
-    return rho
-
-
-def concurrence(rho):
-    """Two-qubit concurrence of a density matrix, in [0, 1]."""
-    rho = _check_density_matrix(rho, dim=4)
-    return float(_concurrence_many(rho[None])[0])
-
-
 def _concurrence_many(rhos):
     """Concurrence for a stack of two-qubit density matrices, no validation.
 
@@ -354,22 +301,9 @@ def _wootters_concurrence(rhos):
     return np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
 
 
-def bell_fidelity(rho, bell="phi_plus"):
-    """Overlap <bell| rho |bell> with one of the four Bell states."""
-    rho = _check_density_matrix(rho, dim=4)
-    if bell not in BELL_STATES:
-        raise InvalidArgumentError(f"unknown Bell state {bell!r}; expected one of {sorted(BELL_STATES)}")
-    return float(_fidelity_many(rho[None], BELL_STATES[bell])[0])
-
-
+# <vec| rho |vec> per rho of a stack: no driver reads it, bench/tracer.py times it as metrics.fidelity_s.
 def _fidelity_many(rhos, vec):
     return np.real(np.einsum("i,tij,j->t", vec.conj(), rhos, vec))
-
-
-def von_neumann_entropy(rho):
-    """S(rho) = -sum p log2 p over clamped eigenvalues, in bits."""
-    rho = _check_density_matrix(rho)
-    return float(_entropy_many(rho[None])[0])
 
 
 def _entropy_many(rhos):
@@ -413,16 +347,3 @@ def _eigenvalues_many(rhos):
         else:
             values.append(np.linalg.eigvalsh(block))
     return np.column_stack(values)
-
-
-def mutual_information(psi, part_a, part_b, n_sites=None):
-    """I(A:B) = S(rho_A) + S(rho_B) - S(rho_AB) for disjoint site sets, in bits."""
-    psi, n_sites = _as_state(psi, n_sites)
-    part_a = _check_keep(part_a, n_sites)
-    part_b = _check_keep(part_b, n_sites)
-    if set(part_a) & set(part_b):
-        raise InvalidArgumentError(f"parts overlap: {sorted(set(part_a) & set(part_b))}")
-    s_a = von_neumann_entropy(partial_trace(psi, part_a, n_sites))
-    s_b = von_neumann_entropy(partial_trace(psi, part_b, n_sites))
-    s_ab = von_neumann_entropy(partial_trace(psi, part_a + part_b, n_sites))
-    return s_a + s_b - s_ab

@@ -1,4 +1,10 @@
-"""Shared fixtures, random-state helpers and dense operator oracles for the test suite."""
+"""Shared fixtures, random-state helpers and the test suite's independent oracles.
+
+The oracles share no code with the package's kernels: dense Pauli-string
+Hamiltonians, a reshape partial trace, eigvalsh entropies, an eigenvalue
+Wootters concurrence, the four Bell vectors and a propagator from a dense
+eigh of a test's own H.
+"""
 
 from functools import reduce
 
@@ -7,7 +13,8 @@ import pytest
 from hypothesis import settings
 
 from spinladder.errors import InvalidArgumentError
-from spinladder.lattice import SY, leg_bonds
+from spinladder.lattice import leg_bonds
+from spinladder.metrics import SY
 
 settings.register_profile("suite", deadline=None, max_examples=30)
 settings.load_profile("suite")
@@ -90,3 +97,54 @@ def pauli_hamiltonian(params, rung_factors=None, leg_factors=None):
     for rung in params.field_mask:
         ham += params.h * (pauli_string("z", [2 * rung - 1], n) + pauli_string("z", [2 * rung], n))
     return ham
+
+
+_S2 = 1.0 / np.sqrt(2.0)
+
+#: The four Bell states in the (00, 01, 10, 11) order of a pair's configurations.
+BELL_STATES = {
+    "phi_plus": np.array([_S2, 0.0, 0.0, _S2], dtype=complex),
+    "phi_minus": np.array([_S2, 0.0, 0.0, -_S2], dtype=complex),
+    "psi_plus": np.array([0.0, _S2, _S2, 0.0], dtype=complex),
+    "psi_minus": np.array([0.0, _S2, -_S2, 0.0], dtype=complex),
+}
+
+
+def _oracle_rho(psi, keep, n_sites):
+    """Reduced rho of the kept sites (1-based, in keep order) by a reshape partial trace.
+
+    psi is a full-space state, or a (2^n_sites, k) matrix of state columns,
+    which gives a (k, d, d) stack.
+    """
+    psi = np.asarray(psi)
+    rest = [site for site in range(1, n_sites + 1) if site not in keep]
+    tensor = psi.reshape((2,) * n_sites + (-1,))
+    order = [site - 1 for site in [*keep, *rest]] + [n_sites]
+    mats = tensor.transpose(order).reshape(2 ** len(keep), -1, tensor.shape[-1])
+    rhos = np.einsum("amt,bmt->tab", mats, mats.conj())
+    return rhos if psi.ndim == 2 else rhos[0]
+
+
+def _oracle_entropy(rho):
+    """S = -sum p log2 p in bits over the clamped eigenvalues of each whole matrix of a rho or a stack."""
+    ev = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
+    return -np.where(ev > 0.0, ev * np.log2(np.where(ev > 0.0, ev, 1.0)), 0.0).sum(axis=-1)
+
+
+def _oracle_concurrence(rhos):
+    """Wootters' C = max(0, l1 - l2 - l3 - l4) of a stack of two-qubit rhos, from eigenvalues.
+
+    l are the square roots of the eigenvalues of rho (sy x sy) rho* (sy x sy),
+    descending. Square roots turn eigenvalue round-off near 0 into errors up
+    to ~3e-8 in C, so compare against it no tighter than 1e-7.
+    """
+    yy = np.kron(SY, SY)
+    ev = np.sort(np.linalg.eigvals(rhos @ yy @ rhos.conj() @ yy).real, axis=-1)[..., ::-1]
+    lam = np.sqrt(np.clip(ev, 0.0, None))
+    return np.maximum(0.0, lam[..., 0] - lam[..., 1:].sum(axis=-1))
+
+
+def _oracle_states(ham, psi0, times):
+    """exp(-i H t) psi0 for a dense full-space H, one column per time, from np.linalg.eigh of H itself."""
+    w, v = np.linalg.eigh(ham)
+    return v @ (np.exp(-1j * np.outer(w, times)) * (v.conj().T @ psi0)[:, None])

@@ -31,7 +31,7 @@ from spinladder.experiments import (
     _slow_window,
 )
 from spinladder.lattice import LadderParams, build_hamiltonian, build_initial_state, leg_bonds
-from spinladder.metrics import concurrence, partial_trace, von_neumann_entropy
+from spinladder.metrics import _concurrence_many, _entropy_many, _layout, _reduced_many
 from spinladder.signals import dominant_frequency, find_peaks
 
 from conftest import haar_state, random_density, random_unitary
@@ -369,13 +369,16 @@ def test_a7_joint_mutual_info_small(ref_mi):
 
 
 # ------------------------------------------------------- A8: metric oracles
+#
+# On the kernels the drivers run: _concurrence_many, and _entropy_many of
+# _reduced_many's rhos.
 
 def test_a8_werner_concurrence():
     phi = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
     for p in (0.0, 0.25, 1.0 / 3.0, 0.5, 1.0):
         rho = p * np.outer(phi, phi) + (1.0 - p) * np.eye(4) / 4.0
         expected = max(0.0, (3.0 * p - 1.0) / 2.0)
-        assert concurrence(rho) == pytest.approx(expected, abs=1e-9)
+        assert _concurrence_many(rho[None].astype(complex))[0] == pytest.approx(expected, abs=1e-9)
 
 
 def test_a8_local_unitary_invariance_1000():
@@ -385,19 +388,18 @@ def test_a8_local_unitary_invariance_1000():
         rho = random_density(rng, 4)
         u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
         rotated = u @ rho @ u.conj().T
-        worst = max(worst, abs(concurrence(rotated) - concurrence(rho)))
+        c_rotated, c_rho = _concurrence_many(np.stack([rotated, rho]))
+        worst = max(worst, abs(c_rotated - c_rho))
     print(f"A8: worst LU deviation over 1000 full-rank cases = {worst:.3e}")
     assert worst <= 1e-9
 
 
 def test_a8_marginal_entropies_match():
     rng = np.random.default_rng(11)
-    worst = 0.0
-    for _ in range(300):
-        psi = haar_state(rng, 64)
-        s_a = von_neumann_entropy(partial_trace(psi, n_sites=6, keep=[1, 2]))
-        s_b = von_neumann_entropy(partial_trace(psi, n_sites=6, keep=[3, 4, 5, 6]))
-        worst = max(worst, abs(s_a - s_b))
+    states = np.column_stack([haar_state(rng, 64) for _ in range(300)])
+    s_a, s_b = (_entropy_many(_reduced_many(states, _layout(np.arange(64), keep, 6)))
+                for keep in ([1, 2], [3, 4, 5, 6]))
+    worst = np.abs(s_a - s_b).max()
     print(f"A8: worst |S_A - S_B| over 300 pure states = {worst:.3e}")
     assert worst <= 1e-9
 

@@ -418,6 +418,55 @@ def test_scaling_run_outputs(tmp_path):
     assert run["f_max"] <= 1.0
 
 
+def test_disorder_deltas_sharing_a_file_tag_are_refused(tmp_path, capsys, monkeypatch):
+    """0.1 and 0.1000001 both name their files delta0.1: exit 2 naming deltas and both values.
+
+    No ensemble is run and no output is made.
+    """
+    def refuse(*args, **kwargs):
+        raise AssertionError("an ensemble ran before the deltas' file tags were checked")
+    monkeypatch.setattr("spinladder.experiments.disorder_ensemble", refuse)
+    out = tmp_path / "out"
+    assert main(["disorder", "--deltas", "0.1,0.1000001", "--n-samples", "2", "--n-points", "51",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "deltas 0.1 and 0.1000001 share the file tag delta0.1 (key: deltas)" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("flags, state, masks", [
+    (["--field-mask", "2"], "phi_plus", {3: {2}, 4: {2}}),
+    (["--field-mask", "uniform"], "phi_plus", {3: {1, 2, 3}, 4: {1, 2, 3, 4}}),
+    (["--state", "psi_plus"], "psi_plus", {3: {2}, 4: {2, 3}}),
+], ids=["rung list", "uniform", "state"])
+def test_scaling_runs_the_field_mask_and_state_at_every_size(tmp_path, flags, state, masks):
+    """Each size's CSV is that of a reference run of the state with the mask resolved for that size.
+
+    mediating and uniform are resolved per size; a rung list is used as given.
+    """
+    out = tmp_path / "out"
+    assert main(["scaling", "--n-values", "3,4", "--n-points", "201", "--out", str(out), *flags]) == 0
+    grid = spinladder.TimeGrid(0.0, 10.0, 201)
+    for n, mask in masks.items():
+        traj = experiments.run_reference(spinladder.LadderParams(n_rungs=n, field_mask=frozenset(mask)),
+                                         state_kind=state, grid=grid, include_mutual_info=False)
+        io.write_trajectory(traj, str(tmp_path / f"expected_n{n}.csv"))
+        assert (out / f"scaling_n{n}.csv").read_bytes() == (tmp_path / f"expected_n{n}.csv").read_bytes()
+
+
+def test_scaling_refuses_a_rung_list_that_misses_a_size(tmp_path, capsys, monkeypatch):
+    """Rung 5 fits five rungs but not four: exit 2 naming field_mask, before the first run and without output."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scaling size ran before every size's field mask was checked")
+    monkeypatch.setattr("spinladder.experiments.run_reference", refuse)
+    out = tmp_path / "out"
+    assert main(["scaling", "--n-rungs", "5", "--field-mask", "5", "--n-values", "5,4", "--n-points", "201",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "field_mask [5] outside rungs 1..4" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_freq_table_window_default(tmp_path):
     out = tmp_path / "out"
     assert main(["freq-table", "--out", str(out), "--d-values", "0.5"]) == 0

@@ -19,7 +19,7 @@ from spinladder.errors import (
     UnsupportedSizeError,
 )
 from spinladder.evolution import (CHUNK_BYTES, STRIDE, SpectralDecomposition, TimeGrid, _chunk_points, _stacks,
-                                  diagonalize, evolve_state, iter_evolved)
+                                  diagonalize, iter_evolved)
 from spinladder.experiments import (
     DEFAULT_GRID,
     EnsembleStats,
@@ -44,11 +44,11 @@ from spinladder.experiments import (
 from spinladder.io import read_csv
 from spinladder.lattice import (INITIAL_STATE_KINDS, LadderParams, build_hamiltonian, build_initial_state,
                                 leg_bonds, parity_sector, symmetry_blocks, uniform_mask)
-from spinladder.metrics import (BELL_STATES, _concurrence_many, _fidelity_many, _is_x, _layout, _reduced_many,
-                                _schmidt_many, _x_concurrence_many, mutual_information)
+from spinladder.metrics import (_concurrence_many, _is_x, _layout, _reduced_many, _schmidt_many,
+                                _x_concurrence_many)
 from spinladder.signals import TimeSeries, envelope_period, find_peaks
 
-from conftest import pauli_hamiltonian
+from conftest import BELL_STATES, _oracle_entropy, _oracle_rho, _oracle_states, pauli_hamiltonian
 
 EFFECTIVE_CHECK_GOLDEN = (pathlib.Path(__file__).resolve().parent.parent
                           / "goldens" / "effective-check" / "effective_check.csv")
@@ -145,9 +145,11 @@ def test_other_bell_inputs_keep_mediator_dark(kind):
 def test_mixed_parity_run_matches_full_space_oracle():
     """The mixed-parity input runs in the full space and matches the pauli_string evolution.
 
-    Its pair states are not X states, so concurrence takes the Wootters
-    route. The two evolutions differ by round-off growing as eps*|H|*t, which
-    reaches C at 2.5e-12; the bound leaves a 40x margin.
+    The reference states come from conftest's dense propagator and its
+    reshape partial trace. The pair states are not X states, so concurrence
+    takes the Wootters route. The two evolutions differ by round-off growing
+    as eps*|H|*t, which reaches C at 1.2e-12 and F at 3.1e-13; the C bound
+    leaves an 80x margin.
     """
     params = LadderParams()
     kind = "psi_minus_plus_phi_plus"
@@ -155,12 +157,13 @@ def test_mixed_parity_run_matches_full_space_oracle():
     assert np.array_equal(parity_sector(psi0), np.arange(64))
     grid = TimeGrid(0.0, 10.0, 401)
     traj = run_reference(params, state_kind=kind, grid=grid, include_mutual_info=False)
-    [(_, states)] = iter_evolved(diagonalize(pauli_hamiltonian(params)), psi0, grid)
+    states = _oracle_states(pauli_hamiltonian(params), psi0, grid.times)
     for pair in rung_pairs(3):
-        rho = _reduced_many(states, _layout(np.arange(64), pair, 6))
+        rho = _oracle_rho(states, list(pair), 6)
         expected = np.clip(_concurrence_many(rho), 0.0, 1.0)
         assert np.abs(traj.pair_concurrence[pair_label(*pair)].values - expected).max() <= 1e-10
-    fid = np.clip(_fidelity_many(rho, BELL_STATES["phi_plus"]), 0.0, 1.0)
+    phi = BELL_STATES["phi_plus"]
+    fid = np.clip(np.einsum("i,tij,j->t", phi.conj(), rho, phi).real, 0.0, 1.0)
     assert np.abs(traj.fidelity_terminal.values - fid).max() <= 1e-12
 
 
@@ -596,8 +599,9 @@ def test_mutual_info_traces_the_end_pairs_from_the_joint_rho(monkeypatch):
     joint's blocks read exactly the sector layout's rows mapped through the
     inverse index, each block only those of its own sector block. The end
     pairs' concurrence matches a run that reduces them directly, and the
-    three mutual informations match metrics.mutual_information on
-    full-space states.
+    three mutual informations match conftest's reshape partial trace and
+    eigvalsh entropies of iter_evolved's states, scattered into the full
+    space.
     """
     layouts, n_states = [], []
 
@@ -628,23 +632,19 @@ def test_mutual_info_traces_the_end_pairs_from_the_joint_rho(monkeypatch):
     direct = run_reference(params, grid=grid, include_mutual_info=False)
     for label, series in direct.pair_concurrence.items():
         assert np.abs(traced.pair_concurrence[label].values - series.values).max() <= 1e-14
+    states = _full_states(decomp, psi0, grid)
     for k in (0, 57, 400):
-        psi = evolve_state(decomp, psi0, grid.times[k])
         for label, (a, b) in {"I12": ([1], [2]), "I56": ([5], [6]), "I12_56": ([1, 2], [5, 6])}.items():
-            assert traced.mutual_info[label].values[k] == pytest.approx(mutual_information(psi, a, b), abs=1e-10)
+            want = sum(_oracle_entropy(_oracle_rho(states[:, k], part, 6)) for part in (a, b)) \
+                - _oracle_entropy(_oracle_rho(states[:, k], a + b, 6))
+            assert traced.mutual_info[label].values[k] == pytest.approx(want, abs=1e-10)
 
 
-def _oracle_rho(psi, keep, n_sites):
-    """Reduced rho of a full-space state by a reshape partial trace, kept sites in keep order."""
-    rest = [site for site in range(1, n_sites + 1) if site not in keep]
-    mat = psi.reshape((2,) * n_sites).transpose([site - 1 for site in keep + rest]).reshape(2 ** len(keep), -1)
-    return mat @ mat.conj().T
-
-
-def _oracle_entropy(rho):
-    ev = np.linalg.eigvalsh(rho)
-    ev = ev[ev > 0.0]
-    return float(-(ev * np.log2(ev)).sum())
+def _full_states(decomp, psi0, grid):
+    """iter_evolved's states over grid scattered into the full space, one column per time."""
+    states = np.zeros((len(psi0), grid.n_points), dtype=complex)
+    states[decomp.basis] = np.concatenate([rows for _, rows in iter_evolved(decomp, psi0, grid)], axis=1)
+    return states
 
 
 def _rung_one_state(params, amplitudes):
@@ -663,8 +663,8 @@ _ORACLE_CASES += [(4, "phi_plus", "field on rung 2"), (3, "phi_plus", "disorder"
 def test_joint_mutual_info_and_end_pairs_match_the_whole_rho_oracle(monkeypatch, n_rungs, kind, variant):
     """The joint first-terminal MI and both end pairs' rhos agree with a reshape partial trace and eigvalsh on 16x16.
 
-    The oracle reduces evolve_state's full-space states without the package's
-    layouts. Inputs that keep the leg swap bitwise (phi_plus, psi_plus, a
+    The oracle reduces iter_evolved's states, scattered into the full space,
+    without the package's layouts. Inputs that keep the leg swap bitwise (phi_plus, psi_plus, a
     field on rung 2 alone) fold; psi_minus, which the swap negates, the
     mixed-parity input and disordered ladders stay whole.
     """
@@ -689,8 +689,9 @@ def test_joint_mutual_info_and_end_pairs_match_the_whole_rho_oracle(monkeypatch,
     assert any(n_fixed < len(terms[0]) for terms, _, (n_fixed, _), _ in blocks) == folds
     first, terminal = rung_pairs(n_rungs)[0], rung_pairs(n_rungs)[-1]
     label = f"I{pair_label(*first)}_{pair_label(*terminal)}"
+    states = _full_states(decomp, psi0, grid)
     for k, t in enumerate(grid.times):
-        psi = evolve_state(decomp, psi0, t)
+        psi = states[:, k]
         rho_first, rho_terminal = (_oracle_rho(psi, list(pair), params.n_sites) for pair in (first, terminal))
         joint = _oracle_rho(psi, [*first, *terminal], params.n_sites)
         want = _oracle_entropy(rho_first) + _oracle_entropy(rho_terminal) - _oracle_entropy(joint)
