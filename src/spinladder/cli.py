@@ -96,7 +96,8 @@ def _resolve_config(args, command):
                    if name.startswith("cfg_") and value is not None}
     flag_values = io.convert_overrides(
         {name[len("cfg_"):]: value for name, value in flag_values.items()})
-    return io.build_config(_COMMAND_DEFAULTS.get(command, {}), file_values, flag_values)
+    return io.build_config(_COMMAND_DEFAULTS.get(command, {}), file_values, flag_values,
+                           size_key="n_values" if command == "scaling" else "n_rungs")
 
 
 def _common_extras(config):

@@ -34,7 +34,7 @@ from .lattice import (
 from .metrics import _concurrence_many, _entropy_many, _folded_layout, _is_x, _layout, _marginals, \
     _phi_plus_map, _reduced_many, _schmidt_many, _x_concurrence_many
 from .signals import FitResult, TimeSeries, envelope_period, dominant_frequency, \
-    extract_alpha, effective_coupling_from_period, loglog_fit
+    extract_alpha, effective_coupling_from_period, loglog_fit, _alpha_refusal
 
 #: Reference sampling of t in [0, 10].
 DEFAULT_GRID = TimeGrid(0.0, 10.0, 4001)
@@ -286,8 +286,9 @@ def _sector_spectrum(params, psi0, **build):
     the whole sector. build passes bond factors on to both. A list of K
     ladders sharing n_rungs and field mask, with build's values lists of K
     factor arrays, gives a stacked decomposition: the sector and blocks are
-    found once, on the maps that every ladder holds, and each ladder's terms
-    are checked before any H is built.
+    found once, on the maps that every ladder holds, and the K Hamiltonians
+    come from one build_hamiltonian call, which checks each ladder's terms
+    before any H is built.
     """
     stacked = not isinstance(params, LadderParams)
     ladders = params if stacked else [params]
@@ -296,8 +297,7 @@ def _sector_spectrum(params, psi0, **build):
     held = set.intersection(*(set(_held_site_maps(*ladder_terms(ladder, **factors), ladder.n_rungs))
                               for ladder, factors in zip(ladders, builds)))
     blocks = _occupied_blocks(ladders[0].n_rungs, basis, psi0[basis], tuple(sorted(held)))
-    hams = [build_hamiltonian(ladder, basis=basis, **factors) for ladder, factors in zip(ladders, builds)]
-    return diagonalize(np.stack(hams) if stacked else hams[0], basis, blocks)
+    return diagonalize(build_hamiltonian(params, basis=basis, **build), basis, blocks)
 
 
 def run_reference(params=LadderParams(), state_kind="phi_plus", grid=DEFAULT_GRID,
@@ -393,8 +393,8 @@ def sweep_field(h_values, base=LadderParams()):
     if len(good) >= 3:
         fit = loglog_fit([r.h for r in good], [r.t_slow for r in good])
         top = max(good, key=lambda r: r.h)
-        alpha = extract_alpha(top.t_slow, base.replace(h=top.h))
-        fit = replace(fit, alpha=alpha)
+        params = base.replace(h=top.h)
+        fit = replace(fit, alpha=None if _alpha_refusal(params) else extract_alpha(top.t_slow, params))
     return SweepResult(rows=rows, fit=fit)
 
 
@@ -499,7 +499,7 @@ def build_effective_hamiltonian(j_eff, params, basis=None):
     rungs = [(i, j, params.j_perp, params.g, params.d) for i, j in ((1, 2), (3, 4))]
     rails = [(i, j, -j_eff, 1.0, 0.0) for i, j in ((1, 3), (2, 4))]
     fields = dict.fromkeys(range(1, 5), -params.d * params.j_parallel)
-    return bond_hamiltonian(4, rungs + rails, fields, basis)
+    return bond_hamiltonian(4, [(rungs + rails, fields)], basis)[0]
 
 
 def effective_model_check(base=LadderParams(), h_values=(100.0, 200.0, 400.0)):
@@ -510,22 +510,29 @@ def effective_model_check(base=LadderParams(), h_values=(100.0, 200.0, 400.0)):
     the effective model over the same window, and the two extracted periods
     are compared. Because the coupling is taken from the full run, the
     residual error reflects how consistently the envelope extractor reads
-    both signals, not a physics gap between the models.
+    both signals, not a physics gap between the models. Every row's alpha
+    needs extract_alpha's precondition (j_perp == j_parallel among others),
+    so a field value that fails it is refused, like an unusable grid, before
+    the first evolution.
     """
+    studies = [base.replace(h=float(h)) for h in h_values]
+    grids = [_envelope_grid(params, _slow_window(params)) for params in studies]
+    for params in studies:
+        problem = _alpha_refusal(params)
+        if problem is not None:
+            raise InvalidArgumentError(problem)
     rows = []
     eff_proto = LadderParams(n_rungs=2, j_perp=base.j_perp, j_parallel=base.j_parallel,
                              g=base.g, d=base.d, h=0.0, field_mask=frozenset())
     eff_psi0 = build_initial_state("phi_plus", eff_proto)
     eff_basis = parity_sector(eff_psi0)
-    for row in sweep_field(h_values, base).rows:
+    for row, params, grid in zip(sweep_field(h_values, base).rows, studies, grids):
         if row.flag is not None:
             raise InsufficientDataError(row.flag)
-        params = base.replace(h=row.h)
         t_full = row.t_slow
         j_eff = effective_coupling_from_period(t_full, params)
         alpha = extract_alpha(t_full, params)
 
-        grid = _envelope_grid(params, _slow_window(params))
         eff_ham = build_effective_hamiltonian(j_eff, params, eff_basis)
         eff = evolve_and_measure(eff_proto, grid, [(3, 4)], decomp=diagonalize(eff_ham, eff_basis),
                                  psi0=eff_psi0)

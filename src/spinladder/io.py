@@ -141,13 +141,17 @@ def convert_overrides(overrides):
     return values
 
 
-def build_config(*value_dicts):
-    """Merge value dicts left to right (later wins) into a validated config."""
+def build_config(*value_dicts, size_key="n_rungs"):
+    """Merge value dicts left to right (later wins) into a validated config.
+
+    size_key names the key that holds the ladder sizes the command runs
+    (n_values for scaling), against which an explicit field_mask is checked.
+    """
     values = {}
     for d in value_dicts:
         values.update(d)
     config = ExperimentConfig(**values)
-    _validate(config)
+    _validate(config, size_key)
     return config
 
 
@@ -160,11 +164,13 @@ def parse_config(text=None, overrides=None):
     return build_config(parse_config_text(text or ""), convert_overrides(overrides))
 
 
-def _validate(config):
-    """The check that needs two keys: field_mask rungs within 1..n_rungs."""
+def _validate(config, size_key):
+    """The check that needs two keys: field_mask rungs within 1..N for every size N under size_key."""
     if config.field_mask not in ("mediating", "uniform"):
-        if not all(1 <= r <= config.n_rungs for r in _split(config.field_mask, int)):
-            raise ConfigurationError(f"field_mask rungs outside 1..{config.n_rungs}", key="field_mask")
+        rungs = sorted(set(_split(config.field_mask, int)))
+        for n in _split(str(getattr(config, size_key)), int):  # n_rungs, or the entries of n_values
+            if not all(1 <= r <= n for r in rungs):
+                raise ConfigurationError(f"field_mask {rungs} outside rungs 1..{n}", key="field_mask")
 
 
 def config_params(config):

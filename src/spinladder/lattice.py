@@ -21,7 +21,10 @@ That Hamiltonian is real, and it conserves the parity of the number of up
 spins: the sx sx and sy sy terms flip spins in pairs and the rest is
 diagonal. build_hamiltonian therefore assembles a real matrix directly from
 bit operations on basis indices, and usually only on the parity sector of
-the initial state (parity_sector).
+the initial state (parity_sector). It builds a list of ladders that share
+n_rungs and field mask, such as heatmap cells or disorder realizations, as
+one (K, dim, dim) stack in a single bond_hamiltonian pass, each H bitwise
+the one its ladder gets alone.
 
 Two site permutations can be symmetries too: the leg swap (2n-1 <-> 2n on
 every rung) and the mirror (rung n <-> rung N+1-n). A clean ladder with a
@@ -242,18 +245,34 @@ def _site_code(rows, sites, n_sites):
     return bits @ (1 << np.arange(len(sites), dtype=np.int64)[::-1])
 
 
-def bond_hamiltonian(n_sites, bonds, site_fields, basis=None):
-    """Real Hamiltonian of XYZ bonds plus sz fields, restricted to a basis.
+def bond_hamiltonian(n_sites, terms, basis=None):
+    """Real Hamiltonians of XYZ bonds plus sz fields on a basis, one per term set, as a (K, dim, dim) stack.
 
-    bonds holds (i, j, coupling, g, d) tuples, each adding
+    terms lists K (bonds, site_fields) term sets. bonds holds (i, j,
+    coupling, g, d) tuples, each adding
     coupling * [(1+g)/2 sx_i sx_j + (1-g)/2 sy_i sy_j + d sz_i sz_j];
-    site_fields maps a site to the coefficient of its sz. Built with bit
-    operations on the basis indices: a bond adds coupling * d * s_i * s_j on
-    the diagonal and, after flipping both bits, coupling * g where the two
-    bits were equal and coupling where they differed. basis lists the
+    site_fields maps a site to the coefficient of its sz. The K sets must
+    share their bond sites (i, j) and their field sites, in order: any other
+    stack is refused before any H is built. The basis lookup, the spins and
+    each bond's flipped rows are formed once for the stack, and every
+    coefficient enters as a length-K array. A bond adds coupling * d * s_i * s_j
+    on the diagonal and, after flipping both bits, coupling * g where the two
+    bits were equal and coupling where they differed. Each H sums its terms
+    in the order of its set, fields on the diagonal first, so it is bitwise
+    the H of its set built alone, as a stack of one. basis lists the
     computational basis states kept, ascending (None: all 2^n_sites); it must
     be closed under pair flips, as a parity sector is.
     """
+    layouts = {(tuple([bond[:2] for bond in bonds]), tuple(site_fields)) for bonds, site_fields in terms}
+    if len(layouts) != 1:
+        raise InvalidArgumentError(f"a stack of term sets must share its bond and field sites; "
+                                   f"got {len(layouts)} layouts")
+    (bond_sites, field_sites), = layouts
+    k = len(terms)
+    # Each bond's coupling, g and d and each field, as K x 1 columns that broadcast over the states.
+    couplings, gs, ds = np.array([[bond[2:] for bond in bonds] for bonds, _ in terms],
+                                 dtype=float).reshape(k, -1, 3).T[..., None]
+    fields = np.array([list(site_fields.values()) for _, site_fields in terms], dtype=float).reshape(k, -1).T[..., None]
     states = np.arange(2 ** n_sites) if basis is None else np.asarray(basis, dtype=np.int64)
     dim = len(states)
     columns = np.arange(dim)
@@ -261,18 +280,18 @@ def bond_hamiltonian(n_sites, bonds, site_fields, basis=None):
     lookup[states] = columns
     # spins[:, k - 1] is the sz eigenvalue of site k: -1 for |0>, +1 for |1>.
     spins = 2 * ((states[:, None] >> (n_sites - 1 - np.arange(n_sites))) & 1) - 1
-    diagonal = np.zeros(dim)
-    for site, coefficient in site_fields.items():
+    diagonal = np.zeros((k, dim))
+    for site, coefficient in zip(field_sites, fields):
         diagonal += coefficient * spins[:, site - 1]
-    ham = np.zeros((dim, dim))
-    for i, j, coupling, g, d in bonds:
+    ham = np.zeros((k, dim, dim))
+    for (i, j), coupling, g, d in zip(bond_sites, couplings, gs, ds):
         aligned = spins[:, i - 1] * spins[:, j - 1]
         diagonal += coupling * d * aligned
         rows = lookup[states ^ ((1 << (n_sites - i)) | (1 << (n_sites - j)))]
         if (rows < 0).any():
             raise InvalidArgumentError(f"basis is not closed under the pair flip of bond ({i}, {j})")
-        ham[rows, columns] += coupling * np.where(aligned > 0, g, 1.0)
-    ham[columns, columns] += diagonal
+        ham[:, rows, columns] += coupling * np.where(aligned > 0, g, 1.0)
+    ham[:, columns, columns] += diagonal
     return ham
 
 
@@ -282,7 +301,9 @@ def ladder_terms(params, rung_factors=None, leg_factors=None):
     Both legs carry the same coupling j_parallel. rung_factors / leg_factors
     optionally scale each bond coupling, in the order of rungs 1..N and of
     leg_bonds(N); the disorder ensemble passes (1 + delta_k) here, and a
-    factor of 0 drops a bond. The field term is never scaled.
+    factor of 0 drops a bond. The field term is never scaled. The fields
+    come in ascending site order, so ladders with one mask share their
+    field sites in the order a stack needs.
     """
     rung_factors = np.ones(params.n_rungs) if rung_factors is None else np.asarray(rung_factors, dtype=float)
     n_leg = 2 * (params.n_rungs - 1)
@@ -297,7 +318,7 @@ def ladder_terms(params, rung_factors=None, leg_factors=None):
              for rung, factor in enumerate(rung_factors.tolist(), start=1)]
     bonds += [(i, j, params.j_parallel * factor, g, d)
               for (i, j), factor in zip(leg_bonds(params.n_rungs), leg_factors.tolist())]
-    fields = {site: params.h for rung in params.field_mask for site in (2 * rung - 1, 2 * rung)}
+    fields = {site: params.h for rung in sorted(params.field_mask) for site in (2 * rung - 1, 2 * rung)}
     # Python floats overflow to inf without a warning. The bound caps every
     # element of H and every partial sum that bond_hamiltonian forms.
     bound = sum(abs(coupling) for _, _, coupling, _, _ in bonds) * (1.0 + abs(g) + abs(d))
@@ -310,8 +331,26 @@ def ladder_terms(params, rung_factors=None, leg_factors=None):
 
 
 def build_hamiltonian(params, rung_factors=None, leg_factors=None, basis=None):
-    """Real Hamiltonian of ladder_terms(...) on basis (None: all states), usually parity_sector(psi0)."""
-    return bond_hamiltonian(params.n_sites, *ladder_terms(params, rung_factors, leg_factors), basis)
+    """Real Hamiltonian of ladder_terms(...) on basis (None: all states), usually parity_sector(psi0); a stack for a list.
+
+    A list of K ladders takes rung_factors and leg_factors as lists of K
+    factor arrays (None: unscaled) and gives the (K, dim, dim) stack of
+    their Hamiltonians, built in one bond_hamiltonian pass. The ladders must
+    share n_rungs and field mask, and every ladder's terms, with their
+    overflow refusal, are formed before any H of the stack is built.
+    """
+    stacked = not isinstance(params, LadderParams)
+    if not stacked:
+        params, rung_factors, leg_factors = [params], [rung_factors], [leg_factors]
+    ladders = list(params)
+    shapes = {(ladder.n_rungs, ladder.field_mask) for ladder in ladders}
+    if len(shapes) != 1:
+        raise InvalidArgumentError(f"a stack of ladders must share n_rungs and field mask; got {len(shapes)} pairs")
+    unscaled = [None] * len(ladders)
+    terms = [ladder_terms(*args) for args in zip(ladders, unscaled if rung_factors is None else rung_factors,
+                                                  unscaled if leg_factors is None else leg_factors, strict=True)]
+    ham = bond_hamiltonian(ladders[0].n_sites, terms, basis)
+    return ham if stacked else ham[0]
 
 
 def build_initial_state(kind, params):

@@ -269,12 +269,22 @@ def extract_alpha(t_slow, params):
     the carrier gap is set by the rung bond while the rail coupling is
     second order in the leg bond).
     """
-    if params.h == 0:
-        raise InvalidArgumentError("alpha is undefined at h = 0")
-    if abs(params.j_perp - params.j_parallel) > 1e-9 * max(abs(params.j_perp), 1.0):
-        raise InvalidArgumentError("alpha extraction assumes j_perp == j_parallel")
-    j = params.j_parallel
-    if j == 0:
-        raise InvalidArgumentError("alpha is undefined at J = 0")
+    problem = _alpha_refusal(params)
+    if problem is not None:
+        raise InvalidArgumentError(problem)
     j_eff = effective_coupling_from_period(t_slow, params)
-    return float(j_eff * params.h / j ** 2)
+    return float(j_eff * params.h / params.j_parallel ** 2)
+
+
+def _alpha_refusal(params):
+    """Why extract_alpha refuses params whatever the period, or None; a driver can ask before it evolves."""
+    if params.h == 0:
+        return "alpha is undefined at h = 0"
+    if abs(params.j_perp - params.j_parallel) > 1e-9 * max(abs(params.j_perp), 1.0):
+        return (f"alpha extraction assumes j_perp == j_parallel, got j_perp = {params.j_perp!r} and "
+                f"j_parallel = {params.j_parallel!r}")
+    if params.j_parallel == 0:
+        return "alpha is undefined at J = 0"
+    if params.d <= 0:
+        return "the period-coupling mapping needs d > 0"
+    return None

@@ -267,6 +267,27 @@ def test_zero_dressed_gap_is_refused_before_evolving(tmp_path, capsys, monkeypat
     assert "Traceback" not in err and not out.exists()
 
 
+def test_field_sweep_with_unequal_couplings_writes_a_fit_without_alpha(tmp_path):
+    """alpha needs j_perp == j_parallel; at j_perp = 1.001 the rows and the fit are written with a null alpha."""
+    out = tmp_path / "out"
+    assert main(["field-sweep", "--j-perp", "1.001", "--h-values", "100,200,400", "--out", str(out)]) == 0
+    side = read_sidecar(str(out / "sweep.json"))
+    assert [row["flag"] for row in side["rows"]] == [None] * 3
+    assert side["fit"]["alpha"] is None and side["fit"]["slope"] > 0
+
+
+def test_effective_check_with_unequal_couplings_is_refused_before_evolving(tmp_path, capsys, monkeypatch):
+    """Every effective-check row has an alpha, which needs j_perp == j_parallel: exit 2 naming both, nothing evolved."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an effective check evolved before its alpha precondition was checked")
+    monkeypatch.setattr("spinladder.experiments.iter_evolved", refuse)
+    out = tmp_path / "out"
+    assert main(["effective-check", "--j-perp", "1.001", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "alpha extraction assumes j_perp == j_parallel, got j_perp = 1.001 and j_parallel = 1.0" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 class _Evolved(Exception):
     """Raised in place of the first evolution, so a run stops once its inputs are accepted."""
 
@@ -438,14 +459,18 @@ def test_disorder_deltas_sharing_a_file_tag_are_refused(tmp_path, capsys, monkey
     (["--field-mask", "2"], "phi_plus", {3: {2}, 4: {2}}),
     (["--field-mask", "uniform"], "phi_plus", {3: {1, 2, 3}, 4: {1, 2, 3, 4}}),
     (["--state", "psi_plus"], "psi_plus", {3: {2}, 4: {2, 3}}),
-], ids=["rung list", "uniform", "state"])
+    (["--field-mask", "4"], "phi_plus", {4: {4}, 5: {4}}),
+], ids=["rung list", "uniform", "state", "rung past n_rungs"])
 def test_scaling_runs_the_field_mask_and_state_at_every_size(tmp_path, flags, state, masks):
     """Each size's CSV is that of a reference run of the state with the mask resolved for that size.
 
-    mediating and uniform are resolved per size; a rung list is used as given.
+    mediating and uniform are resolved per size; a rung list is used as given,
+    checked against the sizes run, not against n_rungs (3 here), which
+    scaling does not run.
     """
     out = tmp_path / "out"
-    assert main(["scaling", "--n-values", "3,4", "--n-points", "201", "--out", str(out), *flags]) == 0
+    assert main(["scaling", "--n-values", ",".join(map(str, masks)), "--n-points", "201", "--out", str(out),
+                 *flags]) == 0
     grid = spinladder.TimeGrid(0.0, 10.0, 201)
     for n, mask in masks.items():
         traj = experiments.run_reference(spinladder.LadderParams(n_rungs=n, field_mask=frozenset(mask)),

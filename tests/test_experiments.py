@@ -437,6 +437,26 @@ def test_n5_heatmap_is_split_into_stacks_within_chunk_bytes(monkeypatch):
     assert 36 * 16 * 32 * (32 + 2 * STRIDE) <= CHUNK_BYTES
 
 
+def test_a_stack_is_built_in_one_call(monkeypatch):
+    """_sector_spectrum builds all of a stack's Hamiltonians in one build_hamiltonian call.
+
+    A 6 x 6 heatmap at N = 3 is one stack of 36 cells, and a 40-sample
+    disorder ensemble one stack of 40 realizations: one call each.
+    """
+    calls = []
+
+    def recording(params, *args, **kwargs):
+        calls.append(len(params) if isinstance(params, list) else "one ladder")
+        return build_hamiltonian(params, *args, **kwargs)
+    monkeypatch.setattr("spinladder.experiments.build_hamiltonian", recording)
+    grid = TimeGrid(0.0, 1.0, 201)
+    anisotropy_heatmap(np.linspace(0.5, 1.0, 6), np.linspace(0.2, 0.8, 6), grid=grid)
+    assert calls == [36]
+    calls.clear()
+    disorder_ensemble(0.1, 40, 0, grid=grid)
+    assert calls == [40]
+
+
 @pytest.mark.parametrize("n_rungs, kind", [(3, "phi_plus"), (3, "psi_minus_plus_phi_plus"), (1, "phi_plus")],
                          ids=["parity sector", "full space", "single rung"])
 def test_fidelity_is_bitwise_the_same_with_every_channel(n_rungs, kind):

@@ -288,7 +288,81 @@ def test_parity_sector_of_mixed_input_is_full_space():
 
 def test_builder_rejects_basis_not_closed_under_flips():
     with pytest.raises(InvalidArgumentError):
-        bond_hamiltonian(2, [(1, 2, 1.0, 1.0, 0.5)], {}, basis=[0, 1])
+        bond_hamiltonian(2, [([(1, 2, 1.0, 1.0, 0.5)], {})], basis=[0, 1])
+
+
+_MASKS = {"mediating": mediating_mask, "uniform": uniform_mask, "{2}": lambda n: frozenset({2})}
+
+
+def _loop_builder(n_sites, bonds, site_fields, basis):
+    """One term set's H with scalar coefficients, a term at a time: the reference the stacked builder must match bitwise."""
+    states = np.arange(2 ** n_sites) if basis is None else np.asarray(basis, dtype=np.int64)
+    columns = np.arange(len(states))
+    lookup = np.full(2 ** n_sites, -1)
+    lookup[states] = columns
+    spins = 2 * ((states[:, None] >> (n_sites - 1 - np.arange(n_sites))) & 1) - 1
+    diagonal = np.zeros(len(states))
+    for site, coefficient in site_fields.items():
+        diagonal += coefficient * spins[:, site - 1]
+    ham = np.zeros((len(states), len(states)))
+    for i, j, coupling, g, d in bonds:
+        aligned = spins[:, i - 1] * spins[:, j - 1]
+        diagonal += coupling * d * aligned
+        ham[lookup[states ^ ((1 << (n_sites - i)) | (1 << (n_sites - j)))], columns] += \
+            coupling * np.where(aligned > 0, g, 1.0)
+    ham[columns, columns] += diagonal
+    return ham
+
+
+@pytest.mark.parametrize("space", ["full space", "parity sector"])
+@pytest.mark.parametrize("mask", list(_MASKS))
+@pytest.mark.parametrize("n_rungs", [2, 3, 4, 5])
+def test_stacked_builds_are_bitwise_the_per_ladder_builds(n_rungs, mask, space):
+    """A list of ladders gives the stack of their one-ladder builds, bit for bit, and both are the loop reference's.
+
+    Heatmap cells vary g and d, disorder realizations the bond factors; a
+    field of 0.1 makes the order of the diagonal sums show in the last bit.
+    """
+    base = LadderParams(n_rungs=n_rungs, h=0.1, field_mask=_MASKS[mask](n_rungs))
+    basis = parity_sector(build_initial_state("phi_plus", base)) if space == "parity sector" else None
+    side = 2 if n_rungs == 5 else 3
+    cells = [base.replace(g=float(g), d=float(d))
+             for g in np.linspace(-0.3, 1.0, side) for d in np.linspace(0.0, 0.9, side)]
+    reals = [disorder_realization(0.2, 3, k, n_rungs) for k in range(side)]
+    rung_factors, leg_factors = [1.0 + r.rung_deltas for r in reals], [1.0 + r.leg_deltas for r in reals]
+    stacks = {
+        "cells": (build_hamiltonian(cells, basis=basis),
+                  [build_hamiltonian(cell, basis=basis) for cell in cells]),
+        "disorder": (build_hamiltonian([base] * len(reals), rung_factors, leg_factors, basis=basis),
+                     [build_hamiltonian(base, r, l, basis=basis) for r, l in zip(rung_factors, leg_factors)]),
+        "one": (build_hamiltonian([cells[-1]], basis=basis), [build_hamiltonian(cells[-1], basis=basis)]),
+    }
+    loop = {"cells": [_loop_builder(base.n_sites, *ladder_terms(cell), basis) for cell in cells],
+            "disorder": [_loop_builder(base.n_sites, *ladder_terms(base, r, l), basis)
+                         for r, l in zip(rung_factors, leg_factors)],
+            "one": [_loop_builder(base.n_sites, *ladder_terms(cells[-1]), basis)]}
+    for name, (stack, alone) in stacks.items():
+        assert stack.shape == (len(alone),) + alone[0].shape, name
+        assert stack.tobytes() == np.stack(alone).tobytes() == np.stack(loop[name]).tobytes(), name
+
+
+@pytest.mark.parametrize("ladders", [
+    [LadderParams(n_rungs=3), LadderParams(n_rungs=4)],
+    [LadderParams(), LadderParams(field_mask=uniform_mask(3))],
+], ids=["n_rungs", "field mask"])
+def test_a_stack_of_unlike_ladders_is_refused_before_any_build(monkeypatch, ladders):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stack of unlike ladders reached the builder")
+    monkeypatch.setattr("spinladder.lattice.bond_hamiltonian", refuse)
+    with pytest.raises(InvalidArgumentError, match="must share n_rungs and field mask"):
+        build_hamiltonian(ladders)
+
+
+def test_a_stack_of_term_sets_must_share_its_sites():
+    bond = (1, 2, 1.0, 1.0, 0.5)
+    for terms in ([([bond], {}), ([bond], {1: 1.0})], [([bond], {}), ([(2, 1) + bond[2:]], {})], []):
+        with pytest.raises(InvalidArgumentError, match="must share its bond and field sites"):
+            bond_hamiltonian(2, terms)
 
 
 # ----------------------------------------------------------- symmetry blocks
