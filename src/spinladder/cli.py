@@ -87,10 +87,12 @@ def _resolve_config(args, command):
     file_values = {}
     if args.config is not None:
         try:
-            with open(args.config) as handle:
+            with open(args.config, encoding="utf-8") as handle:
                 text = handle.read()
         except OSError as exc:
             raise ConfigurationError(f"cannot read config file {args.config}: {exc.strerror}")
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(f"config file {args.config} is not UTF-8 text (byte {exc.start})") from None
         file_values = io.parse_config_text(text)
     flag_values = {name: value for name, value in vars(args).items()
                    if name.startswith("cfg_") and value is not None}
@@ -183,8 +185,7 @@ def cmd_scaling(args, config):
     ladders = [io.config_params(replace(config, n_rungs=int(n))) for n in io.config_floats(config, "n_values")]
     for params in ladders:
         n = params.n_rungs
-        traj = experiments.scaling_run(n, params, grid=grid, state_kind=config.state,
-                                       field_mask=params.field_mask)
+        traj = experiments.scaling_run(params, grid=grid, state_kind=config.state)
         io.write_trajectory(traj, _out(args, f"scaling_n{n}.csv"))
         terminal = traj.pair_concurrence[traj.terminal_label]
         peaks = signals.find_peaks(terminal, signals.ENVELOPE_PROMINENCE)

@@ -7,9 +7,10 @@ build it only on the initial state's parity sector (512 of the 4^5 = 1024
 states at five rungs). On a clean ladder it also commutes with the leg swap
 and the rung mirror; diagonalize then solves, with NumPy's real-symmetric
 eigensolver (LAPACK syevd), only the symmetry blocks the initial state
-occupies (lattice.symmetry_blocks: 152 + 120 of the 512 phi_plus sector
-states at five rungs). Each block is an orthonormal matrix U; diagonalize
-solves U^T H U and maps its eigenvectors v back into the sector as U v.
+occupies (lattice.symmetry_blocks, of one ladder or a stack: 152 + 120 of
+the 512 phi_plus sector states at five rungs). Each block is an
+orthonormal matrix U; diagonalize solves U^T H U and maps its eigenvectors
+v back into the sector as U v.
 Without a held symmetry, as under disorder, the sector H is solved whole.
 The decomposition records that sector's basis. Evolution takes a full-space
 initial state; the streamed states stay in the sector's coordinates, which

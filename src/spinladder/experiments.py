@@ -9,6 +9,11 @@ in memory, and which computes only the channels its caller asks for: a
 fidelity-only run (the heatmap, the disorder ensemble) streams the terminal
 pair's phi_plus amplitudes instead of states, for a whole stack of ladders
 that differ only in their couplings at once.
+
+The ladder's layout and symmetries are lattice's to decide: its rung sites
+(rung_pairs), the parity sector, the site maps a ladder or a stack holds
+and their blocks. _sector_spectrum chains parity_sector, symmetry_blocks,
+build_hamiltonian and diagonalize, the path the lattice tests check.
 """
 
 import math
@@ -26,10 +31,9 @@ from .lattice import (
     build_hamiltonian,
     build_initial_state,
     dressed_gap,
-    ladder_terms,
     parity_sector,
-    _held_site_maps,
-    _occupied_blocks,
+    rung_pairs,
+    symmetry_blocks,
 )
 from .metrics import _concurrence_many, _entropy_many, _folded_layout, _is_x, _layout, _marginals, \
     _phi_plus_map, _reduced_many, _schmidt_many, _x_concurrence_many
@@ -59,10 +63,6 @@ MAX_ENVELOPE_POINTS = 2 ** 23
 def pair_label(i, j):
     """CSV-safe rung-pair label: '56' for sites (5, 6), '9_10' for (9, 10)."""
     return f"{i}{j}" if j < 10 else f"{i}_{j}"
-
-
-def rung_pairs(n_rungs):
-    return [(2 * n - 1, 2 * n) for n in range(1, n_rungs + 1)]
 
 
 @dataclass(frozen=True)
@@ -281,22 +281,15 @@ def _sector_spectrum(params, psi0, **build):
 
     H is built on psi0's parity sector (the full space for a psi0 that mixes
     parities) and solved only on the leg-swap x mirror blocks that hold
-    psi0's weight, the held maps read from the ladder's terms, not from H
-    (lattice.symmetry_blocks); a ladder that breaks both maps is one block,
-    the whole sector. build passes bond factors on to both. A list of K
-    ladders sharing n_rungs and field mask, with build's values lists of K
-    factor arrays, gives a stacked decomposition: the sector and blocks are
-    found once, on the maps that every ladder holds, and the K Hamiltonians
-    come from one build_hamiltonian call, which checks each ladder's terms
-    before any H is built.
+    psi0's weight (lattice.symmetry_blocks, which reads the held maps from
+    the ladders' terms, not from H); a ladder that breaks both maps is one
+    block, the whole sector. build passes bond factors on to both. A list
+    of ladders, with build's values lists of factor arrays, gives a stacked
+    decomposition on the blocks of the maps every ladder holds, its
+    Hamiltonians from one build_hamiltonian call.
     """
-    stacked = not isinstance(params, LadderParams)
-    ladders = params if stacked else [params]
-    builds = [{key: values[k] for key, values in build.items()} for k in range(len(ladders))] if stacked else [build]
     basis = parity_sector(psi0)
-    held = set.intersection(*(set(_held_site_maps(*ladder_terms(ladder, **factors), ladder.n_rungs))
-                              for ladder, factors in zip(ladders, builds)))
-    blocks = _occupied_blocks(ladders[0].n_rungs, basis, psi0[basis], tuple(sorted(held)))
+    blocks = symmetry_blocks(params, basis, psi0[basis], **build)
     return diagonalize(build_hamiltonian(params, basis=basis, **build), basis, blocks)
 
 
@@ -315,21 +308,20 @@ def run_reference(params=LadderParams(), state_kind="phi_plus", grid=DEFAULT_GRI
                               mutual_info=include_mutual_info, psi0=psi0)
 
 
-def scaling_run(n_rungs, base=LadderParams(), grid=DEFAULT_GRID, state_kind="phi_plus", field_mask=None):
-    """Reference-style run of state_kind at a different ladder length, all pair channels, no MI.
+def scaling_run(params, grid=DEFAULT_GRID, state_kind="phi_plus"):
+    """Reference-style run of state_kind on a ladder of any size, all pair channels, no MI.
 
-    base is resized to n_rungs rungs with field_mask on them; None puts the
-    field on the mediating rungs {2, ..., N-1}. Dense diagonalization bounds
-    the size: n_rungs above MAX_DENSE_RUNGS (a 512-state parity sector at
-    five rungs, solved as its 152- and 120-state symmetry blocks) is refused
-    rather than silently slow.
+    params carries the size and its field mask. Dense diagonalization
+    bounds the size: n_rungs above MAX_DENSE_RUNGS (a 512-state parity
+    sector at five rungs, solved as its 152- and 120-state symmetry blocks)
+    is refused rather than silently slow, and so is a ladder without a
+    mediating rung.
     """
-    if n_rungs > MAX_DENSE_RUNGS:
+    if params.n_rungs > MAX_DENSE_RUNGS:
         raise UnsupportedSizeError(
-            f"n_rungs = {n_rungs} exceeds the dense-diagonalization bound of {MAX_DENSE_RUNGS}")
-    if n_rungs < 3:
-        raise InvalidArgumentError(f"a scaling run needs at least one mediating rung, got n_rungs = {n_rungs}")
-    params = base.replace(n_rungs=int(n_rungs), field_mask=field_mask)
+            f"n_rungs = {params.n_rungs} exceeds the dense-diagonalization bound of {MAX_DENSE_RUNGS}")
+    if params.n_rungs < 3:
+        raise InvalidArgumentError(f"a scaling run needs at least one mediating rung, got n_rungs = {params.n_rungs}")
     return run_reference(params, state_kind=state_kind, grid=grid, include_mutual_info=False)
 
 
@@ -376,7 +368,7 @@ def sweep_field(h_values, base=LadderParams()):
     field carries the prefactor extracted from the largest such field, where
     the strong-field expansion is cleanest.
     """
-    studies = [base.replace(h=float(h)) for h in h_values]
+    studies = [replace(base, h=float(h)) for h in h_values]
     grids = [_envelope_grid(params, _slow_window(params)) for params in studies]
     rows = []
     for params, grid in zip(studies, grids):
@@ -393,7 +385,7 @@ def sweep_field(h_values, base=LadderParams()):
     if len(good) >= 3:
         fit = loglog_fit([r.h for r in good], [r.t_slow for r in good])
         top = max(good, key=lambda r: r.h)
-        params = base.replace(h=top.h)
+        params = replace(base, h=top.h)
         fit = replace(fit, alpha=None if _alpha_refusal(params) else extract_alpha(top.t_slow, params))
     return SweepResult(rows=rows, fit=fit)
 
@@ -408,7 +400,7 @@ def anisotropy_heatmap(g_values, d_values, base=LadderParams(), grid=DEFAULT_GRI
     """
     g_values = np.asarray(g_values, dtype=float)
     d_values = np.asarray(d_values, dtype=float)
-    cells = [base.replace(g=float(g), d=float(d)) for g in g_values for d in d_values]
+    cells = [replace(base, g=float(g), d=float(d)) for g in g_values for d in d_values]
     psi0 = build_initial_state("phi_plus", base)
     f_max = np.empty(len(cells))
     for stack in _stacks(len(cells), len(parity_sector(psi0))):
@@ -515,7 +507,7 @@ def effective_model_check(base=LadderParams(), h_values=(100.0, 200.0, 400.0)):
     so a field value that fails it is refused, like an unusable grid, before
     the first evolution.
     """
-    studies = [base.replace(h=float(h)) for h in h_values]
+    studies = [replace(base, h=float(h)) for h in h_values]
     grids = [_envelope_grid(params, _slow_window(params)) for params in studies]
     for params in studies:
         problem = _alpha_refusal(params)
@@ -550,7 +542,7 @@ def frequency_table(d_values, base=LadderParams(), grid=FREQ_GRID):
 
     Every d's gap is checked before the first evolution; a zero gap is refused.
     """
-    studies = [base.replace(d=float(d)) for d in d_values]
+    studies = [replace(base, d=float(d)) for d in d_values]
     gaps = [_carrier(params) for params in studies]
     rows = []
     for params, predicted in zip(studies, gaps):

@@ -155,15 +155,6 @@ def build_config(*value_dicts, size_key="n_rungs"):
     return config
 
 
-def parse_config(text=None, overrides=None):
-    """Build an ExperimentConfig from config text and/or override pairs.
-
-    Unknown keys are an error, never silently ignored. Overrides (typically
-    from command-line flags) win over file values.
-    """
-    return build_config(parse_config_text(text or ""), convert_overrides(overrides))
-
-
 def _validate(config, size_key):
     """The check that needs two keys: field_mask rungs within 1..N for every size N under size_key."""
     if config.field_mask not in ("mediating", "uniform"):
@@ -327,29 +318,3 @@ def write_ensemble(stats, curves_csv_path, peaks_csv_path, sidecar_path, extras)
     })
     write_sidecar(sidecar_path, summary)
 
-
-def read_csv(path):
-    """Parse a CSV written by this module back into a header and float columns.
-
-    Empty cells come back as None, non-numeric cells as strings; used by the
-    round-trip tests and handy for quick inspection.
-    """
-    with open(path) as handle:
-        rows = [line.rstrip("\n").split(",") for line in handle if line.strip()]
-    header, body = rows[0], rows[1:]
-    columns = {name: [] for name in header}
-    for row in body:
-        for name, cell in zip(header, row):
-            if cell == "":
-                columns[name].append(None)
-            else:
-                try:
-                    columns[name].append(float(cell))
-                except ValueError:
-                    columns[name].append(cell)
-    return header, columns
-
-
-def read_sidecar(path):
-    with open(path) as handle:
-        return json.load(handle)

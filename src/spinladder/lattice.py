@@ -2,8 +2,8 @@
 
 Conventions, fixed once and used everywhere:
 
-* Rung n occupies sites (2n-1, 2n), 1-based. Odd sites form the top leg,
-  even sites the bottom leg.
+* Rung n occupies sites (2n-1, 2n), 1-based (rung_pairs). Odd sites form
+  the top leg, even sites the bottom leg (leg_bonds).
 * Site 1 is the most significant tensor factor, so the computational basis
   index of |b1 b2 ... bn> is the integer with bit b1 in front.
 * |0> is spin-down with sigma_z |0> = -|0>. A positive field h therefore
@@ -19,30 +19,33 @@ field adds h * sz on every site of every rung in the field mask.
 
 That Hamiltonian is real, and it conserves the parity of the number of up
 spins: the sx sx and sy sy terms flip spins in pairs and the rest is
-diagonal. build_hamiltonian therefore assembles a real matrix directly from
-bit operations on basis indices, and usually only on the parity sector of
-the initial state (parity_sector). It builds a list of ladders that share
+diagonal (_parity, which parity_sector and the entropies of metrics read).
+build_hamiltonian therefore assembles a real matrix directly from bit
+operations on basis indices, and usually only on the parity sector of the
+initial state (parity_sector). It builds a list of ladders that share
 n_rungs and field mask, such as heatmap cells or disorder realizations, as
 one (K, dim, dim) stack in a single bond_hamiltonian pass, each H bitwise
-the one its ladder gets alone.
+the one its ladder gets alone. build_hamiltonian and symmetry_blocks take
+one ladder or such a list the same way (_ladder_stack).
 
 Two site permutations can be symmetries too: the leg swap (2n-1 <-> 2n on
 every rung) and the mirror (rung n <-> rung N+1-n). A clean ladder with a
 mirror-symmetric field mask commutes with both; disorder breaks both, and
-the one-leg variant breaks the leg swap. symmetry_blocks holds a map when
-it sends the ladder's terms (ladder_terms) onto themselves, with no H and
-no tolerance, and splits the state space into the blocks of the group the
-held maps generate, each a dense orthonormal matrix U whose columns are
-symmetrized basis states, and keeps only the blocks the initial state
-occupies: phi_plus is leg-even and fills the two leg-even blocks, 152 + 120
-of its 512 sector states at five rungs. With neither map held there are no
-blocks to split, and the sector is solved whole.
+the one-leg variant breaks the leg swap. _site_maps holds both maps, and
+the leg-swap folding of metrics reads its leg swap. symmetry_blocks holds a
+map when it sends every ladder's terms (ladder_terms) onto themselves, with
+no H and no tolerance, and splits the state space into the blocks of the
+group the held maps generate, each a dense orthonormal matrix U whose
+columns are symmetrized basis states, and keeps only the blocks the initial
+state occupies: phi_plus is leg-even and fills the two leg-even blocks, 152
++ 120 of its 512 sector states at five rungs. With neither map held there
+are no blocks to split, and the sector is solved whole.
 
 _site_code is the one decoder of that site-to-bit layout: the partial
 trace (metrics) and the site-map images here both read sites through it.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 import math
@@ -116,16 +119,10 @@ class LadderParams:
     def dim(self):
         return 4 ** self.n_rungs
 
-    def replace(self, **changes):
-        """Return a copy with the given fields replaced.
 
-        Unlike dataclasses.replace, resets field_mask to the mediating
-        default when n_rungs changes and no new mask is given, so that
-        resizing a reference parameter set stays consistent.
-        """
-        if "n_rungs" in changes and "field_mask" not in changes:
-            changes["field_mask"] = None
-        return replace(self, **changes)
+def rung_pairs(n_rungs):
+    """Rung sites (2n-1, 2n) for n = 1..N, in rung order."""
+    return [(2 * n - 1, 2 * n) for n in range(1, n_rungs + 1)]
 
 
 def leg_bonds(n_rungs):
@@ -147,38 +144,44 @@ def parity_sector(psi):
     both parities gets all 2^n states.
     """
     psi = np.asarray(psi)
-    parity = np.zeros(1, dtype=np.int64)
-    while len(parity) < len(psi):  # k + 2^m has the opposite parity of k < 2^m
-        parity = np.concatenate([parity, 1 - parity])
-    parity = parity[:len(psi)]
+    parity = _parity(len(psi))
     held = np.bincount(parity[psi != 0], minlength=2) > 0
     if not held.any():
         raise InvalidArgumentError("state has no support")
     return np.flatnonzero(held[parity])
 
 
+@lru_cache(maxsize=16)
+def _parity(dim):
+    """The parity of the number of up spins (1 bits) of basis states 0..dim-1, as 0 or 1, read-only."""
+    parity = np.zeros(1, dtype=np.int64)
+    while len(parity) < dim:  # k + 2^m has the opposite parity of k < 2^m
+        parity = np.concatenate([parity, 1 - parity])
+    parity = parity[:dim]
+    parity.flags.writeable = False
+    return parity
+
+
 def symmetry_blocks(params, basis, amplitudes, rung_factors=None, leg_factors=None):
     """The symmetry blocks of a ladder's H that the amplitudes occupy, as orthonormal maps for evolution.diagonalize.
 
-    The ladder is given as build_hamiltonian takes it; basis lists H's
-    ascending full-space states, and amplitudes is a state on it. With
-    neither the leg swap nor the mirror held (_held_site_maps) the result
-    is None: H is one block. Otherwise each character of the held maps'
-    group gives a read-only orthonormal real matrix U of shape
-    (len(basis), k) spanning an invariant subspace of H (_character_blocks,
-    cached), kept only when |U^T amplitudes| is above round-off: the blocks
-    dropped leak less than evolution.SECTOR_LEAK_TOL of the state together,
-    the weight evolution refuses to lose.
+    The ladder, or a list of ladders, is given as build_hamiltonian takes
+    it; basis lists H's ascending full-space states, and amplitudes is a
+    state on it. A map is used only when every ladder holds it
+    (_held_site_maps), so every block is invariant under each ladder's H.
+    With neither the leg swap nor the mirror held the result is None: H is
+    one block. Otherwise each character of the held maps' group gives a
+    read-only orthonormal real matrix U of shape (len(basis), k) spanning an
+    invariant subspace of H (_character_blocks, cached), kept only when
+    |U^T amplitudes| is above round-off: the blocks dropped leak less than
+    evolution.SECTOR_LEAK_TOL of the state together, the weight evolution
+    refuses to lose.
     """
-    held = _held_site_maps(*ladder_terms(params, rung_factors, leg_factors), params.n_rungs)
-    return _occupied_blocks(params.n_rungs, basis, amplitudes, held)
-
-
-def _occupied_blocks(n_rungs, basis, amplitudes, held):
-    """symmetry_blocks for the held site maps given: None when there are none, else the blocks the amplitudes occupy."""
+    _, ladder, terms = _ladder_stack(params, rung_factors, leg_factors)
+    held = set.intersection(*(set(_held_site_maps(*term, ladder.n_rungs)) for term in terms))
     if not held:
         return None
-    blocks = _character_blocks(n_rungs, np.asarray(basis, dtype=np.int64).tobytes(), held)
+    blocks = _character_blocks(ladder.n_rungs, np.asarray(basis, dtype=np.int64).tobytes(), tuple(sorted(held)))
     floor = SECTOR_LEAK_TOL / len(blocks)  # the blocks dropped leak less than SECTOR_LEAK_TOL together
     return [u for u in blocks if np.linalg.norm(u.T @ amplitudes) > floor]
 
@@ -313,12 +316,11 @@ def ladder_terms(params, rung_factors=None, leg_factors=None):
     if leg_factors.shape != (n_leg,):
         raise InvalidArgumentError(f"need {n_leg} leg factors, got {leg_factors.shape}")
 
-    g, d = params.g, params.d
-    bonds = [(2 * rung - 1, 2 * rung, params.j_perp * factor, g, d)
-             for rung, factor in enumerate(rung_factors.tolist(), start=1)]
+    g, d, rungs = params.g, params.d, rung_pairs(params.n_rungs)
+    bonds = [(i, j, params.j_perp * factor, g, d) for (i, j), factor in zip(rungs, rung_factors.tolist())]
     bonds += [(i, j, params.j_parallel * factor, g, d)
               for (i, j), factor in zip(leg_bonds(params.n_rungs), leg_factors.tolist())]
-    fields = {site: params.h for rung in sorted(params.field_mask) for site in (2 * rung - 1, 2 * rung)}
+    fields = {site: params.h for rung in sorted(params.field_mask) for site in rungs[rung - 1]}
     # Python floats overflow to inf without a warning. The bound caps every
     # element of H and every partial sum that bond_hamiltonian forms.
     bound = sum(abs(coupling) for _, _, coupling, _, _ in bonds) * (1.0 + abs(g) + abs(d))
@@ -330,14 +332,13 @@ def ladder_terms(params, rung_factors=None, leg_factors=None):
     return bonds, fields
 
 
-def build_hamiltonian(params, rung_factors=None, leg_factors=None, basis=None):
-    """Real Hamiltonian of ladder_terms(...) on basis (None: all states), usually parity_sector(psi0); a stack for a list.
+def _ladder_stack(params, rung_factors, leg_factors):
+    """(stacked, first ladder, every ladder's ladder_terms) for one ladder, or for a list as build_hamiltonian takes it.
 
     A list of K ladders takes rung_factors and leg_factors as lists of K
-    factor arrays (None: unscaled) and gives the (K, dim, dim) stack of
-    their Hamiltonians, built in one bond_hamiltonian pass. The ladders must
-    share n_rungs and field mask, and every ladder's terms, with their
-    overflow refusal, are formed before any H of the stack is built.
+    factor arrays (None: unscaled). The ladders must share n_rungs and
+    field mask, and every ladder's terms, with their overflow refusal, are
+    formed before any caller builds from them.
     """
     stacked = not isinstance(params, LadderParams)
     if not stacked:
@@ -349,7 +350,19 @@ def build_hamiltonian(params, rung_factors=None, leg_factors=None, basis=None):
     unscaled = [None] * len(ladders)
     terms = [ladder_terms(*args) for args in zip(ladders, unscaled if rung_factors is None else rung_factors,
                                                   unscaled if leg_factors is None else leg_factors, strict=True)]
-    ham = bond_hamiltonian(ladders[0].n_sites, terms, basis)
+    return stacked, ladders[0], terms
+
+
+def build_hamiltonian(params, rung_factors=None, leg_factors=None, basis=None):
+    """Real Hamiltonian of ladder_terms(...) on basis (None: all states), usually parity_sector(psi0); a stack for a list.
+
+    A list of K ladders sharing n_rungs and field mask, with rung_factors
+    and leg_factors as lists of K factor arrays, gives the (K, dim, dim)
+    stack of their Hamiltonians (_ladder_stack), built in one
+    bond_hamiltonian pass after every ladder's terms are formed.
+    """
+    stacked, ladder, terms = _ladder_stack(params, rung_factors, leg_factors)
+    ham = bond_hamiltonian(ladder.n_sites, terms, basis)
     return ham if stacked else ham[0]
 
 

@@ -71,7 +71,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .lattice import _site_code
+from .lattice import _parity, _site_code, _site_maps
 
 # Pauli y in the spin-down-first basis, where sigma_z is diag(-1, +1) so that
 # |0> (down) has eigenvalue -1; its sign keeps sx @ sy = i sz. The Wootters
@@ -173,9 +173,10 @@ def _phi_plus_map(layout, n_rows):
     return proj
 
 
-def _leg_swap(sites):
+def _leg_swap(sites, n_sites):
     """The 1-based position in sites of each site's rung partner, or None where sites are not whole rungs."""
-    partners = [site + 1 if site % 2 else site - 1 for site in sites]
+    swap = _site_maps(n_sites // 2)[0]
+    partners = [swap[site - 1] for site in sites]
     return [sites.index(partner) + 1 for partner in partners] if set(partners) == set(sites) else None
 
 
@@ -197,7 +198,7 @@ def _folded_layout(basis, keep, n_sites, index):
     keep = list(keep)
     rest = [site for site in range(1, n_sites + 1) if site not in keep]
     rest_code = _site_code(basis, rest, n_sites)
-    swaps = _leg_swap(keep), _leg_swap(rest)
+    swaps = _leg_swap(keep, n_sites), _leg_swap(rest, n_sites)
     dim, folded = 2 ** len(keep), []
     for configs, rows in _layout(basis, keep, n_sites)[1]:
         codes, rows = (np.array(configs), rest_code[rows[0]]), index[rows]  # both ascending
@@ -332,7 +333,7 @@ def _eigenvalues_many(rhos):
     """
     if isinstance(rhos, np.ndarray):
         dim = rhos.shape[-1]
-        parity = np.array([bin(k).count("1") & 1 for k in range(dim)])
+        parity = _parity(dim)
         if dim < 2 or dim & (dim - 1) or rhos[:, parity[:, None] != parity].any():
             return np.linalg.eigvalsh(rhos)
         rhos = [rhos[:, rows[:, None], rows] for rows in (np.flatnonzero(parity == 0), np.flatnonzero(parity == 1))]

@@ -1,11 +1,13 @@
-"""Shared fixtures, random-state helpers and the test suite's independent oracles.
+"""Shared fixtures, random-state helpers, output readers and the test suite's independent oracles.
 
 The oracles share no code with the package's kernels: dense Pauli-string
 Hamiltonians, a reshape partial trace, eigvalsh entropies, an eigenvalue
 Wootters concurrence, the four Bell vectors and a propagator from a dense
-eigh of a test's own H.
+eigh of a test's own H. read_csv and read_sidecar read back the files the
+package writes, and parse_config builds a config as the CLI does.
 """
 
+import json
 from functools import reduce
 
 import numpy as np
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import settings
 
 from spinladder.errors import InvalidArgumentError
+from spinladder.io import build_config, convert_overrides, parse_config_text
 from spinladder.lattice import leg_bonds
 from spinladder.metrics import SY
 
@@ -46,6 +49,31 @@ def random_density(rng, dim, rank=None):
         psi = haar_state(rng, dim)
         rho += np.outer(psi, psi.conj())
     return rho / rank
+
+
+def parse_config(text=None, overrides=None):
+    """An ExperimentConfig from config text and override pairs, the overrides winning, as the CLI merges them."""
+    return build_config(parse_config_text(text or ""), convert_overrides(overrides))
+
+
+def read_csv(path):
+    """(header, columns) of a CSV the package wrote: floats, None for an empty cell, strings for the rest."""
+    with open(path) as handle:
+        header, *body = [line.rstrip("\n").split(",") for line in handle if line.strip()]
+    columns = {name: [] for name in header}
+    for row in body:
+        for name, cell in zip(header, row):
+            try:
+                columns[name].append(None if cell == "" else float(cell))
+            except ValueError:
+                columns[name].append(cell)
+    return header, columns
+
+
+def read_sidecar(path):
+    """A JSON sidecar the package wrote, as a dict."""
+    with open(path) as handle:
+        return json.load(handle)
 
 
 # Pauli matrices in the package's spin-down-first basis (see spinladder.lattice).

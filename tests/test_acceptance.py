@@ -11,6 +11,7 @@ minutes on a laptop-class machine.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -72,7 +73,7 @@ def disorder():
 
 @pytest.fixture(scope="module")
 def scaling():
-    return {n: scaling_run(n) for n in (3, 4, 5)}
+    return {n: scaling_run(LadderParams(n_rungs=n)) for n in (3, 4, 5)}
 
 
 @pytest.fixture(scope="module")
@@ -255,8 +256,8 @@ def test_a4_d_zero_column_degraded(heatmap):
 @pytest.fixture(scope="module")
 def frozen_runs():
     return {
-        0.5: run_reference(BASE.replace(g=0.0), include_mutual_info=False),
-        0.0: run_reference(BASE.replace(g=0.0, d=0.0), include_mutual_info=False),
+        0.5: run_reference(replace(BASE, g=0.0), include_mutual_info=False),
+        0.0: run_reference(replace(BASE, g=0.0, d=0.0), include_mutual_info=False),
     }
 
 

@@ -26,7 +26,9 @@ from hypothesis import given, settings, strategies as st
 import spinladder
 from spinladder import __version__, cli, experiments, io
 from spinladder.cli import _build_parser, _resolve_config, main
-from spinladder.io import config_floats, config_grid, parse_config, read_csv, read_sidecar
+from spinladder.io import config_floats, config_grid
+
+from conftest import parse_config, read_csv, read_sidecar
 
 GOLDEN_ROOT = pathlib.Path(__file__).resolve().parent.parent / "goldens"
 
@@ -321,6 +323,17 @@ def test_missing_config_file_exits_2(tmp_path):
     code = main(["reference", "--config", str(tmp_path / "absent.cfg"),
                  "--out", str(tmp_path)])
     assert code == 2
+
+
+@pytest.mark.parametrize("content", [np.random.default_rng(7).bytes(200), b"h = 50\n\xff"],
+                         ids=["random bytes", "one bad byte"])
+def test_config_file_that_is_not_utf8_exits_2(tmp_path, capsys, content):
+    """A config file that does not decode is refused, naming the file, before --out is made."""
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+    cfg.write_bytes(content)
+    assert main(["reference", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"config file {cfg} is not UTF-8" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_short_window_frequency_exits_3(tmp_path, capsys):

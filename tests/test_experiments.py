@@ -7,6 +7,7 @@ zero-field mirror symmetry) all run against it or against cheap variants.
 
 import math
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,14 +42,13 @@ from spinladder.experiments import (
     _slow_window,
     evolve_and_measure,
 )
-from spinladder.io import read_csv
 from spinladder.lattice import (INITIAL_STATE_KINDS, LadderParams, build_hamiltonian, build_initial_state,
                                 leg_bonds, parity_sector, symmetry_blocks, uniform_mask)
 from spinladder.metrics import (_concurrence_many, _is_x, _layout, _reduced_many, _schmidt_many,
                                 _x_concurrence_many)
 from spinladder.signals import TimeSeries, envelope_period, find_peaks
 
-from conftest import BELL_STATES, _oracle_entropy, _oracle_rho, _oracle_states, pauli_hamiltonian
+from conftest import BELL_STATES, _oracle_entropy, _oracle_rho, _oracle_states, pauli_hamiltonian, read_csv
 
 EFFECTIVE_CHECK_GOLDEN = (pathlib.Path(__file__).resolve().parent.parent
                           / "goldens" / "effective-check" / "effective_check.csv")
@@ -187,13 +187,13 @@ def test_uniform_field_suppresses_transfer():
 
 def test_scaling_size_bounds():
     with pytest.raises(UnsupportedSizeError):
-        scaling_run(6)
+        scaling_run(LadderParams(n_rungs=6))
     with pytest.raises(InvalidArgumentError):
-        scaling_run(2)
+        scaling_run(LadderParams(n_rungs=2))
 
 
 def test_scaling_four_rungs_channels():
-    traj = scaling_run(4, grid=TimeGrid(0.0, 10.0, 801))
+    traj = scaling_run(LadderParams(n_rungs=4), grid=TimeGrid(0.0, 10.0, 801))
     assert list(traj.pair_concurrence) == ["12", "34", "56", "78"]
     assert traj.terminal_label == "78"
     assert traj.mutual_info is None
@@ -357,7 +357,7 @@ def test_heatmap_stacks_give_every_cell_its_own_fidelity(n_rungs, n_points, monk
     """
     base, grid = LadderParams(n_rungs=n_rungs), TimeGrid(0.0, 10.0, n_points)
     psi0 = build_initial_state("phi_plus", base)
-    cells = [base.replace(g=g, d=d) for g in (0.4, 0.7, 1.0) for d in (0.2, 0.5, 0.8)]
+    cells = [replace(base, g=g, d=d) for g in (0.4, 0.7, 1.0) for d in (0.2, 0.5, 0.8)]
     stacks = _stacks(len(cells), len(parity_sector(psi0)))
     assert [s.stop - s.start for s in stacks] == {3: [9], 4: [4, 5], 5: [1] * 9}[n_rungs]
     for stack in stacks:
@@ -397,6 +397,7 @@ def test_a_stack_mixing_clean_and_disordered_ladders_is_solved_on_the_whole_sect
     rungs, legs = [np.ones(n_rungs), 1.0 + real.rung_deltas], [np.ones(2 * n_rungs - 2), 1.0 + real.leg_deltas]
     decomp = _sector_spectrum([base] * 2, psi0, rung_factors=rungs, leg_factors=legs)
     basis = parity_sector(psi0)
+    assert symmetry_blocks([base] * 2, basis, psi0[basis], rungs, legs) is None
     assert decomp.dim == len(basis)
     whole = diagonalize(build_hamiltonian(base, basis=basis), basis)
     disordered = _sector_spectrum(base, psi0, rung_factors=rungs[1], leg_factors=legs[1])
@@ -404,6 +405,33 @@ def test_a_stack_mixing_clean_and_disordered_ladders_is_solved_on_the_whole_sect
     clean = evolve_and_measure(base, grid, fidelity=True, decomp=decomp, psi0=psi0)[0].fidelity_terminal.values
     blocked = evolve_and_measure(base, grid, fidelity=True, psi0=psi0).fidelity_terminal.values
     assert np.abs(clean - blocked).max() <= 1e-12
+
+
+@pytest.mark.parametrize("stack", ["clean", "disordered", "clean and disordered"])
+def test_sector_spectrum_is_the_public_path(stack):
+    """_sector_spectrum gives bitwise the eigenpairs of diagonalize(build_hamiltonian(...), basis, symmetry_blocks(...)).
+
+    A clean stack of heatmap cells holds both site maps, a disordered stack
+    neither, and a stack mixing a clean and a disordered ladder holds
+    neither either: its symmetry_blocks is None.
+    """
+    base = LadderParams()
+    psi0 = build_initial_state("phi_plus", base)
+    basis = parity_sector(psi0)
+    reals = [disorder_realization(0.1, 42, k, 3) for k in range(3)]
+    rungs, legs = [1.0 + real.rung_deltas for real in reals], [1.0 + real.leg_deltas for real in reals]
+    ladders, build = {
+        "clean": ([replace(base, g=g, d=d) for g, d in ((1.0, 0.5), (0.6, 0.2), (0.3, 0.9))], {}),
+        "disordered": ([base] * 3, dict(rung_factors=rungs, leg_factors=legs)),
+        "clean and disordered": ([base] * 2, dict(rung_factors=[None, rungs[0]], leg_factors=[None, legs[0]])),
+    }[stack]
+    blocks = symmetry_blocks(ladders, basis, psi0[basis], **build)
+    assert (blocks is None) == (stack != "clean")
+    want = diagonalize(build_hamiltonian(ladders, basis=basis, **build), basis, blocks)
+    got = _sector_spectrum(ladders, psi0, **build)
+    assert got.eigenvalues.shape[0] == len(ladders)
+    for name in ("eigenvalues", "eigenvectors", "basis"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_a_stack_measures_fidelity_alone():

@@ -16,10 +16,7 @@ from spinladder.io import (
     config_floats,
     config_grid,
     config_params,
-    parse_config,
     parse_config_text,
-    read_csv,
-    read_sidecar,
     write_ensemble,
     write_heatmap,
     write_sidecar,
@@ -29,6 +26,8 @@ from spinladder.io import (
 )
 from spinladder.lattice import LadderParams
 from spinladder.signals import FitResult, TimeSeries
+
+from conftest import parse_config, read_csv, read_sidecar
 
 
 # -------------------------------------------------------------- config parsing

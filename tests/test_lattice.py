@@ -6,6 +6,7 @@ under test.
 """
 
 import math
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -114,15 +115,8 @@ def test_params_validation():
         LadderParams(n_rungs=3, field_mask={4})
 
 
-def test_replace_resets_mask_on_resize():
-    p = LadderParams()  # mask {2}
-    grown = p.replace(n_rungs=5)
-    assert grown.field_mask == frozenset({2, 3, 4})
-    # explicit mask wins over the reset
-    custom = p.replace(n_rungs=4, field_mask={1})
-    assert custom.field_mask == frozenset({1})
-    # replacing an unrelated field keeps the mask
-    assert p.replace(h=17.0).field_mask == frozenset({2})
+def test_replacing_a_field_keeps_the_mask():
+    assert replace(LadderParams(), h=17.0).field_mask == frozenset({2})
 
 
 def test_leg_bonds_order():
@@ -326,7 +320,7 @@ def test_stacked_builds_are_bitwise_the_per_ladder_builds(n_rungs, mask, space):
     base = LadderParams(n_rungs=n_rungs, h=0.1, field_mask=_MASKS[mask](n_rungs))
     basis = parity_sector(build_initial_state("phi_plus", base)) if space == "parity sector" else None
     side = 2 if n_rungs == 5 else 3
-    cells = [base.replace(g=float(g), d=float(d))
+    cells = [replace(base, g=float(g), d=float(d))
              for g in np.linspace(-0.3, 1.0, side) for d in np.linspace(0.0, 0.9, side)]
     reals = [disorder_realization(0.2, 3, k, n_rungs) for k in range(side)]
     rung_factors, leg_factors = [1.0 + r.rung_deltas for r in reals], [1.0 + r.leg_deltas for r in reals]
@@ -356,6 +350,10 @@ def test_a_stack_of_unlike_ladders_is_refused_before_any_build(monkeypatch, ladd
     monkeypatch.setattr("spinladder.lattice.bond_hamiltonian", refuse)
     with pytest.raises(InvalidArgumentError, match="must share n_rungs and field mask"):
         build_hamiltonian(ladders)
+    psi = build_initial_state("phi_plus", ladders[0])
+    basis = parity_sector(psi)
+    with pytest.raises(InvalidArgumentError, match="must share n_rungs and field mask"):
+        symmetry_blocks(ladders, basis, psi[basis])
 
 
 def test_a_stack_of_term_sets_must_share_its_sites():
@@ -418,7 +416,8 @@ def test_symmetry_blocks_are_orthonormal_invariant_and_hold_the_state(ladder, ki
     does not hold: with j_parallel = 1.65e-288 on one bottom-leg bond and
     no other term, H is symmetric within 1e-12 under both maps, but the
     terms are not. A clean ladder (no bond factors) keeps the leg swap, and the
-    mirror exactly when its mask is mirror-symmetric or its field is 0.
+    mirror exactly when its mask is mirror-symmetric or its field is 0. A
+    stack of the ladder and its clean copy uses only the maps both hold.
     """
     params, rung_factors, leg_factors = ladder
     if clean:
@@ -448,6 +447,13 @@ def test_symmetry_blocks_are_orthonormal_invariant_and_hold_the_state(ladder, ki
             assert np.abs(ham @ u - u @ (u.T @ ham @ u)).max() <= 1e-12 * scale
     inside = sum(u @ (u.T @ amplitudes) for u in kept)
     assert np.abs(inside - amplitudes).max() <= 1e-15
+    both = tuple(k for k in held if k in _held_site_maps(*ladder_terms(params), params.n_rungs))
+    stacked = symmetry_blocks([params] * 2, basis, amplitudes, [rung_factors, None], [leg_factors, None])
+    assert (stacked is None) == (both == ())
+    if both:
+        want = [u for u in _character_blocks(params.n_rungs, basis.tobytes(), both)
+                if np.linalg.norm(u.T @ amplitudes) > 1e-15]
+        assert len(stacked) == len(want) and all(np.array_equal(u, w) for u, w in zip(stacked, want))
 
 
 def _disordered(delta, n_rungs):
