@@ -45,6 +45,9 @@ from . import experiments, io, signals
 # their own grid defaults; an explicit t_end or n_points still wins.
 _COMMAND_DEFAULTS = {"freq-table": {"t_end": FREQ_GRID.t_end, "n_points": FREQ_GRID.n_points}}
 
+#: Subcommands that evolve the input named by the state key; the others evolve phi_plus alone.
+_STATE_COMMANDS = ("reference", "scaling")
+
 #: glibc mallopt parameters and the values main gives them (see the module docstring).
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MMAP_THRESHOLD_BYTES = 32 << 20  # glibc's own ceiling for its dynamic threshold on 64-bit
@@ -87,7 +90,7 @@ def _resolve_config(args, command):
     file_values = {}
     if args.config is not None:
         try:
-            with open(args.config, encoding="utf-8") as handle:
+            with open(args.config, encoding="utf-8-sig") as handle:  # a leading byte-order mark is dropped
                 text = handle.read()
         except OSError as exc:
             raise ConfigurationError(f"cannot read config file {args.config}: {exc.strerror}")
@@ -98,8 +101,10 @@ def _resolve_config(args, command):
                    if name.startswith("cfg_") and value is not None}
     flag_values = io.convert_overrides(
         {name[len("cfg_"):]: value for name, value in flag_values.items()})
-    return io.build_config(_COMMAND_DEFAULTS.get(command, {}), file_values, flag_values,
-                           size_key="n_values" if command == "scaling" else "n_rungs")
+    config = io.build_config(_COMMAND_DEFAULTS.get(command, {}), file_values, flag_values)
+    if command not in _STATE_COMMANDS and config.state != "phi_plus":
+        raise ConfigurationError(f"{command} evolves phi_plus only, got {config.state}", key="state")
+    return config
 
 
 def _common_extras(config):

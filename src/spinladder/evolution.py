@@ -2,7 +2,8 @@
 
 The Hamiltonian is diagonalized once; evolution at any time is then a phase
 rotation in the eigenbasis, exact to machine precision. The ladder
-Hamiltonian is real and conserves spin-flip parity, so the drivers
+Hamiltonian is real symmetric, the only kind diagonalize takes, so V is
+real; and it conserves spin-flip parity, so the drivers
 build it only on the initial state's parity sector (512 of the 4^5 = 1024
 states at five rungs). On a clean ladder it also commutes with the leg swap
 and the rung mirror; diagonalize then solves, with NumPy's real-symmetric
@@ -53,8 +54,8 @@ from .errors import InvalidArgumentError, NumericFailureError
 #: one is refused, never dropped.
 SECTOR_LEAK_TOL = 1e-12
 
-#: Largest element of H - H^dagger, relative to H's largest element (at
-#: least 1), for which diagonalize takes H as Hermitian.
+#: Largest element of H - H^T, relative to H's largest element (at least 1),
+#: for which diagonalize takes H as symmetric.
 MATRIX_TOL = 1e-12
 
 #: Most time points per state block of iter_evolved.
@@ -78,7 +79,7 @@ class SpectralDecomposition:
     """Eigenpairs H V = V diag(w) of H on a basis, w ascending; or of a stack of K such H.
 
     basis lists the full-space basis states that H's rows and columns stand
-    for, ascending. eigenvectors has one orthonormal column per eigenvalue
+    for, ascending. eigenvectors has one real orthonormal column per eigenvalue
     and one row per basis state, shape (len(basis), dim). dim, the number of
     eigenpairs kept, is len(basis) for a complete decomposition and smaller
     when only the symmetry blocks an initial state occupies were solved; V,
@@ -93,6 +94,8 @@ class SpectralDecomposition:
     basis: np.ndarray
 
     def __post_init__(self):
+        if np.iscomplexobj(self.eigenvectors):
+            raise InvalidArgumentError("eigenvectors must be real: every ladder H is real symmetric")
         shape = np.shape(self.eigenvalues)[:-1] + (len(self.basis), self.dim)
         if np.shape(self.eigenvectors) != shape:
             raise InvalidArgumentError(f"eigenvectors of shape {np.shape(self.eigenvectors)} for "
@@ -132,36 +135,38 @@ class TimeGrid:
         return (self.t_end - self.t_start) / (self.n_points - 1)
 
 
-def _check_hermitian(matrix):
-    """matrix, a square matrix or a stack of them, each checked finite and Hermitian on its own scale."""
+def _check_real_symmetric(matrix):
+    """matrix, a real square matrix or a stack of them, each checked finite and symmetric on its own scale."""
     matrix = np.asarray(matrix)
+    if np.iscomplexobj(matrix):
+        raise InvalidArgumentError(f"expected a real matrix, got {matrix.dtype}: every ladder H is real symmetric")
     if matrix.ndim not in (2, 3) or matrix.shape[-2] != matrix.shape[-1]:
         raise InvalidArgumentError(f"expected a square matrix or a stack of them, got shape {matrix.shape}")
     scale = np.abs(matrix).max(axis=(-2, -1))
     if not np.isfinite(scale).all():
         raise NumericFailureError("matrix has non-finite elements: a term of H overflows")
-    dev = np.abs(matrix - matrix.conj().swapaxes(-2, -1)).max(axis=(-2, -1))
+    dev = np.abs(matrix - matrix.swapaxes(-2, -1)).max(axis=(-2, -1))
     if (dev > MATRIX_TOL * np.maximum(scale, 1.0)).any():
-        raise InvalidArgumentError(f"matrix is not Hermitian (max deviation {dev.max():.3e})")
+        raise InvalidArgumentError(f"matrix is not symmetric (max deviation {dev.max():.3e})")
     return matrix
 
 
 def diagonalize(ham, basis=None, blocks=None):
-    """Eigenpairs of a Hermitian matrix on the given blocks, eigenvalues ascending.
+    """Eigenpairs of a real symmetric matrix on the given blocks, eigenvalues ascending.
 
     blocks is None, which solves ham itself, or a list of orthonormal maps
     U, each a (len(ham), k) matrix whose columns span an invariant subspace
     of ham, as lattice.symmetry_blocks returns them. Every block is solved
     alone, on U^T ham U, and its eigenvectors v are mapped back as U v, so
     the result's eigenvectors are (len(basis), sum of k) in ham's
-    coordinates. A real matrix takes the real-symmetric solver and yields
-    real eigenvectors. basis lists the full-space basis states that ham's
+    coordinates, real, from the real-symmetric solver; a complex matrix is
+    refused. basis lists the full-space basis states that ham's
     rows stand for (see lattice.parity_sector; None: all of them) and is
     recorded in the result. A stack of K matrices, shape (K, n, n), is
     solved matrix by matrix in the same stacked calls, each bitwise as
     alone, and gives a stacked decomposition.
     """
-    ham = _check_hermitian(ham)
+    ham = _check_real_symmetric(ham)
     dim = ham.shape[-1]
     basis = np.asarray(np.arange(dim) if basis is None else basis, dtype=np.int64)
     if basis.shape != (dim,):
@@ -199,10 +204,10 @@ def _sector_amplitudes(decomp, psi0):
 
 
 def _coefficients(decomp, psi0):
-    """psi0's coordinates in decomp's eigenbasis, V^dagger psi0; weight outside V's span, in any ladder, is refused."""
+    """psi0's coordinates in decomp's real eigenbasis, V^T psi0; weight outside V's span, in any ladder, is refused."""
     amplitudes = _sector_amplitudes(decomp, np.asarray(psi0, dtype=complex))
     vectors = decomp.eigenvectors
-    coeffs = vectors.conj().swapaxes(-2, -1) @ amplitudes
+    coeffs = vectors.swapaxes(-2, -1) @ amplitudes
     leak = np.linalg.norm(amplitudes - (vectors @ coeffs[..., None])[..., 0], axis=-1).max()
     if leak > SECTOR_LEAK_TOL:
         raise InvalidArgumentError(f"state has weight {leak:.3e} outside the span of the "
@@ -243,8 +248,9 @@ def iter_evolved(decomp, psi0, grid, readouts=None):
     This is the streaming workhorse behind experiments.evolve_and_measure;
     long sweeps never materialize the full state history. psi0 is a
     full-space state. Each chunk's eigenbasis block c exp(-i w t) is
-    multiplied by every matrix in readouts, each in its own product (a real
-    one when the matrices are real), and their rows are stacked in order.
+    multiplied by every matrix in readouts, each real and in a real product
+    of its own over the block's real and imaginary parts, and their rows are
+    stacked in order.
     readouts defaults to (V,): the row block is then the states in decomp's
     basis, shape (len(decomp.basis), len(time_block)), with row r the amplitude of
     basis state decomp.basis[r]. A readout R = M V yields M psi(t) without
@@ -268,7 +274,6 @@ def iter_evolved(decomp, psi0, grid, readouts=None):
         raise NumericFailureError(f"phases E t reach {phase:.3g}, so their round-off exceeds {PHASE_ROUNDOFF_TOL:g}")
     readouts = (decomp.eigenvectors,) if readouts is None else tuple(readouts)
     bounds = np.cumsum([0] + [readout.shape[-2] for readout in readouts])
-    real = not any(np.iscomplexobj(readout) for readout in readouts)
     coeffs = _coefficients(decomp, psi0)
     times = grid.times
     offsets = np.exp(-1j * w[..., None] * (np.arange(min(STRIDE, grid.n_points)) * grid.dt))
@@ -280,7 +285,7 @@ def iter_evolved(decomp, psi0, grid, readouts=None):
         np.multiply(anchors[..., None], offsets[..., None, :], out=phases[..., :anchors.shape[-1], :])
         rotated = phases.reshape(w.shape + (-1,))[..., :len(block)]
         rows = np.empty(stack + (bounds[-1], len(block)), dtype=complex)
-        target, operand = (rows.view(float), rotated.view(float)) if real else (rows, rotated)
+        target, operand = rows.view(float), rotated.view(float)  # real and imaginary parts alternate along a row
         for readout, lo, hi in zip(readouts, bounds, bounds[1:]):
             np.matmul(readout, operand, out=target[..., lo:hi, :])
         yield block, rows

@@ -8,7 +8,7 @@ chunks, so long windows at large field never hold the full state history
 in memory, and which computes only the channels its caller asks for: a
 fidelity-only run (the heatmap, the disorder ensemble) streams the terminal
 pair's phi_plus amplitudes instead of states, for a whole stack of ladders
-that differ only in their couplings at once.
+that differ only in their couplings at once, and gets one F array back.
 
 The ladder's layout and symmetries are lattice's to decide: its rung sites
 (rung_pairs), the parity sector, the site maps a ladder or a stack holds
@@ -183,11 +183,12 @@ def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False
     C and F are clipped into [0, 1]; mutual information is not. Channels
     not asked for come back empty (concurrence) or None.
 
-    decomp may also be a stack, _sector_spectrum of a list of ladders with
-    params' n_rungs and field mask: the stack is evolved at once and
-    measures fidelity alone, one Trajectory per ladder in a list, each F
-    formed as a single ladder's would be. Pairs and mutual information read
-    one ladder's states, and a stack asking for them is refused.
+    decomp may also be a stack, _sector_spectrum of a list of K ladders
+    with params' n_rungs and field mask: the stack is evolved at once and
+    measures fidelity alone, returned as the clipped (K, n_points) array of
+    F, each row formed as a single ladder's would be. Pairs and mutual
+    information read one ladder's states, and a stack asking for them is
+    refused.
     """
     if mutual_info and params.n_rungs < 2:
         raise InvalidArgumentError(f"mutual information needs distinct first and terminal rungs, "
@@ -250,17 +251,17 @@ def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False
         }
 
     if fidelity:
-        np.clip(fid, 0.0, 1.0, out=fid)  # once for the whole stack, no copy per ladder
-
-    def trajectory(fid):
-        return Trajectory(
-            grid=grid,
-            pair_concurrence={pair_label(*pair): TimeSeries(grid, np.clip(values, 0.0, 1.0))
-                              for pair, values in conc.items()},
-            fidelity_terminal=None if fid is None else TimeSeries(grid, fid),
-            mutual_info=mi_series,
-        )
-    return [trajectory(f) for f in fid] if stack else trajectory(fid)
+        np.clip(fid, 0.0, 1.0, out=fid)  # once for the whole stack
+    if stack:
+        _check_unit_interval(fid, "stacked fidelity")
+        return fid
+    return Trajectory(
+        grid=grid,
+        pair_concurrence={pair_label(*pair): TimeSeries(grid, np.clip(values, 0.0, 1.0))
+                          for pair, values in conc.items()},
+        fidelity_terminal=None if fid is None else TimeSeries(grid, fid),
+        mutual_info=mi_series,
+    )
 
 
 def _distinct_rows(matrix):
@@ -405,8 +406,7 @@ def anisotropy_heatmap(g_values, d_values, base=LadderParams(), grid=DEFAULT_GRI
     f_max = np.empty(len(cells))
     for stack in _stacks(len(cells), len(parity_sector(psi0))):
         decomp = _sector_spectrum(cells[stack], psi0)
-        trajs = evolve_and_measure(base, grid, fidelity=True, decomp=decomp, psi0=psi0)
-        f_max[stack] = [traj.fidelity_terminal.values.max() for traj in trajs]
+        f_max[stack] = evolve_and_measure(base, grid, fidelity=True, decomp=decomp, psi0=psi0).max(axis=-1)
     return HeatmapGrid(g_values=g_values, d_values=d_values, f_max=f_max.reshape(len(g_values), len(d_values)))
 
 
@@ -457,9 +457,8 @@ def disorder_ensemble(delta, n_samples, base_seed, base=LadderParams(), grid=DEF
         reals = [disorder_realization(delta, base_seed, k, base.n_rungs) for k in members]
         decomp = _sector_spectrum([base] * len(reals), psi0, rung_factors=[1.0 + r.rung_deltas for r in reals],
                                   leg_factors=[1.0 + r.leg_deltas for r in reals])
-        trajs = evolve_and_measure(base, grid, fidelity=True, decomp=decomp, psi0=psi0)
-        for k, traj in zip(members, trajs):
-            fid = traj.fidelity_terminal.values
+        fids = evolve_and_measure(base, grid, fidelity=True, decomp=decomp, psi0=psi0)
+        for k, fid in zip(members, fids):
             peaks[k] = fid.max()
             mean, m2 = welford(mean, m2, fid, k)
             peak_mean, peak_m2 = welford(peak_mean, peak_m2, peaks[k], k)

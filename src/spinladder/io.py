@@ -17,27 +17,31 @@ from .errors import ConfigurationError, OutputError
 from .lattice import (MAX_DENSE_RUNGS, INITIAL_STATE_KINDS, LadderParams, mediating_mask,
                       uniform_mask)
 from .evolution import TimeGrid
+from .experiments import DEFAULT_GRID
+
+_REFERENCE = LadderParams()
 
 
 @dataclass
 class ExperimentConfig:
     """All knobs for one experiment invocation, after defaulting.
 
-    Defaults are the reference set: J_perp = J_parallel = 1, g = 1, d = 0.5,
-    h = 100, N = 3, the Bell pair on rung 1, t in [0, 10] with 4001 points,
-    seed 42.
+    Defaults are the reference set: the ladder of LadderParams() (N = 3,
+    J_perp = J_parallel = 1, g = 1, d = 0.5, h = 100, field on the mediating
+    rungs), the Bell pair on rung 1, the time grid of
+    experiments.DEFAULT_GRID (t in [0, 10] with 4001 points), seed 42.
     """
 
-    n_rungs: int = 3
-    j_perp: float = 1.0
-    j_parallel: float = 1.0
-    g: float = 1.0
-    d: float = 0.5
-    h: float = 100.0
+    n_rungs: int = _REFERENCE.n_rungs
+    j_perp: float = _REFERENCE.j_perp
+    j_parallel: float = _REFERENCE.j_parallel
+    g: float = _REFERENCE.g
+    d: float = _REFERENCE.d
+    h: float = _REFERENCE.h
     field_mask: str = "mediating"
     state: str = "phi_plus"
-    t_end: float = 10.0
-    n_points: int = 4001
+    t_end: float = DEFAULT_GRID.t_end
+    n_points: int = DEFAULT_GRID.n_points
     seed: int = 42
     # field-sweep / effective-check
     h_values: str = "50,100,200,400"
@@ -118,7 +122,9 @@ def _refusal(key, value, entries):
 def parse_config_text(text):
     """Raw `key = value` lines to a typed dict; errors carry the line number."""
     values = {}
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+    # Only "\n" ends a line: str.splitlines would also break on form feeds,
+    # vertical tabs, U+2028 and the like, and so misnumber the lines after them.
+    for lineno, raw_line in enumerate(text.split("\n"), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -141,27 +147,15 @@ def convert_overrides(overrides):
     return values
 
 
-def build_config(*value_dicts, size_key="n_rungs"):
-    """Merge value dicts left to right (later wins) into a validated config.
+def build_config(*value_dicts):
+    """Merge value dicts left to right (later wins) into a config.
 
-    size_key names the key that holds the ladder sizes the command runs
-    (n_values for scaling), against which an explicit field_mask is checked.
+    Whether an explicit field_mask fits a ladder size is LadderParams' check (config_params).
     """
     values = {}
     for d in value_dicts:
         values.update(d)
-    config = ExperimentConfig(**values)
-    _validate(config, size_key)
-    return config
-
-
-def _validate(config, size_key):
-    """The check that needs two keys: field_mask rungs within 1..N for every size N under size_key."""
-    if config.field_mask not in ("mediating", "uniform"):
-        rungs = sorted(set(_split(config.field_mask, int)))
-        for n in _split(str(getattr(config, size_key)), int):  # n_rungs, or the entries of n_values
-            if not all(1 <= r <= n for r in rungs):
-                raise ConfigurationError(f"field_mask {rungs} outside rungs 1..{n}", key="field_mask")
+    return ExperimentConfig(**values)
 
 
 def config_params(config):

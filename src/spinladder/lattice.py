@@ -55,12 +55,18 @@ import numpy as np
 from .errors import InvalidArgumentError, NumericFailureError
 from .evolution import SECTOR_LEAK_TOL
 
-INITIAL_STATE_KINDS = (
-    "phi_plus",
-    "psi_plus",
-    "psi_minus_plus_phi_plus",
-    "separable_zero_zero",
-)
+_S2 = 1.0 / np.sqrt(2.0)
+
+#: Rung-1 amplitudes of each initial state kind over the pair configurations
+#: 00, 01, 10, 11; every other site is |0>. psi_minus_plus_phi_plus is the
+#: normalized sum of those two Bell states.
+_RUNG1_AMPLITUDES = {
+    "phi_plus": (_S2, 0.0, 0.0, _S2),
+    "psi_plus": (0.0, _S2, _S2, 0.0),
+    "psi_minus_plus_phi_plus": (0.5, 0.5, -0.5, 0.5),
+    "separable_zero_zero": (1.0, 0.0, 0.0, 0.0),
+}
+INITIAL_STATE_KINDS = tuple(_RUNG1_AMPLITUDES)
 
 #: Largest ladder the dense builder and eigensolver take (2^10 = 1024 states;
 #: the builder keeps one parity sector, 512, and on a clean ladder the
@@ -367,29 +373,11 @@ def build_hamiltonian(params, rung_factors=None, leg_factors=None, basis=None):
 
 
 def build_initial_state(kind, params):
-    """State vector with the requested two-qubit state on rung 1, all other sites |0>.
-
-    Kinds: "phi_plus", "psi_plus", "psi_minus_plus_phi_plus" (the normalized
-    sum of those two Bell states), "separable_zero_zero".
-    """
+    """State vector with the two-qubit state of kind (one of INITIAL_STATE_KINDS) on rung 1, all other sites |0>."""
     if kind not in INITIAL_STATE_KINDS:
         raise InvalidArgumentError(f"unknown initial state kind {kind!r}; expected one of {INITIAL_STATE_KINDS}")
-    shift = 2 * params.n_rungs - 2
     psi = np.zeros(params.dim, dtype=complex)
-    s2 = 1.0 / np.sqrt(2.0)
-    if kind == "phi_plus":
-        psi[0b00 << shift] = s2
-        psi[0b11 << shift] = s2
-    elif kind == "psi_plus":
-        psi[0b01 << shift] = s2
-        psi[0b10 << shift] = s2
-    elif kind == "psi_minus_plus_phi_plus":
-        psi[0b00 << shift] = 0.5
-        psi[0b11 << shift] = 0.5
-        psi[0b01 << shift] = 0.5
-        psi[0b10 << shift] = -0.5
-    else:
-        psi[0] = 1.0
+    psi[np.arange(4) << (2 * params.n_rungs - 2)] = _RUNG1_AMPLITUDES[kind]  # rung 1 holds the two leading bits
     return psi
 
 

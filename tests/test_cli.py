@@ -136,6 +136,7 @@ def test_empty_list_value_exits_2(tmp_path, capsys, command, flag):
     ("disorder", "--deltas", "nan", "deltas"),
     ("disorder", "--deltas", "inf", "deltas"),
     ("reference", "--field-mask", ",", "field_mask"),
+    ("reference", "--field-mask", "2,9", "field_mask"),
     ("scaling", "--n-values", "4,2", "n_values"),
     ("disorder", "--deltas", "0.1,-0.1", "deltas"),
     ("disorder", "--deltas", "-0.0", "deltas"),
@@ -333,6 +334,29 @@ def test_config_file_that_is_not_utf8_exits_2(tmp_path, capsys, content):
     cfg.write_bytes(content)
     assert main(["reference", "--config", str(cfg), "--out", str(out)]) == 2
     assert f"config file {cfg} is not UTF-8" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_file_with_a_byte_order_mark_runs(tmp_path):
+    """A UTF-8 byte-order mark, as some editors write one, is not part of the first key."""
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+    cfg.write_bytes(b"\xef\xbb\xbfh = 50")
+    assert main(["reference", "--config", str(cfg), "--n-points", "11", "--out", str(out)]) == 0
+    assert read_sidecar(str(out / "trajectory.json"))["config"]["h"] == 50.0
+
+
+@pytest.mark.parametrize("command", ["field-sweep", "heatmap", "disorder", "freq-table", "effective-check"])
+def test_state_is_refused_where_only_phi_plus_evolves(tmp_path, capsys, monkeypatch, command):
+    """Five commands evolve phi_plus alone: another state, by flag or file, exits 2 naming state, before --out."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a command evolved a state it ignores")
+    monkeypatch.setattr(experiments, "iter_evolved", refuse)
+    out, cfg = tmp_path / "out", tmp_path / "run.cfg"
+    assert main([command, "--state", "psi_plus", "--out", str(out)]) == 2
+    assert f"{command} evolves phi_plus only, got psi_plus (key: state)" in capsys.readouterr().err
+    cfg.write_text("state = separable_zero_zero\n")
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "(key: state)" in capsys.readouterr().err
     assert not out.exists()
 
 

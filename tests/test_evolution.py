@@ -62,7 +62,7 @@ def test_diagonalize_refuses_a_non_finite_matrix(element):
 
 
 def test_diagonalize_sorted_permutation():
-    ham = np.diag([3.0, 1.0, 2.0]).astype(complex)
+    ham = np.diag([3.0, 1.0, 2.0])
     decomp = diagonalize(ham)
     assert np.allclose(decomp.eigenvalues, [1.0, 2.0, 3.0])
     # eigenvectors of a diagonal matrix are basis vectors, permuted to match
@@ -71,16 +71,34 @@ def test_diagonalize_sorted_permutation():
 
 
 def test_diagonalize_rejects_nonhermitian():
-    ham = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    with pytest.raises(InvalidArgumentError):
+    """A real matrix that is not symmetric is refused."""
+    ham = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(InvalidArgumentError, match="not symmetric"):
         diagonalize(ham)
+
+
+@pytest.mark.parametrize("ham", [np.eye(2, dtype=complex), np.array([[0.0, -1j], [1j, 0.0]])],
+                         ids=["real values", "Hermitian"])
+def test_diagonalize_refuses_a_complex_matrix(ham):
+    """Every ladder H is real symmetric: a complex matrix is refused, even one whose values are real."""
+    with pytest.raises(InvalidArgumentError, match="expected a real matrix, got complex128"):
+        diagonalize(ham)
+    with pytest.raises(InvalidArgumentError, match="expected a real matrix"):
+        diagonalize(np.stack([ham.real, ham]))
+
+
+def test_decomposition_refuses_complex_eigenvectors():
+    """A decomposition holds real eigenvectors only, so every evolution product is a real one."""
+    with pytest.raises(InvalidArgumentError, match="eigenvectors must be real"):
+        SpectralDecomposition(np.zeros(2), np.eye(2, dtype=complex), np.arange(2))
+    assert SpectralDecomposition(np.zeros(2), np.eye(2), np.arange(2)).dim == 2
 
 
 def test_diagonalize_solves_a_stack_matrix_by_matrix():
     """Three stacked N = 4 sector Hamiltonians on phi_plus's blocks give each one's eigenpairs bitwise, in its layout.
 
     Every matrix of the stack is checked on its own: one non-finite or
-    non-Hermitian matrix refuses the stack.
+    non-symmetric matrix refuses the stack.
     """
     params = [LadderParams(n_rungs=4, g=g, d=d) for g, d in ((1.0, 0.5), (0.6, 0.2), (0.3, 0.9))]
     psi0 = build_initial_state("phi_plus", params[0])
@@ -100,7 +118,7 @@ def test_diagonalize_solves_a_stack_matrix_by_matrix():
     with pytest.raises(NumericFailureError, match="non-finite"):
         diagonalize(broken, basis)
     broken[2, 0, 0], broken[1, 0, 1] = 0.0, 1.0
-    with pytest.raises(InvalidArgumentError, match="not Hermitian"):
+    with pytest.raises(InvalidArgumentError, match="not symmetric"):
         diagonalize(broken, basis)
 
 
@@ -312,7 +330,7 @@ def _sector_decomp(params, psi0):
 
 
 def test_sector_evolution_matches_full_space_oracle():
-    """phi_plus evolved in its 32-state sector equals the 64-state complex evolution.
+    """phi_plus evolved in its 32-state sector equals the 64-state evolution of conftest's dense propagator.
 
     Both routes carry a phase error that grows as eps |H| t with |H| ~ 200:
     at t = 10 each is ~1.7e-12 off a 40-digit evolution, so state amplitudes
@@ -324,11 +342,9 @@ def test_sector_evolution_matches_full_space_oracle():
     psi0 = build_initial_state("phi_plus", p)
     decomp = _sector_decomp(p, psi0)
     assert decomp.dim == 32 and np.isrealobj(decomp.eigenvectors)
-    oracle = diagonalize(pauli_hamiltonian(p))
-    assert np.array_equal(oracle.basis, np.arange(64)) and not np.isrealobj(oracle.eigenvectors)
     grid = TimeGrid(0.0, 10.0, 401)
     [(_, sector_states)] = iter_evolved(decomp, psi0, grid)
-    [(_, expected)] = iter_evolved(oracle, psi0, grid)
+    expected = _oracle_states(pauli_hamiltonian(p), psi0, grid.times)
     assert sector_states.shape == (32, 401)
     states = np.zeros((64, 401), dtype=complex)
     states[decomp.basis] = sector_states
@@ -367,13 +383,14 @@ def test_sector_states_stream_in_sector_coordinates(monkeypatch):
 def test_readouts_stack_their_own_products(space, monkeypatch):
     """Each readout R = M V yields M psi(t), bit for bit the same alone or behind others.
 
-    The parity sector has real V and takes the real product, the complex
-    pauli_string Hamiltonian the complex one.
+    The states, of the 32-state parity sector or of the whole 64-state
+    space, are those of conftest's dense propagator of the pauli_string
+    Hamiltonian, to the 1e-12 of test_sector_evolution_matches_full_space_oracle.
     """
     p = LadderParams()
     psi0 = build_initial_state("phi_plus", p)
-    decomp = _sector_decomp(p, psi0) if space == "parity sector" else diagonalize(pauli_hamiltonian(p))
-    assert np.isrealobj(decomp.eigenvectors) == (space == "parity sector")
+    decomp = _sector_decomp(p, psi0) if space == "parity sector" else diagonalize(build_hamiltonian(p))
+    assert len(decomp.basis) == (32 if space == "parity sector" else 64)
     mixer = np.random.default_rng(5).normal(size=(decomp.dim // 4, decomp.dim))
     readout = mixer @ decomp.eigenvectors
     grid = TimeGrid(0.0, 5.0, 23)
@@ -382,6 +399,8 @@ def test_readouts_stack_their_own_products(space, monkeypatch):
     alone = list(iter_evolved(decomp, psi0, grid, [readout]))
     both = list(iter_evolved(decomp, psi0, grid, [decomp.eigenvectors, readout]))
     assert [rows.shape for _, rows in alone] == [(decomp.dim // 4, 7)] * 3 + [(decomp.dim // 4, 2)]
+    oracle = _oracle_states(pauli_hamiltonian(p), psi0, grid.times)[decomp.basis]
+    assert np.abs(np.concatenate([full for _, full in states], axis=1) - oracle).max() <= 1e-12
     for (_, full), (_, part), (_, stacked) in zip(states, alone, both):
         assert stacked.shape == (decomp.dim + decomp.dim // 4, full.shape[1])
         assert np.array_equal(stacked[:decomp.dim], full)

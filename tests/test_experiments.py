@@ -330,19 +330,18 @@ CHUNKED_F_TOL = 2e-15
 def _stacked_and_alone(params, grid, decomp, singles, psi0, monkeypatch):
     """Largest |F(stacked) - F(alone)| over the ladders of a stacked decomposition, against single-ladder ones.
 
-    Run alone in chunks of the stack's length (CHUNK lowered to it), each
-    ladder's F is bitwise the one the stack gives it.
+    The stack's F is one (K, n_points) array. Run alone in chunks of the
+    stack's length (CHUNK lowered to it), each ladder's F is bitwise its row.
     """
     stacked = evolve_and_measure(params, grid, fidelity=True, decomp=decomp, psi0=psi0)
-    assert len(stacked) == len(singles)
+    assert stacked.shape == (len(singles), grid.n_points)
     alone = [evolve_and_measure(params, grid, fidelity=True, decomp=single, psi0=psi0) for single in singles]
     with monkeypatch.context() as patch:
         patch.setattr("spinladder.evolution.CHUNK", _chunk_points(len(decomp.basis), decomp.dim, len(singles)))
-        for traj, single in zip(stacked, singles):
+        for fid, single in zip(stacked, singles):
             same_chunks = evolve_and_measure(params, grid, fidelity=True, decomp=single, psi0=psi0)
-            assert np.array_equal(traj.fidelity_terminal.values, same_chunks.fidelity_terminal.values)
-    return max(np.abs(traj.fidelity_terminal.values - one.fidelity_terminal.values).max()
-               for traj, one in zip(stacked, alone))
+            assert np.array_equal(fid, same_chunks.fidelity_terminal.values)
+    return max(np.abs(fid - one.fidelity_terminal.values).max() for fid, one in zip(stacked, alone))
 
 
 @pytest.mark.parametrize("n_rungs", [3, 4, 5])
@@ -402,7 +401,7 @@ def test_a_stack_mixing_clean_and_disordered_ladders_is_solved_on_the_whole_sect
     whole = diagonalize(build_hamiltonian(base, basis=basis), basis)
     disordered = _sector_spectrum(base, psi0, rung_factors=rungs[1], leg_factors=legs[1])
     assert _stacked_and_alone(base, grid, decomp, [whole, disordered], psi0, monkeypatch) <= CHUNKED_F_TOL
-    clean = evolve_and_measure(base, grid, fidelity=True, decomp=decomp, psi0=psi0)[0].fidelity_terminal.values
+    clean = evolve_and_measure(base, grid, fidelity=True, decomp=decomp, psi0=psi0)[0]
     blocked = evolve_and_measure(base, grid, fidelity=True, psi0=psi0).fidelity_terminal.values
     assert np.abs(clean - blocked).max() <= 1e-12
 
@@ -432,6 +431,33 @@ def test_sector_spectrum_is_the_public_path(stack):
     assert got.eigenvalues.shape[0] == len(ladders)
     for name in ("eigenvalues", "eigenvectors", "basis"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_a_stack_returns_its_fidelity_array():
+    """A stack's F is one clipped (K, n_points) array, each row bitwise a single run of its ladder in one chunk."""
+    cells = [LadderParams(g=g, d=d) for g, d in ((1.0, 0.5), (0.6, 0.2), (0.3, 0.9))]
+    psi0 = build_initial_state("phi_plus", cells[0])
+    grid = TimeGrid(0.0, 10.0, STRIDE - 3)
+    fid = evolve_and_measure(cells[0], grid, fidelity=True, decomp=_sector_spectrum(cells, psi0), psi0=psi0)
+    assert isinstance(fid, np.ndarray) and fid.shape == (3, grid.n_points)
+    assert fid.min() >= 0.0 and fid.max() <= 1.0
+    for row, cell in zip(fid, cells):
+        assert np.array_equal(row, evolve_and_measure(cell, grid, fidelity=True, psi0=psi0).fidelity_terminal.values)
+
+
+def test_a_nan_in_a_stacked_fidelity_is_refused(monkeypatch):
+    """A non-finite F in one ladder of a stack refuses the whole stack's array."""
+    def poisoned(decomp, psi0, grid, readouts=None):
+        for block, rows in iter_evolved(decomp, psi0, grid, readouts):
+            rows[1, 0, 0] = np.nan
+            yield block, rows
+    cells = [LadderParams(g=g) for g in (0.5, 1.0)]
+    psi0 = build_initial_state("phi_plus", cells[0])
+    decomp, grid = _sector_spectrum(cells, psi0), TimeGrid(0.0, 1.0, 11)
+    assert evolve_and_measure(cells[0], grid, fidelity=True, decomp=decomp, psi0=psi0).shape == (2, 11)
+    monkeypatch.setattr("spinladder.experiments.iter_evolved", poisoned)
+    with pytest.raises(InvalidArgumentError, match="stacked fidelity has non-finite values"):
+        evolve_and_measure(cells[0], grid, fidelity=True, decomp=decomp, psi0=psi0)
 
 
 def test_a_stack_measures_fidelity_alone():
@@ -874,7 +900,7 @@ def test_effective_model_period_agrees_across_eigensolvers():
     spectra.append(np.linalg.eigh(ham.real))
     periods = []
     for eigenvalues, eigenvectors in spectra:
-        decomp = SpectralDecomposition(eigenvalues, eigenvectors.astype(complex), np.arange(16))
+        decomp = SpectralDecomposition(eigenvalues, eigenvectors, np.arange(16))
         traj = evolve_and_measure(proto, grid, [(3, 4)], decomp=decomp, psi0=psi0)
         periods.append(envelope_period(traj.pair_concurrence["34"]))
     assert np.allclose(periods, periods[0], rtol=1e-9, atol=0.0), periods
