@@ -193,7 +193,10 @@ def cmd_scaling(args, config):
         traj = experiments.scaling_run(params, grid=grid, state_kind=config.state)
         io.write_trajectory(traj, _out(args, f"scaling_n{n}.csv"))
         terminal = traj.pair_concurrence[traj.terminal_label]
-        peaks = signals.find_peaks(terminal, signals.ENVELOPE_PROMINENCE)
+        try:
+            peaks = signals.find_peaks(terminal, signals.ENVELOPE_PROMINENCE)
+        except InsufficientDataError:
+            peaks = []  # a grid too short for peaks has none; the entry has no first peak
         entry = dict(io.trajectory_summary(traj))
         entry["n_rungs"] = n
         if peaks:

@@ -24,7 +24,12 @@ iter_evolved streams a uniform TimeGrid. Its phases exp(-i w t) come from
 two small tables instead of one complex exp per eigenvalue and time: an
 anchor phase at every STRIDE-th grid time times one of STRIDE offset
 phases exp(-i w b dt). The anchors are the grid's own times, so every
-STRIDE-th phase is exactly the direct one.
+STRIDE-th phase is exactly the direct one. One chunk of grid times is one
+call of the kernel _evolve_chunk, which reads only the per-call tables
+(_Evolution) and writes only its own phase buffer and row block, so the
+chunks are independent: iter_evolved runs them in order through one
+buffer, and experiments.evolve_and_measure runs them on every usable core,
+one buffer per worker, with the same bits.
 
 Ladders that differ only in their couplings, such as a heatmap's cells or
 a disorder ensemble's realizations, share the basis and psi0, and are
@@ -242,15 +247,68 @@ def _stacks(n_ladders, n_states):
     return [slice(n_ladders * k // count, n_ladders * (k + 1) // count) for k in range(count)]
 
 
+class _Evolution:
+    """The per-call tables of iter_evolved(decomp, psi0, grid, readouts), which every chunk reads and none writes.
+
+    The grid's phases and psi0 are checked first. coeffs are psi0's
+    coordinates V^T psi0 in each ladder, offsets the STRIDE offset phases
+    exp(-i w b dt), bounds the cumulative row counts of the readouts in a
+    row block, and starts the grid index at which each chunk of chunk
+    points begins. It is a plain class because a frozen dataclass of these
+    fields takes about 1 ms to create when the module is imported.
+    """
+
+    def __init__(self, decomp, psi0, grid, readouts=None):
+        w = decomp.eigenvalues
+        phase = float(np.abs(w).max()) * grid.t_end
+        if not np.finfo(float).eps * phase <= PHASE_ROUNDOFF_TOL:
+            raise NumericFailureError(f"phases E t reach {phase:.3g}, so their round-off exceeds "
+                                      f"{PHASE_ROUNDOFF_TOL:g}")
+        self.decomp = decomp
+        self.readouts = (decomp.eigenvectors,) if readouts is None else tuple(readouts)
+        self.bounds = np.cumsum([0] + [readout.shape[-2] for readout in self.readouts])
+        self.coeffs = _coefficients(decomp, psi0)
+        self.offsets = np.exp(-1j * w[..., None] * (np.arange(min(STRIDE, grid.n_points)) * grid.dt))
+        self.times = grid.times
+        self.chunk = _chunk_points(len(decomp.basis), decomp.dim, math.prod(w.shape[:-1]))
+        self.starts = range(0, len(self.times), self.chunk)
+
+    def phase_buffer(self):
+        """An uninitialized buffer for one chunk's phases, which _evolve_chunk reuses from chunk to chunk."""
+        anchors = len(self.times[:self.chunk:STRIDE])
+        return np.empty(self.decomp.eigenvalues.shape + (anchors, self.offsets.shape[-1]), dtype=complex)
+
+
+def _evolve_chunk(evolution, start, phases):
+    """(time_block, row_block) of the chunk of evolution that begins at grid index start.
+
+    Its phases are formed in phases, a phase_buffer that the caller owns,
+    and the readouts read them in place; the row block is allocated here.
+    A chunk's arithmetic depends only on the tables and start, so it gives
+    the same bits in any buffer, in any order of chunks, on any thread.
+    """
+    w = evolution.decomp.eigenvalues
+    block = evolution.times[start:start + evolution.chunk]
+    anchors = evolution.coeffs[..., None] * np.exp(-1j * w[..., None] * block[::STRIDE])
+    np.multiply(anchors[..., None], evolution.offsets[..., None, :], out=phases[..., :anchors.shape[-1], :])
+    rotated = phases.reshape(w.shape + (-1,))[..., :len(block)]
+    bounds = evolution.bounds
+    rows = np.empty(w.shape[:-1] + (bounds[-1], len(block)), dtype=complex)
+    target, operand = rows.view(float), rotated.view(float)  # real and imaginary parts alternate along a row
+    for readout, lo, hi in zip(evolution.readouts, bounds, bounds[1:]):
+        np.matmul(readout, operand, out=target[..., lo:hi, :])
+    return block, rows
+
+
 def iter_evolved(decomp, psi0, grid, readouts=None):
     """Yield (time_block, row_block) pairs over a TimeGrid, one column per time.
 
-    This is the streaming workhorse behind experiments.evolve_and_measure;
-    long sweeps never materialize the full state history. psi0 is a
-    full-space state. Each chunk's eigenbasis block c exp(-i w t) is
-    multiplied by every matrix in readouts, each real and in a real product
-    of its own over the block's real and imaginary parts, and their rows are
-    stacked in order.
+    This is the streaming form of the per-chunk kernel _evolve_chunk that
+    experiments.evolve_and_measure runs on every usable core; long sweeps
+    never materialize the full state history. psi0 is a full-space state.
+    Each chunk's eigenbasis block c exp(-i w t) is multiplied by every
+    matrix in readouts, each real and in a real product of its own over the
+    block's real and imaginary parts, and their rows are stacked in order.
     readouts defaults to (V,): the row block is then the states in decomp's
     basis, shape (len(decomp.basis), len(time_block)), with row r the amplitude of
     basis state decomp.basis[r]. A readout R = M V yields M psi(t) without
@@ -262,30 +320,13 @@ def iter_evolved(decomp, psi0, grid, readouts=None):
     The grid is uniform, so each time is an anchor (every STRIDE-th grid
     time from a chunk's start, taken from grid.times) plus an offset
     b * grid.dt with b < STRIDE, and exp(-i w t) is an anchor phase times an
-    offset phase. The offset phases are one table per call; the anchor
-    phases are computed per chunk, and their products with the offsets fill
-    one phase buffer per call, which the readouts read in place. The row
-    blocks are allocated per chunk, so a caller may keep every one.
+    offset phase. The offset phases are one table per call (_Evolution);
+    the anchor phases are computed per chunk, and their products with the
+    offsets fill one phase buffer per call here, one per worker in
+    evolve_and_measure, which the readouts read in place. The row blocks
+    are allocated per chunk, so a caller may keep every one.
     """
-    w = decomp.eigenvalues
-    stack = w.shape[:-1]
-    phase = float(np.abs(w).max()) * grid.t_end
-    if not np.finfo(float).eps * phase <= PHASE_ROUNDOFF_TOL:
-        raise NumericFailureError(f"phases E t reach {phase:.3g}, so their round-off exceeds {PHASE_ROUNDOFF_TOL:g}")
-    readouts = (decomp.eigenvectors,) if readouts is None else tuple(readouts)
-    bounds = np.cumsum([0] + [readout.shape[-2] for readout in readouts])
-    coeffs = _coefficients(decomp, psi0)
-    times = grid.times
-    offsets = np.exp(-1j * w[..., None] * (np.arange(min(STRIDE, grid.n_points)) * grid.dt))
-    chunk = _chunk_points(len(decomp.basis), decomp.dim, math.prod(stack))
-    phases = np.empty(w.shape + (len(times[:chunk:STRIDE]), offsets.shape[-1]), dtype=complex)
-    for start in range(0, len(times), chunk):
-        block = times[start:start + chunk]
-        anchors = coeffs[..., None] * np.exp(-1j * w[..., None] * block[::STRIDE])
-        np.multiply(anchors[..., None], offsets[..., None, :], out=phases[..., :anchors.shape[-1], :])
-        rotated = phases.reshape(w.shape + (-1,))[..., :len(block)]
-        rows = np.empty(stack + (bounds[-1], len(block)), dtype=complex)
-        target, operand = rows.view(float), rotated.view(float)  # real and imaginary parts alternate along a row
-        for readout, lo, hi in zip(readouts, bounds, bounds[1:]):
-            np.matmul(readout, operand, out=target[..., lo:hi, :])
-        yield block, rows
+    evolution = _Evolution(decomp, psi0, grid, readouts)
+    phases = evolution.phase_buffer()
+    for start in evolution.starts:
+        yield _evolve_chunk(evolution, start, phases)

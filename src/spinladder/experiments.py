@@ -3,12 +3,14 @@
 Every study is a plain function from parameters to tabular results:
 reference trajectory, field sweep, anisotropy heatmap, disorder ensemble,
 size scaling, effective-model comparison, and the carrier-frequency table.
-All of them run through evolve_and_measure, which streams the evolution in
-chunks, so long windows at large field never hold the full state history
-in memory, and which computes only the channels its caller asks for: a
-fidelity-only run (the heatmap, the disorder ensemble) streams the terminal
-pair's phi_plus amplitudes instead of states, for a whole stack of ladders
-that differ only in their couplings at once, and gets one F array back.
+All of them run through evolve_and_measure, which evolves and measures in
+chunks of grid times, each into its own slice of the outputs and one at a
+time per worker thread, so long windows at large field never hold the full
+state history in memory, and which computes only the channels its caller
+asks for: a fidelity-only run (the heatmap, the disorder ensemble) streams
+the terminal pair's phi_plus amplitudes instead of states, for a whole
+stack of ladders that differ only in their couplings at once, and gets one
+F array back.
 
 The ladder's layout and symmetries are lattice's to decide: its rung sites
 (rung_pairs), the parity sector, the site maps a ladder or a stack holds
@@ -16,14 +18,17 @@ and their blocks. _sector_spectrum chains parity_sector, symmetry_blocks,
 build_hamiltonian and diagonalize, the path the lattice tests check.
 """
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.random import SeedSequence, default_rng  # loaded here: np.random would load it mid-run
 
 from .errors import InsufficientDataError, InvalidArgumentError, NumericFailureError, UnsupportedSizeError
-from .evolution import TimeGrid, _stacks, diagonalize, iter_evolved
+from .evolution import TimeGrid, _Evolution, _evolve_chunk, _stacks, diagonalize
 from .lattice import (
     MAX_DENSE_RUNGS,
     LadderParams,
@@ -174,14 +179,17 @@ def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False
     call on the remapped rows) give the joint entropy from each block's
     smaller side and the two end pairs' rhos as fixed linear images, in
     place of reducing those pairs; the single sites are traced from their
-    pair. Fidelity reads no state and no rho: iter_evolved
-    applies A = P V (P from metrics._phi_plus_map, formed once per call) in a
+    pair. Fidelity reads no state and no rho: the evolution applies
+    A = P V (P from metrics._phi_plus_map, formed once per call) in a
     product of its own, and F = sum_m |a_m|^2 over the amplitudes a it
-    yields, so F comes from the same arithmetic whatever other channels a
+    gives, so F comes from the same arithmetic whatever other channels a
     run asks for. psi0 defaults to the phi_plus input and decomp to the
     spectrum of params' Hamiltonian on the symmetry blocks psi0 occupies.
     C and F are clipped into [0, 1]; mutual information is not. Channels
-    not asked for come back empty (concurrence) or None.
+    not asked for come back empty (concurrence) or None. Each chunk is
+    evolved (evolution._evolve_chunk) and measured into its own slice of
+    the outputs, on one thread per usable CPU (_evolve_in_parallel), with
+    the same bits whatever the number of threads.
 
     decomp may also be a stack, _sector_spectrum of a list of K ladders
     with params' n_rungs and field mask: the stack is evolved at once and
@@ -218,9 +226,8 @@ def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False
     conc = {pair: np.empty(n_points) for pair in pairs}
     fid = np.empty(stack + (n_points,)) if fidelity else None
     mi = {name: np.empty(n_points) for name in ("first", "terminal", "joint") if mutual_info}
-    pos = 0
-    for block, rows in iter_evolved(decomp, psi0, grid, readouts):
-        sl = slice(pos, pos + len(block))
+
+    def measure(sl, rows):
         states, amplitudes = rows[..., :split, :], rows[..., split:, :]
         rhos = {pair: _reduced_many(states, layouts[pair]) for pair in reduced}
         if mutual_info:
@@ -239,7 +246,8 @@ def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False
             mi["first"][sl] = sum(map(_entropy_many, _marginals(rhos[first]))) - s_first
             mi["terminal"][sl] = sum(map(_entropy_many, _marginals(rhos[terminal]))) - s_term
             mi["joint"][sl] = s_first + s_term - _entropy_many(sides)
-        pos = sl.stop
+
+    _evolve_in_parallel(_Evolution(decomp, psi0, grid, readouts), measure)
 
     mi_series = None
     if mutual_info:
@@ -262,6 +270,55 @@ def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False
         fidelity_terminal=None if fid is None else TimeSeries(grid, fid),
         mutual_info=mi_series,
     )
+
+
+def _usable_cpus():
+    """The CPUs this process may run on: its affinity mask where the platform has one, else every CPU."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _evolve_in_parallel(evolution, measure):
+    """Evolve every chunk of evolution and pass it to measure(slice, rows), on one thread per usable CPU.
+
+    The workers, the calling thread among them and at most one per chunk,
+    take the chunks in order, one at a time each, and each forms its phases
+    in a buffer of its own. A chunk's arithmetic and its output slice do not
+    depend on the worker, so every output is bitwise what one thread
+    writes; with one worker the chunks run in the caller. The helpers run in
+    copies of the caller's context, so a NumPy error state the caller set
+    holds in every chunk. The first exception stops the workers taking
+    chunks and is raised in the caller once every helper has ended.
+    """
+    starts = iter(evolution.starts)
+    lock, failures = threading.Lock(), []
+
+    def work():
+        phases = evolution.phase_buffer()
+        while True:
+            with lock:
+                start = None if failures else next(starts, None)
+            if start is None:
+                return
+            try:
+                block, rows = _evolve_chunk(evolution, start, phases)
+                measure(slice(start, start + len(block)), rows)
+            except BaseException as exc:
+                with lock:
+                    failures.append(exc)
+                return
+
+    workers = min(_usable_cpus(), len(evolution.starts))
+    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(work,)) for _ in range(workers - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[0]
 
 
 def _distinct_rows(matrix):

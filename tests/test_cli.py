@@ -26,6 +26,7 @@ from hypothesis import given, settings, strategies as st
 import spinladder
 from spinladder import __version__, cli, experiments, io
 from spinladder.cli import _build_parser, _resolve_config, main
+from spinladder.errors import NumericFailureError
 from spinladder.io import config_floats, config_grid
 
 from conftest import parse_config, read_csv, read_sidecar
@@ -218,7 +219,7 @@ def test_unbounded_envelope_grid_is_refused_before_evolving(tmp_path, capsys, mo
     """
     def refuse(*args, **kwargs):
         raise AssertionError("an envelope study evolved before its grids were checked")
-    monkeypatch.setattr("spinladder.experiments.iter_evolved", refuse)
+    monkeypatch.setattr("spinladder.experiments._evolve_chunk", refuse)
     out = tmp_path / "out"
     assert main([command, "--j-parallel", j_parallel, "--h-values", "100", "--eff-h-values", "100",
                  "--out", str(out)]) == 3
@@ -235,7 +236,7 @@ def test_a_stack_with_one_overflowing_ladder_is_refused_before_evolving(tmp_path
     """
     def refuse(*args, **kwargs):
         raise AssertionError("a stack was evolved before every ladder in it was checked")
-    monkeypatch.setattr("spinladder.experiments.iter_evolved", refuse)
+    monkeypatch.setattr("spinladder.experiments._evolve_chunk", refuse)
     out = tmp_path / "out"
     assert main(["heatmap", "--j-perp", "1e300", "--g-min", "0", "--g-max", "1e300", "--n-g", "2", "--n-d", "2",
                  "--out", str(out)]) == 3
@@ -262,7 +263,7 @@ def test_zero_dressed_gap_is_refused_before_evolving(tmp_path, capsys, monkeypat
     """
     def refuse(*args, **kwargs):
         raise AssertionError("a gapless ladder was evolved")
-    monkeypatch.setattr("spinladder.experiments.iter_evolved", refuse)
+    monkeypatch.setattr("spinladder.experiments._evolve_chunk", refuse)
     out = tmp_path / "out"
     assert main(argv + ["--g", "0", "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -283,7 +284,7 @@ def test_effective_check_with_unequal_couplings_is_refused_before_evolving(tmp_p
     """Every effective-check row has an alpha, which needs j_perp == j_parallel: exit 2 naming both, nothing evolved."""
     def refuse(*args, **kwargs):
         raise AssertionError("an effective check evolved before its alpha precondition was checked")
-    monkeypatch.setattr("spinladder.experiments.iter_evolved", refuse)
+    monkeypatch.setattr("spinladder.experiments._evolve_chunk", refuse)
     out = tmp_path / "out"
     assert main(["effective-check", "--j-perp", "1.001", "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -310,7 +311,7 @@ def test_extreme_float_keys_exit_without_traceback(command, values):
     there; neither a refused nor a stopped run may leave an output directory.
     """
     assert len(_FLOAT_KEYS) == 14
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(experiments, "iter_evolved", side_effect=_Evolved):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(experiments, "_evolve_chunk", side_effect=_Evolved):
         out = os.path.join(tmp, "out")
         try:
             code = main([command, "--out", out] + [f"--{key}={value}" for key, value in values.items()])
@@ -350,13 +351,30 @@ def test_state_is_refused_where_only_phi_plus_evolves(tmp_path, capsys, monkeypa
     """Five commands evolve phi_plus alone: another state, by flag or file, exits 2 naming state, before --out."""
     def refuse(*args, **kwargs):
         raise AssertionError("a command evolved a state it ignores")
-    monkeypatch.setattr(experiments, "iter_evolved", refuse)
+    monkeypatch.setattr(experiments, "_evolve_chunk", refuse)
     out, cfg = tmp_path / "out", tmp_path / "run.cfg"
     assert main([command, "--state", "psi_plus", "--out", str(out)]) == 2
     assert f"{command} evolves phi_plus only, got psi_plus (key: state)" in capsys.readouterr().err
     cfg.write_text("state = separable_zero_zero\n")
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert "(key: state)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_chunk_failing_on_any_worker_exits_3_without_output(tmp_path, capsys, monkeypatch, workers):
+    """A numeric failure in the second of three chunks, on one to three workers, exits 3 and writes no --out."""
+    def failing(evolution, start, phases):
+        if start == evolution.chunk:
+            raise NumericFailureError("the second chunk failed")
+        return evolve_chunk(evolution, start, phases)
+    evolve_chunk = experiments._evolve_chunk
+    monkeypatch.setattr(experiments, "_evolve_chunk", failing)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: workers)
+    out = tmp_path / "out"
+    assert main(["reference", "--n-points", "5000", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numeric failure: the second chunk failed" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -474,6 +492,16 @@ def test_scaling_run_outputs(tmp_path):
     assert run["n_rungs"] == 3
     assert "first_peak_time" in run and "first_peak_value" in run
     assert run["f_max"] <= 1.0
+
+
+def test_scaling_on_a_grid_too_short_for_peaks_writes_every_file(tmp_path):
+    """Two points hold no peak: the run exits 0 with its CSV and a sidecar whose entry has no first peak."""
+    out = tmp_path / "out"
+    assert main(["scaling", "--n-values", "3", "--n-points", "2", "--out", str(out)]) == 0
+    _, columns = read_csv(str(out / "scaling_n3.csv"))
+    assert columns["t"] == [0.0, 10.0]
+    [run] = read_sidecar(str(out / "scaling.json"))["runs"]
+    assert run["n_rungs"] == 3 and "first_peak_time" not in run and "first_peak_value" not in run
 
 
 def test_disorder_deltas_sharing_a_file_tag_are_refused(tmp_path, capsys, monkeypatch):

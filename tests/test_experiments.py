@@ -6,7 +6,11 @@ zero-field mirror symmetry) all run against it or against cheap variants.
 """
 
 import math
+import os
 import pathlib
+import pickle
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -17,10 +21,11 @@ from hypothesis import given, strategies as st
 from spinladder.errors import (
     InsufficientDataError,
     InvalidArgumentError,
+    NumericFailureError,
     UnsupportedSizeError,
 )
-from spinladder.evolution import (CHUNK_BYTES, STRIDE, SpectralDecomposition, TimeGrid, _chunk_points, _stacks,
-                                  diagonalize, iter_evolved)
+from spinladder.evolution import (CHUNK_BYTES, STRIDE, SpectralDecomposition, TimeGrid, _chunk_points,
+                                  _evolve_chunk, _stacks, diagonalize, iter_evolved)
 from spinladder.experiments import (
     DEFAULT_GRID,
     EnsembleStats,
@@ -40,6 +45,7 @@ from spinladder.experiments import (
     _envelope_grid,
     _sector_spectrum,
     _slow_window,
+    _usable_cpus,
     evolve_and_measure,
 )
 from spinladder.lattice import (INITIAL_STATE_KINDS, LadderParams, build_hamiltonian, build_initial_state,
@@ -306,12 +312,12 @@ def test_fidelity_only_drivers_skip_concurrence(monkeypatch):
     monkeypatch.setattr("spinladder.experiments._reduced_many", refuse)
     shapes, stacks = [], []
 
-    def recording(decomp, psi0, grid, readouts=None):
-        for block, rows in iter_evolved(decomp, psi0, grid, readouts):
-            stacks.append(len(rows))
-            shapes.extend((decomp.dim, ladder_rows.shape) for ladder_rows in rows)
-            yield block, rows
-    monkeypatch.setattr("spinladder.experiments.iter_evolved", recording)
+    def recording(evolution, start, phases):
+        block, rows = _evolve_chunk(evolution, start, phases)
+        stacks.append(len(rows))
+        shapes.extend((evolution.decomp.dim, ladder_rows.shape) for ladder_rows in rows)
+        return block, rows
+    monkeypatch.setattr("spinladder.experiments._evolve_chunk", recording)
     grid = TimeGrid(0.0, 2.0, 81)
     hm = anisotropy_heatmap([1.0], [0.5], grid=grid)
     assert 0.0 <= hm.f_max[0, 0] <= 1.0
@@ -447,15 +453,15 @@ def test_a_stack_returns_its_fidelity_array():
 
 def test_a_nan_in_a_stacked_fidelity_is_refused(monkeypatch):
     """A non-finite F in one ladder of a stack refuses the whole stack's array."""
-    def poisoned(decomp, psi0, grid, readouts=None):
-        for block, rows in iter_evolved(decomp, psi0, grid, readouts):
-            rows[1, 0, 0] = np.nan
-            yield block, rows
+    def poisoned(evolution, start, phases):
+        block, rows = _evolve_chunk(evolution, start, phases)
+        rows[1, 0, 0] = np.nan
+        return block, rows
     cells = [LadderParams(g=g) for g in (0.5, 1.0)]
     psi0 = build_initial_state("phi_plus", cells[0])
     decomp, grid = _sector_spectrum(cells, psi0), TimeGrid(0.0, 1.0, 11)
     assert evolve_and_measure(cells[0], grid, fidelity=True, decomp=decomp, psi0=psi0).shape == (2, 11)
-    monkeypatch.setattr("spinladder.experiments.iter_evolved", poisoned)
+    monkeypatch.setattr("spinladder.experiments._evolve_chunk", poisoned)
     with pytest.raises(InvalidArgumentError, match="stacked fidelity has non-finite values"):
         evolve_and_measure(cells[0], grid, fidelity=True, decomp=decomp, psi0=psi0)
 
@@ -477,10 +483,11 @@ def test_n5_heatmap_is_split_into_stacks_within_chunk_bytes(monkeypatch):
     """
     sizes = []
 
-    def recording(decomp, psi0, grid, readouts=None):
-        sizes.append((len(decomp.eigenvalues), len(decomp.basis)))
-        yield from iter_evolved(decomp, psi0, grid, readouts)
-    monkeypatch.setattr("spinladder.experiments.iter_evolved", recording)
+    def recording(evolution, start, phases):
+        if start == 0:  # once per evolution
+            sizes.append((len(evolution.decomp.eigenvalues), len(evolution.decomp.basis)))
+        return _evolve_chunk(evolution, start, phases)
+    monkeypatch.setattr("spinladder.experiments._evolve_chunk", recording)
     grid = TimeGrid(0.0, 1.0, 201)
     anisotropy_heatmap([0.5, 1.0], [0.3, 0.6], LadderParams(n_rungs=5), grid=grid)
     assert sizes == [(1, 512)] * 4
@@ -548,10 +555,11 @@ def test_distinct_rows_are_evolved_once_and_read_as_every_row(monkeypatch):
     assert np.array_equal(decomp.eigenvectors[distinct][inverse], decomp.eigenvectors)
     rows = []
 
-    def recording(decomp, psi0, grid, readouts):
-        rows.append([len(readout) for readout in readouts])
-        yield from iter_evolved(decomp, psi0, grid, readouts)
-    monkeypatch.setattr("spinladder.experiments.iter_evolved", recording)
+    def recording(evolution, start, phases):
+        if start == 0:  # once per evolution
+            rows.append([len(readout) for readout in evolution.readouts])
+        return _evolve_chunk(evolution, start, phases)
+    monkeypatch.setattr("spinladder.experiments._evolve_chunk", recording)
     channels = dict(pairs=rung_pairs(4), fidelity=True, mutual_info=True, decomp=decomp, psi0=psi0)
     once = evolve_and_measure(params, grid, **channels)
     monkeypatch.setattr("spinladder.experiments._distinct_rows", lambda matrix: (np.arange(len(matrix)),) * 2)
@@ -579,20 +587,23 @@ def test_fidelity_chunks_follow_the_spectrum_not_the_channels(monkeypatch):
     """N = 5 streams budget-sized chunks, of one length for a fidelity-only run and one with every channel.
 
     The phi_plus amplitudes are then formed in the same products, so F is
-    bitwise the same; 2501 points end in a short last chunk.
+    bitwise the same; 2501 points end in a short last chunk. The chunks of
+    one run may be measured in any order, so they are recorded with their
+    start and compared sorted.
     """
     lengths = []
 
-    def recording(decomp, psi0, grid, readouts):
-        for block, rows in iter_evolved(decomp, psi0, grid, readouts):
-            lengths.append(len(block))
-            yield block, rows
-    monkeypatch.setattr("spinladder.experiments.iter_evolved", recording)
+    def recording(evolution, start, phases):
+        block, rows = _evolve_chunk(evolution, start, phases)
+        lengths.append((start, len(block)))
+        return block, rows
+    monkeypatch.setattr("spinladder.experiments._evolve_chunk", recording)
     params, grid = LadderParams(n_rungs=5), TimeGrid(0.0, 10.0, 2501)
     decomp = _sector_spectrum(params, build_initial_state("phi_plus", params))
     alone = evolve_and_measure(params, grid, fidelity=True, decomp=decomp)
     every = evolve_and_measure(params, grid, rung_pairs(5), fidelity=True, mutual_info=True, decomp=decomp)
-    assert lengths[:len(lengths) // 2] == lengths[len(lengths) // 2:] and max(lengths) < 2048
+    half = len(lengths) // 2
+    assert sorted(lengths[:half]) == sorted(lengths[half:]) and max(length for _, length in lengths) < 2048
     assert np.array_equal(alone.fidelity_terminal.values, every.fidelity_terminal.values)
 
 
@@ -881,8 +892,12 @@ def test_effective_model_signal_round_trip():
 def test_effective_model_period_agrees_across_eigensolvers():
     """The effective-check golden's period does not hang on the LAPACK path.
 
-    Five eigensolver paths, the last the one diagonalize takes (NumPy's
-    real-symmetric syevd), give eigenvectors that differ only by round-off;
+    Five eigensolver paths, SciPy's evr, evd, ev and evx drivers and last
+    the one diagonalize takes (NumPy's real-symmetric syevd), give
+    eigenvectors that differ only by round-off; evx is asked for the
+    eigenvalues in a window that holds them all, which takes its bisection
+    and inverse-iteration route (over the whole range it runs ev's QR
+    iteration and gives ev's bits);
     at the golden's coupling on its h = 100 grid, the extracted period must
     agree between them to the goldens' rtol, as it must across BLAS builds.
     """
@@ -896,7 +911,8 @@ def test_effective_model_period_agrees_across_eigensolvers():
     proto = LadderParams(n_rungs=2, h=0.0, field_mask=frozenset())
     psi0 = build_initial_state("phi_plus", proto)
     spectra = [scipy.linalg.eigh(ham, driver=driver) for driver in ("evr", "evd", "ev")]
-    spectra.append(scipy.linalg.eigh(ham.real))
+    bound = 2.0 * np.abs(ham).sum(axis=1).max()  # past every eigenvalue (Gershgorin)
+    spectra.append(scipy.linalg.eigh(ham, driver="evx", subset_by_value=(-bound, bound)))
     spectra.append(np.linalg.eigh(ham.real))
     periods = []
     for eigenvalues, eigenvectors in spectra:
@@ -924,3 +940,145 @@ def test_frequency_table_reference_row():
     assert row.predicted == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-12)
     assert abs(row.ratio - 1.0) <= 0.005
     assert row.measured == pytest.approx(row.predicted * row.ratio, rel=1e-12)
+
+
+# ------------------------------------------------------------ parallel chunks
+
+#: Each driver at a size whose evolution spans several chunks: a short last chunk at N = 3 (5000 points in
+#: chunks of 2048), N = 5 with mutual information (801 points in chunks of 320), the mixed-parity input in
+#: the full space, a stack of 40 disordered ladders (401 points in chunks of 64) and a 3 x 3 heatmap stack.
+_PARALLEL_RUNS = {
+    "short last chunk": lambda: run_reference(grid=TimeGrid(0.0, 10.0, 5000)),
+    "N = 5 with mutual information": lambda: run_reference(LadderParams(n_rungs=5), grid=TimeGrid(0.0, 10.0, 801)),
+    "mixed parity": lambda: run_reference(state_kind="psi_minus_plus_phi_plus", grid=TimeGrid(0.0, 10.0, 5000)),
+    "40-ladder stack": lambda: disorder_ensemble(0.1, 40, 0, grid=TimeGrid(0.0, 10.0, 401)),
+    "heatmap stack": lambda: anisotropy_heatmap([0.5, 1.0, 1.5], [0.2, 0.5, 0.8], grid=TimeGrid(0.0, 10.0, 401)),
+    "field sweep": lambda: sweep_field([50.0]),
+    "scaling": lambda: scaling_run(LadderParams(n_rungs=4), grid=TimeGrid(0.0, 10.0, 3000)),
+    "frequency table": lambda: frequency_table([0.5]),
+    "effective check": lambda: effective_model_check(h_values=[100.0]),
+}
+
+
+def _force_workers(monkeypatch, workers):
+    monkeypatch.setattr("spinladder.experiments._usable_cpus", lambda: workers)
+
+
+@pytest.mark.parametrize("run", list(_PARALLEL_RUNS.values()), ids=list(_PARALLEL_RUNS))
+def test_every_worker_count_gives_the_same_bits(monkeypatch, run):
+    """Each driver's whole result, pickled, is byte for byte the same on 1, 2 and 3 workers."""
+    results = []
+    for workers in (1, 2, 3):
+        _force_workers(monkeypatch, workers)
+        results.append(pickle.dumps(run()))
+    assert results[1] == results[0] and results[2] == results[0]
+
+
+def _meeting_kernel(monkeypatch, workers, record):
+    """Put in place of _evolve_chunk a kernel whose first `workers` chunks wait for each other at a barrier.
+
+    They pass it only with every worker in flight at once, so each worker
+    runs one of them. record() is called on each chunk's own thread, first.
+    """
+    barrier = threading.Barrier(workers, timeout=30)
+
+    def meeting(evolution, start, phases):
+        record()
+        if start < workers * evolution.chunk:
+            barrier.wait()
+        return _evolve_chunk(evolution, start, phases)
+    monkeypatch.setattr("spinladder.experiments._evolve_chunk", meeting)
+
+
+def test_workers_run_chunks_at_once_each_on_its_own_thread(monkeypatch):
+    """Three workers take three chunks at the same time, on three threads, the caller one of them."""
+    _force_workers(monkeypatch, 3)
+    threads = []
+    _meeting_kernel(monkeypatch, 3, lambda: threads.append(threading.get_ident()))
+    traj = run_reference(grid=TimeGrid(0.0, 10.0, 5 * 2048))
+    assert len(traj.fidelity_terminal.values) == 5 * 2048
+    assert len(threads) == 5 and len(set(threads)) == 3 and threading.get_ident() in threads
+
+
+def test_chunks_are_taken_once_each_under_a_short_switch_interval(monkeypatch):
+    """Eight workers on any number of cores, switching threads every microsecond, evolve each chunk once.
+
+    A 40-ladder stack over 2001 points is 32 chunks of 64; every run's F is
+    bitwise the one-worker run's.
+    """
+    def run():
+        return pickle.dumps(disorder_ensemble(0.1, 40, 0, grid=TimeGrid(0.0, 10.0, 2001)))
+    _force_workers(monkeypatch, 1)
+    expected = run()
+    _force_workers(monkeypatch, 8)
+    starts = []
+
+    def recording(evolution, start, phases):
+        starts.append(start)
+        return _evolve_chunk(evolution, start, phases)
+    monkeypatch.setattr("spinladder.experiments._evolve_chunk", recording)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            starts.clear()
+            assert run() == expected
+            assert sorted(starts) == list(range(0, 2001, 64))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers, n_points", [(1, 5000), (4, 2048)], ids=["one worker", "one chunk"])
+def test_one_worker_runs_every_chunk_in_the_caller(monkeypatch, workers, n_points):
+    """One usable CPU, or a grid of one chunk, starts no thread: every chunk runs on the calling thread."""
+    _force_workers(monkeypatch, workers)
+    threads = []
+
+    def recording(evolution, start, phases):
+        threads.append(threading.get_ident())
+        return _evolve_chunk(evolution, start, phases)
+    monkeypatch.setattr("spinladder.experiments._evolve_chunk", recording)
+    monkeypatch.setattr("spinladder.experiments.threading.Thread", None)
+    run_reference(grid=TimeGrid(0.0, 10.0, n_points))
+    assert threads == [threading.get_ident()] * math.ceil(n_points / 2048)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_failing_chunk_raises_its_own_exception_and_leaves_no_thread(monkeypatch, workers):
+    """The exception one chunk raises, the same object, comes out of evolve_and_measure once every helper has ended."""
+    _force_workers(monkeypatch, workers)
+    failure = NumericFailureError("chunk 2 failed")
+
+    def failing(evolution, start, phases):
+        if start == 2 * evolution.chunk:
+            raise failure
+        return _evolve_chunk(evolution, start, phases)
+    monkeypatch.setattr("spinladder.experiments._evolve_chunk", failing)
+    before = set(threading.enumerate())
+    with pytest.raises(NumericFailureError) as raised:
+        run_reference(grid=TimeGrid(0.0, 10.0, 5 * 2048))
+    assert raised.value is failure
+    assert set(threading.enumerate()) == before
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_the_callers_error_state_holds_in_every_chunk(monkeypatch, workers):
+    """NumPy's error state is context-local; a caller's np.errstate is in force in every chunk, on every worker."""
+    _force_workers(monkeypatch, workers)
+    states = []
+    _meeting_kernel(monkeypatch, workers, lambda: states.append((threading.get_ident(), np.geterr())))
+    with np.errstate(all="raise"):
+        run_reference(grid=TimeGrid(0.0, 10.0, 5 * 2048))
+    assert len({thread for thread, _ in states}) == workers
+    assert [state for _, state in states] == [dict(divide="raise", over="raise", under="raise", invalid="raise")] * 5
+
+
+def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
+    """The affinity mask counts where the platform has one; else every CPU, and 1 where even that is unknown."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _usable_cpus() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 7)
+    assert _usable_cpus() == 7
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _usable_cpus() == 1
