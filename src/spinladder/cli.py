@@ -2,9 +2,10 @@
 
 Usage: spinladder <experiment> [--config FILE] [--key value ...] --out DIR
 
-One subcommand per experiment. Every config key is also a flag; flags
-override the config file. Each run writes CSV results plus a JSON sidecar
-into the output directory.
+One parser: the experiment is a positional choice, and every config key is
+a flag declared once, given before or after it; flags override the config
+file. Each run writes CSV results plus a JSON sidecar into the output
+directory.
 
 Exit codes: 0 success, 2 bad configuration or arguments, 3 numeric failure
 during diagonalization or analysis, 4 output could not be written.
@@ -41,11 +42,11 @@ from .lattice import dressed_gap
 from . import experiments, io, signals
 
 
-# Subcommands whose measurement needs more than the reference window get
+# Experiments whose measurement needs more than the reference window get
 # their own grid defaults; an explicit t_end or n_points still wins.
 _COMMAND_DEFAULTS = {"freq-table": {"t_end": FREQ_GRID.t_end, "n_points": FREQ_GRID.n_points}}
 
-#: Subcommands that evolve the input named by the state key; the others evolve phi_plus alone.
+#: Experiments that evolve the input named by the state key; the others evolve phi_plus alone.
 _STATE_COMMANDS = ("reference", "scaling")
 
 #: glibc mallopt parameters and the values main gives them (see the module docstring).
@@ -72,17 +73,13 @@ def _build_parser():
         prog="spinladder",
         description="Entanglement transfer experiments on a two-leg XXZ ladder.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    # Every subcommand takes the same flags: build them once, share them as a parent.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="FILE", help="flat key = value config file")
-    common.add_argument("--out", metavar="DIR", required=True, help="output directory")
+    parser.add_argument("experiment", choices=_COMMANDS, help="the experiment to run")
+    parser.add_argument("--config", metavar="FILE", help="flat key = value config file")
+    parser.add_argument("--out", metavar="DIR", required=True, help="output directory")
     for field in fields(io.ExperimentConfig):
         flag = "--" + field.name.replace("_", "-")
         names = [flag] if flag == "--" + field.name else [flag, "--" + field.name]
-        common.add_argument(*names, dest="cfg_" + field.name, metavar="V", default=None)
-    sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in _COMMANDS:
-        sub.add_parser(name, parents=[common], help=f"run the {name} experiment")
+        parser.add_argument(*names, dest=field.name, metavar="V")
     return parser
 
 
@@ -97,10 +94,8 @@ def _resolve_config(args, command):
         except UnicodeDecodeError as exc:
             raise ConfigurationError(f"config file {args.config} is not UTF-8 text (byte {exc.start})") from None
         file_values = io.parse_config_text(text)
-    flag_values = {name: value for name, value in vars(args).items()
-                   if name.startswith("cfg_") and value is not None}
-    flag_values = io.convert_overrides(
-        {name[len("cfg_"):]: value for name, value in flag_values.items()})
+    flags = {field.name: getattr(args, field.name) for field in fields(io.ExperimentConfig)}
+    flag_values = io.convert_overrides({name: value for name, value in flags.items() if value is not None})
     config = io.build_config(_COMMAND_DEFAULTS.get(command, {}), file_values, flag_values)
     if command not in _STATE_COMMANDS and config.state != "phi_plus":
         raise ConfigurationError(f"{command} evolves phi_plus only, got {config.state}", key="state")

@@ -59,11 +59,22 @@ def test_version_flag():
     assert main(["--version"]) == 0
 
 
-def test_subcommands_are_the_seven_experiments_in_order():
+def test_experiment_is_a_positional_choice_of_the_seven_in_order():
     parser = _build_parser()
-    (sub,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
-    assert list(sub.choices) == ["reference", "field-sweep", "heatmap", "disorder",
-                                 "scaling", "freq-table", "effective-check"]
+    assert not any(isinstance(action, argparse._SubParsersAction) for action in parser._actions)
+    (experiment,) = parser._get_positional_actions()
+    assert experiment.dest == "experiment"
+    assert list(experiment.choices) == ["reference", "field-sweep", "heatmap", "disorder",
+                                        "scaling", "freq-table", "effective-check"]
+
+
+def test_flags_before_the_experiment_resolve_the_same_config(tmp_path):
+    out = str(tmp_path / "out")
+    first = _build_parser().parse_args(["--n-points", "11", "reference", "--out", out])
+    after = _build_parser().parse_args(["reference", "--n-points", "11", "--out", out])
+    assert vars(first) == vars(after)
+    assert _resolve_config(first, first.experiment) == _resolve_config(after, after.experiment)
+    assert _resolve_config(first, first.experiment).n_points == 11
 
 
 def _checkout_env():

@@ -892,12 +892,14 @@ def test_effective_model_signal_round_trip():
 def test_effective_model_period_agrees_across_eigensolvers():
     """The effective-check golden's period does not hang on the LAPACK path.
 
-    Five eigensolver paths, SciPy's evr, evd, ev and evx drivers and last
-    the one diagonalize takes (NumPy's real-symmetric syevd), give
-    eigenvectors that differ only by round-off; evx is asked for the
-    eigenvalues in a window that holds them all, which takes its bisection
-    and inverse-iteration route (over the whole range it runs ev's QR
-    iteration and gives ev's bits);
+    Five eigensolver paths, SciPy's evr, ev and evx drivers, a Hessenberg
+    reduction (dgehrd) whose tridiagonal is solved by stemr, and last the
+    one diagonalize takes (NumPy's real-symmetric syevd), give eigenvectors
+    that differ only by round-off, and no two of them bitwise; evx is asked
+    for the eigenvalues in a window that holds them all, which takes its
+    bisection and inverse-iteration route (over the whole range it runs
+    ev's QR iteration and gives ev's bits); SciPy's evd driver is not among
+    them, as it runs the same syevd as NumPy and gives the same bits;
     at the golden's coupling on its h = 100 grid, the extracted period must
     agree between them to the goldens' rtol, as it must across BLAS builds.
     """
@@ -910,10 +912,17 @@ def test_effective_model_period_agrees_across_eigensolvers():
     grid = _envelope_grid(params, _slow_window(params))
     proto = LadderParams(n_rungs=2, h=0.0, field_mask=frozenset())
     psi0 = build_initial_state("phi_plus", proto)
-    spectra = [scipy.linalg.eigh(ham, driver=driver) for driver in ("evr", "evd", "ev")]
+    spectra = [scipy.linalg.eigh(ham, driver=driver) for driver in ("evr", "ev")]
     bound = 2.0 * np.abs(ham).sum(axis=1).max()  # past every eigenvalue (Gershgorin)
     spectra.append(scipy.linalg.eigh(ham, driver="evx", subset_by_value=(-bound, bound)))
+    tridiagonal, q = scipy.linalg.hessenberg(ham.real, calc_q=True)
+    eigenvalues, v = scipy.linalg.eigh_tridiagonal(np.diag(tridiagonal), np.diag(tridiagonal, -1),
+                                                   lapack_driver="stemr")
+    spectra.append((eigenvalues, q @ v))
     spectra.append(np.linalg.eigh(ham.real))
+    for k in range(len(spectra)):
+        for other in spectra[k + 1:]:
+            assert not np.array_equal(spectra[k][1], other[1])
     periods = []
     for eigenvalues, eigenvectors in spectra:
         decomp = SpectralDecomposition(eigenvalues, eigenvectors, np.arange(16))
