@@ -17,19 +17,21 @@ The decomposition records that sector's basis. Evolution takes a full-space
 initial state; the streamed states stay in the sector's coordinates, which
 metrics._reduced_many reads directly. A caller that needs only linear
 images M psi(t) of the states, such as the phi_plus amplitudes behind the
-terminal fidelity, passes iter_evolved the readout M V and gets those rows
-without the states.
+terminal fidelity, passes the readout M V and gets those rows without the
+states.
 
-iter_evolved streams a uniform TimeGrid. Its phases exp(-i w t) come from
-two small tables instead of one complex exp per eigenvalue and time: an
-anchor phase at every STRIDE-th grid time times one of STRIDE offset
-phases exp(-i w b dt). The anchors are the grid's own times, so every
-STRIDE-th phase is exactly the direct one. One chunk of grid times is one
-call of the kernel _evolve_chunk, which reads only the per-call tables
-(_Evolution) and writes only its own phase buffer and row block, so the
-chunks are independent: iter_evolved runs them in order through one
-buffer, and experiments.evolve_and_measure runs them on every usable core,
-one buffer per worker, with the same bits.
+evolve runs a uniform TimeGrid in chunks on every usable core and hands
+each chunk's rows to the caller's measure; iter_evolved streams the same
+rows in order. Its phases exp(-i w t) come from two small tables instead
+of one complex exp per eigenvalue and time: an anchor phase at every
+STRIDE-th grid time times one of STRIDE offset phases exp(-i w b dt). The
+anchors are the grid's own times, so every STRIDE-th phase is exactly the
+direct one. One chunk of grid times is one call of the kernel
+_evolve_chunk, which reads only the per-call tables (_Evolution) and
+writes only its own phase buffer and row block, so the chunks are
+independent: one loop, _chunks, runs them through one buffer, for
+iter_evolved over every chunk and for each of evolve's workers over the
+chunks it takes, with the same bits.
 
 Ladders that differ only in their couplings, such as a heatmap's cells or
 a disorder ensemble's realizations, share the basis and psi0, and are
@@ -40,14 +42,17 @@ same bits as alone in a chunk of the same length. CHUNK_BYTES bounds the
 whole stack. A chunk holds as many points as fill it with every ladder's
 states and phases, a multiple of STRIDE so that chunks start on anchors,
 and at most CHUNK: one ladder at N = 3 takes CHUNK points, at N = 4 1280
-and at N = 5 320, a stack of 40 at N = 3 64. _stacks splits a study into
+and at N = 5 320, a stack of 40 at N = 3 64. stacks splits a study into
 stacks that fit it with their H and V at the shortest chunk. The length
 does not depend on the readouts, which the caller chooses;
 experiments.evolve_and_measure reads only the distinct rows of V.
 """
 
-from dataclasses import dataclass
+import contextvars
 import math
+import os
+import threading
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,19 +68,19 @@ SECTOR_LEAK_TOL = 1e-12
 #: for which diagonalize takes H as symmetric.
 MATRIX_TOL = 1e-12
 
-#: Most time points per state block of iter_evolved.
+#: Most time points per chunk of an evolution.
 CHUNK = 2048
 
 #: Bytes of the complex state and phase blocks that sets the points per chunk
-#: of iter_evolved on large bases (_chunk_points); 4 MiB was the fastest of
+#: of an evolution on large bases (_chunk_points); 4 MiB was the fastest of
 #: 0.5-8 MiB for N = 4 and 5 on a 2 MiB-L2 Xeon core.
 CHUNK_BYTES = 4 << 20
 
-#: Grid points per anchor phase in iter_evolved; the points between two
+#: Grid points per anchor phase of an evolution; the points between two
 #: anchors take their phases from one table of STRIDE offset phases.
 STRIDE = 64
 
-#: Largest round-off eps * max|w| * t_end of the phases w t that iter_evolved accepts.
+#: Largest round-off eps * max|w| * t_end of the phases w t that an evolution accepts.
 PHASE_ROUNDOFF_TOL = 1e-6
 
 
@@ -233,7 +238,7 @@ def _chunk_points(n_states, n_pairs, n_ladders=1):
     return min(CHUNK, max(STRIDE, fit))
 
 
-def _stacks(n_ladders, n_states):
+def stacks(n_ladders, n_states):
     """Slices of range(n_ladders) in stacks of near-equal size, each within CHUNK_BYTES.
 
     A ladder on a basis of n_states states takes at most 16 n_states
@@ -248,7 +253,7 @@ def _stacks(n_ladders, n_states):
 
 
 class _Evolution:
-    """The per-call tables of iter_evolved(decomp, psi0, grid, readouts), which every chunk reads and none writes.
+    """The per-call tables of an evolution of psi0 over grid, which every chunk reads and none writes.
 
     The grid's phases and psi0 are checked first. coeffs are psi0's
     coordinates V^T psi0 in each ladder, offsets the STRIDE offset phases
@@ -273,18 +278,13 @@ class _Evolution:
         self.chunk = _chunk_points(len(decomp.basis), decomp.dim, math.prod(w.shape[:-1]))
         self.starts = range(0, len(self.times), self.chunk)
 
-    def phase_buffer(self):
-        """An uninitialized buffer for one chunk's phases, which _evolve_chunk reuses from chunk to chunk."""
-        anchors = len(self.times[:self.chunk:STRIDE])
-        return np.empty(self.decomp.eigenvalues.shape + (anchors, self.offsets.shape[-1]), dtype=complex)
-
 
 def _evolve_chunk(evolution, start, phases):
     """(time_block, row_block) of the chunk of evolution that begins at grid index start.
 
-    Its phases are formed in phases, a phase_buffer that the caller owns,
-    and the readouts read them in place; the row block is allocated here.
-    A chunk's arithmetic depends only on the tables and start, so it gives
+    Its phases are formed in phases, the buffer of the _chunks loop, and
+    the readouts read them in place; the row block is allocated here. A
+    chunk's arithmetic depends only on the tables and start, so it gives
     the same bits in any buffer, in any order of chunks, on any thread.
     """
     w = evolution.decomp.eigenvalues
@@ -300,33 +300,84 @@ def _evolve_chunk(evolution, start, phases):
     return block, rows
 
 
+def _chunks(evolution, starts):
+    """Yield (start, time_block, row_block) for each grid index in starts, in turn: the one chunk loop.
+
+    Its phase buffer, uninitialized, is allocated once per loop and reused
+    from chunk to chunk: one for iter_evolved, one for each of evolve's workers.
+    """
+    anchors = len(evolution.times[:evolution.chunk:STRIDE])
+    phases = np.empty(evolution.decomp.eigenvalues.shape + (anchors, evolution.offsets.shape[-1]), dtype=complex)
+    for start in starts:
+        yield (start, *_evolve_chunk(evolution, start, phases))
+
+
 def iter_evolved(decomp, psi0, grid, readouts=None):
     """Yield (time_block, row_block) pairs over a TimeGrid, one column per time.
 
-    This is the streaming form of the per-chunk kernel _evolve_chunk that
-    experiments.evolve_and_measure runs on every usable core; long sweeps
-    never materialize the full state history. psi0 is a full-space state.
-    Each chunk's eigenbasis block c exp(-i w t) is multiplied by every
-    matrix in readouts, each real and in a real product of its own over the
-    block's real and imaginary parts, and their rows are stacked in order.
-    readouts defaults to (V,): the row block is then the states in decomp's
-    basis, shape (len(decomp.basis), len(time_block)), with row r the amplitude of
-    basis state decomp.basis[r]. A readout R = M V yields M psi(t) without
-    forming the states. A stacked decomp takes readouts with the same
-    leading axis of K ladders and yields (K, rows, len(time_block)) blocks.
-    A grid whose phases w t pass PHASE_ROUNDOFF_TOL / eps in any ladder is
-    refused with NumericFailureError before any state is formed.
-
-    The grid is uniform, so each time is an anchor (every STRIDE-th grid
-    time from a chunk's start, taken from grid.times) plus an offset
-    b * grid.dt with b < STRIDE, and exp(-i w t) is an anchor phase times an
-    offset phase. The offset phases are one table per call (_Evolution);
-    the anchor phases are computed per chunk, and their products with the
-    offsets fill one phase buffer per call here, one per worker in
-    evolve_and_measure, which the readouts read in place. The row blocks
-    are allocated per chunk, so a caller may keep every one.
+    This is the streaming form of evolve, on the calling thread and in grid
+    order; long sweeps never materialize the full state history. psi0 is a
+    full-space state. Each chunk's eigenbasis block c exp(-i w t) is
+    multiplied by every matrix in readouts, each real and in a real product
+    of its own over the block's real and imaginary parts, and their rows are
+    stacked in order. readouts defaults to (V,): the row block is then the
+    states in decomp's basis, shape (len(decomp.basis), len(time_block)),
+    with row r the amplitude of basis state decomp.basis[r]. A readout
+    R = M V yields M psi(t) without forming the states. A stacked decomp
+    takes readouts with the same leading axis of K ladders and yields (K,
+    rows, len(time_block)) blocks. A grid whose phases w t pass
+    PHASE_ROUNDOFF_TOL / eps in any ladder is refused with
+    NumericFailureError before any state is formed. The row blocks are
+    allocated per chunk, so a caller may keep every one.
     """
     evolution = _Evolution(decomp, psi0, grid, readouts)
-    phases = evolution.phase_buffer()
-    for start in evolution.starts:
-        yield _evolve_chunk(evolution, start, phases)
+    for _, block, rows in _chunks(evolution, evolution.starts):
+        yield block, rows
+
+
+def _usable_cpus():
+    """The CPUs this process may run on: its affinity mask where the platform has one, else every CPU."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def evolve(decomp, psi0, grid, readouts, measure):
+    """Evolve psi0 over grid and pass each chunk's rows, iter_evolved's bits, to measure(slice, row_block).
+
+    slice is the chunk's place in the grid. The workers, one thread per
+    usable CPU, the caller among them and at most one per chunk, take the
+    chunks in order, one at a time each, each through a _chunks loop of its
+    own. A chunk's arithmetic and its slice do not depend on the worker, so
+    every output is bitwise what one thread writes; with one worker the
+    chunks run in the caller. The helpers run in copies of the caller's
+    context, so a NumPy error state the caller set holds in every chunk. The
+    first exception stops the workers taking chunks and is raised in the
+    caller once every helper has ended.
+    """
+    evolution = _Evolution(decomp, psi0, grid, readouts)
+    starts = iter(evolution.starts)
+    lock, failures = threading.Lock(), []
+
+    def take():
+        with lock:
+            return None if failures else next(starts, None)
+
+    def work():
+        try:
+            for start, block, rows in _chunks(evolution, iter(take, None)):
+                measure(slice(start, start + len(block)), rows)
+        except BaseException as exc:
+            with lock:
+                failures.append(exc)
+
+    workers = min(_usable_cpus(), len(evolution.starts))
+    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(work,)) for _ in range(workers - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[0]

@@ -3,14 +3,14 @@
 Every study is a plain function from parameters to tabular results:
 reference trajectory, field sweep, anisotropy heatmap, disorder ensemble,
 size scaling, effective-model comparison, and the carrier-frequency table.
-All of them run through evolve_and_measure, which evolves and measures in
-chunks of grid times, each into its own slice of the outputs and one at a
-time per worker thread, so long windows at large field never hold the full
-state history in memory, and which computes only the channels its caller
-asks for: a fidelity-only run (the heatmap, the disorder ensemble) streams
-the terminal pair's phi_plus amplitudes instead of states, for a whole
-stack of ladders that differ only in their couplings at once, and gets one
-F array back.
+All of them run through evolve_and_measure, which measures each chunk of
+grid times that evolution.evolve hands it, on any of evolve's worker
+threads, into its own slice of the outputs, so long windows at large field
+never hold the full state history in memory, and which computes only the
+channels its caller asks for: a fidelity-only run (the heatmap, the
+disorder ensemble) streams the terminal pair's phi_plus amplitudes instead
+of states, for a whole stack of ladders that differ only in their
+couplings at once, and gets one F array back.
 
 The ladder's layout and symmetries are lattice's to decide: its rung sites
 (rung_pairs), the parity sector, the site maps a ladder or a stack holds
@@ -18,17 +18,14 @@ and their blocks. _sector_spectrum chains parity_sector, symmetry_blocks,
 build_hamiltonian and diagonalize, the path the lattice tests check.
 """
 
-import contextvars
 import math
-import os
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.random import SeedSequence, default_rng  # loaded here: np.random would load it mid-run
 
 from .errors import InsufficientDataError, InvalidArgumentError, NumericFailureError, UnsupportedSizeError
-from .evolution import TimeGrid, _Evolution, _evolve_chunk, _stacks, diagonalize
+from .evolution import TimeGrid, diagonalize, evolve, stacks
 from .lattice import (
     MAX_DENSE_RUNGS,
     LadderParams,
@@ -187,9 +184,9 @@ def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False
     spectrum of params' Hamiltonian on the symmetry blocks psi0 occupies.
     C and F are clipped into [0, 1]; mutual information is not. Channels
     not asked for come back empty (concurrence) or None. Each chunk is
-    evolved (evolution._evolve_chunk) and measured into its own slice of
-    the outputs, on one thread per usable CPU (_evolve_in_parallel), with
-    the same bits whatever the number of threads.
+    evolved and measured into its own slice of the outputs by
+    evolution.evolve, on one thread per usable CPU, with the same bits
+    whatever the number of threads.
 
     decomp may also be a stack, _sector_spectrum of a list of K ladders
     with params' n_rungs and field mask: the stack is evolved at once and
@@ -247,7 +244,7 @@ def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False
             mi["terminal"][sl] = sum(map(_entropy_many, _marginals(rhos[terminal]))) - s_term
             mi["joint"][sl] = s_first + s_term - _entropy_many(sides)
 
-    _evolve_in_parallel(_Evolution(decomp, psi0, grid, readouts), measure)
+    evolve(decomp, psi0, grid, readouts, measure)
 
     mi_series = None
     if mutual_info:
@@ -270,55 +267,6 @@ def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False
         fidelity_terminal=None if fid is None else TimeSeries(grid, fid),
         mutual_info=mi_series,
     )
-
-
-def _usable_cpus():
-    """The CPUs this process may run on: its affinity mask where the platform has one, else every CPU."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
-
-
-def _evolve_in_parallel(evolution, measure):
-    """Evolve every chunk of evolution and pass it to measure(slice, rows), on one thread per usable CPU.
-
-    The workers, the calling thread among them and at most one per chunk,
-    take the chunks in order, one at a time each, and each forms its phases
-    in a buffer of its own. A chunk's arithmetic and its output slice do not
-    depend on the worker, so every output is bitwise what one thread
-    writes; with one worker the chunks run in the caller. The helpers run in
-    copies of the caller's context, so a NumPy error state the caller set
-    holds in every chunk. The first exception stops the workers taking
-    chunks and is raised in the caller once every helper has ended.
-    """
-    starts = iter(evolution.starts)
-    lock, failures = threading.Lock(), []
-
-    def work():
-        phases = evolution.phase_buffer()
-        while True:
-            with lock:
-                start = None if failures else next(starts, None)
-            if start is None:
-                return
-            try:
-                block, rows = _evolve_chunk(evolution, start, phases)
-                measure(slice(start, start + len(block)), rows)
-            except BaseException as exc:
-                with lock:
-                    failures.append(exc)
-                return
-
-    workers = min(_usable_cpus(), len(evolution.starts))
-    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(work,)) for _ in range(workers - 1)]
-    for helper in helpers:
-        helper.start()
-    try:
-        work()
-    finally:
-        for helper in helpers:
-            helper.join()
-    if failures:
-        raise failures[0]
 
 
 def _distinct_rows(matrix):
@@ -452,7 +400,7 @@ def anisotropy_heatmap(g_values, d_values, base=LadderParams(), grid=DEFAULT_GRI
     """Peak terminal fidelity over a (g, d) grid.
 
     The cells share psi0, n_rungs and field mask, so they are solved and
-    evolved as stacks of ladders (evolution._stacks) in row-major order, up
+    evolved as stacks of ladders (evolution.stacks) in row-major order, up
     to 51 cells a stack at N = 3; each cell's F is that of a run of the cell
     alone to round-off.
     """
@@ -461,7 +409,7 @@ def anisotropy_heatmap(g_values, d_values, base=LadderParams(), grid=DEFAULT_GRI
     cells = [replace(base, g=float(g), d=float(d)) for g in g_values for d in d_values]
     psi0 = build_initial_state("phi_plus", base)
     f_max = np.empty(len(cells))
-    for stack in _stacks(len(cells), len(parity_sector(psi0))):
+    for stack in stacks(len(cells), len(parity_sector(psi0))):
         decomp = _sector_spectrum(cells[stack], psi0)
         f_max[stack] = evolve_and_measure(base, grid, fidelity=True, decomp=decomp, psi0=psi0).max(axis=-1)
     return HeatmapGrid(g_values=g_values, d_values=d_values, f_max=f_max.reshape(len(g_values), len(d_values)))
@@ -485,7 +433,7 @@ def disorder_ensemble(delta, n_samples, base_seed, base=LadderParams(), grid=DEF
 
     Every rung and leg bond is scaled by (1 + delta_k) independently; the
     field h is left clean. The realizations are solved and evolved as
-    stacks of ladders (evolution._stacks), in index order. Aggregation is by
+    stacks of ladders (evolution.stacks), in index order. Aggregation is by
     realization index, so results are bitwise reproducible for a fixed base
     seed.
     """
@@ -509,7 +457,7 @@ def disorder_ensemble(delta, n_samples, base_seed, base=LadderParams(), grid=DEF
     peak_mean, peak_m2 = 0.0, 0.0
     peaks = np.empty(n_samples)
     psi0 = build_initial_state("phi_plus", base)
-    for stack in _stacks(n_samples, len(parity_sector(psi0))):
+    for stack in stacks(n_samples, len(parity_sector(psi0))):
         members = range(n_samples)[stack]
         reals = [disorder_realization(delta, base_seed, k, base.n_rungs) for k in members]
         decomp = _sector_spectrum([base] * len(reals), psi0, rung_factors=[1.0 + r.rung_deltas for r in reals],

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spinladder
-from spinladder import __version__, cli, experiments, io
+from spinladder import __version__, cli, evolution, experiments, io
 from spinladder.cli import _build_parser, _resolve_config, main
 from spinladder.errors import NumericFailureError
 from spinladder.io import config_floats, config_grid
@@ -32,6 +32,10 @@ from spinladder.io import config_floats, config_grid
 from conftest import parse_config, read_csv, read_sidecar
 
 GOLDEN_ROOT = pathlib.Path(__file__).resolve().parent.parent / "goldens"
+
+#: The per-chunk kernel of every evolution. The probes below that refuse an input before evolving patch it,
+#: and test_valid_input_reaches_the_kernel_the_refusal_probes_patch checks that their commands reach it.
+EVOLVE_CHUNK = "spinladder.evolution._evolve_chunk"
 
 #: Exact invocations behind the committed goldens (see goldens/README.md).
 GOLDEN_RUNS = {
@@ -230,7 +234,7 @@ def test_unbounded_envelope_grid_is_refused_before_evolving(tmp_path, capsys, mo
     """
     def refuse(*args, **kwargs):
         raise AssertionError("an envelope study evolved before its grids were checked")
-    monkeypatch.setattr("spinladder.experiments._evolve_chunk", refuse)
+    monkeypatch.setattr(EVOLVE_CHUNK, refuse)
     out = tmp_path / "out"
     assert main([command, "--j-parallel", j_parallel, "--h-values", "100", "--eff-h-values", "100",
                  "--out", str(out)]) == 3
@@ -247,7 +251,7 @@ def test_a_stack_with_one_overflowing_ladder_is_refused_before_evolving(tmp_path
     """
     def refuse(*args, **kwargs):
         raise AssertionError("a stack was evolved before every ladder in it was checked")
-    monkeypatch.setattr("spinladder.experiments._evolve_chunk", refuse)
+    monkeypatch.setattr(EVOLVE_CHUNK, refuse)
     out = tmp_path / "out"
     assert main(["heatmap", "--j-perp", "1e300", "--g-min", "0", "--g-max", "1e300", "--n-g", "2", "--n-d", "2",
                  "--out", str(out)]) == 3
@@ -274,7 +278,7 @@ def test_zero_dressed_gap_is_refused_before_evolving(tmp_path, capsys, monkeypat
     """
     def refuse(*args, **kwargs):
         raise AssertionError("a gapless ladder was evolved")
-    monkeypatch.setattr("spinladder.experiments._evolve_chunk", refuse)
+    monkeypatch.setattr(EVOLVE_CHUNK, refuse)
     out = tmp_path / "out"
     assert main(argv + ["--g", "0", "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -295,7 +299,7 @@ def test_effective_check_with_unequal_couplings_is_refused_before_evolving(tmp_p
     """Every effective-check row has an alpha, which needs j_perp == j_parallel: exit 2 naming both, nothing evolved."""
     def refuse(*args, **kwargs):
         raise AssertionError("an effective check evolved before its alpha precondition was checked")
-    monkeypatch.setattr("spinladder.experiments._evolve_chunk", refuse)
+    monkeypatch.setattr(EVOLVE_CHUNK, refuse)
     out = tmp_path / "out"
     assert main(["effective-check", "--j-perp", "1.001", "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -322,7 +326,7 @@ def test_extreme_float_keys_exit_without_traceback(command, values):
     there; neither a refused nor a stopped run may leave an output directory.
     """
     assert len(_FLOAT_KEYS) == 14
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(experiments, "_evolve_chunk", side_effect=_Evolved):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch(EVOLVE_CHUNK, side_effect=_Evolved):
         out = os.path.join(tmp, "out")
         try:
             code = main([command, "--out", out] + [f"--{key}={value}" for key, value in values.items()])
@@ -362,7 +366,7 @@ def test_state_is_refused_where_only_phi_plus_evolves(tmp_path, capsys, monkeypa
     """Five commands evolve phi_plus alone: another state, by flag or file, exits 2 naming state, before --out."""
     def refuse(*args, **kwargs):
         raise AssertionError("a command evolved a state it ignores")
-    monkeypatch.setattr(experiments, "_evolve_chunk", refuse)
+    monkeypatch.setattr(EVOLVE_CHUNK, refuse)
     out, cfg = tmp_path / "out", tmp_path / "run.cfg"
     assert main([command, "--state", "psi_plus", "--out", str(out)]) == 2
     assert f"{command} evolves phi_plus only, got psi_plus (key: state)" in capsys.readouterr().err
@@ -372,6 +376,34 @@ def test_state_is_refused_where_only_phi_plus_evolves(tmp_path, capsys, monkeypa
     assert not out.exists()
 
 
+#: The commands of the five refused-before-evolving probes above, each with the refused value made valid.
+_VALID_PROBE_RUNS = {
+    "envelope grid, field-sweep": ["field-sweep", "--j-parallel", "1", "--h-values", "100"],
+    "envelope grid, effective-check": ["effective-check", "--j-parallel", "1", "--eff-h-values", "100"],
+    "overflowing stack": ["heatmap", "--j-perp", "1", "--g-min", "0", "--g-max", "1", "--n-g", "2", "--n-d", "2"],
+    "dressed gap, field-sweep": ["field-sweep", "--g", "1", "--d", "0", "--h-values", "100"],
+    "dressed gap, effective-check": ["effective-check", "--g", "1", "--eff-h-values", "100"],
+    "dressed gap, freq-table": ["freq-table", "--g", "1"],
+    "unequal couplings": ["effective-check", "--j-perp", "1", "--eff-h-values", "100"],
+    **{f"state, {command}": [command, "--state", "phi_plus"]
+       for command in ("field-sweep", "heatmap", "disorder", "freq-table", "effective-check")},
+}
+
+
+@pytest.mark.parametrize("argv", list(_VALID_PROBE_RUNS.values()), ids=list(_VALID_PROBE_RUNS))
+def test_valid_input_reaches_the_kernel_the_refusal_probes_patch(tmp_path, monkeypatch, argv):
+    """Each probe's command, with valid input, reaches the EVOLVE_CHUNK its refusal patches.
+
+    A probe whose patch no evolution reaches would pass without testing
+    anything; here the same patch must be reached, and stops the run.
+    """
+    kernel = mock.Mock(side_effect=_Evolved)
+    monkeypatch.setattr(EVOLVE_CHUNK, kernel)
+    with pytest.raises(_Evolved):
+        main(argv + ["--out", str(tmp_path / "out")])
+    assert kernel.call_count >= 1
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_a_chunk_failing_on_any_worker_exits_3_without_output(tmp_path, capsys, monkeypatch, workers):
     """A numeric failure in the second of three chunks, on one to three workers, exits 3 and writes no --out."""
@@ -379,9 +411,9 @@ def test_a_chunk_failing_on_any_worker_exits_3_without_output(tmp_path, capsys, 
         if start == evolution.chunk:
             raise NumericFailureError("the second chunk failed")
         return evolve_chunk(evolution, start, phases)
-    evolve_chunk = experiments._evolve_chunk
-    monkeypatch.setattr(experiments, "_evolve_chunk", failing)
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: workers)
+    evolve_chunk = evolution._evolve_chunk
+    monkeypatch.setattr(EVOLVE_CHUNK, failing)
+    monkeypatch.setattr(evolution, "_usable_cpus", lambda: workers)
     out = tmp_path / "out"
     assert main(["reference", "--n-points", "5000", "--out", str(out)]) == 3
     err = capsys.readouterr().err
@@ -456,6 +488,33 @@ def test_repeated_runs_are_bitwise_identical(tmp_path):
     assert main(args + ["--out", str(out_b)]) == 0
     assert (out_a / "trajectory.csv").read_bytes() == (out_b / "trajectory.csv").read_bytes()
     assert (out_a / "trajectory.json").read_bytes() == (out_b / "trajectory.json").read_bytes()
+
+
+#: The BLAS thread-count variables the package sets to 1 when they are unset.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                    reason="needs CPU affinity and at least two usable CPUs")
+def test_one_cpu_and_every_cpu_write_the_same_bytes_without_blas_settings(tmp_path):
+    """With no BLAS thread variable set, a run pinned to one CPU writes the bytes of a run on every usable CPU.
+
+    OpenBLAS sizes its pool from the CPUs a process may use, and rounds the
+    N = 5 evolution's products differently at each thread count, so this
+    holds only because the package pins BLAS to one thread before NumPy is
+    imported. The children run the package this suite imports.
+    """
+    env = {name: value for name, value in _checkout_env().items() if name not in BLAS_THREAD_VARIABLES}
+    cpu = min(os.sched_getaffinity(0))
+    written = []
+    for name, preexec in (("pinned", lambda: os.sched_setaffinity(0, {cpu})), ("unpinned", None)):
+        out = tmp_path / name
+        proc = subprocess.run([sys.executable, "-m", "spinladder", "reference", "--n-rungs", "5", "--out", str(out)],
+                              capture_output=True, text=True, env=env, preexec_fn=preexec)
+        assert proc.returncode == 0, proc.stderr
+        written.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    assert list(written[0]) == ["trajectory.csv", "trajectory.json"]
+    assert written[0] == written[1]
 
 
 # ------------------------------------------------------------ other experiments

@@ -6,6 +6,8 @@ the package; elsewhere a state is read from iter_evolved at the time asked
 for (_state_at).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -19,6 +21,7 @@ from spinladder.evolution import (
     TimeGrid,
     diagonalize,
     _chunk_points,
+    evolve,
     iter_evolved,
 )
 from spinladder.experiments import _envelope_grid, _sector_spectrum, _slow_window
@@ -215,6 +218,33 @@ def test_iter_evolved_chunking_invariance(rng, monkeypatch):
     assert np.concatenate([t for t, _ in blocks]).shape == (23,)
     stitched = np.concatenate([states for _, states in blocks], axis=1)
     assert np.abs(stitched - whole).max() < 1e-13
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("stacked", [False, True], ids=["one ladder", "stack of three"])
+def test_evolve_measures_each_chunk_once_with_the_rows_iter_evolved_streams(monkeypatch, workers, stacked):
+    """evolve on one to three workers hands measure every chunk once; the slices tile the grid in chunk order.
+
+    Each chunk's rows are bitwise the block iter_evolved streams for the
+    same grid indices. 1000 points in chunks of 128 end in a short chunk.
+    """
+    monkeypatch.setattr("spinladder.evolution._usable_cpus", lambda: workers)
+    monkeypatch.setattr("spinladder.evolution.CHUNK", 2 * STRIDE)
+    params, grid = LadderParams(), TimeGrid(0.0, 10.0, 1000)
+    psi0 = build_initial_state("phi_plus", params)
+    ladders = [replace(params, g=g) for g in (0.5, 1.0, 1.5)] if stacked else params
+    decomp = _sector_spectrum(ladders, psi0)
+    measured = []
+    evolve(decomp, psi0, grid, None, lambda sl, rows: measured.append((sl, rows)))
+    measured.sort(key=lambda item: item[0].start)
+    streamed = list(iter_evolved(decomp, psi0, grid))
+    assert len(measured) == len(streamed) == 8
+    assert [sl.start for sl, _ in measured] == [0] + [sl.stop for sl, _ in measured[:-1]]
+    assert measured[-1][0].stop == grid.n_points
+    for (sl, rows), (block, expected) in zip(measured, streamed):
+        assert np.array_equal(block, grid.times[sl])
+        assert rows.shape == decomp.eigenvalues.shape[:-1] + (len(decomp.basis), len(block))
+        assert np.array_equal(rows, expected)
 
 
 def _direct_states(decomp, psi0, times):

@@ -25,7 +25,7 @@ from spinladder.errors import (
     UnsupportedSizeError,
 )
 from spinladder.evolution import (CHUNK_BYTES, STRIDE, SpectralDecomposition, TimeGrid, _chunk_points,
-                                  _evolve_chunk, _stacks, diagonalize, iter_evolved)
+                                  _evolve_chunk, _usable_cpus, diagonalize, iter_evolved, stacks)
 from spinladder.experiments import (
     DEFAULT_GRID,
     EnsembleStats,
@@ -45,7 +45,6 @@ from spinladder.experiments import (
     _envelope_grid,
     _sector_spectrum,
     _slow_window,
-    _usable_cpus,
     evolve_and_measure,
 )
 from spinladder.lattice import (INITIAL_STATE_KINDS, LadderParams, build_hamiltonian, build_initial_state,
@@ -317,7 +316,7 @@ def test_fidelity_only_drivers_skip_concurrence(monkeypatch):
         stacks.append(len(rows))
         shapes.extend((evolution.decomp.dim, ladder_rows.shape) for ladder_rows in rows)
         return block, rows
-    monkeypatch.setattr("spinladder.experiments._evolve_chunk", recording)
+    monkeypatch.setattr("spinladder.evolution._evolve_chunk", recording)
     grid = TimeGrid(0.0, 2.0, 81)
     hm = anisotropy_heatmap([1.0], [0.5], grid=grid)
     assert 0.0 <= hm.f_max[0, 0] <= 1.0
@@ -363,9 +362,9 @@ def test_heatmap_stacks_give_every_cell_its_own_fidelity(n_rungs, n_points, monk
     base, grid = LadderParams(n_rungs=n_rungs), TimeGrid(0.0, 10.0, n_points)
     psi0 = build_initial_state("phi_plus", base)
     cells = [replace(base, g=g, d=d) for g in (0.4, 0.7, 1.0) for d in (0.2, 0.5, 0.8)]
-    stacks = _stacks(len(cells), len(parity_sector(psi0)))
-    assert [s.stop - s.start for s in stacks] == {3: [9], 4: [4, 5], 5: [1] * 9}[n_rungs]
-    for stack in stacks:
+    split = stacks(len(cells), len(parity_sector(psi0)))
+    assert [s.stop - s.start for s in split] == {3: [9], 4: [4, 5], 5: [1] * 9}[n_rungs]
+    for stack in split:
         gap = _stacked_and_alone(base, grid, _sector_spectrum(cells[stack], psi0),
                                  [_sector_spectrum(cell, psi0) for cell in cells[stack]], psi0, monkeypatch)
         assert gap <= (0.0 if n_points <= STRIDE else CHUNKED_F_TOL)
@@ -461,7 +460,7 @@ def test_a_nan_in_a_stacked_fidelity_is_refused(monkeypatch):
     psi0 = build_initial_state("phi_plus", cells[0])
     decomp, grid = _sector_spectrum(cells, psi0), TimeGrid(0.0, 1.0, 11)
     assert evolve_and_measure(cells[0], grid, fidelity=True, decomp=decomp, psi0=psi0).shape == (2, 11)
-    monkeypatch.setattr("spinladder.experiments._evolve_chunk", poisoned)
+    monkeypatch.setattr("spinladder.evolution._evolve_chunk", poisoned)
     with pytest.raises(InvalidArgumentError, match="stacked fidelity has non-finite values"):
         evolve_and_measure(cells[0], grid, fidelity=True, decomp=decomp, psi0=psi0)
 
@@ -487,7 +486,7 @@ def test_n5_heatmap_is_split_into_stacks_within_chunk_bytes(monkeypatch):
         if start == 0:  # once per evolution
             sizes.append((len(evolution.decomp.eigenvalues), len(evolution.decomp.basis)))
         return _evolve_chunk(evolution, start, phases)
-    monkeypatch.setattr("spinladder.experiments._evolve_chunk", recording)
+    monkeypatch.setattr("spinladder.evolution._evolve_chunk", recording)
     grid = TimeGrid(0.0, 1.0, 201)
     anisotropy_heatmap([0.5, 1.0], [0.3, 0.6], LadderParams(n_rungs=5), grid=grid)
     assert sizes == [(1, 512)] * 4
@@ -559,7 +558,7 @@ def test_distinct_rows_are_evolved_once_and_read_as_every_row(monkeypatch):
         if start == 0:  # once per evolution
             rows.append([len(readout) for readout in evolution.readouts])
         return _evolve_chunk(evolution, start, phases)
-    monkeypatch.setattr("spinladder.experiments._evolve_chunk", recording)
+    monkeypatch.setattr("spinladder.evolution._evolve_chunk", recording)
     channels = dict(pairs=rung_pairs(4), fidelity=True, mutual_info=True, decomp=decomp, psi0=psi0)
     once = evolve_and_measure(params, grid, **channels)
     monkeypatch.setattr("spinladder.experiments._distinct_rows", lambda matrix: (np.arange(len(matrix)),) * 2)
@@ -597,7 +596,7 @@ def test_fidelity_chunks_follow_the_spectrum_not_the_channels(monkeypatch):
         block, rows = _evolve_chunk(evolution, start, phases)
         lengths.append((start, len(block)))
         return block, rows
-    monkeypatch.setattr("spinladder.experiments._evolve_chunk", recording)
+    monkeypatch.setattr("spinladder.evolution._evolve_chunk", recording)
     params, grid = LadderParams(n_rungs=5), TimeGrid(0.0, 10.0, 2501)
     decomp = _sector_spectrum(params, build_initial_state("phi_plus", params))
     alone = evolve_and_measure(params, grid, fidelity=True, decomp=decomp)
@@ -970,7 +969,7 @@ _PARALLEL_RUNS = {
 
 
 def _force_workers(monkeypatch, workers):
-    monkeypatch.setattr("spinladder.experiments._usable_cpus", lambda: workers)
+    monkeypatch.setattr("spinladder.evolution._usable_cpus", lambda: workers)
 
 
 @pytest.mark.parametrize("run", list(_PARALLEL_RUNS.values()), ids=list(_PARALLEL_RUNS))
@@ -996,7 +995,7 @@ def _meeting_kernel(monkeypatch, workers, record):
         if start < workers * evolution.chunk:
             barrier.wait()
         return _evolve_chunk(evolution, start, phases)
-    monkeypatch.setattr("spinladder.experiments._evolve_chunk", meeting)
+    monkeypatch.setattr("spinladder.evolution._evolve_chunk", meeting)
 
 
 def test_workers_run_chunks_at_once_each_on_its_own_thread(monkeypatch):
@@ -1025,7 +1024,7 @@ def test_chunks_are_taken_once_each_under_a_short_switch_interval(monkeypatch):
     def recording(evolution, start, phases):
         starts.append(start)
         return _evolve_chunk(evolution, start, phases)
-    monkeypatch.setattr("spinladder.experiments._evolve_chunk", recording)
+    monkeypatch.setattr("spinladder.evolution._evolve_chunk", recording)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -1046,8 +1045,8 @@ def test_one_worker_runs_every_chunk_in_the_caller(monkeypatch, workers, n_point
     def recording(evolution, start, phases):
         threads.append(threading.get_ident())
         return _evolve_chunk(evolution, start, phases)
-    monkeypatch.setattr("spinladder.experiments._evolve_chunk", recording)
-    monkeypatch.setattr("spinladder.experiments.threading.Thread", None)
+    monkeypatch.setattr("spinladder.evolution._evolve_chunk", recording)
+    monkeypatch.setattr("spinladder.evolution.threading.Thread", None)
     run_reference(grid=TimeGrid(0.0, 10.0, n_points))
     assert threads == [threading.get_ident()] * math.ceil(n_points / 2048)
 
@@ -1062,7 +1061,7 @@ def test_a_failing_chunk_raises_its_own_exception_and_leaves_no_thread(monkeypat
         if start == 2 * evolution.chunk:
             raise failure
         return _evolve_chunk(evolution, start, phases)
-    monkeypatch.setattr("spinladder.experiments._evolve_chunk", failing)
+    monkeypatch.setattr("spinladder.evolution._evolve_chunk", failing)
     before = set(threading.enumerate())
     with pytest.raises(NumericFailureError) as raised:
         run_reference(grid=TimeGrid(0.0, 10.0, 5 * 2048))
