@@ -5,7 +5,7 @@ rung by leg couplings, with a strong transverse-axis field on the rungs in
 between freezing the mediators. Real parity-sector exact diagonalization:
 the real Hamiltonian is built only on the initial state's spin-flip parity
 sector and diagonalized only on the leg-swap x mirror blocks of it that the
-state occupies, so system sizes are desk-scale (up to five rungs).
+state occupies, so the sizes the CLI runs (up to five rungs) are desk-scale.
 """
 
 __version__ = "0.1.0"
@@ -23,8 +23,7 @@ for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", 
     _os.environ.setdefault(_variable, "1")
 
 from .errors import (ConfigurationError, InsufficientDataError,
-                     InvalidArgumentError, NumericFailureError, OutputError,
-                     UnsupportedSizeError)
+                     InvalidArgumentError, NumericFailureError, OutputError)
 from .lattice import (INITIAL_STATE_KINDS, LadderParams, bond_hamiltonian,
                       build_hamiltonian, build_initial_state, dressed_gap,
                       ladder_terms, leg_bonds, mediating_mask, parity_sector,
@@ -38,6 +37,6 @@ from .experiments import (DisorderRealization, EnsembleStats, HeatmapGrid,
                           anisotropy_heatmap, build_effective_hamiltonian,
                           disorder_ensemble, disorder_realization,
                           effective_model_check, evolve_and_measure, frequency_table,
-                          run_reference, scaling_run, sweep_field)
+                          run_reference, sweep_field)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

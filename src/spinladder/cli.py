@@ -35,8 +35,7 @@ from dataclasses import asdict, astuple, fields, replace
 import numpy as np
 
 from . import __version__
-from .errors import (ConfigurationError, InsufficientDataError,
-                     InvalidArgumentError, NumericFailureError, OutputError)
+from .errors import ConfigurationError, InsufficientDataError, InvalidArgumentError, NumericFailureError
 from .experiments import FREQ_GRID
 from .lattice import dressed_gap
 from . import experiments, io, signals
@@ -46,8 +45,13 @@ from . import experiments, io, signals
 # their own grid defaults; an explicit t_end or n_points still wins.
 _COMMAND_DEFAULTS = {"freq-table": {"t_end": FREQ_GRID.t_end, "n_points": FREQ_GRID.n_points}}
 
-#: Experiments that evolve the input named by the state key; the others evolve phi_plus alone.
-_STATE_COMMANDS = ("reference", "scaling")
+#: Keys that some experiments do not read, with those experiments and why. Such an experiment
+#: refuses any value of the key other than the default, before any output is written.
+_UNREAD = {
+    "state": (("field-sweep", "heatmap", "disorder", "freq-table", "effective-check"), "evolves phi_plus only"),
+    "t_end": (("field-sweep", "effective-check"), "sizes its own carrier-resolving grids"),
+    "n_points": (("field-sweep", "effective-check"), "sizes its own carrier-resolving grids"),
+}
 
 #: glibc mallopt parameters and the values main gives them (see the module docstring).
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
@@ -97,8 +101,10 @@ def _resolve_config(args, command):
     flags = {field.name: getattr(args, field.name) for field in fields(io.ExperimentConfig)}
     flag_values = io.convert_overrides({name: value for name, value in flags.items() if value is not None})
     config = io.build_config(_COMMAND_DEFAULTS.get(command, {}), file_values, flag_values)
-    if command not in _STATE_COMMANDS and config.state != "phi_plus":
-        raise ConfigurationError(f"{command} evolves phi_plus only, got {config.state}", key="state")
+    default = io.ExperimentConfig()
+    for key, (commands, reason) in _UNREAD.items():
+        if command in commands and getattr(config, key) != getattr(default, key):
+            raise ConfigurationError(f"{command} {reason}, got {getattr(config, key)}", key=key)
     return config
 
 
@@ -185,7 +191,7 @@ def cmd_scaling(args, config):
     ladders = [io.config_params(replace(config, n_rungs=int(n))) for n in io.config_floats(config, "n_values")]
     for params in ladders:
         n = params.n_rungs
-        traj = experiments.scaling_run(params, grid=grid, state_kind=config.state)
+        traj = experiments.run_reference(params, config.state, grid, include_mutual_info=False)
         io.write_trajectory(traj, _out(args, f"scaling_n{n}.csv"))
         terminal = traj.pair_concurrence[traj.terminal_label]
         try:
@@ -244,10 +250,6 @@ def main(argv=None):
     except (NumericFailureError, InsufficientDataError, OverflowError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (OutputError, OSError) as exc:
+    except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 4
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -9,10 +9,6 @@ class InvalidArgumentError(ValueError):
     """An operation was called with arguments outside its contract."""
 
 
-class UnsupportedSizeError(InvalidArgumentError):
-    """The requested system size exceeds what dense diagonalization supports."""
-
-
 class InsufficientDataError(RuntimeError):
     """A signal does not contain enough structure for the requested extraction."""
 

@@ -1,8 +1,9 @@
 """Named, seeded, reproducible experiment drivers.
 
 Every study is a plain function from parameters to tabular results:
-reference trajectory, field sweep, anisotropy heatmap, disorder ensemble,
-size scaling, effective-model comparison, and the carrier-frequency table.
+reference trajectory (the CLI's size scaling runs it at each length), field
+sweep, anisotropy heatmap, disorder ensemble, effective-model comparison, and
+the carrier-frequency table.
 All of them run through evolve_and_measure, which measures each chunk of
 grid times that evolution.evolve hands it, on any of evolve's worker
 threads, into its own slice of the outputs, so long windows at large field
@@ -24,10 +25,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.random import SeedSequence, default_rng  # loaded here: np.random would load it mid-run
 
-from .errors import InsufficientDataError, InvalidArgumentError, NumericFailureError, UnsupportedSizeError
+from .errors import InsufficientDataError, InvalidArgumentError, NumericFailureError
 from .evolution import TimeGrid, diagonalize, evolve, stacks
 from .lattice import (
-    MAX_DENSE_RUNGS,
     LadderParams,
     bond_hamiltonian,
     build_hamiltonian,
@@ -312,23 +312,6 @@ def run_reference(params=LadderParams(), state_kind="phi_plus", grid=DEFAULT_GRI
     psi0 = build_initial_state(state_kind, params)
     return evolve_and_measure(params, grid, rung_pairs(params.n_rungs), fidelity=True,
                               mutual_info=include_mutual_info, psi0=psi0)
-
-
-def scaling_run(params, grid=DEFAULT_GRID, state_kind="phi_plus"):
-    """Reference-style run of state_kind on a ladder of any size, all pair channels, no MI.
-
-    params carries the size and its field mask. Dense diagonalization
-    bounds the size: n_rungs above MAX_DENSE_RUNGS (a 512-state parity
-    sector at five rungs, solved as its 152- and 120-state symmetry blocks)
-    is refused rather than silently slow, and so is a ladder without a
-    mediating rung.
-    """
-    if params.n_rungs > MAX_DENSE_RUNGS:
-        raise UnsupportedSizeError(
-            f"n_rungs = {params.n_rungs} exceeds the dense-diagonalization bound of {MAX_DENSE_RUNGS}")
-    if params.n_rungs < 3:
-        raise InvalidArgumentError(f"a scaling run needs at least one mediating rung, got n_rungs = {params.n_rungs}")
-    return run_reference(params, state_kind=state_kind, grid=grid, include_mutual_info=False)
 
 
 def _carrier(params):

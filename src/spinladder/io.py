@@ -14,8 +14,7 @@ from dataclasses import asdict, astuple, dataclass, fields
 import numpy as np
 
 from .errors import ConfigurationError, OutputError
-from .lattice import (MAX_DENSE_RUNGS, INITIAL_STATE_KINDS, LadderParams, mediating_mask,
-                      uniform_mask)
+from .lattice import INITIAL_STATE_KINDS, LadderParams, mediating_mask, uniform_mask
 from .evolution import TimeGrid
 from .experiments import DEFAULT_GRID
 
@@ -89,8 +88,13 @@ def _convert(key, raw, line=None):
     return value
 
 
-#: The least value of a key, or of every entry of a list key.
-_LEAST = {"n_points": 2, "n_g": 1, "n_d": 1, "n_samples": 1, "n_values": 3, "deltas": 0.0, "seed": 0}
+#: The largest ladder a config may ask for. A check on the config, not a limit of the library,
+#: whose builder and eigensolver take larger ladders.
+MAX_DENSE_RUNGS = 5
+
+#: The least and the greatest value of a key, or of every entry of a list key.
+_LEAST = {"n_rungs": 2, "n_points": 2, "n_g": 1, "n_d": 1, "n_samples": 1, "n_values": 3, "deltas": 0.0, "seed": 0}
+_MOST = {"n_rungs": MAX_DENSE_RUNGS, "n_values": MAX_DENSE_RUNGS}
 
 
 def _refusal(key, value, entries):
@@ -103,10 +107,8 @@ def _refusal(key, value, entries):
         return "t_end must be positive"
     if key in _LEAST and (min(entries) < _LEAST[key] or any(math.copysign(1, entry) < 0 for entry in entries)):
         return f"{key} must be >= {_LEAST[key]}, got {value}"
-    if key == "n_values" and max(entries) > MAX_DENSE_RUNGS:
-        return f"n_values entry {max(entries)} exceeds the dense bound of {MAX_DENSE_RUNGS}"
-    if key == "n_rungs" and not 2 <= value <= MAX_DENSE_RUNGS:
-        return f"n_rungs must be between 2 and {MAX_DENSE_RUNGS} for dense diagonalization, got {value}"
+    if key in _MOST and max(entries) > _MOST[key]:
+        return f"{key} must be <= {_MOST[key]}, got {value}"
     if key == "state" and value not in INITIAL_STATE_KINDS:
         return f"state must be one of {INITIAL_STATE_KINDS}"
     if key == "field_mask" and value not in ("mediating", "uniform"):

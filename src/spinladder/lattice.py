@@ -68,12 +68,6 @@ _RUNG1_AMPLITUDES = {
 }
 INITIAL_STATE_KINDS = tuple(_RUNG1_AMPLITUDES)
 
-#: Largest ladder the dense builder and eigensolver take (2^10 = 1024 states;
-#: the builder keeps one parity sector, 512, and on a clean ladder the
-#: eigensolver sees only the symmetry blocks the input occupies, at most 152).
-MAX_DENSE_RUNGS = 5
-
-
 def mediating_mask(n_rungs):
     """Rungs 2 .. N-1, the default recipients of the selective field."""
     return frozenset(range(2, n_rungs))

@@ -25,7 +25,6 @@ from spinladder.experiments import (
     evolve_and_measure,
     frequency_table,
     run_reference,
-    scaling_run,
     sweep_field,
     _envelope_grid,
     _sector_spectrum,
@@ -73,7 +72,7 @@ def disorder():
 
 @pytest.fixture(scope="module")
 def scaling():
-    return {n: scaling_run(LadderParams(n_rungs=n)) for n in (3, 4, 5)}
+    return {n: run_reference(LadderParams(n_rungs=n), include_mutual_info=False) for n in (3, 4, 5)}
 
 
 @pytest.fixture(scope="module")

@@ -376,6 +376,22 @@ def test_state_is_refused_where_only_phi_plus_evolves(tmp_path, capsys, monkeypa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key,value", [("t_end", "1"), ("n_points", "11")])
+@pytest.mark.parametrize("command", ["field-sweep", "effective-check"])
+def test_grid_is_refused_where_the_experiment_sizes_its_own(tmp_path, capsys, monkeypatch, command, key, value):
+    """The two envelope studies size their own grids: t_end or n_points, by flag or file, exits 2 naming it, before --out."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a command evolved on a grid it ignores")
+    monkeypatch.setattr(EVOLVE_CHUNK, refuse)
+    out, cfg = tmp_path / "out", tmp_path / "run.cfg"
+    assert main([command, "--" + key.replace("_", "-"), value, "--out", str(out)]) == 2
+    assert f"{command} sizes its own carrier-resolving grids, got " in capsys.readouterr().err
+    cfg.write_text(f"{key} = {value}\n")
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"(key: {key})" in capsys.readouterr().err
+    assert not out.exists()
+
+
 #: The commands of the five refused-before-evolving probes above, each with the refused value made valid.
 _VALID_PROBE_RUNS = {
     "envelope grid, field-sweep": ["field-sweep", "--j-parallel", "1", "--h-values", "100"],
@@ -648,8 +664,7 @@ def test_driver_defaults_match_resolved_config():
     assert list(_default(experiments.effective_model_check, "h_values")) == \
         config_floats(config, "eff_h_values")
     assert config_grid(config) == experiments.DEFAULT_GRID
-    for driver in (experiments.run_reference, experiments.scaling_run,
-                   experiments.anisotropy_heatmap, experiments.disorder_ensemble):
+    for driver in (experiments.run_reference, experiments.anisotropy_heatmap, experiments.disorder_ensemble):
         assert _default(driver, "grid") == experiments.DEFAULT_GRID
     args = _build_parser().parse_args(["freq-table", "--out", "unused"])
     assert config_grid(_resolve_config(args, "freq-table")) == \

@@ -22,7 +22,6 @@ from spinladder.errors import (
     InsufficientDataError,
     InvalidArgumentError,
     NumericFailureError,
-    UnsupportedSizeError,
 )
 from spinladder.evolution import (CHUNK_BYTES, STRIDE, SpectralDecomposition, TimeGrid, _chunk_points,
                                   _evolve_chunk, _usable_cpus, diagonalize, iter_evolved, stacks)
@@ -39,7 +38,6 @@ from spinladder.experiments import (
     pair_label,
     run_reference,
     rung_pairs,
-    scaling_run,
     sweep_field,
     _distinct_rows,
     _envelope_grid,
@@ -188,17 +186,10 @@ def test_uniform_field_suppresses_transfer():
     assert traj.pair_concurrence["56"].values.max() <= 0.85
 
 
-# ----------------------------------------------------------------- scaling_run
-
-def test_scaling_size_bounds():
-    with pytest.raises(UnsupportedSizeError):
-        scaling_run(LadderParams(n_rungs=6))
-    with pytest.raises(InvalidArgumentError):
-        scaling_run(LadderParams(n_rungs=2))
-
+# ----------------------------------------------------------------- scaling
 
 def test_scaling_four_rungs_channels():
-    traj = scaling_run(LadderParams(n_rungs=4), grid=TimeGrid(0.0, 10.0, 801))
+    traj = run_reference(LadderParams(n_rungs=4), grid=TimeGrid(0.0, 10.0, 801), include_mutual_info=False)
     assert list(traj.pair_concurrence) == ["12", "34", "56", "78"]
     assert traj.terminal_label == "78"
     assert traj.mutual_info is None
@@ -962,7 +953,8 @@ _PARALLEL_RUNS = {
     "40-ladder stack": lambda: disorder_ensemble(0.1, 40, 0, grid=TimeGrid(0.0, 10.0, 401)),
     "heatmap stack": lambda: anisotropy_heatmap([0.5, 1.0, 1.5], [0.2, 0.5, 0.8], grid=TimeGrid(0.0, 10.0, 401)),
     "field sweep": lambda: sweep_field([50.0]),
-    "scaling": lambda: scaling_run(LadderParams(n_rungs=4), grid=TimeGrid(0.0, 10.0, 3000)),
+    "scaling": lambda: run_reference(LadderParams(n_rungs=4), grid=TimeGrid(0.0, 10.0, 3000),
+                                     include_mutual_info=False),
     "frequency table": lambda: frequency_table([0.5]),
     "effective check": lambda: effective_model_check(h_values=[100.0]),
 }
