@@ -37,8 +37,7 @@ from .lattice import (
     rung_pairs,
     symmetry_blocks,
 )
-from .metrics import _concurrence_many, _entropy_many, _folded_layout, _is_x, _layout, _marginals, \
-    _phi_plus_map, _reduced_many, _schmidt_many, _x_concurrence_many
+from .metrics import _reduced_many, channel_reader  # bench/tracer.py times _reduced_many by this name (ROADMAP item 16)
 from .signals import FitResult, TimeSeries, envelope_period, dominant_frequency, \
     extract_alpha, effective_coupling_from_period, loglog_fit, _alpha_refusal
 
@@ -163,30 +162,13 @@ def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False
     pairs lists the rung pairs whose concurrence is recorded; fidelity adds
     the terminal pair's phi_plus fidelity; mutual_info adds I(first),
     I(terminal) and the joint first-terminal channel, and is refused below
-    two rungs, where the first rung is the terminal one. Every site set read
-    is split into its blocks once per call (metrics._layout). Pairs and
-    mutual information read the states in decomp's basis, each bitwise-
-    distinct row of V evolved once (_distinct_rows: rows r and P r are
-    equal where psi0 keeps the leg swap P) and the layouts indexed into
-    those rows, so the kernels read the smaller block unchanged: an X pair
-    (metrics._is_x: every parity sector) takes its concurrence from the
-    block sums with no rho, any other pair from a rho reduced once per chunk.
-    With mutual information on, no joint first-terminal rho is formed: its
-    leg-swap-folded Schmidt blocks (metrics._folded_layout, built once per
-    call on the remapped rows) give the joint entropy from each block's
-    smaller side and the two end pairs' rhos as fixed linear images, in
-    place of reducing those pairs; the single sites are traced from their
-    pair. Fidelity reads no state and no rho: the evolution applies
-    A = P V (P from metrics._phi_plus_map, formed once per call) in a
-    product of its own, and F = sum_m |a_m|^2 over the amplitudes a it
-    gives, so F comes from the same arithmetic whatever other channels a
-    run asks for. psi0 defaults to the phi_plus input and decomp to the
-    spectrum of params' Hamiltonian on the symmetry blocks psi0 occupies.
-    C and F are clipped into [0, 1]; mutual information is not. Channels
-    not asked for come back empty (concurrence) or None. Each chunk is
-    evolved and measured into its own slice of the outputs by
-    evolution.evolve, on one thread per usable CPU, with the same bits
-    whatever the number of threads.
+    two rungs, where the first rung is the terminal one. metrics.channel_reader
+    routes each channel to its kernel. psi0 defaults to the phi_plus input
+    and decomp to the spectrum of params' Hamiltonian on the symmetry blocks
+    psi0 occupies. C and F are clipped into [0, 1]; mutual information is
+    not. Channels not asked for come back empty (concurrence) or None. The
+    outputs have the same bits whatever the number of evolution.evolve's
+    threads.
 
     decomp may also be a stack, _sector_spectrum of a list of K ladders
     with params' n_rungs and field mask: the stack is evolved at once and
@@ -204,82 +186,26 @@ def evolve_and_measure(params, grid, pairs=(), fidelity=False, mutual_info=False
     if stack and (pairs or mutual_info or not fidelity):
         raise InvalidArgumentError(f"a stack of {stack[0]} ladders measures fidelity alone; pair and mutual-"
                                    f"information channels read one ladder's states")
-    n_sites, n_points = params.n_sites, grid.n_points
     ladder = rung_pairs(params.n_rungs)
     first, terminal = ladder[0], ladder[-1]
-    ends = [first, terminal] * mutual_info
-    keeps = [pair for pair in pairs if pair not in ends] + [terminal] * fidelity
-    layouts = {keep: _layout(decomp.basis, keep, n_sites) for keep in dict.fromkeys(keeps)}
-    reduced = [pair for pair in dict.fromkeys(pairs) if pair not in ends and not _is_x(layouts[pair])]
-    readouts = [_phi_plus_map(layouts[terminal], len(decomp.basis)) @ decomp.eigenvectors] if fidelity else []
-    split = 0
-    if ends or pairs:
-        distinct, inverse = _distinct_rows(decomp.eigenvectors)
-        readouts.insert(0, decomp.eigenvectors[distinct])
-        split = len(distinct)
-        layouts = {keep: (dim, [(configs, inverse[rows]) for configs, rows in blocks])
-                   for keep, (dim, blocks) in layouts.items()}
-        joint = _folded_layout(decomp.basis, first + terminal, n_sites, inverse) if mutual_info else None
-    conc = {pair: np.empty(n_points) for pair in pairs}
-    fid = np.empty(stack + (n_points,)) if fidelity else None
-    mi = {name: np.empty(n_points) for name in ("first", "terminal", "joint") if mutual_info}
-
-    def measure(sl, rows):
-        states, amplitudes = rows[..., :split, :], rows[..., split:, :]
-        rhos = {pair: _reduced_many(states, layouts[pair]) for pair in reduced}
-        if mutual_info:
-            sides, halves = _schmidt_many(states, joint)
-            rhos.update(zip(ends, halves))
-        for pair in pairs:
-            conc[pair][sl] = (_concurrence_many(rhos[pair]) if pair in rhos
-                              else _x_concurrence_many(states, layouts[pair]))
-        if fidelity:
-            parts = amplitudes.view(float)  # real and imaginary parts alternate along a row
-            squares = np.einsum("...mt,...mt->...t", parts, parts)
-            fid[..., sl] = squares[..., ::2] + squares[..., 1::2]
-        if mutual_info:
-            s_first = _entropy_many(rhos[first])
-            s_term = _entropy_many(rhos[terminal])
-            mi["first"][sl] = sum(map(_entropy_many, _marginals(rhos[first]))) - s_first
-            mi["terminal"][sl] = sum(map(_entropy_many, _marginals(rhos[terminal]))) - s_term
-            mi["joint"][sl] = s_first + s_term - _entropy_many(sides)
-
+    readouts, measure, conc, fid, mi = channel_reader(decomp, params.n_sites, grid.n_points, pairs,
+                                                      terminal if fidelity else None, (first, terminal) * mutual_info)
     evolve(decomp, psi0, grid, readouts, measure)
-
-    mi_series = None
-    if mutual_info:
-        lf, lt = pair_label(*first), pair_label(*terminal)
-        mi_series = {
-            f"I{lf}": TimeSeries(grid, mi["first"]),
-            f"I{lt}": TimeSeries(grid, mi["terminal"]),
-            f"I{lf}_{lt}": TimeSeries(grid, mi["joint"]),
-        }
 
     if fidelity:
         np.clip(fid, 0.0, 1.0, out=fid)  # once for the whole stack
     if stack:
         _check_unit_interval(fid, "stacked fidelity")
         return fid
+    lf, lt = pair_label(*first), pair_label(*terminal)
+    labels = {"first": f"I{lf}", "terminal": f"I{lt}", "joint": f"I{lf}_{lt}"}
     return Trajectory(
         grid=grid,
         pair_concurrence={pair_label(*pair): TimeSeries(grid, np.clip(values, 0.0, 1.0))
                           for pair, values in conc.items()},
         fidelity_terminal=None if fid is None else TimeSeries(grid, fid),
-        mutual_info=mi_series,
+        mutual_info={labels[name]: TimeSeries(grid, values) for name, values in mi.items()} or None,
     )
-
-
-def _distinct_rows(matrix):
-    """(distinct, inverse): the first row of each bitwise-distinct row value, in order, and every row's index among them.
-
-    matrix[distinct][inverse] == matrix exactly; a matrix without repeated
-    rows gives distinct = arange(len(matrix)).
-    """
-    matrix = np.ascontiguousarray(matrix)
-    keys = matrix.view(np.dtype((np.void, matrix.dtype.itemsize * matrix.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)  # unique's sorted keys, by first occurrence
-    return first[order], np.argsort(order)[inverse]
 
 
 def _sector_spectrum(params, psi0, **build):
@@ -304,10 +230,7 @@ def run_reference(params=LadderParams(), state_kind="phi_plus", grid=DEFAULT_GRI
     """Evolve one ladder and record every rung pair's concurrence plus terminal fidelity.
 
     Mutual-information channels (first rung, terminal rung, and the joint
-    first-terminal correlation) are included by default. For 4001 points on
-    one Xeon core with single-threaded OpenBLAS (best of 9) they take N = 3
-    from 0.0023 s to 0.0095 s, and N = 5 from 0.060 s to 0.090 s, most of
-    it the eigvalsh of the joint's folded 6x6 and 4x4 Schmidt blocks.
+    first-terminal correlation) are included by default.
     """
     psi0 = build_initial_state(state_kind, params)
     return evolve_and_measure(params, grid, rung_pairs(params.n_rungs), fidelity=True,

@@ -103,6 +103,8 @@ def _refusal(key, value, entries):
         return f"{key} must list at least one value"
     if float in (_FIELD_TYPES[key], _LIST_KEYS.get(key)) and not all(map(math.isfinite, entries)):
         return f"{key} must be finite, got {value}"
+    if key in _LIST_KEYS and len(set(entries)) < len(entries):
+        return f"{key} must not repeat a value, got {value}"
     if key == "t_end" and value <= 0:
         return "t_end must be positive"
     if key in _LEAST and (min(entries) < _LEAST[key] or any(math.copysign(1, entry) < 0 for entry in entries)):

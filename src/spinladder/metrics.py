@@ -2,6 +2,13 @@
 
 Entropies and mutual information are in bits.
 
+channel_reader routes each channel of one evolution to its kernel, as set
+out below, once per run. Pairs and mutual information read each bitwise-
+distinct row of V evolved once (_distinct_rows: rows r and P r are equal
+where psi0 keeps the leg swap P), their layouts indexed into those rows.
+Fidelity reads A = P V, P from _phi_plus_map, so F comes from the same
+arithmetic whatever other channels a run asks for.
+
 The partial trace reads states in the coordinates they were evolved in, a
 parity sector's basis or the full space, with nothing scattered back into
 the full space first. _layout splits a basis into the blocks of a site
@@ -87,6 +94,65 @@ X_STATE_TOL = 1e-10
 _OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
 
 _S2 = 1.0 / np.sqrt(2.0)
+
+
+def channel_reader(decomp, n_sites, n_points, pairs=(), terminal=None, ends=()):
+    """(readouts, measure, conc, fid, mi): one evolution's channels over decomp, routed as the module says.
+
+    conc holds each of pairs' concurrence, fid terminal's phi_plus fidelity
+    (None without terminal) and mi the "first", "terminal" and "joint" mutual
+    informations of ends = (first, terminal). measure(slice, rows) fills a
+    slice of them from the rows of the evolved readouts.
+    """
+    keeps = [pair for pair in pairs if pair not in ends] + [terminal] * bool(terminal)
+    layouts = {keep: _layout(decomp.basis, keep, n_sites) for keep in dict.fromkeys(keeps)}
+    reduced = [pair for pair in dict.fromkeys(pairs) if pair not in ends and not _is_x(layouts[pair])]
+    readouts = [_phi_plus_map(layouts[terminal], len(decomp.basis)) @ decomp.eigenvectors] if terminal else []
+    split = 0
+    if ends or pairs:
+        distinct, inverse = _distinct_rows(decomp.eigenvectors)
+        readouts.insert(0, decomp.eigenvectors[distinct])
+        split = len(distinct)
+        layouts = {keep: (dim, [(configs, inverse[rows]) for configs, rows in blocks])
+                   for keep, (dim, blocks) in layouts.items()}
+        joint = _folded_layout(decomp.basis, ends[0] + ends[1], n_sites, inverse) if ends else None
+    conc = {pair: np.empty(n_points) for pair in pairs}
+    fid = np.empty(decomp.eigenvalues.shape[:-1] + (n_points,)) if terminal else None
+    mi = {name: np.empty(n_points) for name in ("first", "terminal", "joint") if ends}
+
+    def measure(sl, rows):
+        states, amplitudes = rows[..., :split, :], rows[..., split:, :]
+        rhos = {pair: _reduced_many(states, layouts[pair]) for pair in reduced}
+        if ends:
+            sides, halves = _schmidt_many(states, joint)
+            rhos.update(zip(ends, halves))
+        for pair in pairs:
+            conc[pair][sl] = (_concurrence_many(rhos[pair]) if pair in rhos
+                              else _x_concurrence_many(states, layouts[pair]))
+        if fid is not None:
+            parts = amplitudes.view(float)  # real and imaginary parts alternate along a row
+            squares = np.einsum("...mt,...mt->...t", parts, parts)
+            fid[..., sl] = squares[..., ::2] + squares[..., 1::2]
+        if ends:
+            entropies = [_entropy_many(rhos[end]) for end in ends]
+            for name, end, entropy in zip(("first", "terminal"), ends, entropies):
+                mi[name][sl] = sum(map(_entropy_many, _marginals(rhos[end]))) - entropy
+            mi["joint"][sl] = entropies[0] + entropies[1] - _entropy_many(sides)
+
+    return readouts, measure, conc, fid, mi
+
+
+def _distinct_rows(matrix):
+    """(distinct, inverse): the first row of each bitwise-distinct row value, in order, and every row's index among them.
+
+    matrix[distinct][inverse] == matrix exactly; a matrix without repeated
+    rows gives distinct = arange(len(matrix)).
+    """
+    matrix = np.ascontiguousarray(matrix)
+    keys = matrix.view(np.dtype((np.void, matrix.dtype.itemsize * matrix.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # unique's sorted keys, by first occurrence
+    return first[order], np.argsort(order)[inverse]
 
 
 def _layout(basis, keep, n_sites):

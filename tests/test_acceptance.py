@@ -18,7 +18,6 @@ import pytest
 
 from spinladder.evolution import TimeGrid, diagonalize, iter_evolved
 from spinladder.experiments import (
-    DEFAULT_GRID,
     anisotropy_heatmap,
     disorder_ensemble,
     effective_model_check,

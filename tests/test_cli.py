@@ -606,6 +606,42 @@ def test_disorder_deltas_sharing_a_file_tag_are_refused(tmp_path, capsys, monkey
     assert "Traceback" not in err and not out.exists()
 
 
+_REPEATED_LISTS = {"n_values": ("scaling", "4,4"), "h_values": ("field-sweep", "100,100,100"),
+                   "eff_h_values": ("effective-check", "100,100"), "d_values": ("freq-table", "0.5,0.1,0.5")}
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("key", list(_REPEATED_LISTS))
+def test_a_list_key_repeating_a_value_is_refused(tmp_path, capsys, monkeypatch, key, source):
+    """A list that repeats an entry, by flag or file, exits 2 naming the key, before any evolution or --out.
+
+    Run, it would do the same work twice: scaling would write scaling_n4.csv
+    twice and two equal runs into scaling.json, field-sweep would fit a line
+    through three equal fields.
+    """
+    def refuse(*args, **kwargs):
+        raise AssertionError("a command evolved a list with a repeated entry")
+    monkeypatch.setattr(EVOLVE_CHUNK, refuse)
+    command, value = _REPEATED_LISTS[key]
+    out, cfg = tmp_path / "out", tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    given = ["--" + key.replace("_", "-"), value] if source == "flag" else ["--config", str(cfg)]
+    assert main([command, *given, "--out", str(out)]) == 2
+    assert f"{key} must not repeat a value, got {value} (key: {key})" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_repeated_disorder_deltas_are_refused(tmp_path, capsys, monkeypatch):
+    """--deltas 0.1,0.1 exits 2 naming deltas, with no ensemble run and no output."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an ensemble ran for a repeated delta")
+    monkeypatch.setattr("spinladder.experiments.disorder_ensemble", refuse)
+    out = tmp_path / "out"
+    assert main(["disorder", "--deltas", "0.1,0.1", "--n-samples", "2", "--n-points", "51", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "(key: deltas)" in err and "Traceback" not in err and not out.exists()
+
+
 @pytest.mark.parametrize("flags, state, masks", [
     (["--field-mask", "2"], "phi_plus", {3: {2}, 4: {2}}),
     (["--field-mask", "uniform"], "phi_plus", {3: {1, 2, 3}, 4: {1, 2, 3, 4}}),

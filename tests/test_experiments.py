@@ -18,8 +18,8 @@ import pytest
 import scipy.linalg
 from hypothesis import given, strategies as st
 
+from spinladder import metrics
 from spinladder.errors import (
-    InsufficientDataError,
     InvalidArgumentError,
     NumericFailureError,
 )
@@ -39,7 +39,6 @@ from spinladder.experiments import (
     run_reference,
     rung_pairs,
     sweep_field,
-    _distinct_rows,
     _envelope_grid,
     _sector_spectrum,
     _slow_window,
@@ -47,7 +46,7 @@ from spinladder.experiments import (
 )
 from spinladder.lattice import (INITIAL_STATE_KINDS, LadderParams, build_hamiltonian, build_initial_state,
                                 leg_bonds, parity_sector, symmetry_blocks, uniform_mask)
-from spinladder.metrics import (_concurrence_many, _is_x, _layout, _reduced_many, _schmidt_many,
+from spinladder.metrics import (_concurrence_many, _distinct_rows, _is_x, _layout, _reduced_many, _schmidt_many,
                                 _x_concurrence_many)
 from spinladder.signals import TimeSeries, envelope_period, find_peaks
 
@@ -298,8 +297,8 @@ def test_fidelity_only_drivers_skip_concurrence(monkeypatch):
     """
     def refuse(*args):
         raise AssertionError("a fidelity-only driver evaluated concurrence or reduced a rho")
-    monkeypatch.setattr("spinladder.experiments._concurrence_many", refuse)
-    monkeypatch.setattr("spinladder.experiments._reduced_many", refuse)
+    monkeypatch.setattr("spinladder.metrics._concurrence_many", refuse)
+    monkeypatch.setattr("spinladder.metrics._reduced_many", refuse)
     shapes, stacks = [], []
 
     def recording(evolution, start, phases):
@@ -315,6 +314,24 @@ def test_fidelity_only_drivers_skip_concurrence(monkeypatch):
     assert stats.peak_fidelities.shape == (2,)
     assert shapes == [(20, (8, 81))] + [(32, (8, 81))] * 2
     assert stacks == [1, 2]
+
+
+@pytest.mark.parametrize("kernel, state, mutual_info", [
+    ("_reduced_many", "psi_minus_plus_phi_plus", False),
+    ("_concurrence_many", "psi_minus_plus_phi_plus", False),
+    ("_schmidt_many", "phi_plus", True),
+])
+def test_a_run_reading_the_channel_reaches_the_kernel_the_patches_replace(monkeypatch, kernel, state, mutual_info):
+    """A run that reads a channel reaches the metrics kernel that the refusals and recorders here patch.
+
+    A patch on a name no run calls would pass without testing anything. The
+    mixed-parity input reduces every pair's rho and takes its concurrence
+    from it; mutual information reads the joint's folded Schmidt blocks.
+    """
+    calls, original = [], getattr(metrics, kernel)
+    monkeypatch.setattr(metrics, kernel, lambda *args: calls.append(kernel) or original(*args))
+    run_reference(LadderParams(), state_kind=state, grid=TimeGrid(0.0, 2.0, 81), include_mutual_info=mutual_info)
+    assert calls
 
 
 #: Largest |F(stack) - F(alone)| accepted where a stack's chunks are shorter than a single ladder's. The
@@ -552,7 +569,7 @@ def test_distinct_rows_are_evolved_once_and_read_as_every_row(monkeypatch):
     monkeypatch.setattr("spinladder.evolution._evolve_chunk", recording)
     channels = dict(pairs=rung_pairs(4), fidelity=True, mutual_info=True, decomp=decomp, psi0=psi0)
     once = evolve_and_measure(params, grid, **channels)
-    monkeypatch.setattr("spinladder.experiments._distinct_rows", lambda matrix: (np.arange(len(matrix)),) * 2)
+    monkeypatch.setattr("spinladder.metrics._distinct_rows", lambda matrix: (np.arange(len(matrix)),) * 2)
     every = evolve_and_measure(params, grid, **channels)
     assert [readout_rows[0] for readout_rows in rows] == [72, 128]
     for series in ("pair_concurrence", "mutual_info"):
@@ -687,8 +704,8 @@ def test_mutual_info_traces_the_end_pairs_from_the_joint_rho(monkeypatch):
 
     def refuse(*args):
         raise AssertionError("a rho was reduced from the states")
-    monkeypatch.setattr("spinladder.experiments._schmidt_many", recording)
-    monkeypatch.setattr("spinladder.experiments._reduced_many", refuse)
+    monkeypatch.setattr("spinladder.metrics._schmidt_many", recording)
+    monkeypatch.setattr("spinladder.metrics._reduced_many", refuse)
     params, grid = LadderParams(), TimeGrid(0.0, 10.0, 401)
     traced = run_reference(params, grid=grid)
     monkeypatch.undo()
@@ -756,7 +773,7 @@ def test_joint_mutual_info_and_end_pairs_match_the_whole_rho_oracle(monkeypatch,
     def recording(states, layout):
         calls.append((layout, _schmidt_many(states, layout)))
         return calls[-1][1]
-    monkeypatch.setattr("spinladder.experiments._schmidt_many", recording)
+    monkeypatch.setattr("spinladder.metrics._schmidt_many", recording)
     grid = TimeGrid(0.0, 2.0, 9)
     traj = evolve_and_measure(params, grid, rung_pairs(n_rungs), mutual_info=True, decomp=decomp, psi0=psi0)
     [((_, blocks), (_, halves))] = calls

@@ -248,6 +248,12 @@ def test_loglog_fit_validation():
         loglog_fit([1.0, 2.0, 3.0], [1.0, 2.0])
 
 
+def test_loglog_fit_refuses_fewer_than_two_distinct_x():
+    """Three equal fields set no slope: refused, where polyfit would warn and fit one anyway."""
+    with pytest.raises(InvalidArgumentError, match="two distinct x values"):
+        loglog_fit([100.0, 100.0, 100.0], [60.0, 61.0, 62.0])
+
+
 # --------------------------------------------------- period-coupling mapping
 
 def test_effective_coupling_reference_anisotropy():
