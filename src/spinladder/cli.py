@@ -28,9 +28,8 @@ allocator.
 
 import argparse
 import ctypes
-import os
 import sys
-from dataclasses import asdict, astuple, fields, replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -108,47 +107,24 @@ def _resolve_config(args, command):
     return config
 
 
-def _common_extras(config):
-    return {
-        "config": io.config_echo(config),
-        "seed": config.seed,
-        "version": __version__,
-    }
-
-
-def _out(args, name):
-    return os.path.join(args.out, name)
-
-
-def _write_rows(args, config, name, rows, header):
-    """name.csv with one line per row dataclass, and name.json echoing the rows."""
-    io.write_table([astuple(r) for r in rows], _out(args, f"{name}.csv"), header)
-    extras = _common_extras(config)
-    extras["rows"] = [asdict(r) for r in rows]
-    io.write_sidecar(_out(args, f"{name}.json"), extras)
-
-
 def cmd_reference(args, config):
     params = io.config_params(config)
     traj = experiments.run_reference(params, state_kind=config.state,
                                      grid=io.config_grid(config))
-    extras = _common_extras(config)
-    extras["omega_fast"] = dressed_gap(params)
+    analysis = {"omega_fast": dressed_gap(params)}
     terminal = traj.pair_concurrence[traj.terminal_label]
     try:
-        extras["t_slow"] = signals.envelope_period(terminal)
+        analysis["t_slow"] = signals.envelope_period(terminal)
     except InsufficientDataError:
         pass  # window too short for the slow envelope, leave it out
-    io.write_trajectory(traj, _out(args, "trajectory.csv"),
-                        _out(args, "trajectory.json"), extras)
+    io.write_trajectory(traj, args.out, config, analysis)
     return 0
 
 
 def cmd_field_sweep(args, config):
     params = io.config_params(config)
     result = experiments.sweep_field(io.config_floats(config, "h_values"), params)
-    io.write_sweep(result, _out(args, "sweep.csv"), _out(args, "sweep.json"),
-                   _common_extras(config))
+    io.write_sweep(result, args.out, config)
     return 0
 
 
@@ -158,52 +134,35 @@ def cmd_heatmap(args, config):
     d_values = np.linspace(config.d_min, config.d_max, config.n_d)
     heatmap = experiments.anisotropy_heatmap(g_values, d_values, params,
                                              grid=io.config_grid(config))
-    io.write_heatmap(heatmap, _out(args, "heatmap.csv"), _out(args, "heatmap.json"),
-                     _common_extras(config))
+    io.write_heatmap(heatmap, args.out, config)
     return 0
 
 
 def cmd_disorder(args, config):
     params = io.config_params(config)
     grid = io.config_grid(config)
-    tags = {}  # file tag -> delta: deltas equal to 6 significant digits would write the same files
     for delta in io.config_floats(config, "deltas"):
-        tag = f"delta{delta:g}"
-        if tag in tags:
-            raise ConfigurationError(f"deltas {tags[tag]!r} and {delta!r} share the file tag {tag}", key="deltas")
-        tags[tag] = delta
-    for tag, delta in tags.items():
         stats = experiments.disorder_ensemble(delta, config.n_samples, config.seed,
                                               params, grid=grid)
-        io.write_ensemble(stats, _out(args, f"disorder_{tag}_curves.csv"),
-                          _out(args, f"disorder_{tag}_peaks.csv"),
-                          _out(args, f"disorder_{tag}.json"),
-                          _common_extras(config))
+        io.write_ensemble(stats, args.out, config)
     return 0
 
 
 def cmd_scaling(args, config):
     grid = io.config_grid(config)
-    summary = _common_extras(config)
-    summary["runs"] = []
     # Every size's ladder is built, its field_mask resolved for that size and
     # checked, before the first run.
     ladders = [io.config_params(replace(config, n_rungs=int(n))) for n in io.config_floats(config, "n_values")]
+    runs = {}
     for params in ladders:
-        n = params.n_rungs
         traj = experiments.run_reference(params, config.state, grid, include_mutual_info=False)
-        io.write_trajectory(traj, _out(args, f"scaling_n{n}.csv"))
         terminal = traj.pair_concurrence[traj.terminal_label]
         try:
             peaks = signals.find_peaks(terminal, signals.ENVELOPE_PROMINENCE)
         except InsufficientDataError:
             peaks = []  # a grid too short for peaks has none; the entry has no first peak
-        entry = dict(io.trajectory_summary(traj))
-        entry["n_rungs"] = n
-        if peaks:
-            entry["first_peak_time"], entry["first_peak_value"] = peaks[0]
-        summary["runs"].append(entry)
-    io.write_sidecar(_out(args, "scaling.json"), summary)
+        runs[params.n_rungs] = (traj, peaks[0] if peaks else None)
+    io.write_scaling(runs, args.out, config)
     return 0
 
 
@@ -211,15 +170,14 @@ def cmd_freq_table(args, config):
     params = io.config_params(config)
     rows = experiments.frequency_table(io.config_floats(config, "d_values"), params,
                                        grid=io.config_grid(config))
-    _write_rows(args, config, "freq_table", rows, ["d", "predicted", "measured", "ratio"])
+    io.write_rows(rows, args.out, config)
     return 0
 
 
 def cmd_effective_check(args, config):
     params = io.config_params(config)
     rows = experiments.effective_model_check(params, io.config_floats(config, "eff_h_values"))
-    _write_rows(args, config, "effective_check", rows,
-                ["h", "T_slow_full", "J_eff", "alpha", "T_slow_effective", "rel_error"])
+    io.write_rows(rows, args.out, config)
     return 0
 
 

@@ -269,18 +269,27 @@ def _slow_window(params):
     return 10.0
 
 
+def _distinct(values, name):
+    """values as floats; a repeated value, which would run the same study twice, is refused."""
+    values = [float(v) for v in values]
+    if len(set(values)) < len(values):
+        raise InvalidArgumentError(f"{name} must not repeat a value, got {values}")
+    return values
+
+
 def sweep_field(h_values, base=LadderParams()):
     """Slow period and peak fidelity per field value, plus the log-log fit.
 
     Each field value gets its own carrier-resolving grid spanning
     WINDOW_FACTOR nominal slow periods, all made (and refused over
-    MAX_ENVELOPE_POINTS) before the first evolution. Rows whose envelope
-    extraction fails are kept and flagged rather than dropped. The fit runs
+    MAX_ENVELOPE_POINTS) before the first evolution, and a repeated field is
+    refused before that. Rows whose envelope extraction fails are kept and
+    flagged rather than dropped. The fit runs
     over the unflagged rows with h > 0 when at least three remain; its alpha
     field carries the prefactor extracted from the largest such field, where
     the strong-field expansion is cleanest.
     """
-    studies = [replace(base, h=float(h)) for h in h_values]
+    studies = [replace(base, h=h) for h in _distinct(h_values, "h_values")]
     grids = [_envelope_grid(params, _slow_window(params)) for params in studies]
     rows = []
     for params, grid in zip(studies, grids):
@@ -414,8 +423,8 @@ def effective_model_check(base=LadderParams(), h_values=(100.0, 200.0, 400.0)):
     residual error reflects how consistently the envelope extractor reads
     both signals, not a physics gap between the models. Every row's alpha
     needs extract_alpha's precondition (j_perp == j_parallel among others),
-    so a field value that fails it is refused, like an unusable grid, before
-    the first evolution.
+    so a field value that fails it is refused, like an unusable grid or a
+    repeated field (through sweep_field), before the first evolution.
     """
     studies = [replace(base, h=float(h)) for h in h_values]
     grids = [_envelope_grid(params, _slow_window(params)) for params in studies]
@@ -450,9 +459,10 @@ def effective_model_check(base=LadderParams(), h_values=(100.0, 200.0, 400.0)):
 def frequency_table(d_values, base=LadderParams(), grid=FREQ_GRID):
     """Measured carrier frequency of the terminal concurrence vs the dressed-gap prediction.
 
-    Every d's gap is checked before the first evolution; a zero gap is refused.
+    Every d's gap is checked before the first evolution; a zero gap, or a
+    repeated d, is refused.
     """
-    studies = [replace(base, d=float(d)) for d in d_values]
+    studies = [replace(base, d=d) for d in _distinct(d_values, "d_values")]
     gaps = [_carrier(params) for params in studies]
     rows = []
     for params, predicted in zip(studies, gaps):

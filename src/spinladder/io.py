@@ -1,9 +1,24 @@
-"""Config parsing and on-disk result formats.
+"""Config parsing and every output file.
 
 Configs are flat `key = value` lines with `#` comments; command-line flags
-override file values. Results are CSV tables plus a JSON sidecar carrying
-the full resolved config, so every output can be re-run bitwise from its
-own sidecar. Floats are serialized with repr, which round-trips exactly.
+override file values. Results are CSV tables plus a JSON sidecar that opens
+with the full resolved config, the seed and the package version, so every
+output can be re-run bitwise from its own sidecar. Floats are serialized
+with repr, which round-trips exactly.
+
+Each command's writer takes its result and the output directory, and names,
+formats and writes that command's files:
+
+    reference        write_trajectory  trajectory.csv, trajectory.json
+    field-sweep      write_sweep       sweep.csv, sweep.json
+    heatmap          write_heatmap     heatmap.csv, heatmap.json
+    disorder         write_ensemble    disorder_delta<delta>_curves.csv, disorder_delta<delta>_peaks.csv,
+                                       disorder_delta<delta>.json, per delta
+    scaling          write_scaling     scaling_n<N>.csv per size, scaling.json
+    freq-table       write_rows        freq_table.csv, freq_table.json
+    effective-check  write_rows        effective_check.csv, effective_check.json
+
+write_table and write_sidecar are the path-based primitives under them.
 """
 
 import json
@@ -16,7 +31,8 @@ import numpy as np
 from .errors import ConfigurationError, OutputError
 from .lattice import INITIAL_STATE_KINDS, LadderParams, mediating_mask, uniform_mask
 from .evolution import TimeGrid
-from .experiments import DEFAULT_GRID
+from . import __version__
+from .experiments import DEFAULT_GRID, EffectiveCheckRow, FrequencyRow
 
 _REFERENCE = LadderParams()
 
@@ -120,6 +136,12 @@ def _refusal(key, value, entries):
             return "field_mask must be 'mediating', 'uniform', or comma-separated rung indices"
         if not rungs:
             return "field_mask must list at least one rung"
+    if key == "deltas":
+        tags = {}  # file tag -> its first delta: write_ensemble would write two deltas' files under one name
+        for delta in entries:
+            first = tags.setdefault(_DELTA_TAG.format(delta), delta)
+            if first != delta:
+                return f"deltas {first!r} and {delta!r} share the file tag {_DELTA_TAG.format(delta)}"
     return None
 
 
@@ -213,7 +235,12 @@ def write_sidecar(path, summary):
     _write_text(path, json.dumps(summary, indent=2, default=lambda obj: obj.tolist()) + "\n")
 
 
-def trajectory_summary(traj):
+def _provenance(config):
+    """The block every sidecar opens with."""
+    return {"config": config_echo(config), "seed": config.seed, "version": __version__}
+
+
+def _trajectory_summary(traj):
     """Scalar digest of a trajectory: F_max and its time if F was measured, per-pair max concurrence."""
     summary = {}
     fid = traj.fidelity_terminal
@@ -225,8 +252,8 @@ def trajectory_summary(traj):
     return summary
 
 
-def write_trajectory(traj, csv_path, sidecar_path=None, extras=None):
-    """CSV with one row per grid point, plus an optional JSON summary sidecar.
+def write_trajectory(traj, out, config=None, analysis=None, name="trajectory"):
+    """<name>.csv with one row per grid point; given a config, <name>.json: provenance, analysis, summary.
 
     Header: t, one concurrence column per rung pair, F if fidelity was
     measured, then any mutual-information channels.
@@ -240,11 +267,22 @@ def write_trajectory(traj, csv_path, sidecar_path=None, extras=None):
     if traj.mutual_info:
         header += list(traj.mutual_info)
         columns += [series.values for series in traj.mutual_info.values()]
-    _write_columns(columns, csv_path, header)
-    if sidecar_path is not None:
-        summary = dict(extras or {})
-        summary.update(trajectory_summary(traj))
-        write_sidecar(sidecar_path, summary)
+    _write_columns(columns, os.path.join(out, f"{name}.csv"), header)
+    if config is not None:
+        write_sidecar(os.path.join(out, f"{name}.json"),
+                      {**_provenance(config), **(analysis or {}), **_trajectory_summary(traj)})
+
+
+def write_scaling(runs, out, config):
+    """runs: size N -> (trajectory, its terminal concurrence's first (time, value) peak, or None)."""
+    summary = {**_provenance(config), "runs": []}
+    for n, (traj, first_peak) in runs.items():
+        write_trajectory(traj, out, name=f"scaling_n{n}")
+        entry = {**_trajectory_summary(traj), "n_rungs": n}
+        if first_peak is not None:
+            entry["first_peak_time"], entry["first_peak_value"] = first_peak
+        summary["runs"].append(entry)
+    write_sidecar(os.path.join(out, "scaling.json"), summary)
 
 
 def write_table(rows, csv_path, header):
@@ -269,9 +307,9 @@ def _column_cells(column):
     return list(map(repr, np.asarray(column, dtype=float).tolist()))
 
 
-def write_sweep(result, csv_path, sidecar_path, extras):
-    write_table([astuple(r) for r in result.rows], csv_path, ["h", "T_slow", "F_max", "flag"])
-    summary = dict(extras)
+def write_sweep(result, out, config):
+    write_table([astuple(r) for r in result.rows], os.path.join(out, "sweep.csv"), ["h", "T_slow", "F_max", "flag"])
+    summary = _provenance(config)
     if result.fit is not None:
         summary["fit"] = {
             "slope": result.fit.slope,
@@ -283,36 +321,52 @@ def write_sweep(result, csv_path, sidecar_path, extras):
         {**asdict(r), "prefactor": None if r.t_slow is None or r.h <= 0 else r.t_slow / r.h}
         for r in result.rows
     ]
-    write_sidecar(sidecar_path, summary)
+    write_sidecar(os.path.join(out, "sweep.json"), summary)
 
 
-def write_heatmap(heatmap, csv_path, sidecar_path, extras):
+def write_heatmap(heatmap, out, config):
     """Matrix CSV: first row lists d values, first column lists g values."""
-    write_table([(g, *row) for g, row in zip(heatmap.g_values, heatmap.f_max)], csv_path,
+    write_table([(g, *row) for g, row in zip(heatmap.g_values, heatmap.f_max)], os.path.join(out, "heatmap.csv"),
                 ["g\\d"] + [_fmt(d) for d in heatmap.d_values])
     best = np.unravel_index(int(np.argmax(heatmap.f_max)), heatmap.f_max.shape)
-    summary = dict(extras)
-    summary.update({
+    write_sidecar(os.path.join(out, "heatmap.json"), {
+        **_provenance(config),
         "f_max_overall": float(heatmap.f_max.max()),
         "f_max_cell": {"g": float(heatmap.g_values[best[0]]),
                        "d": float(heatmap.d_values[best[1]])},
         "f_min_overall": float(heatmap.f_max.min()),
     })
-    write_sidecar(sidecar_path, summary)
 
 
-def write_ensemble(stats, curves_csv_path, peaks_csv_path, sidecar_path, extras):
-    """Mean/std fidelity curves and per-realization peak fidelities."""
+#: The tag in a disorder strength's file names; deltas equal to 6 significant digits share one.
+_DELTA_TAG = "delta{:g}"
+
+
+def write_ensemble(stats, out, config):
+    """Mean/std fidelity curves and per-realization peak fidelities of one disorder strength."""
+    name = os.path.join(out, "disorder_" + _DELTA_TAG.format(stats.delta))
     curves = [stats.mean_fidelity.times, stats.mean_fidelity.values, stats.std_fidelity.values]
-    _write_columns(curves, curves_csv_path, ["t", "mean_F", "std_F"])
+    _write_columns(curves, f"{name}_curves.csv", ["t", "mean_F", "std_F"])
     peaks = [(k, v) for k, v in enumerate(stats.peak_fidelities)]
-    write_table(peaks, peaks_csv_path, ["realization", "F_max"])
-    summary = dict(extras)
-    summary.update({
+    write_table(peaks, f"{name}_peaks.csv", ["realization", "F_max"])
+    write_sidecar(f"{name}.json", {
+        **_provenance(config),
         "delta": stats.delta,
         "n_samples": stats.n_samples,
         "mean_peak_fidelity": stats.mean_peak_fidelity,
         "std_peak_fidelity": stats.std_peak_fidelity,
     })
-    write_sidecar(sidecar_path, summary)
 
+
+#: The file name and CSV header of each row type write_rows takes.
+_ROW_FILES = {
+    FrequencyRow: ("freq_table", ["d", "predicted", "measured", "ratio"]),
+    EffectiveCheckRow: ("effective_check", ["h", "T_slow_full", "J_eff", "alpha", "T_slow_effective", "rel_error"]),
+}
+
+
+def write_rows(rows, out, config):
+    """<name>.csv with one line per row, and <name>.json echoing the rows, named by the rows' type."""
+    name, header = _ROW_FILES[type(rows[0])]
+    write_table([astuple(r) for r in rows], os.path.join(out, f"{name}.csv"), header)
+    write_sidecar(os.path.join(out, f"{name}.json"), {**_provenance(config), "rows": [asdict(r) for r in rows]})

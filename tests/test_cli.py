@@ -662,7 +662,7 @@ def test_scaling_runs_the_field_mask_and_state_at_every_size(tmp_path, flags, st
     for n, mask in masks.items():
         traj = experiments.run_reference(spinladder.LadderParams(n_rungs=n, field_mask=frozenset(mask)),
                                          state_kind=state, grid=grid, include_mutual_info=False)
-        io.write_trajectory(traj, str(tmp_path / f"expected_n{n}.csv"))
+        io.write_trajectory(traj, str(tmp_path), name=f"expected_n{n}")
         assert (out / f"scaling_n{n}.csv").read_bytes() == (tmp_path / f"expected_n{n}.csv").read_bytes()
 
 
@@ -789,6 +789,7 @@ def _assert_close(got, want, where):
 def _compare_with_golden(golden_dir, fresh_dir):
     files = sorted(p.name for p in golden_dir.iterdir())
     assert files, f"no goldens committed under {golden_dir}"
+    assert sorted(p.name for p in fresh_dir.iterdir()) == files, "the run wrote another set of files"
     for name in files:
         fresh = fresh_dir / name
         assert fresh.exists(), f"run did not produce {name}"

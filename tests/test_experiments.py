@@ -546,6 +546,31 @@ def test_fidelity_is_bitwise_the_same_with_every_channel(n_rungs, kind):
     assert np.array_equal(alone.fidelity_terminal.values, every.fidelity_terminal.values)
 
 
+#: Largest |C(MI on) - C(MI off)| allowed on an end pair over the reference grid, per ladder size: about three
+#: times the 2.8e-16, 5.6e-16, 1.0e-15 and 1.8e-15 measured at N = 2-5, the same at one and two OpenBLAS threads.
+END_PAIR_MI_BOUND = {2: 1e-15, 3: 2e-15, 4: 3e-15, 5: 5e-15}
+
+
+@pytest.mark.parametrize("n_rungs", sorted(END_PAIR_MI_BOUND))
+def test_only_the_end_pairs_move_with_the_mutual_information_request(n_rungs):
+    """With mutual information on, the end pairs are read from the Schmidt halves, not from the X-layout block sums.
+
+    F and the middle pairs come from the same arithmetic either way, so they
+    are bitwise equal; the end pairs differ by round-off on thousands of the
+    4001 points.
+    """
+    params = LadderParams(n_rungs=n_rungs)
+    on = run_reference(params, include_mutual_info=True)
+    off = run_reference(params, include_mutual_info=False)
+    assert np.array_equal(on.fidelity_terminal.values, off.fidelity_terminal.values)
+    labels = list(on.pair_concurrence)
+    for label in labels[1:-1]:
+        assert np.array_equal(on.pair_concurrence[label].values, off.pair_concurrence[label].values), label
+    for label in (labels[0], labels[-1]):
+        difference = np.abs(on.pair_concurrence[label].values - off.pair_concurrence[label].values)
+        assert difference.max() <= END_PAIR_MI_BOUND[n_rungs], label
+
+
 def test_distinct_rows_are_evolved_once_and_read_as_every_row(monkeypatch):
     """On a clean N = 4 ladder the 128 sector rows of V hold 72 distinct ones; reading them gives every channel.
 
@@ -956,6 +981,39 @@ def test_frequency_table_reference_row():
     assert row.predicted == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-12)
     assert abs(row.ratio - 1.0) <= 0.005
     assert row.measured == pytest.approx(row.predicted * row.ratio, rel=1e-12)
+
+
+# ------------------------------------------------------------- repeated values
+
+def _counting_chunks(monkeypatch):
+    """Count _evolve_chunk calls; the list grows by one per chunk evolved."""
+    calls = []
+
+    def recording(evolution, start, phases):
+        calls.append(start)
+        return _evolve_chunk(evolution, start, phases)
+    monkeypatch.setattr("spinladder.evolution._evolve_chunk", recording)
+    return calls
+
+
+@pytest.mark.parametrize("driver, key", [
+    (lambda: sweep_field([100.0, 100.0, 100.0]), "h_values"),
+    (lambda: frequency_table([0.5, 0.5]), "d_values"),
+    (lambda: effective_model_check(h_values=[100.0, 100.0]), "h_values"),
+], ids=["sweep_field", "frequency_table", "effective_model_check"])
+def test_a_driver_refuses_a_repeated_value_before_evolving(monkeypatch, driver, key):
+    """A repeated field or d would run the same study twice: refused with no chunk evolved."""
+    calls = _counting_chunks(monkeypatch)
+    with pytest.raises(InvalidArgumentError, match=f"{key} must not repeat a value"):
+        driver()
+    assert calls == []
+
+
+def test_the_repeat_refusal_counter_sees_a_distinct_run(monkeypatch):
+    """The counter above is reached by a driver run over distinct values, so its 0 is a refusal, not a miss."""
+    calls = _counting_chunks(monkeypatch)
+    frequency_table([0.5, 1.0], grid=TimeGrid(0.0, 40.0, 801))
+    assert len(calls) >= 2
 
 
 # ------------------------------------------------------------ parallel chunks

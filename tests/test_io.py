@@ -1,14 +1,16 @@
-"""Config parsing and CSV/sidecar round trips."""
+"""Config parsing, CSV/sidecar round trips, and the files each command's writer names."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from spinladder import __version__
 from spinladder.errors import ConfigurationError, OutputError
 from spinladder.evolution import TimeGrid
-from spinladder.experiments import (EnsembleStats, HeatmapGrid, SweepResult, SweepRow, Trajectory,
-                                   evolve_and_measure, rung_pairs)
+from spinladder.experiments import (EffectiveCheckRow, EnsembleStats, FrequencyRow, HeatmapGrid, SweepResult,
+                                   SweepRow, Trajectory, evolve_and_measure, rung_pairs)
 from spinladder.io import (
     ExperimentConfig,
     build_config,
@@ -19,6 +21,8 @@ from spinladder.io import (
     parse_config_text,
     write_ensemble,
     write_heatmap,
+    write_rows,
+    write_scaling,
     write_sidecar,
     write_sweep,
     write_table,
@@ -100,6 +104,15 @@ def test_out_of_range_rungs_names_key():
     assert err.value.key == "n_rungs"
     with pytest.raises(ConfigurationError):
         parse_config("n_rungs = 1\n")
+
+
+def test_deltas_sharing_a_file_tag_are_refused_at_parse_time():
+    """0.1 and 0.1000001 would both write disorder_delta0.1*: refused with the line, before any command runs."""
+    with pytest.raises(ConfigurationError) as err:
+        parse_config("n_samples = 2\ndeltas = 0.1, 0.1000001\n")
+    assert (err.value.key, err.value.line) == ("deltas", 2)
+    assert "deltas 0.1 and 0.1000001 share the file tag delta0.1" in str(err.value)
+    assert config_floats(parse_config("deltas = 0.1, 0.100001\n"), "deltas") == [0.1, 0.100001]
 
 
 def test_overrides_win_over_file():
@@ -225,7 +238,8 @@ def test_trajectory_round_trip(tmp_path):
     traj = tiny_trajectory()
     csv_path = tmp_path / "trajectory.csv"
     side_path = tmp_path / "trajectory.json"
-    write_trajectory(traj, str(csv_path), str(side_path), extras={"seed": 42})
+    write_trajectory(traj, str(tmp_path), ExperimentConfig(), {"omega_fast": 2.5})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["trajectory.csv", "trajectory.json"]
 
     text = csv_path.read_text().splitlines()
     assert len(text) == 3  # header + one row per grid point
@@ -239,7 +253,11 @@ def test_trajectory_round_trip(tmp_path):
     assert columns["F"] == [0.5, 0.987654321001]
 
     side = read_sidecar(str(side_path))
+    # the provenance block, the analysis, then the summary, in that order
+    assert list(side) == ["config", "seed", "version", "omega_fast", "f_max", "f_argmax_time", "max_concurrence"]
     assert side["seed"] == 42
+    assert side["version"] == __version__
+    assert side["omega_fast"] == 2.5
     assert side["f_max"] == 0.987654321001
     assert side["f_argmax_time"] == 1.0
     assert side["max_concurrence"] == {"12": 1.0, "56": 0.1 / 3.0}
@@ -250,9 +268,9 @@ def test_trajectory_csv_includes_mutual_info(tmp_path):
     mi = {"I12": traj.pair_concurrence["12"], "I12_56": traj.pair_concurrence["56"]}
     traj = Trajectory(grid=traj.grid, pair_concurrence=traj.pair_concurrence,
                       fidelity_terminal=traj.fidelity_terminal, mutual_info=mi)
-    path = tmp_path / "t.csv"
-    write_trajectory(traj, str(path))
-    assert path.read_text().splitlines()[0] == "t,C12,C56,F,I12,I12_56"
+    write_trajectory(traj, str(tmp_path), name="t")
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]  # no config, no sidecar
+    assert (tmp_path / "t.csv").read_text().splitlines()[0] == "t,C12,C56,F,I12,I12_56"
 
 
 def test_trajectory_without_fidelity_round_trip(tmp_path):
@@ -262,7 +280,8 @@ def test_trajectory_without_fidelity_round_trip(tmp_path):
     assert traj.fidelity_terminal is None
     csv_path = tmp_path / "trajectory.csv"
     side_path = tmp_path / "trajectory.json"
-    write_trajectory(traj, str(csv_path), str(side_path), extras={"seed": 42})
+    config = ExperimentConfig()
+    write_trajectory(traj, str(tmp_path), config)
 
     header, columns = read_csv(str(csv_path))
     assert header == ["t", "C12", "C34", "C56"]
@@ -271,7 +290,8 @@ def test_trajectory_without_fidelity_round_trip(tmp_path):
         assert columns[f"C{label}"] == series.values.tolist()
 
     side = read_sidecar(str(side_path))
-    assert side == {"seed": 42, "max_concurrence": {label: float(series.values.max())
+    assert side == {"config": config_echo(config), "seed": 42, "version": __version__,
+                    "max_concurrence": {label: float(series.values.max())
                                                     for label, series in traj.pair_concurrence.items()}}
 
 
@@ -301,7 +321,8 @@ def test_sweep_round_trip_with_flagged_row(tmp_path):
     result = SweepResult(rows=rows, fit=fit)
     csv_path = tmp_path / "sweep.csv"
     side_path = tmp_path / "sweep.json"
-    write_sweep(result, str(csv_path), str(side_path), {})
+    write_sweep(result, str(tmp_path), ExperimentConfig())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.csv", "sweep.json"]
 
     header, columns = read_csv(str(csv_path))
     assert header == ["h", "T_slow", "F_max", "flag"]
@@ -311,6 +332,7 @@ def test_sweep_round_trip_with_flagged_row(tmp_path):
     assert "carrier peaks" in columns["flag"][1]
 
     side = read_sidecar(str(side_path))
+    assert list(side) == ["config", "seed", "version", "fit", "rows"]
     assert side["fit"]["slope"] == 0.97
     assert side["fit"]["alpha"] == 1.02
     assert side["rows"][0]["prefactor"] == 327.2128 / 100.0
@@ -325,7 +347,8 @@ def test_heatmap_single_cell(tmp_path):
                      f_max=np.array([[0.934]]))
     csv_path = tmp_path / "heatmap.csv"
     side_path = tmp_path / "heatmap.json"
-    write_heatmap(hm, str(csv_path), str(side_path), {})
+    write_heatmap(hm, str(tmp_path), ExperimentConfig())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["heatmap.csv", "heatmap.json"]
 
     lines = csv_path.read_text().splitlines()
     assert len(lines) == 2
@@ -333,6 +356,7 @@ def test_heatmap_single_cell(tmp_path):
     assert lines[1] == "0.7,0.934"
 
     side = read_sidecar(str(side_path))
+    assert list(side) == ["config", "seed", "version", "f_max_overall", "f_max_cell", "f_min_overall"]
     assert side["f_max_overall"] == 0.934
     assert side["f_min_overall"] == 0.934
     assert side["f_max_cell"] == {"g": 0.7, "d": 0.2}
@@ -349,10 +373,11 @@ def test_ensemble_outputs(tmp_path):
         peak_fidelities=np.array([0.9, 0.9]),
         mean_peak_fidelity=0.9, std_peak_fidelity=0.0,
     )
-    curves = tmp_path / "curves.csv"
-    peaks = tmp_path / "peaks.csv"
-    side = tmp_path / "d.json"
-    write_ensemble(stats, str(curves), str(peaks), str(side), {})
+    curves = tmp_path / "disorder_delta0_curves.csv"
+    peaks = tmp_path / "disorder_delta0_peaks.csv"
+    side = tmp_path / "disorder_delta0.json"
+    write_ensemble(stats, str(tmp_path), ExperimentConfig())
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in (curves, peaks, side))
 
     header, columns = read_csv(str(curves))
     assert header == ["t", "mean_F", "std_F"]
@@ -363,9 +388,46 @@ def test_ensemble_outputs(tmp_path):
     assert columns["F_max"] == [0.9, 0.9]
 
     loaded = read_sidecar(str(side))
+    assert list(loaded) == ["config", "seed", "version", "delta", "n_samples", "mean_peak_fidelity",
+                            "std_peak_fidelity"]
     assert loaded["delta"] == 0.0
     assert loaded["n_samples"] == 2
     assert loaded["std_peak_fidelity"] == 0.0
+
+
+@pytest.mark.parametrize("row, name, header", [
+    (FrequencyRow(d=0.5, predicted=2.0, measured=2.5, ratio=1.25), "freq_table", "d,predicted,measured,ratio"),
+    (EffectiveCheckRow(h=100.0, t_slow_full=3.0, j_eff=0.5, alpha=2.0, t_slow_effective=3.5, relative_error=0.5),
+     "effective_check", "h,T_slow_full,J_eff,alpha,T_slow_effective,rel_error"),
+], ids=["freq-table", "effective-check"])
+def test_rows_are_named_by_their_type(tmp_path, row, name, header):
+    """write_rows picks the file name and CSV header from the row type; the sidecar echoes the rows."""
+    write_rows([row], str(tmp_path), ExperimentConfig())
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"{name}.csv", f"{name}.json"]
+    assert (tmp_path / f"{name}.csv").read_text().splitlines()[0] == header
+    side = read_sidecar(str(tmp_path / f"{name}.json"))
+    assert list(side) == ["config", "seed", "version", "rows"]
+    assert side["rows"] == [asdict(row)]
+
+
+def test_scaling_writes_one_csv_per_size_and_one_summary(tmp_path):
+    """Each size's CSV is write_trajectory's; its scaling.json entry has a first peak only where one was found."""
+    traj = tiny_trajectory()
+    config = ExperimentConfig()
+    write_scaling({4: (traj, (0.5, 0.75)), 5: (traj, None)}, str(tmp_path), config)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scaling.json", "scaling_n4.csv", "scaling_n5.csv"]
+    write_trajectory(traj, str(tmp_path), name="expected")
+    for n in (4, 5):
+        assert (tmp_path / f"scaling_n{n}.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+    side = read_sidecar(str(tmp_path / "scaling.json"))
+    assert side == {"config": config_echo(config), "seed": 42, "version": __version__, "runs": [
+        {"f_max": 0.987654321001, "f_argmax_time": 1.0, "max_concurrence": {"12": 1.0, "56": 0.1 / 3.0},
+         "n_rungs": 4, "first_peak_time": 0.5, "first_peak_value": 0.75},
+        {"f_max": 0.987654321001, "f_argmax_time": 1.0, "max_concurrence": {"12": 1.0, "56": 0.1 / 3.0},
+         "n_rungs": 5},
+    ]}
+    assert list(side["runs"][0]) == ["f_max", "f_argmax_time", "max_concurrence", "n_rungs", "first_peak_time",
+                                     "first_peak_value"]
 
 
 def test_write_table_generic(tmp_path):
@@ -387,7 +449,7 @@ def test_write_failure_carries_path(tmp_path):
     blocker.write_text("a file, not a directory\n")
     target = blocker / "sub" / "trajectory.csv"
     with pytest.raises(OutputError) as err:
-        write_trajectory(tiny_trajectory(), str(target))
+        write_trajectory(tiny_trajectory(), str(blocker / "sub"))
     assert err.value.path == str(target)
 
 
