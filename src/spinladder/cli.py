@@ -141,9 +141,9 @@ def cmd_heatmap(args, config):
 def cmd_disorder(args, config):
     params = io.config_params(config)
     grid = io.config_grid(config)
-    for delta in io.config_floats(config, "deltas"):
-        stats = experiments.disorder_ensemble(delta, config.n_samples, config.seed,
-                                              params, grid=grid)
+    ensembles = [experiments.disorder_ensemble(delta, config.n_samples, config.seed, params, grid=grid)
+                 for delta in io.config_floats(config, "deltas")]  # all run before any file is written
+    for stats in ensembles:
         io.write_ensemble(stats, args.out, config)
     return 0
 

@@ -10,18 +10,25 @@ Fidelity reads A = P V, P from _phi_plus_map, so F comes from the same
 arithmetic whatever other channels a run asks for. Only F is independent
 of the other channels by construction. With mutual information on, the
 end pairs' rhos are read from the Schmidt halves (below) instead of from
-the X-layout block sums, so their concurrence moves by round-off: up to
+their X layouts' Grams, so their concurrence moves by round-off: up to
 2.8e-16 at N = 2 and 1.8e-15 at N = 5 on the reference grid, at thousands
 of its points. The middle pairs and F stay bitwise the same.
 
 The partial trace reads states in the coordinates they were evolved in, a
 parity sector's basis or the full space, with nothing scattered back into
 the full space first. _layout splits a basis into the blocks of a site
-set's rho once per run (two in a parity sector, one in the full space),
-_block_sums is the one kernel that reads the states through them, and
-_reduced_many scatters its sums into rho. A pair's phi_plus fidelity needs
-no rho at all: _phi_plus_map gives the linear map whose images' squared
-norm it is.
+set's rho once per run (two in a parity sector, one in the full space), and
+_gram is the one kernel that reads the states through them: a block of rho
+is G G^H, G the block's gathered state rows, its diagonal one einsum of
+squares over G's float view and each element above it one sum of G_i
+conj(G_j). _reduced_many scatters the Grams into rho, _x_concurrence_many
+reads populations and coherences from them, _schmidt_many both sides of its
+folded blocks (below). The Schmidt channels feel this arithmetic at
+round-off: row-batched conjugate products in its place move mutual
+information by up to 9.6e-15 and MI-on end-pair concurrence by 1.8e-15 in
+reference runs (N = 3 and 5, and the mixed-parity input). A pair's
+phi_plus fidelity needs no rho at all: _phi_plus_map gives the linear map
+whose images' squared norm it is.
 
 Entropies follow the same blocks. When every element between the even and
 odd kept configurations is exactly 0 across a stack of rhos, as it is for
@@ -42,7 +49,8 @@ and (e_a + e_Pa)/sqrt(2) and its P-odd ones (e_a - e_Pa)/sqrt(2), and the
 other side into one column per {m, P m} orbit, the P-odd vectors having no
 column where m = P m. A block that fails the test is the same code with
 every orbit of size one. _schmidt_many forms each folded G from the state
-rows, its Gram G G^H and, where G has fewer columns than rows, G^H G, so
+rows, its Gram G G^H and, where G has fewer columns than rows, G^H G (both
+through _gram, the second on G's transposed view), so
 _entropy_many takes the joint entropy from the smaller side of each block;
 the two halves' rhos are fixed linear images of the G G^H. At five rungs,
 phi_plus gives 6x20, 2x12, 4x16 and 4x16 blocks in place of two 8x32, at
@@ -56,9 +64,9 @@ For those the Yu-Eberly closed form is exact,
 
 (Quantum Inf. Comput. 7, 459, 2007). Where a pair's layout is X (_is_x:
 every parity sector), every off-X element is exactly 0, and
-_x_concurrence_many reads the populations, rho14 and rho23 from the block
-sums with no rho, bitwise the rho route's values. Any other stack of rhos
-goes through _concurrence_many, which chooses per rho: the closed form
+_x_concurrence_many reads the populations, rho14 and rho23 from the
+blocks' Grams with no rho, bitwise the rho route's values. Any other stack
+of rhos goes through _concurrence_many, which chooses per rho: the closed form
 when every off-X element has magnitude at most X_STATE_TOL (a full-space
 evolution leaves a ~1e-13 round-off leak there, far below the threshold),
 otherwise, as for the pair states of the mixed-parity superposition input,
@@ -77,8 +85,6 @@ by up to 5.2e-14, 9.6e-14 and 3.3e-15 on rungs 1, 2 and 3: ~240x, ~430x
 and ~15x. The Werner, pure-state and local-unitary oracles in the test
 suite pin both routes.
 """
-
-from itertools import combinations
 
 import numpy as np
 
@@ -184,30 +190,11 @@ def _layout(basis, keep, n_sites):
     return 2 ** len(keep), [(configs, np.array(rows)) for configs, rows in blocks.values()]
 
 
-def _block_sums(states, layout):
-    """Yield (configs, populations, uppers) per block of layout over the state columns, no validation.
-
-    A block's rows are gathered once into a (|block|, |m|, nt) array G. The
-    populations are one einsum of squares over G's float view, and uppers
-    maps each i < j to the element above the diagonal, sum_m G_i conj(G_j).
-    """
-    for configs, rows in layout[1]:
-        block = states[rows]
-        parts = block.view(float)  # real and imaginary parts alternate along a row
-        squares = np.einsum("imt,imt->it", parts, parts)
-        uppers = {(i, j): (block[i] * block[j].conj()).sum(axis=0)
-                  for i, j in combinations(range(len(configs)), 2)}
-        yield configs, squares[:, ::2] + squares[:, 1::2], uppers
-
-
 def _reduced_many(states, layout):
     """Reduced density matrices of a layout's sites, one per complex128 state column, no validation."""
     rho = np.zeros((states.shape[1], layout[0], layout[0]), dtype=complex)
-    for configs, pop, uppers in _block_sums(states, layout):
-        rho[:, configs, configs] = pop.T
-        for (i, j), upper in uppers.items():
-            rho[:, configs[i], configs[j]] = upper
-            rho[:, configs[j], configs[i]] = upper.conj()
+    for configs, rows in layout[1]:
+        rho[:, np.array(configs)[:, None], configs] = _gram(states[rows])
     return rho
 
 
@@ -217,11 +204,13 @@ def _is_x(layout):
 
 
 def _x_concurrence_many(states, layout):
-    """Concurrence of a pair per state column from an X layout's block sums: _concurrence_many's, bitwise."""
+    """Concurrence of a pair per state column from an X layout's Grams: _concurrence_many's, bitwise."""
     pop, coherence = dict.fromkeys(range(4), 0.0), {0: 0.0, 1: 0.0}
-    for configs, squares, uppers in _block_sums(states, layout):
-        pop.update(zip(configs, squares))
-        coherence[configs[0]] = uppers.get((0, 1), 0.0)  # rho14 with 00 and 11, rho23 with 01 and 10
+    for configs, rows in layout[1]:
+        gram = _gram(states[rows])
+        pop.update(zip(configs, gram.diagonal(0, 1, 2).real.T))
+        if len(configs) > 1:
+            coherence[configs[0]] = gram[:, 0, 1]  # rho14 with 00 and 11, rho23 with 01 and 10
     return _x_state_concurrence(pop, coherence[0], coherence[1])
 
 
@@ -326,13 +315,20 @@ def _schmidt_many(states, layout):
 
 
 def _gram(g):
-    """G G^H per state column of a (rows, columns, columns of states) stack, as a (states, rows, rows) stack."""
-    gram = np.empty((g.shape[2], len(g), len(g)), dtype=complex)
-    for i in range(len(g)):
-        column = (g[i].conj() * g[i:]).sum(axis=1)  # elements (j, i) for j >= i
-        gram[:, i:, i] = column.T
-        gram[:, i, i:] = column.T.conj()
-    return gram
+    """G G^H per state column of a (rows, columns, states) stack G, as a (states, rows, rows) view.
+
+    The diagonal is exactly real; element (j, i) below it is the conjugate of (i, j).
+    """
+    k = len(g)
+    gram = np.empty((k, k, g.shape[2]), dtype=complex)
+    parts = g.view(float)  # real and imaginary parts alternate along a row
+    squares = np.einsum("imt,imt->it", parts, parts)
+    gram.reshape(k * k, -1)[::k + 1] = squares[:, ::2] + squares[:, 1::2]  # the diagonal
+    for i in range(k):
+        for j in range(i + 1, k):
+            gram[i, j] = (g[i] * g[j].conj()).sum(axis=0)
+            np.conjugate(gram[i, j], out=gram[j, i])
+    return gram.transpose(2, 0, 1)
 
 
 def _marginals(rhos):
@@ -361,8 +357,8 @@ def _concurrence_many(rhos):
 
 def _x_state_concurrence(pop, rho14, rho23):
     """Yu-Eberly closed-form concurrence from an X state's populations pop[0..3], rho14 and rho23."""
-    outer = np.abs(rho14) - np.sqrt(np.clip(pop[1] * pop[2], 0.0, None))
-    inner = np.abs(rho23) - np.sqrt(np.clip(pop[0] * pop[3], 0.0, None))
+    outer = np.abs(rho14) - np.sqrt(np.maximum(pop[1] * pop[2], 0.0))
+    inner = np.abs(rho23) - np.sqrt(np.maximum(pop[0] * pop[3], 0.0))
     return 2.0 * np.maximum(0.0, np.maximum(outer, inner))
 
 

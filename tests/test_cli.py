@@ -606,6 +606,14 @@ def test_disorder_deltas_sharing_a_file_tag_are_refused(tmp_path, capsys, monkey
     assert "Traceback" not in err and not out.exists()
 
 
+def test_a_disorder_run_failing_on_a_later_delta_writes_nothing(tmp_path, capsys):
+    """Delta 0 runs, delta 1e300 fails (phases E t reach 3.72e+301): exit 3 and no --out, delta 0's files included."""
+    out = tmp_path / "out"
+    assert main(["disorder", "--deltas", "0,1e300", "--n-samples", "2", "--n-points", "11", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "phases E t reach" in err and "Traceback" not in err and not out.exists()
+
+
 _REPEATED_LISTS = {"n_values": ("scaling", "4,4"), "h_values": ("field-sweep", "100,100,100"),
                    "eff_h_values": ("effective-check", "100,100"), "d_values": ("freq-table", "0.5,0.1,0.5")}
 

@@ -553,7 +553,7 @@ END_PAIR_MI_BOUND = {2: 1e-15, 3: 2e-15, 4: 3e-15, 5: 5e-15}
 
 @pytest.mark.parametrize("n_rungs", sorted(END_PAIR_MI_BOUND))
 def test_only_the_end_pairs_move_with_the_mutual_information_request(n_rungs):
-    """With mutual information on, the end pairs are read from the Schmidt halves, not from the X-layout block sums.
+    """With mutual information on, the end pairs are read from the Schmidt halves, not from the X-layout Grams.
 
     F and the middle pairs come from the same arithmetic either way, so they
     are bitwise equal; the end pairs differ by round-off on thousands of the
@@ -854,7 +854,7 @@ def test_x_layout_concurrence_is_the_reduced_rho_route(n_rungs, kind):
 
     Every rung pair and, on a ladder, the leg pair (1, 3), chunk by chunk.
     A single rung's even sector has one {00, 11} block and takes the X
-    route too. Both routes read the same block sums (metrics._block_sums).
+    route too. Both routes read the same Grams (metrics._gram).
     """
     params = LadderParams(n_rungs=n_rungs)
     psi0 = build_initial_state(kind, params)

@@ -1,13 +1,13 @@
 """The drivers' entanglement kernels against textbook states and independent oracles.
 
 Every test calls the kernels that experiments.evolve_and_measure runs (the
-layouts, _reduced_many, the phi_plus map, _concurrence_many, _entropy_many,
-the folded Schmidt blocks) and checks them against closed forms (Werner and
-pure-state concurrence, the Bell-state fidelities, the entropy values) or
-against conftest's reshape partial trace and eigvalsh entropy, never against
-another route through the same kernels. Local-unitary invariance is a
-property check on random two-qubit states, which exercises the general
-(non-X) concurrence route.
+layouts, _gram, _reduced_many, the phi_plus map, _concurrence_many,
+_entropy_many, the folded Schmidt blocks) and checks them against closed
+forms (Werner and pure-state concurrence, the Bell-state fidelities, the
+entropy values) or against conftest's reshape partial trace, eigvalsh
+entropy and a plain einsum Gram, never against another route through the
+same kernels. Local-unitary invariance is a property check on random
+two-qubit states, which exercises the general (non-X) concurrence route.
 """
 
 import numpy as np
@@ -20,6 +20,7 @@ from spinladder.metrics import (
     _concurrence_many,
     _entropy_many,
     _folded_layout,
+    _gram,
     _is_x,
     _layout,
     _marginals,
@@ -411,6 +412,28 @@ def test_folded_blocks_of_leg_symmetric_states_match_the_whole_rho(n_rungs, sect
             assert np.abs(rho - want).max() <= 1e-12
     if n_rungs == 5 and sector == 0:
         assert [terms.shape[1:] for terms, _, _, _ in folded[1]] == [(6, 20), (2, 12), (4, 16), (4, 16)]
+
+
+# ------------------------------------------------------------------ Gram kernel
+
+@pytest.mark.parametrize("shape", [(1, 8), (2, 8), (6, 20), (20, 6)])
+@pytest.mark.parametrize("swapped", [False, True])
+def test_gram_is_g_g_dagger_per_state_column(shape, swapped):
+    """_gram(G) is einsum's G G^H per state column, to 1e-13 relative, with an exactly real diagonal and Hermitian bits.
+
+    swapped passes G as the swapaxes view of a (columns, rows, states)
+    array, as _schmidt_many does for a block's other side.
+    """
+    rng = np.random.default_rng(sum(shape) + 100 * swapped)
+    size = shape[::-1] + (37,) if swapped else shape + (37,)
+    g = rng.normal(size=size) + 1j * rng.normal(size=size)
+    g = g.swapaxes(0, 1) if swapped else g
+    gram = _gram(g)
+    want = np.einsum("imt,jmt->tij", g, g.conj())
+    assert gram.shape == want.shape == (37, shape[0], shape[0])
+    assert np.abs(gram - want).max() <= 1e-13 * np.abs(want).max()
+    assert not np.diagonal(gram, axis1=1, axis2=2).imag.any()
+    assert np.array_equal(gram, gram.conj().swapaxes(-1, -2))
 
 
 # ---------------------------------------------------------- mutual information
