@@ -277,22 +277,28 @@ def _distinct(values, name):
     return values
 
 
+def _field_studies(h_values, base):
+    """One (params, grid) pair per field for the slow-envelope drivers, a repeated field refused first.
+
+    Every carrier-resolving grid spans WINDOW_FACTOR nominal slow periods and
+    is made, or refused over MAX_ENVELOPE_POINTS, before any evolution.
+    """
+    studies = [replace(base, h=h) for h in _distinct(h_values, "h_values")]
+    return [(params, _envelope_grid(params, _slow_window(params))) for params in studies]
+
+
 def sweep_field(h_values, base=LadderParams()):
     """Slow period and peak fidelity per field value, plus the log-log fit.
 
-    Each field value gets its own carrier-resolving grid spanning
-    WINDOW_FACTOR nominal slow periods, all made (and refused over
-    MAX_ENVELOPE_POINTS) before the first evolution, and a repeated field is
-    refused before that. Rows whose envelope extraction fails are kept and
-    flagged rather than dropped. The fit runs
-    over the unflagged rows with h > 0 when at least three remain; its alpha
+    Each field value gets its own carrier-resolving grid from _field_studies,
+    all made before the first evolution. Rows whose envelope extraction
+    fails are kept and flagged rather than dropped. The fit runs over the
+    unflagged rows with h > 0 when at least three remain; its alpha
     field carries the prefactor extracted from the largest such field, where
     the strong-field expansion is cleanest.
     """
-    studies = [replace(base, h=h) for h in _distinct(h_values, "h_values")]
-    grids = [_envelope_grid(params, _slow_window(params)) for params in studies]
     rows = []
-    for params, grid in zip(studies, grids):
+    for params, grid in _field_studies(h_values, base):
         traj = evolve_and_measure(params, grid, rung_pairs(params.n_rungs)[-1:], fidelity=True)
         c_term = traj.pair_concurrence[traj.terminal_label]
         f_max = float(traj.fidelity_terminal.values.max())
@@ -416,40 +422,37 @@ def build_effective_hamiltonian(j_eff, params, basis=None):
 def effective_model_check(base=LadderParams(), h_values=(100.0, 200.0, 400.0)):
     """Envelope period of the full ladder vs the four-spin effective model.
 
-    The full ladder's period is sweep_field's T_slow (a flagged row raises
-    InsufficientDataError with its flag); the coupling mapped from it drives
-    the effective model over the same window, and the two extracted periods
-    are compared. Because the coupling is taken from the full run, the
-    residual error reflects how consistently the envelope extractor reads
-    both signals, not a physics gap between the models. Every row's alpha
-    needs extract_alpha's precondition (j_perp == j_parallel among others),
-    so a field value that fails it is refused, like an unusable grid or a
-    repeated field (through sweep_field), before the first evolution.
+    The full ladder's period is the envelope period of its terminal
+    concurrence, on the grid and through the extraction field-sweep's rows
+    use (a field without one raises InsufficientDataError); the coupling
+    mapped from it drives the effective model over the same window, and the
+    two extracted periods are compared. Because the coupling is taken from
+    the full run, the residual error reflects how consistently the envelope
+    extractor reads both signals, not a physics gap between the models.
+    Every row's alpha needs extract_alpha's precondition (j_perp ==
+    j_parallel among others), so a field value that fails it is refused,
+    like a repeated field or an unusable grid, before the first evolution.
     """
-    studies = [replace(base, h=float(h)) for h in h_values]
-    grids = [_envelope_grid(params, _slow_window(params)) for params in studies]
-    for params in studies:
+    studies = _field_studies(h_values, base)
+    for params, _ in studies:
         problem = _alpha_refusal(params)
         if problem is not None:
             raise InvalidArgumentError(problem)
     rows = []
     eff_proto = LadderParams(n_rungs=2, j_perp=base.j_perp, j_parallel=base.j_parallel,
                              g=base.g, d=base.d, h=0.0, field_mask=frozenset())
-    eff_psi0 = build_initial_state("phi_plus", eff_proto)
-    eff_basis = parity_sector(eff_psi0)
-    for row, params, grid in zip(sweep_field(h_values, base).rows, studies, grids):
-        if row.flag is not None:
-            raise InsufficientDataError(row.flag)
-        t_full = row.t_slow
+    eff_basis = parity_sector(build_initial_state("phi_plus", eff_proto))
+    for params, grid in studies:
+        full = evolve_and_measure(params, grid, rung_pairs(params.n_rungs)[-1:])
+        t_full = envelope_period(full.pair_concurrence[full.terminal_label])
         j_eff = effective_coupling_from_period(t_full, params)
         alpha = extract_alpha(t_full, params)
 
         eff_ham = build_effective_hamiltonian(j_eff, params, eff_basis)
-        eff = evolve_and_measure(eff_proto, grid, [(3, 4)], decomp=diagonalize(eff_ham, eff_basis),
-                                 psi0=eff_psi0)
+        eff = evolve_and_measure(eff_proto, grid, [(3, 4)], decomp=diagonalize(eff_ham, eff_basis))
         t_eff = envelope_period(eff.pair_concurrence["34"])
         rows.append(EffectiveCheckRow(
-            h=row.h, t_slow_full=t_full, j_eff=j_eff, alpha=alpha,
+            h=params.h, t_slow_full=t_full, j_eff=j_eff, alpha=alpha,
             t_slow_effective=t_eff,
             relative_error=abs(t_eff - t_full) / t_full,
         ))

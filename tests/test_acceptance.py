@@ -157,7 +157,10 @@ def test_a2_reference_fidelity(ref_long):
     print(f"A2: F_max {f_max:.6f} at t = {t_star:.3f} "
           f"(claims: 1.11 and 118.5); min F {fid.values.min():.6f}; "
           f"max C34 {c34_max:.6f}")
-    assert f_max >= 0.999
+    # the paper's N = 3 figure; over [0, 10] the no-injection control (ROADMAP
+    # item 3) reaches 0.999780 against phi_plus's 0.999808, so F alone tells
+    # the two inputs apart by little; the control is unmeasured on this window
+    assert f_max >= 0.9998
     assert fid.values.min() >= 0.49
     assert c34_max <= 0.1
 
@@ -236,6 +239,8 @@ def test_a4_reference_cell(heatmap):
     value = heatmap.f_max[9, 5]
     assert heatmap.g_values[9] == 1.0 and heatmap.d_values[5] == pytest.approx(0.5)
     print(f"A4: F_max(g=1, d=0.5) = {value:.6f}")
+    # this cell measures 0.999808 against the no-injection control's 0.999780
+    # (ROADMAP item 3), so it tells the two inputs apart by only 2.8e-5
     assert value >= 0.999
 
 
@@ -289,13 +294,21 @@ def test_a4_frozen_dynamics_flatness(frozen_runs):
 # ---------------------------------------------------- A5: disorder robustness
 
 def test_a5_disorder_bands(disorder):
-    bands = {0.05: 0.998, 0.10: 0.995, 0.20: 0.985}
-    for delta, floor in bands.items():
+    """The paper's <F_max> > 0.998 for delta <= 10 %, asserted on the mean minus three standard errors.
+
+    The standard error is std / sqrt(200) over the 200 realizations, and k = 3
+    was fixed before the means were read. The paper states no number at
+    delta = 0.20; its 0.985 floor on the mean is the repository's own.
+    """
+    for delta in (0.05, 0.10, 0.20):
         stats = disorder[delta]
-        print(f"A5: delta={delta} <F_max> = {stats.mean_peak_fidelity:.5f} "
-              f"+- {stats.std_peak_fidelity:.5f}")
         assert stats.n_samples == 200
-        assert stats.mean_peak_fidelity >= floor
+        se = stats.std_peak_fidelity / math.sqrt(200)
+        print(f"A5: delta={delta} <F_max> = {stats.mean_peak_fidelity:.5f} +- {stats.std_peak_fidelity:.5f} std, "
+              f"SE {se:.2e}, mean - 3 SE = {stats.mean_peak_fidelity - 3 * se:.5f}")
+        if delta <= 0.10:
+            assert stats.mean_peak_fidelity - 3 * se > 0.998
+    assert disorder[0.20].mean_peak_fidelity >= 0.985
     assert disorder[0.20].mean_fidelity.values.min() >= 0.49
 
 

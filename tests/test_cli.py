@@ -21,6 +21,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import spinladder
@@ -813,6 +814,36 @@ def _compare_with_golden(golden_dir, fresh_dir):
 
 @pytest.mark.parametrize("experiment", sorted(GOLDEN_RUNS))
 def test_golden(experiment, tmp_path):
+    out = tmp_path / "out"
+    assert main(GOLDEN_RUNS[experiment] + ["--out", str(out)]) == 0
+    _compare_with_golden(GOLDEN_ROOT / experiment, out)
+
+
+def _scipy_eigh(driver):
+    """np.linalg.eigh on SciPy's LAPACK and the given driver, solved one matrix of a stack at a time."""
+    def eigh(a):
+        a = np.asarray(a)
+        pairs = [scipy.linalg.eigh(m, driver=driver) for m in a.reshape(-1, *a.shape[-2:])]
+        return (np.stack([w for w, _ in pairs]).reshape(a.shape[:-1]),
+                np.stack([v for _, v in pairs]).reshape(a.shape))
+    return eigh
+
+
+_EVR_EFFECTIVE_CHECK = pytest.mark.xfail(
+    strict=True,
+    reason="rel_error sits 7.42 times past the golden bound: it moves by 6.06e-11 at 0.00716, the difference "
+           "of two periods that each move by 9.0e-11 relative (ROADMAP item 1)",
+)
+
+
+@pytest.mark.parametrize("driver, experiment", [
+    pytest.param(driver, experiment, marks=_EVR_EFFECTIVE_CHECK if (driver, experiment) == ("evr", "effective-check")
+                 else (), id=f"{driver}-{experiment}")
+    for driver in ("evr", "ev") for experiment in sorted(GOLDEN_RUNS)
+])
+def test_golden_on_a_second_lapack(driver, experiment, tmp_path, monkeypatch):
+    """Each golden command, its eigensolver swapped for SciPy's LAPACK, still matches the goldens at their tolerance."""
+    monkeypatch.setattr(np.linalg, "eigh", _scipy_eigh(driver))
     out = tmp_path / "out"
     assert main(GOLDEN_RUNS[experiment] + ["--out", str(out)]) == 0
     _compare_with_golden(GOLDEN_ROOT / experiment, out)

@@ -20,6 +20,7 @@ from hypothesis import given, strategies as st
 
 from spinladder import metrics
 from spinladder.errors import (
+    InsufficientDataError,
     InvalidArgumentError,
     NumericFailureError,
 )
@@ -964,11 +965,24 @@ def test_effective_model_period_agrees_across_eigensolvers():
 
 
 def test_effective_check_full_period_is_the_sweep_period():
-    """effective-check reads the full ladder's slow period from sweep_field, bit for bit."""
+    """effective-check's full-ladder slow period is field-sweep's T_slow at the same field, bit for bit."""
     [sweep_row] = sweep_field([100.0]).rows
     [check_row] = effective_model_check(h_values=[100.0])
     assert check_row.h == sweep_row.h
     assert check_row.t_slow_full == sweep_row.t_slow
+
+
+def test_effective_check_evolves_only_the_terminal_concurrence_and_stops_at_the_first_failure(monkeypatch):
+    """h = 10 has no envelope maximum: only its full ladder is evolved, with no fidelity, before the refusal."""
+    calls = []
+
+    def recording(params, grid, pairs=(), **channels):
+        calls.append((params.n_rungs, params.h, list(pairs), channels.get("fidelity", False)))
+        return evolve_and_measure(params, grid, pairs, **channels)
+    monkeypatch.setattr("spinladder.experiments.evolve_and_measure", recording)
+    with pytest.raises(InsufficientDataError, match="^no envelope maximum inside the sampled window$"):
+        effective_model_check(h_values=[10.0, 100.0])
+    assert calls == [(3, 10.0, [(5, 6)], False)]
 
 
 # -------------------------------------------------------------- frequency table
